@@ -1,13 +1,15 @@
 """dispersionlab: a numerical laboratory for attention dispersion.
 
 Library layout:
-  tensor     dense immutable arrays and the core op set
+  tensor     dense immutable arrays and their JSON wire format
   posenc     rotary embeddings, grids, depthwise positional kernels
   attention  the attention variant family (softmax, linear, focused,
-             window, SEMA, MILA) with coefficient extraction
+             window, SEMA, MILA) with coefficient extraction, all built on
+             one batched blocked-coefficient kernel
   analysis   dispersion bounds, sweeps, the counterexample, cost models
   ssm        the discrete state-space recursion and its attention form
-  autograd   tape-based reverse mode plus gradcheck
+  autograd   tape-based reverse mode plus gradcheck; the blocked attention
+             ops fold heads into the batch axis of the same kernel
   traced     differentiable twins of the attention variants
   model      toy SEMA backbone, receptive-field probes, toy training
   cli        the `dispersion-lab` experiment runner
@@ -15,15 +17,7 @@ Library layout:
 
 __version__ = "0.1.0"
 
-from .tensor import (  # noqa: F401
-    Tensor,
-    broadcast_row,
-    cumprod_rows,
-    hadamard,
-    matmul,
-    mean_rows,
-    softmax_rows,
-)
+from .tensor import Tensor  # noqa: F401
 from .posenc import DepthwiseKernel, GridSpec, lepe, rope_apply  # noqa: F401
 from .attention import (  # noqa: F401
     KernelSpec,

@@ -20,11 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import KernelSpec, WindowSpec, phi_values, _apply_psi, _phi_weights
+from .attention import (KernelSpec, WindowSpec, phi_values, _apply_psi, _blocks, _normalize,
+                        _phi_weights)
 from .errors import BoundViolationError, DimensionError
 from .rng import rng_for
 
-VARIANTS = ("softmax", "linear", "focused", "mila", "window", "differential")
+VARIANTS = ("softmax", "linear", "focused", "mila", "window")
 
 _DEFAULT_KERNELS = {
     "softmax": KernelSpec.softmax,
@@ -32,7 +33,6 @@ _DEFAULT_KERNELS = {
     "focused": KernelSpec.focused,
     "window": KernelSpec.softmax,
     "mila": KernelSpec.linear,
-    "differential": KernelSpec.softmax,
 }
 
 
@@ -75,16 +75,10 @@ class BoundSpec:
 
 
 def coefficient_bounds(spec: BoundSpec) -> tuple[float, float]:
-    """Theoretical (lower, upper) for one normalized coefficient.
-
-    Standard variants: phi(a)/(n phi(b)) <= alpha <= phi(b)/(n phi(a)).
-    Differential attention subtracts two such matrices, so its coefficients
-    live in the symmetric difference interval around zero.
+    """Theoretical (lower, upper) for one normalized coefficient:
+    phi(a)/(n phi(b)) <= alpha <= phi(b)/(n phi(a)).
     """
     pa, pb, n = spec.phi_at_argmin, spec.phi_at_argmax, spec.n
-    if spec.variant == "differential":
-        spread = (pb / pa - pa / pb) / n
-        return (-spread, spread)
     return (pa / (n * pb), pb / (n * pa))
 
 
@@ -147,11 +141,10 @@ class DispersionReport:
                    len(self.upper_bound), len(self.lower_bound)}
         if lengths != {len(self.n_values)}:
             raise ValueError("report columns must share one length")
-        if self.variant != "differential":
-            # normalized-coefficient variants produce strictly positive weights
-            for mx, mn in zip(self.max_coeff, self.min_coeff):
-                if not mx >= mn > 0:
-                    raise ValueError(f"expected max >= min > 0, got ({mx}, {mn})")
+        # normalized coefficients are strictly positive weights
+        for mx, mn in zip(self.max_coeff, self.min_coeff):
+            if not mx >= mn > 0:
+                raise ValueError(f"expected max >= min > 0, got ({mx}, {mn})")
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -173,44 +166,29 @@ class DispersionReport:
 def _variant_cell(variant: str, kernel: KernelSpec, q: np.ndarray, k: np.ndarray,
                   win: WindowSpec | None, epsilon: float = 1e-6):
     """Coefficients plus their sample-specific rigorous bounds for one draw."""
-    fq = _apply_psi(q, kernel.psi_q, kernel.psi_p)
-    fk = _apply_psi(k, kernel.psi_k, kernel.psi_p)
     n = q.shape[0]
+    block = n
     if variant == "window":
         if win is None:
             raise ValueError("window variant requires a WindowSpec")
         if n % win.w != 0:
             raise DimensionError(f"window {win.w} does not divide n={n}")
-        coeff = np.empty((n, win.w))
-        lo_logit, hi_logit = np.inf, -np.inf
-        for b in range(n // win.w):
-            s = slice(b * win.w, (b + 1) * win.w)
-            logits = fq[s] @ fk[s].T
-            lo_logit = min(lo_logit, logits.min())
-            hi_logit = max(hi_logit, logits.max())
-            w = _shifted_phi(kernel, logits)
-            coeff[s] = w / w.sum(axis=1, keepdims=True)
-        spec = BoundSpec.from_logit_range(variant, kernel, lo_logit, hi_logit, win.w)
-        return coeff, coefficient_bounds(spec)
-    logits = fq @ fk.T
+        block = win.w
+    fq = _apply_psi(q, kernel.psi_q, kernel.psi_p)
+    fk = _apply_psi(k, kernel.psi_k, kernel.psi_p)
+    logits = _blocks(fq, block) @ _blocks(fk, block).transpose(0, 2, 1)
     lo_logit, hi_logit = float(logits.min()), float(logits.max())
     if variant == "mila":
         # un-gated ratio with the stabilizer in the denominator; the epsilon
         # keeps the true coefficient at or below the textbook lower bound, so
         # the rigorous lower bound carries the epsilon too
-        den = logits.sum(axis=1, keepdims=True) + epsilon
-        coeff = logits / den
+        den = logits.sum(axis=-1, keepdims=True) + epsilon
+        coeff = (logits / den).reshape(n, n)
         pa, pb = phi_values(kernel, lo_logit), phi_values(kernel, hi_logit)
         return coeff, (float(pa / (n * pb + epsilon)), float(pb / (n * pa)))
-    w = _shifted_phi(kernel, logits)
-    coeff = w / w.sum(axis=1, keepdims=True)
-    spec = BoundSpec.from_logit_range(variant, kernel, lo_logit, hi_logit, n)
+    coeff = _normalize(kernel, _phi_weights(kernel, logits)).reshape(n, block)
+    spec = BoundSpec.from_logit_range(variant, kernel, lo_logit, hi_logit, block)
     return coeff, coefficient_bounds(spec)
-
-
-def _shifted_phi(kernel: KernelSpec, logits: np.ndarray) -> np.ndarray:
-    # ratio-preserving weights (exp kernels shift by the row max)
-    return _phi_weights(kernel, logits)
 
 
 def measure_dispersion(variant: str, kernel: KernelSpec | None, sampler: BoundedSampler,
@@ -225,7 +203,7 @@ def measure_dispersion(variant: str, kernel: KernelSpec | None, sampler: Bounded
     BoundViolationError: the bounds are a test oracle, not advice. The
     recorded per-n bounds are the loosest per-trial bounds.
     """
-    if variant not in ("softmax", "linear", "focused", "window", "mila"):
+    if variant not in VARIANTS:
         raise ValueError(f"cannot sweep variant {variant!r}")
     kernel = kernel or default_kernel(variant)
     n_values = [int(n) for n in n_values]

@@ -172,19 +172,23 @@ def _apply_psi(x: np.ndarray, psi: str, psi_p: int) -> np.ndarray:
 
 
 def _phi_weights(kernel: KernelSpec, logits: np.ndarray) -> np.ndarray:
-    """phi applied rowwise, rescaled per row for exp kernels (ratio-invariant)."""
-    if kernel.phi == "exp":
-        return np.exp(logits - logits.max(axis=-1, keepdims=True))
-    if kernel.phi == "exp_temperature":
-        scaled = logits / kernel.theta
-        return np.exp(scaled - scaled.max(axis=-1, keepdims=True))
+    """phi applied rowwise in place, rescaled per row for exp kernels.
+
+    The rescaling is ratio-invariant. logits must be a fresh array the
+    caller owns: it is overwritten and returned.
+    """
+    if kernel.phi in ("exp", "exp_temperature"):
+        if kernel.phi == "exp_temperature":
+            logits /= kernel.theta
+        logits -= logits.max(axis=-1, keepdims=True)
+        return np.exp(logits, out=logits)
     if np.any(logits < 0):
         raise KernelDomainError(
             f"phi={kernel.phi!r} requires nonnegative logits, got min {logits.min()}"
         )
-    if kernel.phi == "identity":
-        return logits
-    return logits**kernel.phi_p
+    if kernel.phi == "power":
+        logits **= kernel.phi_p
+    return logits
 
 
 def phi_values(kernel: KernelSpec, x: np.ndarray) -> np.ndarray:
@@ -200,13 +204,15 @@ def phi_values(kernel: KernelSpec, x: np.ndarray) -> np.ndarray:
 
 
 def _normalize(kernel: KernelSpec, weights: np.ndarray) -> np.ndarray:
+    """Divide each row by its sum, in place; the one row normalization."""
     denom = weights.sum(axis=-1, keepdims=True)
     if np.any(denom <= kernel.epsilon):
         raise KernelDomainError(
             f"normalizer denominator <= epsilon ({kernel.epsilon}); "
             "kernel weights sum to a non-positive or vanishing value"
         )
-    return weights / denom
+    weights /= denom
+    return weights
 
 
 def phi_normalize(logits, kernel: KernelSpec) -> Tensor:
@@ -214,7 +220,7 @@ def phi_normalize(logits, kernel: KernelSpec) -> Tensor:
     x = as_array(logits)
     if x.ndim != 1:
         raise DimensionError(f"phi_normalize expects a rank-1 tensor, got {x.shape}")
-    return Tensor(_normalize(kernel, _phi_weights(kernel, x[None, :]))[0])
+    return Tensor(_normalize(kernel, _phi_weights(kernel, x[None, :].copy()))[0])
 
 
 def _check_qkv(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> None:
@@ -224,43 +230,48 @@ def _check_qkv(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> None:
         raise DimensionError(f"q/k/v shapes disagree: {q.shape}, {k.shape}, {v.shape}")
 
 
-def _coefficients(q: np.ndarray, k: np.ndarray, kernel: KernelSpec) -> np.ndarray:
-    fq = _apply_psi(q, kernel.psi_q, kernel.psi_p)
-    fk = _apply_psi(k, kernel.psi_k, kernel.psi_p)
-    return _normalize(kernel, _phi_weights(kernel, fq @ fk.T))
+def _blocks(x: np.ndarray, block: int) -> np.ndarray:
+    """View n x d rows as (n / block, block, d) consecutive blocks."""
+    return x.reshape(x.shape[0] // block, block, x.shape[1])
+
+
+def _block_coefficients(qb: np.ndarray, kb: np.ndarray, kernel: KernelSpec,
+                        featured: bool = False) -> np.ndarray:
+    """Phi-normalized weights of each row over the keys of its own block.
+
+    qb and kb hold rows grouped into blocks, shape (..., block, d); the
+    result has shape (..., block, block). One block of all n rows is global
+    attention. With featured=True the rows already carry their psi maps.
+    """
+    if not featured:
+        qb = _apply_psi(qb, kernel.psi_q, kernel.psi_p)
+        kb = _apply_psi(kb, kernel.psi_k, kernel.psi_p)
+    return _normalize(kernel, _phi_weights(kernel, qb @ np.swapaxes(kb, -1, -2)))
 
 
 def generalized_attention_coefficients(q, k, kernel: KernelSpec) -> Tensor:
     """The n x n phi-normalized weight matrix of generalized attention."""
     q, k = as_array(q), as_array(k)
     _check_qkv(q, k, q)
-    return Tensor(_coefficients(q, k, kernel))
+    return Tensor(_block_coefficients(q, k, kernel))
 
 
 def generalized_attention(q, k, v, kernel: KernelSpec) -> Tensor:
     """Phi-normalized attention: row i mixes values by phi-normalized weights."""
     q, k, v = as_array(q), as_array(k), as_array(v)
     _check_qkv(q, k, v)
-    return Tensor(_coefficients(q, k, kernel) @ v)
-
-
-def _softmax_coeffs(q: np.ndarray, k: np.ndarray) -> np.ndarray:
-    logits = q @ k.T
-    z = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return z / z.sum(axis=1, keepdims=True)
+    return Tensor(_block_coefficients(q, k, kernel) @ v)
 
 
 def softmax_attention_coefficients(q, k) -> Tensor:
-    q, k = as_array(q), as_array(k)
-    _check_qkv(q, k, q)
-    return Tensor(_softmax_coeffs(q, k))
+    return generalized_attention_coefficients(q, k, KernelSpec.softmax())
 
 
 _CHUNK_BUDGET = 1 << 19  # entries per streamed logit block (4 MB in float64)
 
 
 def softmax_attention(q, k, v) -> Tensor:
-    """Vanilla full attention via the matrix route softmax_rows(q k^T) v.
+    """Vanilla full attention via the matrix route softmax(q k^T) v.
 
     Query rows are streamed through one cache-sized scratch block, so the
     n x n weight matrix is never materialized whole and large runs avoid
@@ -270,9 +281,10 @@ def softmax_attention(q, k, v) -> Tensor:
     q, k, v = as_array(q), as_array(k), as_array(v)
     _check_qkv(q, k, v)
     n = q.shape[0]
+    kernel = KernelSpec.softmax()
     chunk = max(64, _CHUNK_BUDGET // max(n, 1))
     if n <= chunk:
-        return Tensor(_softmax_coeffs(q, k) @ v)
+        return Tensor(_block_coefficients(q, k, kernel) @ v)
     out = np.empty((n, v.shape[1]))
     scratch = np.empty((chunk, n))
     kt = np.ascontiguousarray(k.T)
@@ -280,10 +292,7 @@ def softmax_attention(q, k, v) -> Tensor:
         hi = min(lo + chunk, n)
         block = scratch[: hi - lo]
         np.matmul(q[lo:hi], kt, out=block)
-        block -= block.max(axis=1, keepdims=True)
-        np.exp(block, out=block)
-        block /= block.sum(axis=1, keepdims=True)
-        np.matmul(block, v, out=out[lo:hi])
+        np.matmul(_normalize(kernel, _phi_weights(kernel, block)), v, out=out[lo:hi])
     return Tensor(out)
 
 
@@ -326,7 +335,7 @@ def focused_attention(q, k, v, p: int = 3, dwc: DepthwiseKernel | None = None,
     """
     q, k, v = as_array(q), as_array(k), as_array(v)
     _check_qkv(q, k, v)
-    out = _coefficients(q, k, KernelSpec.focused(p)) @ v
+    out = _block_coefficients(q, k, KernelSpec.focused(p)) @ v
     if dwc is not None:
         if grid is None:
             grid = GridSpec.linear(v.shape[0])
@@ -348,42 +357,24 @@ def window_attention_coefficients(q, k, win: WindowSpec,
     kernel = kernel or KernelSpec.softmax()
     q, k = as_array(q), as_array(k)
     _check_qkv(q, k, q)
-    n = q.shape[0]
-    blocks = _window_blocks(n, win)
-    out = np.empty((n, win.w))
-    for b in range(blocks):
-        s = slice(b * win.w, (b + 1) * win.w)
-        out[s] = _coefficients(q[s], k[s], kernel)
-    return Tensor(out)
+    _window_blocks(q.shape[0], win)
+    coeff = _block_coefficients(_blocks(q, win.w), _blocks(k, win.w), kernel)
+    return Tensor(coeff.reshape(q.shape[0], win.w))
 
 
 def window_attention(q, k, v, win: WindowSpec, kernel: KernelSpec | None = None) -> Tensor:
     """Attention restricted to disjoint blocks of w consecutive tokens.
 
     Equals generalized attention applied independently inside each block, so
-    each row's coefficients do not depend on the total sequence length. The
-    default softmax kernel runs batched over the blocks; other kernels fall
-    back to a per-block loop.
+    each row's coefficients do not depend on the total sequence length. Every
+    kernel runs batched over the blocks.
     """
     kernel = kernel or KernelSpec.softmax()
     q, k, v = as_array(q), as_array(k), as_array(v)
     _check_qkv(q, k, v)
-    n = q.shape[0]
-    blocks = _window_blocks(n, win)
-    w = win.w
-    if kernel == KernelSpec.softmax():
-        qb = q.reshape(blocks, w, q.shape[1])
-        kb = k.reshape(blocks, w, k.shape[1])
-        vb = v.reshape(blocks, w, v.shape[1])
-        logits = qb @ kb.transpose(0, 2, 1)
-        z = np.exp(logits - logits.max(axis=2, keepdims=True))
-        coeff = z / z.sum(axis=2, keepdims=True)
-        return Tensor((coeff @ vb).reshape(n, v.shape[1]))
-    out = np.empty_like(v)
-    for b in range(blocks):
-        s = slice(b * w, (b + 1) * w)
-        out[s] = _coefficients(q[s], k[s], kernel) @ v[s]
-    return Tensor(out)
+    _window_blocks(q.shape[0], win)
+    coeff = _block_coefficients(_blocks(q, win.w), _blocks(k, win.w), kernel)
+    return Tensor((coeff @ _blocks(v, win.w)).reshape(v.shape))
 
 
 def homogeneous_mix(v) -> Tensor:
@@ -438,17 +429,12 @@ def sema_attention_full(x, params: SemaParams, win: WindowSpec, grid: GridSpec) 
     if grid.n != n:
         raise DimensionError(f"grid holds {grid.n} tokens but input has {n} rows")
     q, k, v = x @ params.wq, x @ params.wk, x @ params.wv
-    blocks = _window_blocks(n, win)
-    local = GridSpec.linear(win.w)
-    ang = rope_angles(local, d)
-    out = np.empty_like(v)
-    kernel = KernelSpec.softmax()
-    for b in range(blocks):
-        s = slice(b * win.w, (b + 1) * win.w)
-        qb, kb, vb = rotate_pairs(q[s], ang), rotate_pairs(k[s], ang), v[s]
-        if params.rope_on_values:
-            vb = rotate_pairs(vb, ang)
-        out[s] = _coefficients(qb, kb, kernel) @ vb
+    # every window rotates by its local positions
+    ang = np.tile(rope_angles(GridSpec.linear(win.w), d), (_window_blocks(n, win), 1))
+    vr = rotate_pairs(v, ang) if params.rope_on_values else v
+    coeff = _block_coefficients(_blocks(rotate_pairs(q, ang), win.w),
+                                _blocks(rotate_pairs(k, ang), win.w), KernelSpec.softmax())
+    out = (coeff @ _blocks(vr, win.w)).reshape(v.shape)
     out = out + lepe(v, params.lepe_kernel, grid).array
     out = out + v.mean(axis=0, keepdims=True)
     return Tensor(out)

@@ -4,7 +4,8 @@ A Tape records nodes in creation order (which is a topological order), each
 holding its numpy value, parent indices, and whatever the adjoint needs.
 backward() walks the tape once in reverse, accumulating gradients additively
 across fan-out, and returns the gradient of every leaf. First-order only:
-no higher derivatives, no checkpointing.
+no higher derivatives, no checkpointing. A Tape(record=False) keeps no
+history, for forward-only passes.
 
 gradcheck() compares a traced scalar function's backward gradients against
 central finite differences coordinate by coordinate.
@@ -17,9 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .attention import KernelSpec, _block_coefficients, _normalize, _phi_weights
 from .errors import DifferentiationError, DimensionError
 from .posenc import depthwise_conv_grid
 from .rng import rng_for
+
+_SOFTMAX, _LINEAR = KernelSpec.softmax(), KernelSpec.linear()
 
 
 @dataclass
@@ -31,30 +35,44 @@ class Node:
 
 
 class Tape:
-    """Recording of one forward computation; single-threaded by design."""
+    """Recording of one forward computation; single-threaded by design.
 
-    def __init__(self):
+    With record=False the tape keeps only its newest node: every other value
+    lives exactly as long as a TracedValue refers to it, so an inference
+    pass holds its working set instead of its whole history. backward()
+    needs a recording tape.
+    """
+
+    def __init__(self, record: bool = True):
+        self.record = record
         self.nodes: list[Node] = []
+        self.pushed = 0
 
     def push(self, op: str, parents: tuple[int, ...], value: np.ndarray,
              ctx: dict | None = None) -> "TracedValue":
-        self.nodes.append(Node(op, parents, np.asarray(value, dtype=np.float64),
-                               ctx or {}))
-        return TracedValue(self, len(self.nodes) - 1)
+        node = Node(op, parents, np.asarray(value, dtype=np.float64),
+                    (ctx or {}) if self.record else {})
+        if self.record:
+            self.nodes.append(node)
+        else:
+            self.nodes = [node]
+        self.pushed += 1
+        return TracedValue(self, self.pushed - 1, node)
 
 
 class TracedValue:
-    """Handle to one tape node; supports +, -, *, @ against same-tape values."""
+    """Handle to one tape node; supports +, *, @ against same-tape values and unary -."""
 
-    __slots__ = ("tape", "idx")
+    __slots__ = ("tape", "idx", "node")
 
-    def __init__(self, tape: Tape, idx: int):
+    def __init__(self, tape: Tape, idx: int, node: Node):
         self.tape = tape
         self.idx = idx
+        self.node = node
 
     @property
     def value(self) -> np.ndarray:
-        return self.tape.nodes[self.idx].value
+        return self.node.value
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -62,9 +80,6 @@ class TracedValue:
 
     def __add__(self, other):
         return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -101,20 +116,10 @@ def add(a, b):
     return _pair(a, b).push("add", (a.idx, b.idx), a.value + b.value)
 
 
-def sub(a, b):
-    _same_shape(a, b, "sub")
-    return _pair(a, b).push("sub", (a.idx, b.idx), a.value - b.value)
-
-
 def mul(a, b):
     """Elementwise (Hadamard) product."""
     _same_shape(a, b, "mul")
     return _pair(a, b).push("mul", (a.idx, b.idx), a.value * b.value)
-
-
-def div(a, b):
-    _same_shape(a, b, "div")
-    return _pair(a, b).push("div", (a.idx, b.idx), a.value / b.value)
 
 
 def scale(a, c: float):
@@ -190,16 +195,8 @@ def broadcast_row(a, n: int):
 
 
 def softmax_rows(a):
-    z = np.exp(a.value - a.value.max(axis=1, keepdims=True))
-    y = z / z.sum(axis=1, keepdims=True)
+    y = _normalize(_SOFTMAX, _phi_weights(_SOFTMAX, a.value.copy()))
     return a.tape.push("softmax_rows", (a.idx,), y)
-
-
-def mul_rowvec(a, s):
-    """Scale each row of a (n x d) by the matching entry of s (n x 1)."""
-    if s.value.shape != (a.value.shape[0], 1):
-        raise DimensionError(f"mul_rowvec: scale shape {s.value.shape}")
-    return _pair(a, s).push("mul_rowvec", (a.idx, s.idx), a.value * s.value)
 
 
 def div_rowvec(a, s):
@@ -294,48 +291,56 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5):
                      {"xhat": xhat, "inv": inv})
 
 
-def blocked_softmax_attention(q, k, v, block: int):
-    """Softmax attention applied independently to consecutive row blocks.
-
-    block == n is full softmax attention; smaller blocks give the windowed
-    form. One node for the whole partition keeps tapes small.
-    """
-    n, d = q.value.shape
+def _check_blocks(x, block: int, heads: int, op: str) -> None:
+    n, width = x.value.shape
     if n % block != 0:
-        raise DimensionError(f"block {block} does not divide {n} rows")
-    nb = n // block
-    qb = q.value.reshape(nb, block, d)
-    kb = k.value.reshape(nb, block, d)
-    vb = v.value.reshape(nb, block, v.value.shape[1])
-    logits = qb @ kb.transpose(0, 2, 1)
-    z = np.exp(logits - logits.max(axis=2, keepdims=True))
-    coeff = z / z.sum(axis=2, keepdims=True)
-    out = (coeff @ vb).reshape(n, v.value.shape[1])
-    tape = _pair(q, k)
-    return tape.push("blocked_softmax_attention", (q.idx, k.idx, v.idx), out,
-                     {"coeff": coeff, "block": block})
+        raise DimensionError(f"{op}: block {block} does not divide {n} rows")
+    if width % heads != 0:
+        raise DimensionError(f"{op}: {heads} heads do not divide {width} columns")
 
 
-def blocked_linear_attention(u, w, v, block: int):
+def _head_blocks(x: np.ndarray, block: int, heads: int) -> np.ndarray:
+    """View (n, heads * d) rows as (n / block, heads, block, d): one block per head."""
+    n, width = x.shape
+    return x.reshape(n // block, block, heads, width // heads).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    """(n / block, heads, block, d) -> (n, heads * d), inverting _head_blocks."""
+    blocks, heads, block, d = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(blocks * block, heads * d)
+
+
+def _blocked_attention(op: str, kernel: KernelSpec, q, k, v, block: int, heads: int):
+    for x in (q, k, v):
+        _check_blocks(x, block, heads, op)
+    qb, kb, vb = (_head_blocks(x.value, block, heads) for x in (q, k, v))
+    coeff = _block_coefficients(qb, kb, kernel, featured=True)
+    return _pair(q, k).push(op, (q.idx, k.idx, v.idx), _merge_heads(coeff @ vb),
+                            {"coeff": coeff, "block": block, "heads": heads})
+
+
+def blocked_softmax_attention(q, k, v, block: int, heads: int = 1):
+    """Softmax attention inside consecutive row blocks, for each head.
+
+    The columns of q, k and v split into `heads` equal slices and every
+    slice attends within each block independently. block == n is full
+    softmax attention; smaller blocks give the windowed form. One node for
+    all blocks and heads keeps tapes small.
+    """
+    return _blocked_attention("blocked_softmax_attention", _SOFTMAX,
+                              q, k, v, block, heads)
+
+
+def blocked_linear_attention(u, w, v, block: int, heads: int = 1):
     """Identity-kernel attention over row blocks of already-featured u, w.
 
-    Callers must pass positive feature maps (e.g. elu+1 outputs) so every
-    block-row weight sum is positive.
+    Heads split the columns as in blocked_softmax_attention. Callers must
+    pass positive feature maps (e.g. elu+1 outputs) so every block-row
+    weight sum is positive.
     """
-    n, d = u.value.shape
-    if n % block != 0:
-        raise DimensionError(f"block {block} does not divide {n} rows")
-    nb = n // block
-    ub = u.value.reshape(nb, block, d)
-    wb = w.value.reshape(nb, block, d)
-    vb = v.value.reshape(nb, block, v.value.shape[1])
-    logits = ub @ wb.transpose(0, 2, 1)
-    den = logits.sum(axis=2, keepdims=True)
-    coeff = logits / den
-    out = (coeff @ vb).reshape(n, v.value.shape[1])
-    tape = _pair(u, w)
-    return tape.push("blocked_linear_attention", (u.idx, w.idx, v.idx), out,
-                     {"coeff": coeff, "den": den, "block": block})
+    return _blocked_attention("blocked_linear_attention", _LINEAR,
+                              u, w, v, block, heads)
 
 
 def blocked_mean_broadcast(v, block: int):
@@ -410,40 +415,19 @@ def _adj_depthwise_conv(node, g, vals):
     return dv, dtaps
 
 
-def _adj_blocked_softmax(node, g, vals):
-    q, k, v = vals
-    coeff, block = node.ctx["coeff"], node.ctx["block"]
-    n, d = q.shape
-    dv_cols = v.shape[1]
-    nb = n // block
-    gb = g.reshape(nb, block, dv_cols)
-    qb = q.reshape(nb, block, d)
-    kb = k.reshape(nb, block, d)
-    vb = v.reshape(nb, block, dv_cols)
-    dv = (coeff.transpose(0, 2, 1) @ gb).reshape(n, dv_cols)
-    dcoeff = gb @ vb.transpose(0, 2, 1)
-    dlogits = coeff * (dcoeff - (dcoeff * coeff).sum(axis=2, keepdims=True))
-    dq = (dlogits @ kb).reshape(n, d)
-    dk = (dlogits.transpose(0, 2, 1) @ qb).reshape(n, d)
-    return dq, dk, dv
-
-
-def _adj_blocked_linear(node, g, vals):
-    u, w, v = vals
-    coeff, den, block = node.ctx["coeff"], node.ctx["den"], node.ctx["block"]
-    n, d = u.shape
-    dv_cols = v.shape[1]
-    nb = n // block
-    gb = g.reshape(nb, block, dv_cols)
-    ub = u.reshape(nb, block, d)
-    wb = w.reshape(nb, block, d)
-    vb = v.reshape(nb, block, dv_cols)
-    dv = (coeff.transpose(0, 2, 1) @ gb).reshape(n, dv_cols)
-    dcoeff = gb @ vb.transpose(0, 2, 1)
-    dlogits = (dcoeff - (dcoeff * coeff).sum(axis=2, keepdims=True)) / den
-    du = (dlogits @ wb).reshape(n, d)
-    dw = (dlogits.transpose(0, 2, 1) @ ub).reshape(n, d)
-    return du, dw, dv
+def _adj_blocked_attention(node, g, vals):
+    """Shared adjoint: blocked value mixing, then the kernel's logit adjoint."""
+    coeff, block, heads = node.ctx["coeff"], node.ctx["block"], node.ctx["heads"]
+    qb, kb, vb, gb = (_head_blocks(x, block, heads) for x in (*vals, g))
+    dv = np.swapaxes(coeff, -1, -2) @ gb
+    dcoeff = gb @ np.swapaxes(vb, -1, -2)
+    centered = dcoeff - (dcoeff * coeff).sum(axis=-1, keepdims=True)
+    if node.op == "blocked_softmax_attention":
+        dlogits = coeff * centered
+    else:  # identity kernel: coeff = logits / (row sum of logits)
+        dlogits = centered / (qb @ np.swapaxes(kb, -1, -2)).sum(axis=-1, keepdims=True)
+    dq, dk = dlogits @ kb, np.swapaxes(dlogits, -1, -2) @ qb
+    return _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
 
 
 def _adj_focused_map(node, g, vals):
@@ -480,9 +464,7 @@ def focused_map_rows(a, p: int):
 ADJOINTS = {
     "leaf": None,
     "add": lambda node, g, vals: (g, g),
-    "sub": lambda node, g, vals: (g, -g),
     "mul": lambda node, g, vals: (g * vals[1], g * vals[0]),
-    "div": lambda node, g, vals: (g / vals[1], -g * vals[0] / vals[1] ** 2),
     "scale": lambda node, g, vals: (g * node.ctx["c"],),
     "add_scalar": lambda node, g, vals: (g,),
     "matmul": _adj_matmul,
@@ -508,10 +490,6 @@ ADJOINTS = {
     ),
     "broadcast_row": lambda node, g, vals: (g.sum(axis=0, keepdims=True),),
     "softmax_rows": _adj_softmax_rows,
-    "mul_rowvec": lambda node, g, vals: (
-        g * vals[1],
-        (g * vals[0]).sum(axis=1, keepdims=True),
-    ),
     "div_rowvec": lambda node, g, vals: (
         g / vals[1],
         -(g * vals[0]).sum(axis=1, keepdims=True) / vals[1] ** 2,
@@ -534,8 +512,8 @@ ADJOINTS = {
     "rope_rotate": lambda node, g, vals: (_rotate_back(g, node.ctx),),
     "depthwise_conv": _adj_depthwise_conv,
     "layer_norm": _adj_layer_norm,
-    "blocked_softmax_attention": _adj_blocked_softmax,
-    "blocked_linear_attention": _adj_blocked_linear,
+    "blocked_softmax_attention": _adj_blocked_attention,
+    "blocked_linear_attention": _adj_blocked_attention,
     "blocked_mean_broadcast": lambda node, g, vals: (
         _blocked_mean_value(g, node.ctx["block"]),
     ),
@@ -607,6 +585,8 @@ def backward(loss: TracedValue) -> dict[int, np.ndarray]:
     """
     if loss.value.shape != (1, 1):
         raise DimensionError(f"loss must be a 1x1 scalar, got shape {loss.value.shape}")
+    if not loss.tape.record:
+        raise DifferentiationError("backward needs a tape made with record=True")
     nodes = loss.tape.nodes
     grads: dict[int, np.ndarray] = {loss.idx: np.ones((1, 1))}
     for idx in range(loss.idx, -1, -1):

@@ -70,17 +70,36 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_n_list(text: str) -> list[int]:
-    """'64..4096' doubles from 64 to 4096; '64,128,256' is explicit."""
-    if ".." in text:
-        lo, hi = (int(part) for part in text.split("..", 1))
-        if lo < 1 or hi < lo:
-            raise _UsageError(f"bad n range {text!r}")
-        values, n = [], lo
-        while n <= hi:
-            values.append(n)
-            n *= 2
-        return values
-    return [int(part) for part in text.split(",")]
+    """'64..4096' doubles from 64 to 4096; '64,128,256' is explicit.
+
+    Both consumers fit a power law across n, so at least three strictly
+    ascending positive values are required.
+    """
+    try:
+        if ".." in text:
+            lo, hi = (int(part) for part in text.split("..", 1))
+            values = []
+            while 0 < lo <= hi:
+                values.append(lo)
+                lo *= 2
+        else:
+            values = [int(part) for part in text.split(",")]
+    except ValueError:
+        raise _UsageError(f"bad n list {text!r}: expected 'lo..hi' or a comma list of integers")
+    if len(values) < 3 or values[0] < 1 or any(b <= a for a, b in zip(values, values[1:])):
+        raise _UsageError(f"bad n list {text!r}: need at least 3 positive, strictly "
+                          "ascending values to fit a power law")
+    return values
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _write(path: str, content: str) -> str:
@@ -113,7 +132,10 @@ def _ensure_out(path: str) -> str:
 
 
 def cmd_disperse(args) -> int:
-    kernel = KernelSpec.from_json(args.kernel) if args.kernel else None
+    try:
+        kernel = KernelSpec.from_json(args.kernel) if args.kernel else None
+    except ValueError as exc:
+        raise _UsageError(f"bad --kernel: {exc}")
     n_values = _parse_n_list(args.n)
     win = WindowSpec(args.w) if args.variant == "window" else None
     sampler = BoundedSampler(
@@ -397,20 +419,20 @@ def build_parser() -> _Parser:
                    choices=["softmax", "linear", "focused", "window", "mila"])
     p.add_argument("--kernel", help="KernelSpec JSON; defaults to the variant's kernel")
     p.add_argument("--n", default="64..4096", help="'lo..hi' doubling range or comma list")
-    p.add_argument("--trials", type=int, default=32)
+    p.add_argument("--trials", type=_positive_int, default=32)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--d", type=int, default=16)
+    p.add_argument("--d", type=_positive_int, default=16)
     p.add_argument("--logit-bound", type=float, default=1.0)
-    p.add_argument("--w", type=int, default=8, help="window size (window variant)")
+    p.add_argument("--w", type=_positive_int, default=8, help="window size (window variant)")
     p.add_argument("--fixed-window-content", action="store_true",
                    help="tile one window's rows at every n (non-dispersion check)")
     p.add_argument("--out", default="out/disperse")
 
     p = sub.add_parser("ssm-check", help="scan / closed-form / attention-form equivalence")
-    p.add_argument("--n", type=int, default=16)
-    p.add_argument("--d-state", type=int, default=8)
-    p.add_argument("--channels", type=int, default=8)
-    p.add_argument("--instances", type=int, default=100)
+    p.add_argument("--n", type=_positive_int, default=16)
+    p.add_argument("--d-state", type=_positive_int, default=8)
+    p.add_argument("--channels", type=_positive_int, default=8)
+    p.add_argument("--instances", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--perturb", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--out")
@@ -425,9 +447,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bench", help="wall-time scaling and multiply-add counters")
     p.add_argument("--variants", default="sema,full")
     p.add_argument("--n", default="256..8192")
-    p.add_argument("--d", type=int, default=16)
-    p.add_argument("--w", type=int, default=8)
-    p.add_argument("--repeats", type=int, default=3)
+    p.add_argument("--d", type=_positive_int, default=16)
+    p.add_argument("--w", type=_positive_int, default=8)
+    p.add_argument("--repeats", type=_positive_int, default=3)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", default="out/bench")
 

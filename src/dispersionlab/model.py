@@ -10,7 +10,8 @@ Ablation toggles swap the window path for global linear or full softmax
 attention and switch the averaging term off.
 
 Everything runs on the autograd tape, so receptive-field probes and toy
-training reuse the same forward.
+training reuse the same forward; inference runs it on a tape that keeps no
+history, so it holds one block's working set rather than the whole pass.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autograd as ag
-from .errors import ConfigurationError, TrainingError
+from .errors import ConfigurationError, DimensionError, TrainingError
 from .posenc import GridSpec, rope_angles
 from .rng import rng_for
 from .tensor import Tensor, as_array
@@ -205,9 +206,13 @@ def load_checkpoint(path_stem: str) -> dict[str, np.ndarray]:
     with open(path_stem + ".index.json") as fh:
         index = json.load(fh)
     flat = np.fromfile(path_stem + ".bin", dtype=np.float64)
+    shapes = [tuple(index["shapes"][name]) for name in index["names"]]
+    expected = sum(int(np.prod(shape)) for shape in shapes)
+    if flat.size != expected:
+        raise DimensionError(f"checkpoint {path_stem}.bin holds {flat.size} float64 values, "
+                             f"its index shapes need {expected}")
     params, offset = {}, 0
-    for name in index["names"]:
-        shape = tuple(index["shapes"][name])
+    for name, shape in zip(index["names"], shapes):
         size = int(np.prod(shape))
         params[name] = flat[offset : offset + size].reshape(shape).copy()
         offset += size
@@ -258,31 +263,17 @@ def _block_forward(tp, x, cfg: ModelConfig, stage: int, g: int, prefix: str,
     if cfg.attention_variant == "window":
         w_eff = effective_window(cfg, g)
         perm = _batched_perm(_tile_perm(g, w_eff), batch)
-        inv = np.argsort(perm)
         qp, kp, vp = ag.permute_rows(q, perm), ag.permute_rows(k, perm), ag.permute_rows(v, perm)
-        ang = np.tile(rope_angles(GridSpec.grid(w_eff, w_eff), hd), (rows // (w_eff * w_eff), 1))
-        outs = []
-        for h in range(heads):
-            lo, hi = h * hd, (h + 1) * hd
-            qh = ag.rope_rotate(ag.cols(qp, lo, hi), ang)
-            kh = ag.rope_rotate(ag.cols(kp, lo, hi), ang)
-            outs.append(ag.blocked_softmax_attention(qh, kh, ag.cols(vp, lo, hi), w_eff * w_eff))
-        att = ag.permute_rows(ag.concat_cols(outs) if heads > 1 else outs[0], inv)
+        # each head rotates by the local positions inside its window
+        ang = np.tile(rope_angles(GridSpec.grid(w_eff, w_eff), hd),
+                      (rows // (w_eff * w_eff), heads))
+        att = ag.blocked_softmax_attention(ag.rope_rotate(qp, ang), ag.rope_rotate(kp, ang),
+                                           vp, w_eff * w_eff, heads)
+        att = ag.permute_rows(att, np.argsort(perm))
     elif cfg.attention_variant == "full":
-        outs = []
-        for h in range(heads):
-            lo, hi = h * hd, (h + 1) * hd
-            outs.append(ag.blocked_softmax_attention(
-                ag.cols(q, lo, hi), ag.cols(k, lo, hi), ag.cols(v, lo, hi), n))
-        att = ag.concat_cols(outs) if heads > 1 else outs[0]
+        att = ag.blocked_softmax_attention(q, k, v, n, heads)
     else:  # linear
-        u, w_feat = ag.elu_plus_one(q), ag.elu_plus_one(k)
-        outs = []
-        for h in range(heads):
-            lo, hi = h * hd, (h + 1) * hd
-            outs.append(ag.blocked_linear_attention(
-                ag.cols(u, lo, hi), ag.cols(w_feat, lo, hi), ag.cols(v, lo, hi), n))
-        att = ag.concat_cols(outs) if heads > 1 else outs[0]
+        att = ag.blocked_linear_attention(ag.elu_plus_one(q), ag.elu_plus_one(k), v, n, heads)
 
     att = ag.add(att, ag.depthwise_conv(v, tp[prefix + "lepe"], g, g))
     if cfg.averaging_enabled:
@@ -340,7 +331,7 @@ def _trace_params(tape, params: dict[str, np.ndarray]) -> dict[str, ag.TracedVal
 
 def forward(cfg: ModelConfig, params: dict[str, np.ndarray], images) -> Tensor:
     """Classifier logits for a batch of (b, H, W, 3) images."""
-    tape = ag.Tape()
+    tape = ag.Tape(record=False)
     tp = _trace_params(tape, params)
     logits = _forward_traced(tape, tp, cfg, as_array(images))
     return Tensor(logits.value)
@@ -348,7 +339,7 @@ def forward(cfg: ModelConfig, params: dict[str, np.ndarray], images) -> Tensor:
 
 def forward_with_capture(cfg: ModelConfig, params: dict[str, np.ndarray], images):
     """Forward plus each block's attention-sublayer output and value matrix."""
-    tape = ag.Tape()
+    tape = ag.Tape(record=False)
     tp = _trace_params(tape, params)
     capture: list = []
     logits = _forward_traced(tape, tp, cfg, as_array(images), capture)

@@ -1,9 +1,8 @@
 """Dense tensor substrate for the attention and state-space modules.
 
 A Tensor is an immutable, row-major, double-precision array of rank 1 to 4.
-All operations are pure: they validate shapes, compute with numpy in double
-precision, and return a fresh Tensor. There is no view aliasing and no
-broadcasting beyond the explicit ``broadcast_row``.
+Library operations compute with numpy in double precision and return a
+fresh Tensor, so no result aliases its inputs.
 """
 
 from __future__ import annotations
@@ -106,58 +105,3 @@ def as_array(x) -> np.ndarray:
     if isinstance(x, Tensor):
         return x.array
     return np.asarray(x, dtype=np.float64)
-
-
-def _require_2d(a: np.ndarray, name: str) -> None:
-    if a.ndim != 2:
-        raise DimensionError(f"{name} must be rank 2, got shape {a.shape}")
-
-
-def matmul(a, b) -> Tensor:
-    """Matrix product c[i,j] = sum_l a[i,l] * b[l,j], accumulated in float64."""
-    a, b = as_array(a), as_array(b)
-    _require_2d(a, "a")
-    _require_2d(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
-    return Tensor(a @ b)
-
-
-def softmax_rows(x) -> Tensor:
-    """Row-wise softmax with per-row max subtraction (overflow-safe)."""
-    x = as_array(x)
-    _require_2d(x, "x")
-    z = np.exp(x - x.max(axis=1, keepdims=True))
-    return Tensor(z / z.sum(axis=1, keepdims=True))
-
-
-def hadamard(a, b) -> Tensor:
-    """Elementwise product of equal-shape tensors."""
-    a, b = as_array(a), as_array(b)
-    if a.shape != b.shape:
-        raise DimensionError(f"hadamard shapes differ: {a.shape} vs {b.shape}")
-    return Tensor(a * b)
-
-
-def cumprod_rows(a) -> Tensor:
-    """Running elementwise products along the sequence (row) axis."""
-    a = as_array(a)
-    _require_2d(a, "a")
-    return Tensor(np.cumprod(a, axis=0))
-
-
-def mean_rows(a) -> Tensor:
-    """Arithmetic mean over rows; an n x d tensor becomes 1 x d."""
-    a = as_array(a)
-    _require_2d(a, "a")
-    return Tensor(a.mean(axis=0, keepdims=True))
-
-
-def broadcast_row(v, n: int) -> Tensor:
-    """Replicate a 1 x d row n times."""
-    v = as_array(v)
-    if v.ndim != 2 or v.shape[0] != 1:
-        raise DimensionError(f"broadcast_row expects a 1 x d tensor, got {v.shape}")
-    if n < 1:
-        raise DimensionError(f"row count must be >= 1, got {n}")
-    return Tensor(np.repeat(v, n, axis=0))

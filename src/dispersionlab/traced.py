@@ -18,19 +18,16 @@ from .posenc import GridSpec, rope_angles
 
 
 def softmax_attention(q, k, v):
-    return ag.matmul(ag.softmax_rows(ag.matmul(q, ag.transpose(k))), v)
+    return ag.blocked_softmax_attention(q, k, v, q.shape[0])
 
 
 def linear_attention(q, k, v):
-    u, w = ag.elu_plus_one(q), ag.elu_plus_one(k)
-    logits = ag.matmul(u, ag.transpose(w))
-    return ag.matmul(ag.div_rowvec(logits, ag.sum_cols(logits)), v)
+    return ag.blocked_linear_attention(ag.elu_plus_one(q), ag.elu_plus_one(k), v, q.shape[0])
 
 
 def focused_attention(q, k, v, p: int = 3, taps=None, grid: GridSpec | None = None):
     fq, fk = ag.focused_map_rows(q, p), ag.focused_map_rows(k, p)
-    logits = ag.matmul(fq, ag.transpose(fk))
-    out = ag.matmul(ag.div_rowvec(logits, ag.sum_cols(logits)), v)
+    out = ag.blocked_linear_attention(fq, fk, v, q.shape[0])
     if taps is not None:
         grid = grid or GridSpec.linear(v.shape[0])
         out = ag.add(out, ag.depthwise_conv(v, taps, grid.height, grid.width))

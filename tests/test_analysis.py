@@ -29,15 +29,6 @@ class TestCoefficientBounds:
         assert lo == pytest.approx(math.exp(-2) / 10, abs=1e-6)
         assert hi == pytest.approx(math.exp(2) / 10, abs=1e-6)
 
-    def test_differential_symmetric_cancellation(self):
-        lo, hi = coefficient_bounds(BoundSpec("differential", 3.0, 3.0, 7))
-        assert lo == 0.0 and hi == 0.0
-
-    def test_differential_interval_symmetric(self):
-        lo, hi = coefficient_bounds(BoundSpec("differential", 1.0, 2.0, 4))
-        assert lo == -hi
-        assert hi == pytest.approx((2.0 - 0.5) / 4)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             BoundSpec("softmax", 0.0, 1.0, 4)

@@ -191,6 +191,14 @@ class TestSoftmaxAttention:
         out = softmax_attention(q, k, v).array
         np.testing.assert_allclose(out, np.tile(v[2], (5, 1)), atol=1e-10)
 
+    def test_coefficients_extreme_logits_no_overflow(self):
+        # first-row logits 1000 and 0: exp(1000) overflows unless each row is shifted
+        out = softmax_attention_coefficients([[1000.0], [0.0]], [[1.0], [0.0]]).array
+        assert np.isfinite(out).all()
+        assert out[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert out[0, 1] < 1e-300
+        np.testing.assert_array_equal(out[1], [0.5, 0.5])
+
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(8)
         q, k, v = rng.standard_normal((3, 7, 3))

@@ -12,7 +12,7 @@ from dispersionlab.attention import (
     softmax_attention,
     window_attention,
 )
-from dispersionlab.errors import DifferentiationError
+from dispersionlab.errors import DifferentiationError, DimensionError
 from dispersionlab.posenc import GridSpec, rope_angles
 from dispersionlab.rng import rng_for
 
@@ -172,6 +172,78 @@ class TestPrimitiveGradients:
         assert report.max_rel_err < 1e-6
 
 
+def _per_head(op, q, k, v, block, heads):
+    """Reference composition: slice each head's columns, attend, concatenate."""
+    hd = q.shape[1] // heads
+    outs = [op(ag.cols(q, h * hd, (h + 1) * hd), ag.cols(k, h * hd, (h + 1) * hd),
+               ag.cols(v, h * hd, (h + 1) * hd), block) for h in range(heads)]
+    return ag.concat_cols(outs)
+
+
+BLOCKED_OPS = [ag.blocked_softmax_attention, ag.blocked_linear_attention]
+
+
+class TestNonRecordingTape:
+    def test_same_values_no_history(self):
+        x, w = rng_for(14, "norec").standard_normal((2, 4, 4))
+        outs = []
+        for record in (True, False):
+            tape = ag.Tape(record=record)
+            a, b = ag.leaf(tape, x), ag.leaf(tape, w)
+            outs.append(ag.gelu(ag.matmul(a, b)).value)
+        np.testing.assert_array_equal(outs[0], outs[1])
+        assert len(tape.nodes) == 1 and tape.pushed == 4
+
+    def test_backward_needs_recording(self):
+        tape = ag.Tape(record=False)
+        x = ag.leaf(tape, np.ones((2, 2)))
+        with pytest.raises(DifferentiationError):
+            ag.backward(ag.sum_all(x))
+
+
+class TestHeadFolding:
+    def inputs(self, op, n, width):
+        q, k, v = rng_for(12, "fold", n, width).standard_normal((3, n, width))
+        if op is ag.blocked_linear_attention:
+            q, k = np.abs(q) + 0.1, np.abs(k) + 0.1  # positive features
+        return q, k, v
+
+    @pytest.mark.parametrize("op", BLOCKED_OPS)
+    @pytest.mark.parametrize("heads", [2, 4])
+    @pytest.mark.parametrize("block", [4, 12])
+    def test_folded_equals_per_head_bitwise(self, op, heads, block):
+        arrays = self.inputs(op, 12, 4 * heads)
+        weights = rng_for(13, "fold-w").standard_normal((12, 4 * heads))
+        results = []
+        for fn in (lambda a, b, c: op(a, b, c, block, heads),
+                   lambda a, b, c: _per_head(op, a, b, c, block, heads)):
+            tape = ag.Tape()
+            leaves = [ag.leaf(tape, a) for a in arrays]
+            out = fn(*leaves)
+            grads = ag.backward(ag.sum_all(ag.mul(out, ag.leaf(tape, weights))))
+            results.append((out.value, [grads[lv.idx] for lv in leaves]))
+        (out_f, grads_f), (out_h, grads_h) = results
+        np.testing.assert_array_equal(out_f, out_h)
+        for gf, gh in zip(grads_f, grads_h):
+            np.testing.assert_array_equal(gf, gh)
+
+    @pytest.mark.parametrize("op", BLOCKED_OPS)
+    @pytest.mark.parametrize("block", [3, 6])
+    def test_folded_gradcheck(self, op, block):
+        arrays = self.inputs(op, 6, 8)
+
+        def f(a, b, c):
+            return ag.sum_all(ag.power_int(op(a, b, c, block, 2), 2))
+
+        assert ag.gradcheck(f, list(arrays), tol=1e-5).passed
+
+    def test_heads_must_divide_columns(self):
+        tape = ag.Tape()
+        x = ag.leaf(tape, np.ones((4, 6)))
+        with pytest.raises(DimensionError):
+            ag.blocked_softmax_attention(x, x, x, 2, heads=4)
+
+
 class TestTracedEquivalence:
     def setup_method(self):
         rng = rng_for(7, "traced")
@@ -186,17 +258,18 @@ class TestTracedEquivalence:
 
     def test_softmax_matches_plain(self):
         out = self.run_traced(traced.softmax_attention, self.q, self.k, self.v)
-        assert np.abs(out - softmax_attention(self.q, self.k, self.v).array).max() < 1e-12
+        # the same blocked kernel with block == n: bitwise equal
+        np.testing.assert_array_equal(out, softmax_attention(self.q, self.k, self.v).array)
 
     def test_linear_matches_plain(self):
         out = self.run_traced(traced.linear_attention, self.q, self.k, self.v)
-        assert np.abs(out - linear_attention(self.q, self.k, self.v).array).max() < 1e-12
+        np.testing.assert_array_equal(out, linear_attention(self.q, self.k, self.v).array)
 
     def test_focused_matches_plain(self):
         qa, ka = np.abs(self.q), np.abs(self.k)
         out = self.run_traced(lambda a, b, c: traced.focused_attention(a, b, c, 3),
                               qa, ka, self.v)
-        assert np.abs(out - focused_attention(qa, ka, self.v, 3).array).max() < 1e-12
+        np.testing.assert_array_equal(out, focused_attention(qa, ka, self.v, 3).array)
 
     def test_window_matches_plain(self):
         out = self.run_traced(lambda a, b, c: traced.window_attention(a, b, c, 4),

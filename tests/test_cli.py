@@ -28,6 +28,33 @@ class TestExitCodes:
     def test_ssm_check_perturbed_fails_scientifically(self):
         assert main(["ssm-check", "--instances", "2", "--perturb"]) == 2
 
+    def assert_usage_error(self, argv, capsys, flag):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err.splitlines()[0]
+        assert "Traceback" not in err
+
+    def test_disperse_non_integer_n_is_usage_error(self, tmp_path, capsys):
+        self.assert_usage_error(["disperse", "--variant", "softmax", "--n", "abc",
+                                 "--out", str(tmp_path)], capsys, "'abc'")
+
+    def test_disperse_zero_trials_is_usage_error(self, tmp_path, capsys):
+        self.assert_usage_error(["disperse", "--variant", "softmax", "--trials", "0",
+                                 "--out", str(tmp_path)], capsys, "--trials")
+
+    def test_disperse_zero_window_is_usage_error(self, tmp_path, capsys):
+        self.assert_usage_error(["disperse", "--variant", "window", "--w", "0",
+                                 "--out", str(tmp_path)], capsys, "--w")
+
+    def test_bench_single_n_is_usage_error(self, tmp_path, capsys):
+        # one point cannot fit a time exponent
+        self.assert_usage_error(["bench", "--n", "64", "--out", str(tmp_path)],
+                                capsys, "at least 3")
+
+    def test_ssm_check_zero_instances_is_usage_error(self, capsys):
+        # zero instances would pass the equivalence check vacuously
+        self.assert_usage_error(["ssm-check", "--instances", "0"], capsys, "--instances")
+
     def test_gradcheck_all_variants(self, capsys):
         assert main(["gradcheck"]) == 0
         out = capsys.readouterr().out

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dispersionlab.errors import ConfigurationError
+from dispersionlab import autograd as ag
+from dispersionlab.errors import ConfigurationError, DimensionError
 from dispersionlab.model import (
     ModelConfig,
     SyntheticTask,
@@ -130,6 +131,42 @@ class TestForward:
         assert sorted(back) == sorted(params)
         for name in params:
             np.testing.assert_array_equal(back[name], params[name])
+
+    def test_truncated_checkpoint_names_counts(self, tmp_path):
+        params = init_params(single_block_config())
+        stem = str(tmp_path / "ckpt")
+        _, bin_path = save_checkpoint(params, stem)
+        total = sum(v.size for v in params.values())
+        with open(bin_path, "r+b") as fh:
+            fh.truncate((total - 5) * 8)
+        with pytest.raises(DimensionError, match=f"holds {total - 5} .* need {total}"):
+            load_checkpoint(stem)
+
+
+def _per_head(op):
+    """The blocked op applied head by head: cols -> op -> concat_cols."""
+    def run(q, k, v, block, heads=1):
+        hd = q.shape[1] // heads
+        outs = [op(ag.cols(q, h * hd, (h + 1) * hd), ag.cols(k, h * hd, (h + 1) * hd),
+                   ag.cols(v, h * hd, (h + 1) * hd), block) for h in range(heads)]
+        return ag.concat_cols(outs) if heads > 1 else outs[0]
+    return run
+
+
+class TestHeadFolding:
+    @pytest.mark.parametrize("variant", ["window", "full", "linear"])
+    def test_toy_logits_match_per_head_path(self, variant, monkeypatch):
+        cfg = ModelConfig.toy(attention_variant=variant)
+        assert max(cfg.stage_heads) > 1
+        params = init_params(cfg)
+        images = rng_for(12, "heads").random((2, 64, 64, 3))
+        folded = forward(cfg, params, images).array
+        monkeypatch.setattr(ag, "blocked_softmax_attention",
+                            _per_head(ag.blocked_softmax_attention))
+        monkeypatch.setattr(ag, "blocked_linear_attention",
+                            _per_head(ag.blocked_linear_attention))
+        per_head = forward(cfg, params, images).array
+        np.testing.assert_array_equal(folded, per_head)
 
 
 class TestReceptiveField:

@@ -1,119 +1,9 @@
 import numpy as np
 import pytest
 
+from dispersionlab.attention import homogeneous_mix
 from dispersionlab.errors import DimensionError
-from dispersionlab.tensor import (
-    Tensor,
-    broadcast_row,
-    cumprod_rows,
-    hadamard,
-    matmul,
-    mean_rows,
-    softmax_rows,
-)
-
-
-def matmul_oracle(a, b):
-    """Triple-loop reference for c = a @ b."""
-    n, kk = a.shape
-    m = b.shape[1]
-    c = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0
-            for l in range(kk):
-                acc += a[i, l] * b[l, j]
-            c[i, j] = acc
-    return c
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = matmul(np.eye(2), m)
-        np.testing.assert_array_equal(out.array, m)
-
-    def test_hand_arithmetic(self):
-        out = matmul([[1.0, 2.0], [3.0, 4.0]], [[0.0], [1.0]])
-        np.testing.assert_array_equal(out.array, [[2.0], [4.0]])
-
-    def test_against_triple_loop_oracle(self):
-        rng = np.random.default_rng(0)
-        a, b = rng.standard_normal((5, 3)), rng.standard_normal((3, 4))
-        assert np.abs(matmul(a, b).array - matmul_oracle(a, b)).max() < 1e-12
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(np.ones((2, 3)), np.ones((2, 2)))
-
-    def test_associativity_on_random_triples(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            a = rng.standard_normal((4, 3))
-            b = rng.standard_normal((3, 5))
-            c = rng.standard_normal((5, 2))
-            left = matmul(matmul(a, b), c).array
-            right = matmul(a, matmul(b, c).array).array
-            assert np.abs(left - right).max() / np.abs(left).max() < 1e-10
-
-
-class TestSoftmaxRows:
-    def test_uniform_logits(self):
-        out = softmax_rows([[0.0, 0.0, 0.0]])
-        np.testing.assert_allclose(out.array, [[1 / 3] * 3], atol=1e-15)
-
-    def test_extreme_logits_no_overflow(self):
-        out = softmax_rows([[1000.0, 0.0]]).array
-        assert np.isfinite(out).all()
-        assert out[0, 0] == pytest.approx(1.0, abs=1e-12)
-        assert out[0, 1] < 1e-300
-
-    def test_log_logits(self):
-        out = softmax_rows([[np.log(1.0), np.log(2.0), np.log(3.0)]])
-        np.testing.assert_allclose(out.array, [[1 / 6, 2 / 6, 3 / 6]], atol=1e-12)
-
-    def test_rows_on_simplex_for_random_inputs(self):
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            x = rng.uniform(-50, 50, (6, 9))
-            out = softmax_rows(x).array
-            assert (out >= 0).all()
-            np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
-
-
-class TestElementwiseOps:
-    def test_hadamard_hand(self):
-        np.testing.assert_array_equal(hadamard([3.0, 4.0], [1.0, 2.0]).array, [3.0, 8.0])
-
-    def test_hadamard_shape_error(self):
-        with pytest.raises(DimensionError):
-            hadamard(np.ones((2, 2)), np.ones((2, 3)))
-
-    def test_cumprod_all_ones(self):
-        out = cumprod_rows(np.ones((4, 3)))
-        np.testing.assert_array_equal(out.array, np.ones((4, 3)))
-
-    def test_cumprod_running_products(self):
-        a = np.array([[2.0, 1.0], [3.0, 2.0], [0.5, 4.0]])
-        np.testing.assert_allclose(cumprod_rows(a).array,
-                                   [[2, 1], [6, 2], [3, 8]])
-
-    def test_mean_rows_constant_input(self):
-        v = np.array([[1.5, -2.0, 3.0]])
-        out = mean_rows(np.repeat(v, 4, axis=0))
-        np.testing.assert_array_equal(out.array, v)
-
-    def test_broadcast_row(self):
-        out = broadcast_row([[1.0, 2.0]], 3)
-        assert out.shape == (3, 2)
-        np.testing.assert_array_equal(out.array, [[1, 2]] * 3)
-
-    def test_broadcast_of_mean_idempotent(self):
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal((8, 5))
-        once = broadcast_row(mean_rows(x), 8).array
-        twice = broadcast_row(mean_rows(once), 8).array
-        np.testing.assert_allclose(twice, once, rtol=1e-15, atol=0)
+from dispersionlab.tensor import Tensor
 
 
 class TestTensorType:
@@ -144,6 +34,6 @@ class TestTensorType:
 
     def test_ops_return_fresh_tensors(self):
         a = Tensor([[1.0, 2.0]])
-        out = hadamard(a, a)
+        out = homogeneous_mix(a)
         assert out is not a
         assert out.array.base is None or out.array.base is not a.array
