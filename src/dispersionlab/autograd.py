@@ -1,4 +1,4 @@
-"""Tape-based reverse-mode differentiation over the tensor op set.
+"""Tape-based reverse-mode differentiation over a small set of numpy ops.
 
 A Tape records nodes in creation order (which is a topological order), each
 holding its numpy value, parent indices, and whatever the adjoint needs.
@@ -112,7 +112,9 @@ def _same_shape(a: TracedValue, b: TracedValue, op: str) -> None:
 
 
 def add(a, b):
-    _same_shape(a, b, "add")
+    """Elementwise sum; a (1, d) right operand (a bias row) is broadcast over a's rows."""
+    if b.value.shape != (1, a.value.shape[-1]):
+        _same_shape(a, b, "add")
     return _pair(a, b).push("add", (a.idx, b.idx), a.value + b.value)
 
 
@@ -162,10 +164,21 @@ _GELU_A = 0.044715
 
 
 def gelu(a):
-    """Tanh-form gelu: 0.5 x (1 + tanh(c (x + a x^3)))."""
+    """Tanh-form gelu: 0.5 x (1 + tanh(c (x + a x^3))).
+
+    The cube is x * x * x (per-element pow costs about 40 times as much), and
+    the tanh argument is built in place in one temporary.
+    """
     x = a.value
-    t = np.tanh(_GELU_C * (x + _GELU_A * x**3))
-    return a.tape.push("gelu", (a.idx,), 0.5 * x * (1.0 + t), {"t": t})
+    t = x * x
+    t *= x
+    t *= _GELU_A
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = 0.5 * x
+    out *= 1.0 + t
+    return a.tape.push("gelu", (a.idx,), out, {"t": t})
 
 
 def power_int(a, p: int):
@@ -184,11 +197,8 @@ def sum_cols(a):
     return a.tape.push("sum_cols", (a.idx,), a.value.sum(axis=1, keepdims=True))
 
 
-def mean_rows(a):
-    return a.tape.push("mean_rows", (a.idx,), a.value.mean(axis=0, keepdims=True))
-
-
 def broadcast_row(a, n: int):
+    """Repeat a 1 x d row n times (a bias needs no copy: add broadcasts it)."""
     if a.value.shape[0] != 1:
         raise DimensionError(f"broadcast_row expects 1 x d, got {a.value.shape}")
     return a.tape.push("broadcast_row", (a.idx,), np.repeat(a.value, n, axis=0))
@@ -205,25 +215,12 @@ def div_rowvec(a, s):
     return _pair(a, s).push("div_rowvec", (a.idx, s.idx), a.value / s.value)
 
 
-def row_l2norm(a):
-    """Euclidean norm of each row: n x d -> n x 1."""
-    out = np.linalg.norm(a.value, axis=1, keepdims=True)
-    return a.tape.push("row_l2norm", (a.idx,), out)
-
-
 def rows(a, lo: int, hi: int):
     return a.tape.push("rows", (a.idx,), a.value[lo:hi].copy(), {"lo": lo, "hi": hi})
 
 
 def cols(a, lo: int, hi: int):
     return a.tape.push("cols", (a.idx,), a.value[:, lo:hi].copy(), {"lo": lo, "hi": hi})
-
-
-def concat_rows(parts):
-    tape = parts[0].tape
-    sizes = [p.value.shape[0] for p in parts]
-    value = np.concatenate([p.value for p in parts], axis=0)
-    return tape.push("concat_rows", tuple(p.idx for p in parts), value, {"sizes": sizes})
 
 
 def concat_cols(parts):
@@ -234,8 +231,30 @@ def concat_cols(parts):
 
 
 def permute_rows(a, perm):
+    """Gather rows by an explicit permutation; grid tilings use tile_grid instead."""
     perm = np.asarray(perm, dtype=np.intp)
     return a.tape.push("permute_rows", (a.idx,), a.value[perm], {"perm": perm})
+
+
+def _tiles(x: np.ndarray, grid: int, tile: int, inverse: bool) -> np.ndarray:
+    """Reorder the rows of stacked row-major grid x grid samples into tile-major order.
+
+    Each tile x tile tile is raveled row-major, tiles in row-major order;
+    inverse=True undoes it. Both are one reshape and transpose.
+    """
+    n, d = x.shape
+    b, k = n // (grid * grid), grid // tile
+    shape = (b, k, k, tile, tile, d) if inverse else (b, k, tile, k, tile, d)
+    return x.reshape(shape).transpose(0, 1, 3, 2, 4, 5).reshape(n, d)
+
+
+def tile_grid(a, grid: int, tile: int, inverse: bool = False):
+    """Rows of grid x grid samples to tile-major order (or back, with inverse)."""
+    n = a.value.shape[0]
+    if n % (grid * grid) != 0 or grid % tile != 0:
+        raise DimensionError(f"tile_grid: tile {tile} and grid {grid} do not fit {n} rows")
+    return a.tape.push("tile_grid", (a.idx,), _tiles(a.value, grid, tile, inverse),
+                       {"grid": grid, "tile": tile, "inverse": inverse})
 
 
 def gather_rows(a, indices):
@@ -463,7 +482,9 @@ def focused_map_rows(a, p: int):
 
 ADJOINTS = {
     "leaf": None,
-    "add": lambda node, g, vals: (g, g),
+    "add": lambda node, g, vals: (
+        g, g if vals[1].shape == g.shape else g.sum(axis=0, keepdims=True),
+    ),
     "mul": lambda node, g, vals: (g * vals[1], g * vals[0]),
     "scale": lambda node, g, vals: (g * node.ctx["c"],),
     "add_scalar": lambda node, g, vals: (g,),
@@ -485,28 +506,21 @@ ADJOINTS = {
     ),
     "sum_all": lambda node, g, vals: (np.full_like(vals[0], g[0, 0]),),
     "sum_cols": lambda node, g, vals: (np.repeat(g, vals[0].shape[1], axis=1),),
-    "mean_rows": lambda node, g, vals: (
-        np.repeat(g, vals[0].shape[0], axis=0) / vals[0].shape[0],
-    ),
     "broadcast_row": lambda node, g, vals: (g.sum(axis=0, keepdims=True),),
     "softmax_rows": _adj_softmax_rows,
     "div_rowvec": lambda node, g, vals: (
         g / vals[1],
         -(g * vals[0]).sum(axis=1, keepdims=True) / vals[1] ** 2,
     ),
-    "row_l2norm": lambda node, g, vals: (
-        g * np.divide(vals[0], node.value, out=np.zeros_like(vals[0]),
-                      where=node.value > 0),
-    ),
     "rows": lambda node, g, vals: (_scatter_rows(g, vals[0].shape, node.ctx["lo"]),),
     "cols": lambda node, g, vals: (_scatter_cols(g, vals[0].shape, node.ctx["lo"]),),
-    "concat_rows": lambda node, g, vals: tuple(
-        piece for piece in _split(g, node.ctx["sizes"], axis=0)
-    ),
     "concat_cols": lambda node, g, vals: tuple(
         piece for piece in _split(g, node.ctx["sizes"], axis=1)
     ),
     "permute_rows": lambda node, g, vals: (_unpermute(g, node.ctx["perm"]),),
+    "tile_grid": lambda node, g, vals: (
+        _tiles(g, node.ctx["grid"], node.ctx["tile"], not node.ctx["inverse"]),
+    ),
     "gather_rows": lambda node, g, vals: (_scatter_add(g, node.ctx),),
     "group_rows": lambda node, g, vals: (g.reshape(node.ctx["n"], node.ctx["d"]),),
     "rope_rotate": lambda node, g, vals: (_rotate_back(g, node.ctx),),

@@ -9,6 +9,10 @@ homogeneous mixing term that broadcasts the value mean to every token.
 Ablation toggles swap the window path for global linear or full softmax
 attention and switch the averaging term off.
 
+Tokens are rows in row-major grid order per sample; the stem patchify, each
+2 x 2 downsample and the window partition tile them by one reshape/transpose
+(ag.tile_grid), and ag.add broadcasts every 1 x d bias over the rows.
+
 Everything runs on the autograd tape, so receptive-field probes and toy
 training reuse the same forward; inference runs it on a tape that keeps no
 history, so it holds one block's working set rather than the whole pass.
@@ -16,6 +20,7 @@ history, so it holds one block's working set rather than the whole pass.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -190,27 +195,36 @@ def zero_lepe(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
 
 
 def save_checkpoint(params: dict[str, np.ndarray], path_stem: str) -> tuple[str, str]:
-    """Write <stem>.index.json plus a flat float64 <stem>.bin."""
+    """Write a flat float64 <stem>.bin and <stem>.index.json with its byte count and sha256."""
     names = sorted(params)
+    flat = np.concatenate([params[n].ravel() for n in names]).astype(np.float64, copy=False)
     index = {"dtype": "float64", "names": names,
-             "shapes": {n: list(params[n].shape) for n in names}}
-    flat = np.concatenate([params[n].ravel() for n in names])
+             "shapes": {n: list(params[n].shape) for n in names},
+             "bytes": flat.nbytes, "sha256": hashlib.sha256(flat).hexdigest()}
     idx_path, bin_path = path_stem + ".index.json", path_stem + ".bin"
     with open(idx_path, "w") as fh:
         json.dump(index, fh, indent=2, sort_keys=True)
-    flat.astype(np.float64).tofile(bin_path)
+    flat.tofile(bin_path)
     return idx_path, bin_path
 
 
 def load_checkpoint(path_stem: str) -> dict[str, np.ndarray]:
+    """Read a checkpoint, checking its byte count and sha256 against the index first."""
     with open(path_stem + ".index.json") as fh:
         index = json.load(fh)
-    flat = np.fromfile(path_stem + ".bin", dtype=np.float64)
+    with open(path_stem + ".bin", "rb") as fh:
+        raw = fh.read()
     shapes = [tuple(index["shapes"][name]) for name in index["names"]]
     expected = sum(int(np.prod(shape)) for shape in shapes)
-    if flat.size != expected:
-        raise DimensionError(f"checkpoint {path_stem}.bin holds {flat.size} float64 values, "
-                             f"its index shapes need {expected}")
+    if len(raw) != index.get("bytes") or len(raw) != 8 * expected:
+        raise DimensionError(f"checkpoint {path_stem}.bin holds {len(raw) // 8} float64 values "
+                             f"({len(raw)} bytes); its index records bytes={index.get('bytes')} "
+                             f"and its shapes need {expected}")
+    digest = hashlib.sha256(raw).hexdigest()
+    if digest != index.get("sha256"):
+        raise DimensionError(f"checkpoint {path_stem}.bin has sha256 {digest}; "
+                             f"its index records sha256={index.get('sha256')}")
+    flat = np.frombuffer(raw, dtype=np.float64)
     params, offset = {}, 0
     for name, shape in zip(index["names"], shapes):
         size = int(np.prod(shape))
@@ -220,31 +234,7 @@ def load_checkpoint(path_stem: str) -> dict[str, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# token reorderings (all permutations stay within one sample)
-
-
-def _tile_perm(grid: int, tile: int) -> np.ndarray:
-    """Row-major grid order -> tile-major order (each tile raveled row-major)."""
-    idx = np.arange(grid * grid).reshape(grid, grid)
-    order = [
-        idx[r * tile : (r + 1) * tile, c * tile : (c + 1) * tile].ravel()
-        for r in range(grid // tile)
-        for c in range(grid // tile)
-    ]
-    return np.concatenate(order)
-
-
-def _batched_perm(per_sample: np.ndarray, batch: int) -> np.ndarray:
-    n = per_sample.size
-    return np.concatenate([per_sample + s * n for s in range(batch)])
-
-
-# ---------------------------------------------------------------------------
 # forward
-
-
-def _bias(tp, name: str, rows: int):
-    return ag.broadcast_row(tp[name], rows)
 
 
 def _block_forward(tp, x, cfg: ModelConfig, stage: int, g: int, prefix: str,
@@ -254,7 +244,6 @@ def _block_forward(tp, x, cfg: ModelConfig, stage: int, g: int, prefix: str,
     hd = dim // heads
     n = g * g
     rows = x.shape[0]
-    batch = rows // n
     y = ag.layer_norm(x, tp[prefix + "norm1.g"], tp[prefix + "norm1.b"])
     q = ag.matmul(y, tp[prefix + "wq"])
     k = ag.matmul(y, tp[prefix + "wk"])
@@ -262,14 +251,13 @@ def _block_forward(tp, x, cfg: ModelConfig, stage: int, g: int, prefix: str,
 
     if cfg.attention_variant == "window":
         w_eff = effective_window(cfg, g)
-        perm = _batched_perm(_tile_perm(g, w_eff), batch)
-        qp, kp, vp = ag.permute_rows(q, perm), ag.permute_rows(k, perm), ag.permute_rows(v, perm)
+        qp, kp, vp = (ag.tile_grid(t, g, w_eff) for t in (q, k, v))
         # each head rotates by the local positions inside its window
         ang = np.tile(rope_angles(GridSpec.grid(w_eff, w_eff), hd),
                       (rows // (w_eff * w_eff), heads))
         att = ag.blocked_softmax_attention(ag.rope_rotate(qp, ang), ag.rope_rotate(kp, ang),
                                            vp, w_eff * w_eff, heads)
-        att = ag.permute_rows(att, np.argsort(perm))
+        att = ag.tile_grid(att, g, w_eff, inverse=True)
     elif cfg.attention_variant == "full":
         att = ag.blocked_softmax_attention(q, k, v, n, heads)
     else:  # linear
@@ -280,13 +268,13 @@ def _block_forward(tp, x, cfg: ModelConfig, stage: int, g: int, prefix: str,
         att = ag.add(att, ag.blocked_mean_broadcast(v, n))
     if capture is not None:
         capture.append({"attn_out": att.value.copy(), "v": v.value.copy(), "tokens": n})
-    att = ag.add(ag.matmul(att, tp[prefix + "proj.w"]), _bias(tp, prefix + "proj.b", rows))
+    att = ag.add(ag.matmul(att, tp[prefix + "proj.w"]), tp[prefix + "proj.b"])
     x = ag.add(x, att)
 
     z = ag.layer_norm(x, tp[prefix + "norm2.g"], tp[prefix + "norm2.b"])
-    z = ag.add(ag.matmul(z, tp[prefix + "mlp.w1"]), _bias(tp, prefix + "mlp.b1", rows))
+    z = ag.add(ag.matmul(z, tp[prefix + "mlp.w1"]), tp[prefix + "mlp.b1"])
     z = ag.gelu(z)
-    z = ag.add(ag.matmul(z, tp[prefix + "mlp.w2"]), _bias(tp, prefix + "mlp.b2", rows))
+    z = ag.add(ag.matmul(z, tp[prefix + "mlp.w2"]), tp[prefix + "mlp.b2"])
     return ag.add(x, z)
 
 
@@ -300,16 +288,13 @@ def _forward_traced(tape, tp, cfg: ModelConfig, images: np.ndarray,
     grids = stage_grids(cfg, image_size=h)
 
     x = ag.leaf(tape, images.reshape(b * h * w, 3))
-    perm = _batched_perm(_tile_perm(h, cfg.patch_size), b)
-    x = ag.group_rows(ag.permute_rows(x, perm), cfg.patch_size * cfg.patch_size)
-    x = ag.add(ag.matmul(x, tp["stem.w"]), _bias(tp, "stem.b", x.shape[0]))
+    x = ag.group_rows(ag.tile_grid(x, h, cfg.patch_size), cfg.patch_size * cfg.patch_size)
+    x = ag.add(ag.matmul(x, tp["stem.w"]), tp["stem.b"])
     x = ag.layer_norm(x, tp["stem.norm.g"], tp["stem.norm.b"])
 
     for s, g in enumerate(grids):
         if s > 0:
-            prev = grids[s - 1]
-            perm = _batched_perm(_tile_perm(prev, 2), b)
-            x = ag.group_rows(ag.permute_rows(x, perm), 4)
+            x = ag.group_rows(ag.tile_grid(x, grids[s - 1], 2), 4)
             x = ag.layer_norm(x, tp[f"down{s}.norm.g"], tp[f"down{s}.norm.b"])
             x = ag.matmul(x, tp[f"down{s}.w"])
         for i in range(cfg.stage_depths[s]):
@@ -322,7 +307,7 @@ def _forward_traced(tape, tp, cfg: ModelConfig, images: np.ndarray,
         x = ag.gather_rows(ag.blocked_mean_broadcast(x, n_last), starts)
     else:
         x = ag.gather_rows(x, starts)
-    return ag.add(ag.matmul(x, tp["head.w"]), _bias(tp, "head.b", b))
+    return ag.add(ag.matmul(x, tp["head.w"]), tp["head.b"])
 
 
 def _trace_params(tape, params: dict[str, np.ndarray]) -> dict[str, ag.TracedValue]:

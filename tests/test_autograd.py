@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -70,14 +72,10 @@ PRIMITIVE_CASES = [
     ("gelu", lambda a: ag.sum_all(ag.gelu(a)), (3, 4), None),
     ("power3", lambda a: ag.sum_all(ag.power_int(a, 3)), (3, 4), None),
     ("softmax_rows", lambda a: ag.sum_all(ag.mul(ag.softmax_rows(a), a)), (3, 4), None),
-    ("mean_rows", lambda a: ag.sum_all(ag.mean_rows(a)), (5, 3), None),
-    ("broadcast", lambda a: ag.sum_all(ag.mul(ag.broadcast_row(ag.mean_rows(a), 5), a)),
+    ("broadcast", lambda a: ag.sum_all(ag.mul(ag.broadcast_row(ag.rows(a, 0, 1), 5), a)),
      (5, 3), None),
     ("sum_cols", lambda a: ag.sum_all(ag.mul(ag.sum_cols(a), ag.sum_cols(a))), (4, 3), None),
-    ("row_l2norm", lambda a: ag.sum_all(ag.row_l2norm(a)), (4, 3), "positive"),
     ("rows_cols", lambda a: ag.sum_all(ag.cols(ag.rows(a, 1, 3), 0, 2)), (4, 4), None),
-    ("concat", lambda a: ag.sum_all(ag.concat_rows([ag.rows(a, 0, 2), ag.rows(a, 2, 4)])),
-     (4, 3), None),
     ("permute", lambda a: ag.sum_all(ag.mul(ag.permute_rows(a, [2, 0, 1, 3]), a)), (4, 3), None),
     ("gather", lambda a: ag.sum_all(ag.gather_rows(a, [0, 2, 2])), (4, 3), None),
     ("group", lambda a: ag.sum_all(ag.power_int(ag.group_rows(a, 2), 2)), (4, 3), None),
@@ -170,6 +168,115 @@ class TestPrimitiveGradients:
 
         report = ag.gradcheck(f, [x, w], step=1e-5)
         assert report.max_rel_err < 1e-6
+
+
+class TestTracedOpNames:
+    def test_benchmark_tracer_ops_exist(self):
+        # the traced benchmark run wraps these by name; a deletion must fail here first.
+        # Imported here so that a run without the repo root on sys.path loses only this test.
+        from perfbench.tracer import AUTOGRAD_OPS
+
+        for op in AUTOGRAD_OPS:
+            assert callable(getattr(ag, op, None)), op
+            assert op in ag.ADJOINTS, op
+
+
+def _tile_perm(grid, tile):
+    """Reference gather: row-major grid order -> tile-major order."""
+    idx = np.arange(grid * grid).reshape(grid, grid)
+    return np.concatenate([idx[r * tile : (r + 1) * tile, c * tile : (c + 1) * tile].ravel()
+                           for r in range(grid // tile) for c in range(grid // tile)])
+
+
+TILINGS = [(8, 2), (8, 4), (56, 7), (224, 4)]
+
+
+class TestTileGrid:
+    def traced(self, fn, x, weights):
+        tape = ag.Tape()
+        a = ag.leaf(tape, x)
+        out = fn(a)
+        grads = ag.backward(ag.sum_all(ag.mul(out, ag.leaf(tape, weights))))
+        return out.value, grads[a.idx]
+
+    @pytest.mark.parametrize("grid,tile", TILINGS)
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_equals_gathered_permutation_bitwise(self, grid, tile, batch, inverse):
+        rng = rng_for(15, "tile", grid, tile, batch)
+        x, weights = rng.standard_normal((2, batch * grid * grid, 3))
+        perm = _tile_perm(grid, tile)
+        if inverse:
+            perm = np.argsort(perm)
+        perm = np.concatenate([perm + s * grid * grid for s in range(batch)])
+        out, grad = self.traced(lambda a: ag.tile_grid(a, grid, tile, inverse), x, weights)
+        out_ref, grad_ref = self.traced(lambda a: ag.permute_rows(a, perm), x, weights)
+        np.testing.assert_array_equal(out, out_ref)
+        np.testing.assert_array_equal(grad, grad_ref)
+
+    @pytest.mark.parametrize("grid,tile", TILINGS)
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_inverse_round_trip_and_gradcheck(self, grid, tile, batch):
+        x = rng_for(16, "tile-gc", grid, tile).standard_normal((batch * grid * grid, 2))
+        tape = ag.Tape()
+        tiled = ag.tile_grid(ag.leaf(tape, x), grid, tile)
+        np.testing.assert_array_equal(ag.tile_grid(tiled, grid, tile, inverse=True).value, x)
+        weights = np.arange(x.size, dtype=np.float64).reshape(x.shape) / x.size
+
+        def f(a):
+            return ag.sum_all(ag.mul(ag.tile_grid(a, grid, tile), ag.leaf(a.tape, weights)))
+
+        assert ag.gradcheck(f, [x], tol=1e-5).passed
+
+    def test_tile_must_divide_grid(self):
+        tape = ag.Tape()
+        with pytest.raises(DimensionError):
+            ag.tile_grid(ag.leaf(tape, np.ones((36, 2))), 6, 4)
+
+
+class TestBroadcastAdd:
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_equals_broadcast_row_bitwise(self, rows):
+        rng = rng_for(17, "bias", rows)
+        x, weights = rng.standard_normal((2, rows, 4))
+        bias = rng.standard_normal((1, 4))
+        results = []
+        for fn in (lambda a, b: ag.add(a, b), lambda a, b: ag.add(a, ag.broadcast_row(b, rows))):
+            tape = ag.Tape()
+            a, b = ag.leaf(tape, x), ag.leaf(tape, bias)
+            out = fn(a, b)
+            grads = ag.backward(ag.sum_all(ag.mul(out, ag.leaf(tape, weights))))
+            results.append((out.value, grads[a.idx], grads[b.idx]))
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)
+
+    def test_gradcheck(self):
+        rng = rng_for(18, "bias-gc")
+        x, bias = rng.standard_normal((5, 3)), rng.standard_normal((1, 3))
+        report = ag.gradcheck(lambda a, b: ag.sum_all(ag.power_int(ag.add(a, b), 2)), [x, bias])
+        assert report.passed, report.max_rel_err
+
+    @pytest.mark.parametrize("left,right", [((5, 3), (2, 3)), ((5, 3), (1, 4)),
+                                            ((1, 3), (5, 3))])
+    def test_other_shape_mismatches_raise(self, left, right):
+        tape = ag.Tape()
+        with pytest.raises(DimensionError):
+            ag.add(ag.leaf(tape, np.ones(left)), ag.leaf(tape, np.ones(right)))
+
+
+class TestGeluCube:
+    def test_close_to_pow_reference(self):
+        x = rng_for(19, "gelu").standard_normal((256, 64)) * 3.0
+        c = math.sqrt(2.0 / math.pi)
+        want = 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x**3)))
+        got = ag.gelu(ag.leaf(ag.Tape(), x)).value
+        # relative to the largest output: where 1 + tanh cancels (x < -3) one ulp
+        # of tanh is a large share of a tiny output, so no elementwise rtol holds
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+    def test_gradcheck(self):
+        x = rng_for(20, "gelu-gc").standard_normal((8, 16))
+        assert ag.gradcheck(lambda a: ag.sum_all(ag.mul(ag.gelu(a), a)), [x]).passed
 
 
 def _per_head(op, q, k, v, block, heads):

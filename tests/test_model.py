@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,28 @@ class TestForward:
         with open(bin_path, "r+b") as fh:
             fh.truncate((total - 5) * 8)
         with pytest.raises(DimensionError, match=f"holds {total - 5} .* need {total}"):
+            load_checkpoint(stem)
+
+    def test_flipped_byte_names_sha256(self, tmp_path):
+        stem = str(tmp_path / "ckpt")
+        _, bin_path = save_checkpoint(init_params(single_block_config()), stem)
+        with open(bin_path, "r+b") as fh:
+            fh.seek(100)
+            byte = fh.read(1)[0]
+            fh.seek(100)
+            fh.write(bytes([byte ^ 0x01]))
+        with pytest.raises(DimensionError, match="sha256"):
+            load_checkpoint(stem)
+
+    def test_index_byte_count_checked(self, tmp_path):
+        stem = str(tmp_path / "ckpt")
+        idx_path, _ = save_checkpoint(init_params(single_block_config()), stem)
+        with open(idx_path) as fh:
+            index = json.load(fh)
+        index["bytes"] += 8
+        with open(idx_path, "w") as fh:
+            json.dump(index, fh)
+        with pytest.raises(DimensionError, match="bytes="):
             load_checkpoint(stem)
 
 
