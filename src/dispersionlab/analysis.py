@@ -22,7 +22,7 @@ import numpy as np
 
 from .attention import (KernelSpec, WindowSpec, phi_values, _apply_psi, _blocks, _normalize,
                         _phi_weights)
-from .errors import BoundViolationError, DimensionError
+from .errors import BoundViolationError, ConfigurationError, DimensionError
 from .rng import rng_for
 
 VARIANTS = ("softmax", "linear", "focused", "mila", "window")
@@ -98,6 +98,11 @@ class BoundedSampler:
     nonneg: bool = False
     tile_rows: int | None = None
     zero_queries: bool = False
+
+    def __post_init__(self):
+        if self.d < 1 or not 0 < self.logit_bound < math.inf:
+            raise ConfigurationError("sampler needs d >= 1 and a positive, finite logit_bound; "
+                                     f"got d={self.d}, logit_bound={self.logit_bound}")
 
     def _rows(self, rng: np.random.Generator, count: int) -> np.ndarray:
         x = rng.standard_normal((count, self.d))

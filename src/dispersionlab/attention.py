@@ -377,12 +377,22 @@ def window_attention(q, k, v, win: WindowSpec, kernel: KernelSpec | None = None)
     return Tensor((coeff @ _blocks(v, win.w)).reshape(v.shape))
 
 
+def _block_mean(x: np.ndarray, block: int) -> np.ndarray:
+    """Mean of each block of consecutive rows, repeated over the block's rows.
+
+    block == n is the homogeneous mixing term. The map is symmetric, so it
+    is also its own adjoint.
+    """
+    xb = _blocks(x, block)
+    return np.repeat(xb.mean(axis=1, keepdims=True), block, axis=1).reshape(x.shape)
+
+
 def homogeneous_mix(v) -> Tensor:
     """Arithmetic mean of the value rows, broadcast back to every token."""
     v = as_array(v)
     if v.ndim != 2:
         raise DimensionError(f"homogeneous_mix expects n x d input, got {v.shape}")
-    return Tensor(np.repeat(v.mean(axis=0, keepdims=True), v.shape[0], axis=0))
+    return Tensor(_block_mean(v, v.shape[0]))
 
 
 def sema_attention(q, k, v, win: WindowSpec, kernel: KernelSpec | None = None) -> Tensor:
@@ -428,9 +438,9 @@ def sema_attention_full(x, params: SemaParams, win: WindowSpec, grid: GridSpec) 
     n, d = x.shape
     if grid.n != n:
         raise DimensionError(f"grid holds {grid.n} tokens but input has {n} rows")
+    _window_blocks(n, win)
     q, k, v = x @ params.wq, x @ params.wk, x @ params.wv
-    # every window rotates by its local positions
-    ang = np.tile(rope_angles(GridSpec.linear(win.w), d), (_window_blocks(n, win), 1))
+    ang = rope_angles(GridSpec.linear(win.w), d)  # every window rotates by its local positions
     vr = rotate_pairs(v, ang) if params.rope_on_values else v
     coeff = _block_coefficients(_blocks(rotate_pairs(q, ang), win.w),
                                 _blocks(rotate_pairs(k, ang), win.w), KernelSpec.softmax())
@@ -454,12 +464,11 @@ def mila_coefficients(q, k, grid: GridSpec | None = None, gated: bool = False,
     n, d = q.shape
     grid = grid or GridSpec.linear(n)
     u, w = elu_plus_one(q), elu_plus_one(k)
-    den = (u @ w.T).sum(axis=1, keepdims=True) + epsilon
+    num = u @ w.T
+    den = num.sum(axis=1, keepdims=True) + epsilon
     if gated:
         ang = rope_angles(grid, d, positions)
         num = rotate_pairs(u, ang) @ rotate_pairs(w, ang).T
-    else:
-        num = u @ w.T
     return Tensor(num / den)
 
 

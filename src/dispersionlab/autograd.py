@@ -18,9 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import KernelSpec, _block_coefficients, _normalize, _phi_weights
+from . import attention
+from .attention import KernelSpec, _block_coefficients, _block_mean, _normalize, _phi_weights
 from .errors import DifferentiationError, DimensionError
-from .posenc import depthwise_conv_grid
+from .posenc import depthwise_conv_grid, rotate_pairs
 from .rng import rng_for
 
 _SOFTMAX, _LINEAR = KernelSpec.softmax(), KernelSpec.linear()
@@ -155,8 +156,7 @@ def relu(a):
 
 
 def elu_plus_one(a):
-    out = np.where(a.value > 0, a.value + 1.0, np.exp(np.minimum(a.value, 0.0)))
-    return a.tape.push("elu_plus_one", (a.idx,), out)
+    return a.tape.push("elu_plus_one", (a.idx,), attention.elu_plus_one(a.value))
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -273,13 +273,12 @@ def group_rows(a, group: int):
 
 
 def rope_rotate(a, angles: np.ndarray):
-    """Rotate consecutive dim pairs by fixed angles (n x d/2); an isometry."""
-    x = a.value
-    c, s = np.cos(angles), np.sin(angles)
-    out = np.empty_like(x)
-    out[:, 0::2] = x[:, 0::2] * c - x[:, 1::2] * s
-    out[:, 1::2] = x[:, 0::2] * s + x[:, 1::2] * c
-    return a.tape.push("rope_rotate", (a.idx,), out, {"cos": c, "sin": s})
+    """Rotate consecutive dim pairs by a fixed (period, pairs) table (posenc.rotate_pairs).
+
+    An isometry: the adjoint rotates back by the negated table.
+    """
+    return a.tape.push("rope_rotate", (a.idx,), rotate_pairs(a.value, angles),
+                       {"angles": angles})
 
 
 def depthwise_conv(v, taps, height: int, width: int):
@@ -300,10 +299,10 @@ def depthwise_conv(v, taps, height: int, width: int):
 
 def layer_norm(x, gamma, beta, eps: float = 1e-5):
     """Per-row normalization with learned scale and shift (1 x d each)."""
-    mu = x.value.mean(axis=1, keepdims=True)
-    var = x.value.var(axis=1, keepdims=True)
+    xc = x.value - x.value.mean(axis=1, keepdims=True)
+    var = (xc * xc).mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.value - mu) * inv
+    xhat = xc * inv
     out = xhat * gamma.value + beta.value
     tape = _pair(x, gamma)
     return tape.push("layer_norm", (x.idx, gamma.idx, beta.idx), out,
@@ -368,12 +367,11 @@ def blocked_mean_broadcast(v, block: int):
     block == n is the homogeneous mixing term; per-sample blocks let a
     batch share one tape.
     """
-    n, d = v.value.shape
+    n = v.value.shape[0]
     if n % block != 0:
         raise DimensionError(f"block {block} does not divide {n} rows")
-    vb = v.value.reshape(n // block, block, d)
-    out = np.repeat(vb.mean(axis=1, keepdims=True), block, axis=1).reshape(n, d)
-    return v.tape.push("blocked_mean_broadcast", (v.idx,), out, {"block": block})
+    return v.tape.push("blocked_mean_broadcast", (v.idx,), _block_mean(v.value, block),
+                       {"block": block})
 
 
 def cross_entropy(logits, labels) -> TracedValue:
@@ -472,12 +470,8 @@ def _adj_focused_map(node, g, vals):
 
 def focused_map_rows(a, p: int):
     """Norm-preserving power features of relu(x), rowwise (zero rows map to 0)."""
-    r = np.maximum(a.value, 0.0)
-    rp = r**p
-    norm_r = np.linalg.norm(r, axis=1, keepdims=True)
-    norm_rp = np.linalg.norm(rp, axis=1, keepdims=True)
-    scale_ = np.divide(norm_r, norm_rp, out=np.zeros_like(norm_r), where=norm_rp > 0)
-    return a.tape.push("focused_map", (a.idx,), rp * scale_, {"p": int(p)})
+    return a.tape.push("focused_map", (a.idx,), attention._focused_features(a.value, p),
+                       {"p": int(p)})
 
 
 ADJOINTS = {
@@ -493,9 +487,8 @@ ADJOINTS = {
     "exp": lambda node, g, vals: (g * node.value,),
     "log": lambda node, g, vals: (g / vals[0],),
     "relu": lambda node, g, vals: (g * (vals[0] > 0),),
-    "elu_plus_one": lambda node, g, vals: (
-        g * np.where(vals[0] > 0, 1.0, np.exp(np.minimum(vals[0], 0.0))),
-    ),
+    # the derivative is 1 where x > 0 (output x + 1 >= 1) and exp(x) = output elsewhere
+    "elu_plus_one": lambda node, g, vals: (g * np.minimum(node.value, 1.0),),
     "gelu": lambda node, g, vals: (
         g * (0.5 * (1.0 + node.ctx["t"])
              + 0.5 * vals[0] * (1.0 - node.ctx["t"] ** 2)
@@ -512,55 +505,36 @@ ADJOINTS = {
         g / vals[1],
         -(g * vals[0]).sum(axis=1, keepdims=True) / vals[1] ** 2,
     ),
-    "rows": lambda node, g, vals: (_scatter_rows(g, vals[0].shape, node.ctx["lo"]),),
-    "cols": lambda node, g, vals: (_scatter_cols(g, vals[0].shape, node.ctx["lo"]),),
-    "concat_cols": lambda node, g, vals: tuple(
-        piece for piece in _split(g, node.ctx["sizes"], axis=1)
+    "rows": lambda node, g, vals: (
+        _scatter(g, vals[0].shape, slice(node.ctx["lo"], node.ctx["hi"])),
     ),
-    "permute_rows": lambda node, g, vals: (_unpermute(g, node.ctx["perm"]),),
+    "cols": lambda node, g, vals: (
+        _scatter(g, vals[0].shape, (slice(None), slice(node.ctx["lo"], node.ctx["hi"]))),
+    ),
+    "concat_cols": lambda node, g, vals: tuple(
+        np.split(g, np.cumsum(node.ctx["sizes"])[:-1], axis=1)
+    ),
+    "permute_rows": lambda node, g, vals: (_scatter(g, g.shape, node.ctx["perm"]),),
     "tile_grid": lambda node, g, vals: (
         _tiles(g, node.ctx["grid"], node.ctx["tile"], not node.ctx["inverse"]),
     ),
     "gather_rows": lambda node, g, vals: (_scatter_add(g, node.ctx),),
     "group_rows": lambda node, g, vals: (g.reshape(node.ctx["n"], node.ctx["d"]),),
-    "rope_rotate": lambda node, g, vals: (_rotate_back(g, node.ctx),),
+    "rope_rotate": lambda node, g, vals: (rotate_pairs(g, -node.ctx["angles"]),),
     "depthwise_conv": _adj_depthwise_conv,
     "layer_norm": _adj_layer_norm,
     "blocked_softmax_attention": _adj_blocked_attention,
     "blocked_linear_attention": _adj_blocked_attention,
-    "blocked_mean_broadcast": lambda node, g, vals: (
-        _blocked_mean_value(g, node.ctx["block"]),
-    ),
+    "blocked_mean_broadcast": lambda node, g, vals: (_block_mean(g, node.ctx["block"]),),
     "cross_entropy": lambda node, g, vals: (_adj_cross_entropy(node, g),),
     "focused_map": _adj_focused_map,
 }
 
 
-def _scatter_rows(g, shape, lo):
+def _scatter(g, shape, index):
+    """Zeros of the input's shape with g written back where the forward read it."""
     out = np.zeros(shape)
-    out[lo : lo + g.shape[0]] = g
-    return out
-
-
-def _scatter_cols(g, shape, lo):
-    out = np.zeros(shape)
-    out[:, lo : lo + g.shape[1]] = g
-    return out
-
-
-def _split(g, sizes, axis):
-    pieces, start = [], 0
-    for s in sizes:
-        sl = [slice(None), slice(None)]
-        sl[axis] = slice(start, start + s)
-        pieces.append(g[tuple(sl)].copy())
-        start += s
-    return pieces
-
-
-def _unpermute(g, perm):
-    out = np.empty_like(g)
-    out[perm] = g
+    out[index] = g
     return out
 
 
@@ -568,20 +542,6 @@ def _scatter_add(g, ctx):
     out = np.zeros((ctx["n"], g.shape[1]))
     np.add.at(out, ctx["indices"], g)
     return out
-
-
-def _rotate_back(g, ctx):
-    c, s = ctx["cos"], ctx["sin"]
-    out = np.empty_like(g)
-    out[:, 0::2] = g[:, 0::2] * c + g[:, 1::2] * s
-    out[:, 1::2] = -g[:, 0::2] * s + g[:, 1::2] * c
-    return out
-
-
-def _blocked_mean_value(g, block):
-    n, d = g.shape
-    gb = g.reshape(n // block, block, d)
-    return np.repeat(gb.mean(axis=1, keepdims=True), block, axis=1).reshape(n, d)
 
 
 def _adj_cross_entropy(node, g):
@@ -638,8 +598,9 @@ def gradcheck(f, inputs, step: float = 1e-5, tol: float = 1e-5,
     f takes traced leaves (one per input array) and returns a traced 1x1
     scalar. Inputs with more than 512 entries are checked on 64 seeded
     random coordinates instead of all of them. Relative error uses
-    max(|analytic|, |numeric|, 1e-8) as the denominator. Failures are
-    reported, never raised.
+    max(|analytic|, |numeric|, 1e-8) as the denominator; a non-finite
+    derivative counts as an infinite error, so it fails the check. Failures
+    are reported, never raised.
     """
     arrays = [np.asarray(x, dtype=np.float64) for x in inputs]
 
@@ -673,7 +634,8 @@ def gradcheck(f, inputs, step: float = 1e-5, tol: float = 1e-5,
             numeric = (f_plus - f_minus) / (2.0 * step)
             a_val = analytic[which][idx]
             denom = max(abs(a_val), abs(numeric), 1e-8)
-            worst = max(worst, abs(a_val - numeric) / denom)
+            err = abs(a_val - numeric) / denom
+            worst = max(worst, err if math.isfinite(err) else math.inf)
         per_input.append(worst)
     max_err = max(per_input) if per_input else 0.0
     return GradcheckReport(max_rel_err=max_err, passed=max_err < tol, per_input=per_input)

@@ -92,14 +92,20 @@ def _parse_n_list(text: str) -> list[int]:
     return values
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if value is None or value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _positive(kind, noun: str):
+    """argparse type accepting only finite values of `kind` above zero."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not 0 < value < float("inf"):
+            raise argparse.ArgumentTypeError(f"expected a positive {noun}, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int, _positive_float = _positive(int, "integer"), _positive(float, "number")
 
 
 def _write(path: str, content: str) -> str:
@@ -422,7 +428,7 @@ def build_parser() -> _Parser:
     p.add_argument("--trials", type=_positive_int, default=32)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--d", type=_positive_int, default=16)
-    p.add_argument("--logit-bound", type=float, default=1.0)
+    p.add_argument("--logit-bound", type=_positive_float, default=1.0)
     p.add_argument("--w", type=_positive_int, default=8, help="window size (window variant)")
     p.add_argument("--fixed-window-content", action="store_true",
                    help="tile one window's rows at every n (non-dispersion check)")
@@ -439,8 +445,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gradcheck", help="finite-difference checks per attention variant")
     p.add_argument("--variants", help="comma list; default all six")
-    p.add_argument("--tol", type=float, default=1e-5)
-    p.add_argument("--step", type=float, default=1e-5)
+    p.add_argument("--tol", type=_positive_float, default=1e-5)
+    p.add_argument("--step", type=_positive_float, default=1e-5)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--out")
 
@@ -456,7 +462,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train-toy", help="seeded toy training on the majority task")
     p.add_argument("--config", help="ModelConfig JSON path; default single-block ablation model")
     p.add_argument("--averaging", choices=["on", "off"])
-    p.add_argument("--epochs", type=int, default=30)
+    p.add_argument("--epochs", type=_positive_int, default=30)
     p.add_argument("--seed", type=int, default=13)
     p.add_argument("--out", default="out/train-toy")
 

@@ -243,7 +243,6 @@ def _block_forward(tp, x, cfg: ModelConfig, stage: int, g: int, prefix: str,
     heads = cfg.stage_heads[stage]
     hd = dim // heads
     n = g * g
-    rows = x.shape[0]
     y = ag.layer_norm(x, tp[prefix + "norm1.g"], tp[prefix + "norm1.b"])
     q = ag.matmul(y, tp[prefix + "wq"])
     k = ag.matmul(y, tp[prefix + "wk"])
@@ -252,9 +251,8 @@ def _block_forward(tp, x, cfg: ModelConfig, stage: int, g: int, prefix: str,
     if cfg.attention_variant == "window":
         w_eff = effective_window(cfg, g)
         qp, kp, vp = (ag.tile_grid(t, g, w_eff) for t in (q, k, v))
-        # each head rotates by the local positions inside its window
-        ang = np.tile(rope_angles(GridSpec.grid(w_eff, w_eff), hd),
-                      (rows // (w_eff * w_eff), heads))
+        # every window and head rotates by the local positions inside its window
+        ang = rope_angles(GridSpec.grid(w_eff, w_eff), hd)
         att = ag.blocked_softmax_attention(ag.rope_rotate(qp, ang), ag.rope_rotate(kp, ang),
                                            vp, w_eff * w_eff, heads)
         att = ag.tile_grid(att, g, w_eff, inverse=True)
@@ -452,9 +450,11 @@ def train_toy(cfg: ModelConfig, task: SyntheticTask, epochs: int, seed: int,
               batch_size: int = 64) -> TrainToyResult:
     """Deterministic SGD on the majority task; one metrics row per epoch.
 
-    Epoch 0 records the untrained model (chance level). Raises on a
-    non-finite loss, naming the epoch.
+    Epoch 0 records the untrained model (chance level); epochs=0 evaluates
+    only. Raises on a non-finite loss, naming the epoch.
     """
+    if epochs < 0:
+        raise ConfigurationError(f"epochs must be >= 0, got {epochs}")
     if cfg.num_classes != task.num_classes:
         raise ConfigurationError("config and task class counts differ")
     if cfg.image_size != task.grid_tokens * cfg.patch_size:

@@ -88,12 +88,24 @@ def rope_angles(grid: GridSpec, d: int, positions=None) -> np.ndarray:
 
 
 def rotate_pairs(x: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """Rotate each consecutive pair (x[2t], x[2t+1]) by angles[:, t]."""
-    c, s = np.cos(angles), np.sin(angles)
-    out = np.empty_like(x)
-    out[..., 0::2] = x[..., 0::2] * c - x[..., 1::2] * s
-    out[..., 1::2] = x[..., 0::2] * s + x[..., 1::2] * c
-    return out
+    """Rotate each pair (x[r, 2t], x[r, 2t+1]) of n x d rows by a (period, pairs) table.
+
+    The table is broadcast, not tiled: row r uses angles[r % period] and
+    every 2 * pairs wide column slice (one per head) shares it, so a
+    window-local table rotates every window. rotate_pairs(y, -angles)
+    undoes it. Raises DimensionError when the table does not tile x.
+    """
+    n, d = x.shape
+    period, pairs = angles.shape
+    if n % period != 0 or d % (2 * pairs) != 0:
+        raise DimensionError(f"rotation table {angles.shape} does not tile input {x.shape}")
+    xs = x.reshape(n // period, period, d // (2 * pairs), pairs, 2)
+    x0, x1 = xs[..., 0], xs[..., 1]
+    c, s = np.cos(angles)[:, None, :], np.sin(angles)[:, None, :]
+    out = np.empty(xs.shape)
+    out[..., 0] = x0 * c - x1 * s
+    out[..., 1] = x0 * s + x1 * c
+    return out.reshape(n, d)
 
 
 def rope_apply(x, grid: GridSpec, positions=None) -> Tensor:

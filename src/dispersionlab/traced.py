@@ -8,8 +8,6 @@ operations run in the same order); equivalence tests pin that down.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import autograd as ag
 from .posenc import GridSpec, rope_angles
 
@@ -68,8 +66,7 @@ def sema_attention_full(x, wq, wk, wv, taps, w: int, grid: GridSpec,
     """Traced twin of the full SEMA pipeline (project, window, rotate, mix)."""
     n, d = x.shape
     q, k, v = ag.matmul(x, wq), ag.matmul(x, wk), ag.matmul(x, wv)
-    local = rope_angles(GridSpec.linear(w), d)
-    ang = np.tile(local, (n // w, 1))  # every window rotates by its local positions
+    ang = rope_angles(GridSpec.linear(w), d)  # every window rotates by its local positions
     qr, kr = ag.rope_rotate(q, ang), ag.rope_rotate(k, ang)
     vr = ag.rope_rotate(v, ang) if rope_on_values else v
     out = ag.blocked_softmax_attention(qr, kr, vr, w)

@@ -14,6 +14,7 @@ from dispersionlab.analysis import (
     remark_counterexample,
 )
 from dispersionlab.attention import KernelSpec, WindowSpec
+from dispersionlab.errors import ConfigurationError
 from dispersionlab.rng import rng_for
 
 
@@ -128,6 +129,12 @@ class TestMeasureDispersion:
         csv_text = report.to_csv()
         assert csv_text.splitlines()[0] == "n,max_coeff,min_coeff,lower,upper"
         assert len(csv_text.splitlines()) == 4
+
+    @pytest.mark.parametrize("kwargs", [{"d": 0}, {"logit_bound": 0.0},
+                                        {"logit_bound": -1.0}])
+    def test_degenerate_sampler_rejected(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            BoundedSampler(**kwargs)
 
     def test_ascending_n_required(self):
         with pytest.raises(ValueError):

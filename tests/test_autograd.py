@@ -15,7 +15,7 @@ from dispersionlab.attention import (
     window_attention,
 )
 from dispersionlab.errors import DifferentiationError, DimensionError
-from dispersionlab.posenc import GridSpec, rope_angles
+from dispersionlab.posenc import GridSpec, rope_angles, rotate_pairs
 from dispersionlab.rng import rng_for
 
 
@@ -96,15 +96,22 @@ class TestPrimitiveGradients:
         report = ag.gradcheck(f, [x])
         assert report.passed, f"{name}: {report.max_rel_err}"
 
-    def test_rope_rotation_gradient(self):
-        rng = rng_for(1, "rope")
-        x = rng.standard_normal((6, 8))
-        ang = rope_angles(GridSpec.linear(6), 8)
+    @pytest.mark.parametrize("rows,period,heads",
+                             [(6, 6, 1), (6, 2, 1), (8, 4, 2), (12, 3, 4)])
+    def test_rope_rotation_gradient(self, rows, period, heads):
+        # the (period, pairs) table repeats down the rows and across the heads
+        rng = rng_for(1, "rope", rows, period, heads)
+        x = rng.standard_normal((rows, 8 * heads))
+        ang = rope_angles(GridSpec.linear(period), 8)
 
         def f(a):
             return ag.sum_all(ag.mul(ag.rope_rotate(a, ang), a))
 
-        assert ag.gradcheck(f, [x]).passed
+        # d/dx sum(R x * x) = R^T x + R x, and R^T is the rotation by -angles
+        (g,) = run_backward(f, [x])
+        np.testing.assert_array_equal(g, rotate_pairs(x, ang) + rotate_pairs(x, -ang))
+        report = ag.gradcheck(f, [x], tol=1e-5)
+        assert report.passed, report.max_rel_err
 
     def test_depthwise_conv_gradients_in_both_inputs(self):
         rng = rng_for(2, "dwc")
@@ -430,6 +437,19 @@ class TestGradcheckHarness:
         report = ag.gradcheck(f, [x])
         assert not report.passed
         assert report.max_rel_err > 0.1
+
+    def test_nan_derivative_fails(self):
+        # log of negative inputs is NaN, so the numeric derivative is NaN too
+        with np.errstate(invalid="ignore"):
+            report = ag.gradcheck(lambda a: ag.sum_all(ag.log(a)), [[[-1.0, -2.0]]])
+        assert not report.passed
+        assert report.max_rel_err == math.inf
+
+    def test_zero_step_fails(self):
+        # a zero step makes every numeric derivative 0 / 0
+        with np.errstate(invalid="ignore"):
+            report = ag.gradcheck(lambda a: ag.sum_all(ag.mul(a, a)), [[[1.0, 2.0]]], step=0.0)
+        assert not report.passed
 
     def test_homogeneous_mix_gradient_of_sum_is_all_ones(self):
         rng = rng_for(9, "mix")

@@ -55,6 +55,23 @@ class TestExitCodes:
         # zero instances would pass the equivalence check vacuously
         self.assert_usage_error(["ssm-check", "--instances", "0"], capsys, "--instances")
 
+    @pytest.mark.parametrize("bound", ["-1", "0"])
+    def test_disperse_non_positive_logit_bound_is_usage_error(self, bound, tmp_path, capsys):
+        # -1 used to end in a math domain error; 0 passed with every logit at 0
+        self.assert_usage_error(["disperse", "--variant", "softmax", "--logit-bound", bound,
+                                 "--out", str(tmp_path)], capsys, "--logit-bound")
+
+    def test_train_toy_negative_epochs_is_usage_error(self, tmp_path, capsys):
+        # negative epochs used to exit 0 without training
+        self.assert_usage_error(["train-toy", "--epochs", "-3", "--out", str(tmp_path)],
+                                capsys, "--epochs")
+
+    @pytest.mark.parametrize("flag,value", [("--step", "0"), ("--tol", "0"),
+                                            ("--tol", "-1e-5"), ("--tol", "nan")])
+    def test_gradcheck_non_positive_step_or_tol_is_usage_error(self, flag, value, capsys):
+        # a zero step made every finite difference 0 / 0 and still printed pass
+        self.assert_usage_error(["gradcheck", flag, value], capsys, flag)
+
     def test_gradcheck_all_variants(self, capsys):
         assert main(["gradcheck"]) == 0
         out = capsys.readouterr().out

@@ -258,6 +258,10 @@ class TestToyTask:
         assert result.loss[-1] < 0.72  # below-chance cross entropy after 4 epochs
         assert len(result.val_acc) == 5
 
+    def test_negative_epochs_rejected(self):
+        with pytest.raises(ConfigurationError):
+            train_toy(single_block_config(), SyntheticTask(), epochs=-3, seed=13)
+
     def test_mismatched_task_rejected(self):
         cfg = single_block_config(num_classes=3)
         with pytest.raises(ConfigurationError):

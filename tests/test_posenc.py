@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dispersionlab.errors import DimensionError
-from dispersionlab.posenc import DepthwiseKernel, GridSpec, lepe, rope_apply
+from dispersionlab.posenc import DepthwiseKernel, GridSpec, lepe, rope_apply, rotate_pairs
 
 
 def lepe_oracle(v, taps, height, width):
@@ -77,6 +79,40 @@ class TestRope:
     def test_grid_token_count_mismatch(self):
         with pytest.raises(DimensionError):
             rope_apply(np.ones((3, 4)), GridSpec.linear(4))
+
+
+def rotate_full_table(x, angles):
+    """Reference rotation by an n x d/2 table holding one angle per pair."""
+    c, s = np.cos(angles), np.sin(angles)
+    out = np.empty_like(x)
+    out[:, 0::2] = x[:, 0::2] * c - x[:, 1::2] * s
+    out[:, 1::2] = x[:, 0::2] * s + x[:, 1::2] * c
+    return out
+
+
+class TestRotatePairs:
+    @settings(max_examples=60, deadline=None)
+    @given(blocks=st.integers(1, 4), period=st.integers(1, 6), heads=st.integers(1, 4),
+           pairs=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_broadcast_table_equals_tiled_table(self, blocks, period, heads, pairs, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((blocks * period, heads * 2 * pairs))
+        angles = rng.uniform(-10.0, 10.0, (period, pairs))
+        tiled = np.tile(angles, (blocks, heads))
+        np.testing.assert_array_equal(rotate_pairs(x, angles), rotate_full_table(x, tiled))
+
+    def test_negated_table_inverts(self):
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((12, 16))
+        angles = rng.uniform(-3.0, 3.0, (4, 4))
+        np.testing.assert_allclose(rotate_pairs(rotate_pairs(x, angles), -angles), x,
+                                   atol=1e-14)
+
+    @pytest.mark.parametrize("rows,width,table", [(5, 4, (2, 2)), (4, 6, (2, 2)),
+                                                  (4, 4, (4, 3))])
+    def test_table_that_does_not_tile_rejected(self, rows, width, table):
+        with pytest.raises(DimensionError):
+            rotate_pairs(np.ones((rows, width)), np.zeros(table))
 
 
 class TestLepe:
