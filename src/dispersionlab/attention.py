@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, KernelDomainError, WindowPartitionError
-from .posenc import DepthwiseKernel, GridSpec, lepe, rope_angles, rotate_pairs
+from .posenc import DepthwiseKernel, GridSpec, depthwise_conv_grid, rope_angles, rotate_pairs
 from .tensor import Tensor, as_array
 
 PHI_CHOICES = ("exp", "exp_temperature", "identity", "power")
@@ -100,6 +100,8 @@ class KernelSpec:
     @classmethod
     def from_json(cls, text: str) -> "KernelSpec":
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError(f"kernel spec must be a JSON object, got {text!r}")
         psi_q = obj.get("psi_q", obj.get("psi", "identity"))
         psi_k = obj.get("psi_k", obj.get("psi", "identity"))
         return cls(
@@ -149,7 +151,7 @@ def focused_map(x, p: int) -> Tensor:
     if p < 1:
         raise ValueError("focused power p must be >= 1")
     x = as_array(x)
-    return Tensor(_focused_features(np.atleast_2d(x), p).reshape(x.shape))
+    return Tensor._own(_focused_features(np.atleast_2d(x), p).reshape(x.shape))
 
 
 def _focused_features(x: np.ndarray, p: int) -> np.ndarray:
@@ -220,7 +222,7 @@ def phi_normalize(logits, kernel: KernelSpec) -> Tensor:
     x = as_array(logits)
     if x.ndim != 1:
         raise DimensionError(f"phi_normalize expects a rank-1 tensor, got {x.shape}")
-    return Tensor(_normalize(kernel, _phi_weights(kernel, x[None, :].copy()))[0])
+    return Tensor._own(_normalize(kernel, _phi_weights(kernel, x[None, :].copy()))[0])
 
 
 def _check_qkv(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> None:
@@ -253,14 +255,14 @@ def generalized_attention_coefficients(q, k, kernel: KernelSpec) -> Tensor:
     """The n x n phi-normalized weight matrix of generalized attention."""
     q, k = as_array(q), as_array(k)
     _check_qkv(q, k, q)
-    return Tensor(_block_coefficients(q, k, kernel))
+    return Tensor._own(_block_coefficients(q, k, kernel))
 
 
 def generalized_attention(q, k, v, kernel: KernelSpec) -> Tensor:
     """Phi-normalized attention: row i mixes values by phi-normalized weights."""
     q, k, v = as_array(q), as_array(k), as_array(v)
     _check_qkv(q, k, v)
-    return Tensor(_block_coefficients(q, k, kernel) @ v)
+    return Tensor._own(_block_coefficients(q, k, kernel) @ v)
 
 
 def softmax_attention_coefficients(q, k) -> Tensor:
@@ -284,7 +286,7 @@ def softmax_attention(q, k, v) -> Tensor:
     kernel = KernelSpec.softmax()
     chunk = max(64, _CHUNK_BUDGET // max(n, 1))
     if n <= chunk:
-        return Tensor(_block_coefficients(q, k, kernel) @ v)
+        return Tensor._own(_block_coefficients(q, k, kernel) @ v)
     out = np.empty((n, v.shape[1]))
     scratch = np.empty((chunk, n))
     kt = np.ascontiguousarray(k.T)
@@ -293,7 +295,7 @@ def softmax_attention(q, k, v) -> Tensor:
         block = scratch[: hi - lo]
         np.matmul(q[lo:hi], kt, out=block)
         np.matmul(_normalize(kernel, _phi_weights(kernel, block)), v, out=out[lo:hi])
-    return Tensor(out)
+    return Tensor._own(out)
 
 
 def linear_attention_coefficients(q, k) -> Tensor:
@@ -318,7 +320,7 @@ def linear_attention_fast(q, k, v, epsilon: float = 1e-6) -> Tensor:
     den = u @ w.sum(axis=0)
     if np.any(np.abs(den) <= epsilon):
         raise KernelDomainError(f"linear attention denominator underflowed past {epsilon}")
-    return Tensor(num / den[:, None])
+    return Tensor._own(num / den[:, None])
 
 
 def focused_attention_coefficients(q, k, p: int = 3) -> Tensor:
@@ -337,10 +339,9 @@ def focused_attention(q, k, v, p: int = 3, dwc: DepthwiseKernel | None = None,
     _check_qkv(q, k, v)
     out = _block_coefficients(q, k, KernelSpec.focused(p)) @ v
     if dwc is not None:
-        if grid is None:
-            grid = GridSpec.linear(v.shape[0])
-        out = out + lepe(v, dwc, grid).array
-    return Tensor(out)
+        grid = grid or GridSpec.linear(v.shape[0])
+        out = out + depthwise_conv_grid(v, dwc.taps, grid.height, grid.width)
+    return Tensor._own(out)
 
 
 def _window_blocks(n: int, win: WindowSpec) -> int:
@@ -359,7 +360,7 @@ def window_attention_coefficients(q, k, win: WindowSpec,
     _check_qkv(q, k, q)
     _window_blocks(q.shape[0], win)
     coeff = _block_coefficients(_blocks(q, win.w), _blocks(k, win.w), kernel)
-    return Tensor(coeff.reshape(q.shape[0], win.w))
+    return Tensor._own(coeff.reshape(q.shape[0], win.w))
 
 
 def window_attention(q, k, v, win: WindowSpec, kernel: KernelSpec | None = None) -> Tensor:
@@ -374,25 +375,25 @@ def window_attention(q, k, v, win: WindowSpec, kernel: KernelSpec | None = None)
     _check_qkv(q, k, v)
     _window_blocks(q.shape[0], win)
     coeff = _block_coefficients(_blocks(q, win.w), _blocks(k, win.w), kernel)
-    return Tensor((coeff @ _blocks(v, win.w)).reshape(v.shape))
+    return Tensor._own((coeff @ _blocks(v, win.w)).reshape(v.shape))
 
 
 def _block_mean(x: np.ndarray, block: int) -> np.ndarray:
     """Mean of each block of consecutive rows, repeated over the block's rows.
 
-    block == n is the homogeneous mixing term. The map is symmetric, so it
-    is also its own adjoint.
+    The tape op blocked_mean_broadcast needs it materialized. The map is
+    symmetric, so it is also its own adjoint.
     """
     xb = _blocks(x, block)
     return np.repeat(xb.mean(axis=1, keepdims=True), block, axis=1).reshape(x.shape)
 
 
 def homogeneous_mix(v) -> Tensor:
-    """Arithmetic mean of the value rows, broadcast back to every token."""
+    """Arithmetic mean of the value rows, a read-only view broadcast to every token."""
     v = as_array(v)
     if v.ndim != 2:
         raise DimensionError(f"homogeneous_mix expects n x d input, got {v.shape}")
-    return Tensor(_block_mean(v, v.shape[0]))
+    return Tensor._own(np.broadcast_to(v.mean(axis=0, keepdims=True), v.shape))
 
 
 def sema_attention(q, k, v, win: WindowSpec, kernel: KernelSpec | None = None) -> Tensor:
@@ -403,7 +404,7 @@ def sema_attention(q, k, v, win: WindowSpec, kernel: KernelSpec | None = None) -
     The default kernel is window softmax (phi=exp, identity features).
     """
     wa = window_attention(q, k, v, win, kernel)
-    return Tensor(wa.array + homogeneous_mix(v).array)
+    return Tensor._own(wa.array + homogeneous_mix(v).array)
 
 
 @dataclass(frozen=True)
@@ -445,9 +446,20 @@ def sema_attention_full(x, params: SemaParams, win: WindowSpec, grid: GridSpec) 
     coeff = _block_coefficients(_blocks(rotate_pairs(q, ang), win.w),
                                 _blocks(rotate_pairs(k, ang), win.w), KernelSpec.softmax())
     out = (coeff @ _blocks(vr, win.w)).reshape(v.shape)
-    out = out + lepe(v, params.lepe_kernel, grid).array
-    out = out + v.mean(axis=0, keepdims=True)
-    return Tensor(out)
+    lepe_term = depthwise_conv_grid(v, params.lepe_kernel.taps, grid.height, grid.width)
+    return Tensor._own(out + lepe_term + v.mean(axis=0, keepdims=True))
+
+
+def _mila_weights(q: np.ndarray, k: np.ndarray, grid: GridSpec | None, gated: bool,
+                  epsilon: float, positions) -> np.ndarray:
+    """The n x n MILA weights; the denominator always uses un-gated features."""
+    u, w = elu_plus_one(q), elu_plus_one(k)
+    num = u @ w.T
+    den = num.sum(axis=1, keepdims=True) + epsilon
+    if gated:
+        ang = rope_angles(grid or GridSpec.linear(q.shape[0]), q.shape[1], positions)
+        num = rotate_pairs(u, ang) @ rotate_pairs(w, ang).T
+    return num / den
 
 
 def mila_coefficients(q, k, grid: GridSpec | None = None, gated: bool = False,
@@ -461,15 +473,7 @@ def mila_coefficients(q, k, grid: GridSpec | None = None, gated: bool = False,
     """
     q, k = as_array(q), as_array(k)
     _check_qkv(q, k, q)
-    n, d = q.shape
-    grid = grid or GridSpec.linear(n)
-    u, w = elu_plus_one(q), elu_plus_one(k)
-    num = u @ w.T
-    den = num.sum(axis=1, keepdims=True) + epsilon
-    if gated:
-        ang = rope_angles(grid, d, positions)
-        num = rotate_pairs(u, ang) @ rotate_pairs(w, ang).T
-    return Tensor(num / den)
+    return Tensor._own(_mila_weights(q, k, grid, gated, epsilon, positions))
 
 
 def mila_attention(q, k, v, grid: GridSpec | None = None,
@@ -484,8 +488,8 @@ def mila_attention(q, k, v, grid: GridSpec | None = None,
     """
     q, k, v = as_array(q), as_array(k), as_array(v)
     _check_qkv(q, k, v)
-    coeff = mila_coefficients(q, k, grid, gated=True, epsilon=epsilon, positions=positions)
-    out = coeff.array @ v
+    grid = grid or GridSpec.linear(q.shape[0])
+    out = _mila_weights(q, k, grid, True, epsilon, positions) @ v
     if lepe_kernel is not None:
-        out = out + lepe(v, lepe_kernel, grid or GridSpec.linear(v.shape[0])).array
-    return Tensor(out)
+        out = out + depthwise_conv_grid(v, lepe_kernel.taps, grid.height, grid.width)
+    return Tensor._own(out)

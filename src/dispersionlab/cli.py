@@ -140,7 +140,7 @@ def _ensure_out(path: str) -> str:
 def cmd_disperse(args) -> int:
     try:
         kernel = KernelSpec.from_json(args.kernel) if args.kernel else None
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise _UsageError(f"bad --kernel: {exc}")
     n_values = _parse_n_list(args.n)
     win = WindowSpec(args.w) if args.variant == "window" else None
@@ -341,8 +341,11 @@ def cmd_bench(args) -> int:
 
 def _load_config(path: str | None, averaging: str | None) -> ModelConfig:
     if path:
-        with open(path) as fh:
-            cfg = ModelConfig.from_json(fh.read())
+        try:
+            with open(path) as fh:
+                cfg = ModelConfig.from_json(fh.read())
+        except (OSError, TypeError, ValueError) as exc:
+            raise _UsageError(f"bad --config {path!r}: {exc}")
     else:
         cfg = ModelConfig(stage_dims=(8,), stage_depths=(1,), stage_heads=(1,),
                           window=2, patch_size=4, num_classes=2, image_size=32,

@@ -317,7 +317,7 @@ def forward(cfg: ModelConfig, params: dict[str, np.ndarray], images) -> Tensor:
     tape = ag.Tape(record=False)
     tp = _trace_params(tape, params)
     logits = _forward_traced(tape, tp, cfg, as_array(images))
-    return Tensor(logits.value)
+    return Tensor._own(logits.value)
 
 
 def forward_with_capture(cfg: ModelConfig, params: dict[str, np.ndarray], images):
@@ -326,7 +326,7 @@ def forward_with_capture(cfg: ModelConfig, params: dict[str, np.ndarray], images
     tp = _trace_params(tape, params)
     capture: list = []
     logits = _forward_traced(tape, tp, cfg, as_array(images), capture)
-    return Tensor(logits.value), capture
+    return Tensor._own(logits.value), capture
 
 
 # ---------------------------------------------------------------------------

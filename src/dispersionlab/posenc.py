@@ -116,7 +116,7 @@ def rope_apply(x, grid: GridSpec, positions=None) -> Tensor:
     n, d = x.shape
     if n != grid.n:
         raise DimensionError(f"grid holds {grid.n} tokens but input has {n} rows")
-    return Tensor(rotate_pairs(x, rope_angles(grid, d, positions)))
+    return Tensor._own(rotate_pairs(x, rope_angles(grid, d, positions)))
 
 
 @dataclass(frozen=True)
@@ -195,4 +195,4 @@ def lepe(v, kernel: DepthwiseKernel, grid: GridSpec) -> Tensor:
     v = as_array(v)
     if v.ndim != 2:
         raise DimensionError(f"lepe expects n x d input, got {v.shape}")
-    return Tensor(depthwise_conv_grid(v, kernel.taps, grid.height, grid.width))
+    return Tensor._own(depthwise_conv_grid(v, kernel.taps, grid.height, grid.width))

@@ -23,10 +23,8 @@ from .tensor import Tensor, as_array
 
 def _as_stacked(seq) -> np.ndarray:
     """A per-step sequence of Tensors/arrays, or an already-stacked array."""
-    if isinstance(seq, np.ndarray):
-        return np.asarray(seq, dtype=np.float64)
-    if isinstance(seq, Tensor):
-        return seq.array.astype(np.float64)
+    if isinstance(seq, (np.ndarray, Tensor)):
+        return as_array(seq)
     return np.stack([as_array(t) for t in seq], axis=0)
 
 
@@ -124,9 +122,9 @@ def ssm_scan(p: SsmParams, x) -> tuple[list[Tensor], Tensor]:
     for i in range(p.n):
         inject = p.B[i] @ (p.Delta[i] * x[i])[None, :]  # (d_state, C)
         h = p.A_tilde[i] * h + inject
-        h_seq.append(Tensor(h))
+        h_seq.append(Tensor._own(h))
         y[i] = (p.C_out[i] @ h)[0] + p.D[0] * x[i]
-    return h_seq, Tensor(y)
+    return h_seq, Tensor._own(y)
 
 
 def ssm_closed_form(p: SsmParams, x, m: int) -> tuple[Tensor, Tensor]:
@@ -151,7 +149,7 @@ def ssm_closed_form(p: SsmParams, x, m: int) -> tuple[Tensor, Tensor]:
         driven = driven + suffix[i + 1] * inject
     h_m = homogeneous + driven
     y_m = (p.C_out[m - 1] @ homogeneous)[0] + (p.C_out[m - 1] @ driven)[0] + p.D[0] * x[m - 1]
-    return Tensor(h_m), Tensor(y_m[None, :])
+    return Tensor._own(h_m), Tensor._own(y_m[None, :])
 
 
 def causal_linear_recursive(q, k, v, epsilon: float = 1e-6) -> Tensor:
@@ -176,18 +174,16 @@ def causal_linear_recursive(q, k, v, epsilon: float = 1e-6) -> Tensor:
         if abs(den) < epsilon:
             raise DegenerateQueryError(f"causal denominator degenerate at step {i + 1}")
         y[i] = (u[i] @ state) / den
-    return Tensor(y)
+    return Tensor._own(y)
 
 
 def causal_linear_masked(q, k, v, epsilon: float = 1e-6) -> Tensor:
     """Quadratic-form causal linear attention (the masked oracle)."""
     q, k, v = as_array(q), as_array(k), as_array(v)
     u, w = elu_plus_one(q), elu_plus_one(k)
-    logits = u @ w.T
-    mask = np.tril(np.ones_like(logits))
-    logits = logits * mask
+    logits = np.tril(u @ w.T)
     den = logits.sum(axis=1, keepdims=True) + epsilon
-    return Tensor((logits @ v) / den)
+    return Tensor._own((logits @ v) / den)
 
 
 def mamba_as_attention(p: SsmParams, x) -> Tensor:
@@ -212,7 +208,7 @@ def mamba_as_attention(p: SsmParams, x) -> Tensor:
             acc = acc + (p.C_out[m - 1] @ (k_tilde * v_tilde[None, :]))[0]
             suffix = suffix * p.A_tilde[i - 1]
         y[m - 1] = acc + p.D[0] * x[m - 1]
-    return Tensor(y)
+    return Tensor._own(y)
 
 
 def decayed_key_magnitudes(p: SsmParams, m: int) -> np.ndarray:

@@ -1,8 +1,11 @@
 """Dense tensor substrate for the attention and state-space modules.
 
 A Tensor is an immutable, row-major, double-precision array of rank 1 to 4.
-Library operations compute with numpy in double precision and return a
-fresh Tensor, so no result aliases its inputs.
+Caller data enters through the public constructor, which copies it once, so
+later changes to the caller's array do not reach the tensor. Library
+operations compute a fresh numpy array and wrap it in place with
+``Tensor._own``, without a copy. Either way the array is checked once for
+rank, shape and finiteness and marked read-only.
 """
 
 from __future__ import annotations
@@ -13,31 +16,39 @@ import numpy as np
 
 from .errors import DimensionError
 
-_DTYPES = {"float64": np.float64, "float32": np.float32}
+
+def _checked(arr: np.ndarray) -> np.ndarray:
+    """Validate rank 1-4, positive dimensions and finite values; freeze arr."""
+    if arr.ndim < 1 or arr.ndim > 4:
+        raise DimensionError(f"rank must be 1..4, got shape {arr.shape}")
+    if any(s <= 0 for s in arr.shape):
+        raise DimensionError(f"all dimensions must be positive, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("tensor values must be finite")
+    arr.flags.writeable = False
+    return arr
 
 
 class Tensor:
-    """Immutable dense array, rank 1-4, row-major.
+    """Immutable dense float64 array, rank 1-4.
 
-    Double precision by default; ``dtype="float32"`` exists for the
-    complexity benchmarks only. The wrapped numpy buffer is marked
-    read-only, so a Tensor is safe to share across threads.
+    ``Tensor(data)`` copies caller data into a fresh row-major array, so
+    later changes to ``data`` do not reach the tensor. Library results are
+    wrapped without a copy by ``Tensor._own``. The wrapped buffer is
+    read-only in both cases, so a Tensor is safe to share across threads.
     """
 
     __slots__ = ("_array",)
 
-    def __init__(self, data, dtype: str = "float64"):
-        if dtype not in _DTYPES:
-            raise ValueError(f"unsupported dtype {dtype!r}")
-        arr = np.array(data, dtype=_DTYPES[dtype], order="C")
-        if arr.ndim < 1 or arr.ndim > 4:
-            raise DimensionError(f"rank must be 1..4, got shape {arr.shape}")
-        if any(s <= 0 for s in arr.shape):
-            raise DimensionError(f"all dimensions must be positive, got {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("tensor values must be finite")
-        arr.flags.writeable = False
-        self._array = arr
+    def __init__(self, data):
+        self._array = _checked(np.array(data, dtype=np.float64, order="C"))
+
+    @classmethod
+    def _own(cls, arr: np.ndarray) -> "Tensor":
+        """Wrap, without a copy, a fresh float64 array that nothing else writes to."""
+        t = cls.__new__(cls)
+        t._array = _checked(arr)
+        return t
 
     @property
     def array(self) -> np.ndarray:
@@ -49,19 +60,12 @@ class Tensor:
         return self._array.shape
 
     @property
-    def rank(self) -> int:
-        return self._array.ndim
-
-    @property
     def size(self) -> int:
         return self._array.size
 
     @property
     def dtype(self) -> str:
         return str(self._array.dtype)
-
-    def tolist(self):
-        return self._array.tolist()
 
     def __repr__(self) -> str:
         return f"Tensor(shape={list(self.shape)}, dtype={self.dtype})"
@@ -89,15 +93,7 @@ class Tensor:
             raise DimensionError(
                 f"data length {data.size} does not match shape {shape}"
             )
-        return cls(data.reshape(shape))
-
-    @classmethod
-    def zeros(cls, *shape: int, dtype: str = "float64") -> "Tensor":
-        return cls(np.zeros(shape), dtype=dtype)
-
-    @classmethod
-    def ones(cls, *shape: int, dtype: str = "float64") -> "Tensor":
-        return cls(np.ones(shape), dtype=dtype)
+        return cls._own(data.reshape(shape))
 
 
 def as_array(x) -> np.ndarray:

@@ -66,6 +66,23 @@ class TestExitCodes:
         self.assert_usage_error(["train-toy", "--epochs", "-3", "--out", str(tmp_path)],
                                 capsys, "--epochs")
 
+    @pytest.mark.parametrize("kernel", ['[1, 2]', '"softmax"', '{"theta": "x"}',
+                                        '{"phi_p": null}'])
+    def test_disperse_malformed_kernel_is_usage_error(self, kernel, tmp_path, capsys):
+        # a non-object used to end in an AttributeError, a mistyped field in a TypeError
+        self.assert_usage_error(["disperse", "--variant", "softmax", "--kernel", kernel,
+                                 "--out", str(tmp_path)], capsys, "--kernel")
+
+    @pytest.mark.parametrize("command", ["train-toy", "probe-rf"])
+    @pytest.mark.parametrize("content", [None, "{nope", '{"bogus": 1}'],
+                             ids=["missing", "not-json", "unknown-key"])
+    def test_malformed_config_is_usage_error(self, command, content, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        if content is not None:
+            path.write_text(content)
+        self.assert_usage_error([command, "--config", str(path), "--out", str(tmp_path / "out")],
+                                capsys, "--config")
+
     @pytest.mark.parametrize("flag,value", [("--step", "0"), ("--tol", "0"),
                                             ("--tol", "-1e-5"), ("--tol", "nan")])
     def test_gradcheck_non_positive_step_or_tol_is_usage_error(self, flag, value, capsys):
