@@ -181,7 +181,9 @@ def causal_linear_masked(q, k, v, epsilon: float = 1e-6) -> Tensor:
     """Quadratic-form causal linear attention (the masked oracle)."""
     q, k, v = as_array(q), as_array(k), as_array(v)
     u, w = elu_plus_one(q), elu_plus_one(k)
-    logits = np.tril(u @ w.T)
+    logits = u @ w.T
+    mask = np.tril(np.ones_like(logits))
+    logits = logits * mask
     den = logits.sum(axis=1, keepdims=True) + epsilon
     return Tensor._own((logits @ v) / den)
 

@@ -1,54 +1,52 @@
 """Dense tensor substrate for the attention and state-space modules.
 
-A Tensor is an immutable, row-major, double-precision array of rank 1 to 4.
-Caller data enters through the public constructor, which copies it once, so
-later changes to the caller's array do not reach the tensor. Library
-operations compute a fresh numpy array and wrap it in place with
-``Tensor._own``, without a copy. Either way the array is checked once for
-rank, shape and finiteness and marked read-only.
+A Tensor is an immutable float64 array of rank 1 to 4. The constructor copies
+caller data once into a fresh row-major array; ``Tensor._own`` wraps a library
+result in place, which may be a read-only broadcast view (``homogeneous_mix``).
+Either way the array is checked once for rank, shape and finiteness and frozen.
 """
 
 from __future__ import annotations
 
 import json
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionError
 
 
-def _checked(arr: np.ndarray) -> np.ndarray:
-    """Validate rank 1-4, positive dimensions and finite values; freeze arr."""
-    if arr.ndim < 1 or arr.ndim > 4:
-        raise DimensionError(f"rank must be 1..4, got shape {arr.shape}")
-    if any(s <= 0 for s in arr.shape):
-        raise DimensionError(f"all dimensions must be positive, got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("tensor values must be finite")
-    arr.flags.writeable = False
-    return arr
+class _Fresh(NamedTuple):
+    """A library-computed array handed to the constructor without a copy."""
+
+    array: np.ndarray
 
 
 class Tensor:
     """Immutable dense float64 array, rank 1-4.
 
-    ``Tensor(data)`` copies caller data into a fresh row-major array, so
-    later changes to ``data`` do not reach the tensor. Library results are
-    wrapped without a copy by ``Tensor._own``. The wrapped buffer is
-    read-only in both cases, so a Tensor is safe to share across threads.
+    ``Tensor(data)`` copies caller data, so later changes to ``data`` do not
+    reach the tensor; ``Tensor._own`` wraps a library result without a copy.
+    The buffer is read-only and checked once, so a Tensor is safe to share.
     """
 
     __slots__ = ("_array",)
 
     def __init__(self, data):
-        self._array = _checked(np.array(data, dtype=np.float64, order="C"))
+        arr = data.array if type(data) is _Fresh else np.array(data, np.float64, order="C")
+        if arr.ndim < 1 or arr.ndim > 4:
+            raise DimensionError(f"rank must be 1..4, got shape {arr.shape}")
+        if any(s <= 0 for s in arr.shape):
+            raise DimensionError(f"all dimensions must be positive, got {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("tensor values must be finite")
+        arr.flags.writeable = False
+        self._array = arr
 
     @classmethod
     def _own(cls, arr: np.ndarray) -> "Tensor":
         """Wrap, without a copy, a fresh float64 array that nothing else writes to."""
-        t = cls.__new__(cls)
-        t._array = _checked(arr)
-        return t
+        return cls(_Fresh(arr))
 
     @property
     def array(self) -> np.ndarray:

@@ -61,6 +61,14 @@ class TestTensorType:
         assert src.flags.writeable
         assert not np.shares_memory(t.array, src)
 
+    def test_owning_wrap_does_not_copy(self):
+        arr = np.array([[1.0, 2.0], [3.0, 4.0]])
+        t = Tensor._own(arr)
+        assert t.array is arr
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            Tensor._own(np.array([np.inf]))
+
     def test_json_round_trip(self):
         t = Tensor([[1.0, 2.5], [3.0, -4.0]])
         back = Tensor.from_json(t.to_json())
