@@ -7,6 +7,10 @@ sum of input injections, each decayed by the suffix run of factors after
 it. With h_0 = 0 the output is exactly an unnormalized causal attention
 whose keys carry the decay products, which is why the mechanism forgets
 distant tokens instead of dispersing over them.
+
+The closed form, the attention form and the decayed keys read one table of
+suffix products A_{i+1} (*) ... (*) A_m (``_suffix_products``); ``ssm_scan``
+shares no code with it, so it stays an independent check of both.
 """
 
 from __future__ import annotations
@@ -127,6 +131,13 @@ def ssm_scan(p: SsmParams, x) -> tuple[list[Tensor], Tensor]:
     return h_seq, Tensor._own(y)
 
 
+def _suffix_products(p: SsmParams, m: int) -> np.ndarray:
+    """(m + 1, d_state, C) table: s[i] = A[i] (*) ... (*) A[m - 1], s[m] = ones."""
+    s = np.ones((m + 1, p.d_state, p.channels))
+    s[:m] = np.cumprod(p.A_tilde[m - 1::-1], axis=0)[::-1]  # grown backwards from A[m - 1]
+    return s
+
+
 def ssm_closed_form(p: SsmParams, x, m: int) -> tuple[Tensor, Tensor]:
     """Evaluate the product-sum solution at step m (1-based).
 
@@ -138,15 +149,12 @@ def ssm_closed_form(p: SsmParams, x, m: int) -> tuple[Tensor, Tensor]:
     _check_x(p, x)
     if not 1 <= m <= p.n:
         raise IndexError(f"m must be in 1..{p.n}, got {m}")
-    # suffix[i] = elementwise prod of A_{i+1} .. A_m (ones when i == m)
-    suffix = np.ones((m + 1, p.d_state, p.channels))
-    for i in range(m - 1, -1, -1):
-        suffix[i] = suffix[i + 1] * p.A_tilde[i]
-    homogeneous = suffix[0] * p.h0  # suffix[0] = prod of all m factors
-    driven = np.zeros((p.d_state, p.channels))
-    for i in range(m):
-        inject = p.B[i] @ (p.Delta[i] * x[i])[None, :]
-        driven = driven + suffix[i + 1] * inject
+    s = _suffix_products(p, m)
+    homogeneous = s[0] * p.h0  # s[0] = prod of all m factors
+    inject = p.B[:m] @ (p.Delta[:m] * x[:m])[:, None, :]  # (m, d_state, C)
+    # the last cumsum row adds the terms one at a time in step order, as a loop
+    # would; a plain sum(axis=0) may pair them and move the last bit
+    driven = np.cumsum(s[1:] * inject, axis=0)[-1]
     h_m = homogeneous + driven
     y_m = (p.C_out[m - 1] @ homogeneous)[0] + (p.C_out[m - 1] @ driven)[0] + p.D[0] * x[m - 1]
     return Tensor._own(h_m), Tensor._own(y_m[None, :])
@@ -199,17 +207,13 @@ def mamba_as_attention(p: SsmParams, x) -> Tensor:
     _check_x(p, x)
     if np.any(p.h0 != 0):
         raise PreconditionError("the attention rewriting assumes h0 = 0")
+    v = p.Delta * x  # (n, C)
     y = np.empty_like(x)
     for m in range(1, p.n + 1):
-        suffix = np.ones((p.d_state, p.channels))
-        acc = np.zeros(p.channels)
-        # walk i = m..1 so the suffix product grows one factor at a time
-        for i in range(m, 0, -1):
-            k_tilde = suffix * p.B[i - 1]  # (d_state, C)
-            v_tilde = p.Delta[i - 1] * x[i - 1]  # (C,)
-            acc = acc + (p.C_out[m - 1] @ (k_tilde * v_tilde[None, :]))[0]
-            suffix = suffix * p.A_tilde[i - 1]
-        y[m - 1] = acc + p.D[0] * x[m - 1]
+        keys = _suffix_products(p, m)[1:] * p.B[:m]  # (m, d_state, C)
+        terms = p.C_out[m - 1] @ (keys * v[:m, None, :])  # (m, 1, C)
+        # summed one term at a time from key m down to key 1 (see ssm_closed_form)
+        y[m - 1] = np.cumsum(terms[::-1], axis=0)[-1, 0] + p.D[0] * x[m - 1]
     return Tensor._own(y)
 
 
@@ -217,12 +221,7 @@ def decayed_key_magnitudes(p: SsmParams, m: int) -> np.ndarray:
     """Max-entry magnitude of each decayed key feeding output step m."""
     if not 1 <= m <= p.n:
         raise IndexError(f"m must be in 1..{p.n}")
-    out = np.empty(m)
-    suffix = np.ones((p.d_state, p.channels))
-    for i in range(m, 0, -1):
-        out[i - 1] = np.abs(suffix * p.B[i - 1]).max()
-        suffix = suffix * p.A_tilde[i - 1]
-    return out
+    return np.abs(_suffix_products(p, m)[1:] * p.B[:m]).max(axis=(1, 2))
 
 
 def forgetting_horizon(p: SsmParams, threshold: float) -> list[int]:

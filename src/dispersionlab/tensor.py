@@ -1,9 +1,10 @@
 """Dense tensor substrate for the attention and state-space modules.
 
 A Tensor is an immutable float64 array of rank 1 to 4. The constructor copies
-caller data once into a fresh row-major array; ``Tensor._own`` wraps a library
-result in place, which may be a read-only broadcast view (``homogeneous_mix``).
-Either way the array is checked once for rank, shape and finiteness and frozen.
+caller data, a Tensor included, once into a fresh row-major array; ``Tensor._own``
+wraps a library result in place, which may be a read-only broadcast view
+(``homogeneous_mix``). Either way the array is checked once for rank, shape and
+finiteness and frozen.
 """
 
 from __future__ import annotations
@@ -33,12 +34,16 @@ class Tensor:
     __slots__ = ("_array",)
 
     def __init__(self, data):
+        if isinstance(data, Tensor):  # caller data like any other: copied below
+            data = data.array
         arr = data.array if type(data) is _Fresh else np.array(data, np.float64, order="C")
         if arr.ndim < 1 or arr.ndim > 4:
             raise DimensionError(f"rank must be 1..4, got shape {arr.shape}")
         if any(s <= 0 for s in arr.shape):
             raise DimensionError(f"all dimensions must be positive, got {arr.shape}")
-        if not np.isfinite(arr).all():
+        # a broadcast view repeats its values along zero-stride axes; read each once
+        distinct = arr[tuple(slice(None) if st else slice(1) for st in arr.strides)]
+        if not np.isfinite(distinct).all():
             raise ValueError("tensor values must be finite")
         arr.flags.writeable = False
         self._array = arr

@@ -37,14 +37,10 @@ def window_attention(q, k, v, w: int):
     return ag.blocked_softmax_attention(q, k, v, w)
 
 
-def sema_attention(q, k, v, w: int, mix_block: int | None = None):
-    """Window softmax attention plus homogeneous mixing.
-
-    mix_block defaults to the full sequence; batched callers pass the
-    per-sample token count so each sample mixes only its own values.
-    """
+def sema_attention(q, k, v, w: int):
+    """Window softmax attention plus homogeneous mixing over the whole sequence."""
     wa = ag.blocked_softmax_attention(q, k, v, w)
-    return ag.add(wa, ag.blocked_mean_broadcast(v, mix_block or v.shape[0]))
+    return ag.add(wa, ag.blocked_mean_broadcast(v, v.shape[0]))
 
 
 def mila_attention(q, k, v, grid: GridSpec | None = None, taps=None,
@@ -62,8 +58,8 @@ def mila_attention(q, k, v, grid: GridSpec | None = None, taps=None,
 
 
 def sema_attention_full(x, wq, wk, wv, taps, w: int, grid: GridSpec,
-                        rope_on_values: bool = False, mix_block: int | None = None):
-    """Traced twin of the full SEMA pipeline (project, window, rotate, mix)."""
+                        rope_on_values: bool = False):
+    """Traced twin of the full SEMA pipeline (project, window, rotate, mix all n rows)."""
     n, d = x.shape
     q, k, v = ag.matmul(x, wq), ag.matmul(x, wk), ag.matmul(x, wv)
     ang = rope_angles(GridSpec.linear(w), d)  # every window rotates by its local positions
@@ -71,4 +67,4 @@ def sema_attention_full(x, wq, wk, wv, taps, w: int, grid: GridSpec,
     vr = ag.rope_rotate(v, ang) if rope_on_values else v
     out = ag.blocked_softmax_attention(qr, kr, vr, w)
     out = ag.add(out, ag.depthwise_conv(v, taps, grid.height, grid.width))
-    return ag.add(out, ag.blocked_mean_broadcast(v, mix_block or n))
+    return ag.add(out, ag.blocked_mean_broadcast(v, n))

@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dispersionlab.errors import DimensionError, PreconditionError
 from dispersionlab.rng import rng_for
@@ -130,6 +132,66 @@ class TestScanAndClosedForm:
         h_seq, y = ssm_scan(p, np.asarray(fixture["x"]))
         np.testing.assert_allclose(y.array, fixture["expected_y"], atol=1e-15)
         np.testing.assert_allclose(h_seq[-1].array, fixture["expected_h_last"], atol=1e-15)
+
+    def test_forms_golden_fixture(self):
+        """The closed form at every m and the attention form, bit for bit."""
+        fixtures = os.path.join(os.path.dirname(__file__), "fixtures")
+        with open(os.path.join(fixtures, "ssm_golden.json")) as fh:
+            instance = json.load(fh)
+        with open(os.path.join(fixtures, "ssm_forms_golden.json")) as fh:
+            expected = json.load(fh)
+        p = SsmParams.from_json(json.dumps(instance["params"]))
+        x = np.asarray(instance["x"])
+        for m in range(1, p.n + 1):
+            h_m, y_m = ssm_closed_form(p, x, m)
+            assert np.array_equal(h_m.array, expected["closed_form_h"][m - 1])
+            assert np.array_equal(y_m.array, expected["closed_form_y"][m - 1])
+        p0 = SsmParams(p.A_tilde, p.B, p.C_out, p.D, p.Delta, np.zeros_like(p.h0))
+        assert np.array_equal(mamba_as_attention(p0, x).array, expected["attention_y"])
+
+
+class TestThreeForms:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 48), d_state=st.integers(1, 8),
+           channels=st.integers(1, 8),
+           decay_range=st.sampled_from([(0.05, 1.0), (0.5, 1.0), (1.0, 1.0)]))
+    def test_scan_closed_and_attention_forms_agree(self, seed, n, d_state, channels,
+                                                   decay_range):
+        rng = rng_for(seed, "three-forms", n, d_state, channels)
+        p = make_params(rng, n=n, d_state=d_state, channels=channels, decay_range=decay_range)
+        x = rng.standard_normal((n, channels))
+        h_seq, y = ssm_scan(p, x)
+        for m in range(1, n + 1):
+            h_m, y_m = ssm_closed_form(p, x, m)
+            assert np.abs(h_m.array - h_seq[m - 1].array).max() < 1e-12
+            assert np.abs(y_m.array[0] - y.array[m - 1]).max() < 1e-12
+            assert decayed_key_magnitudes(p, m)[m - 1] == np.abs(p.B[m - 1]).max()
+        p0 = SsmParams(p.A_tilde, p.B, p.C_out, p.D, p.Delta, np.zeros_like(p.h0))
+        _, y0 = ssm_scan(p0, x)
+        assert np.abs(mamba_as_attention(p0, x).array - y0.array).max() < 1e-12
+
+    @pytest.mark.parametrize("d_state,channels", [(1, 1), (3, 2), (8, 8)])
+    def test_sums_follow_step_order(self, d_state, channels):
+        """Both forms add their terms one at a time, bit for bit, in step order."""
+        rng = rng_for(20, "step-order", d_state, channels)
+        n = 40
+        p = make_params(rng, n=n, d_state=d_state, channels=channels, zero_h0=True)
+        x = rng.standard_normal((n, p.channels))
+        v = p.Delta * x
+        y_attn = mamba_as_attention(p, x).array
+        for m in range(1, n + 1):
+            decay = [np.ones((p.d_state, p.channels))]
+            for i in range(m - 1, 0, -1):  # the product grows backwards from step m
+                decay.append(decay[-1] * p.A_tilde[i])
+            decay = decay[::-1]  # decay[i] = A[i + 1] (*) ... (*) A[m - 1]
+            driven = np.zeros((p.d_state, p.channels))
+            for i in range(m):  # oldest injection first
+                driven = driven + decay[i] * (p.B[i] @ v[i][None, :])
+            acc = np.zeros(p.channels)
+            for i in range(m - 1, -1, -1):  # newest key first
+                acc = acc + (p.C_out[m - 1] @ (decay[i] * p.B[i] * v[i]))[0]
+            assert np.array_equal(ssm_closed_form(p, x, m)[0].array, driven)
+            assert np.array_equal(y_attn[m - 1], acc + p.D[0] * x[m - 1])
 
 
 class TestCausalLinear:

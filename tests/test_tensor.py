@@ -61,6 +61,21 @@ class TestTensorType:
         assert src.flags.writeable
         assert not np.shares_memory(t.array, src)
 
+    def test_constructor_copies_a_tensor(self):
+        old = Tensor([1.0, 2.0])
+        new = Tensor(old)
+        assert new == old
+        assert not np.shares_memory(new.array, old.array)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_broadcast_view_checked_for_finiteness(self, bad):
+        row = np.arange(8.0)[None, :]
+        row[0, 5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Tensor._own(np.broadcast_to(row, (4096, 8)))
+        with pytest.raises(ValueError, match="finite"):
+            Tensor._own(np.broadcast_to(row.T, (8, 4096)))
+
     def test_owning_wrap_does_not_copy(self):
         arr = np.array([[1.0, 2.0], [3.0, 4.0]])
         t = Tensor._own(arr)
