@@ -6,6 +6,11 @@ sweeps over growing sequence lengths (the max coefficient must decay like
 windowed attention with fixed window content), the heavy-tailed-logit
 counterexample where a query keeps attending to the first key, and
 multiply-add cost models for the complexity claims.
+
+A sweep cell never builds its n x n matrix: query rows stream through one
+scratch block of about attention._CHUNK_BUDGET entries, and a cell keeps only
+the coefficient and logit extrema. perfbench's tracer wraps _variant_cell by
+name, so its name, positional signature and result shape are an interface.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attention import (KernelSpec, WindowSpec, phi_values, _apply_psi, _blocks, _normalize,
-                        _phi_weights)
+                        _phi_weights, _row_blocks, _ROW_TILE)
 from .errors import BoundViolationError, ConfigurationError, DimensionError
 from .rng import rng_for
 
@@ -168,32 +173,83 @@ class DispersionReport:
         return cls(**json.loads(text))
 
 
+@dataclass(frozen=True)
+class CellExtrema:
+    """Smallest and largest coefficient of one draw; size counts the coefficients."""
+
+    cmin: float
+    cmax: float
+    size: int
+
+
 def _variant_cell(variant: str, kernel: KernelSpec, q: np.ndarray, k: np.ndarray,
                   win: WindowSpec | None, epsilon: float = 1e-6):
-    """Coefficients plus their sample-specific rigorous bounds for one draw."""
+    """Coefficient extrema plus their sample-specific rigorous bounds for one draw.
+
+    Global variants stream query rows through attention._row_blocks: each block
+    of logits updates the running logit extrema, is normalized in place (every
+    row still passes the kernel's domain checks) and updates the running
+    coefficient extrema, so no n x n array is built. Normalization is within
+    a row and the blocks keep each row's product, so with one BLAS thread
+    every coefficient is bitwise that of the whole matrix. The window
+    variant's n x w coefficients are one batched array. The bound comes from
+    the global logit extrema at the end.
+
+    perfbench wraps this function by name: it labels a call by args[0], meters
+    it by args[2].shape[0] and adds result[0].size to its count of checked
+    coefficients. So the name, the positional (variant, kernel, q, k, win)
+    signature and CellExtrema.size are an interface.
+    """
     n = q.shape[0]
-    block = n
+    fq = _apply_psi(q, kernel.psi_q, kernel.psi_p)
+    fk = _apply_psi(k, kernel.psi_k, kernel.psi_p)
     if variant == "window":
         if win is None:
             raise ValueError("window variant requires a WindowSpec")
         if n % win.w != 0:
             raise DimensionError(f"window {win.w} does not divide n={n}")
         block = win.w
-    fq = _apply_psi(q, kernel.psi_q, kernel.psi_p)
-    fk = _apply_psi(k, kernel.psi_k, kernel.psi_p)
-    logits = _blocks(fq, block) @ _blocks(fk, block).transpose(0, 2, 1)
-    lo_logit, hi_logit = float(logits.min()), float(logits.max())
+        chunks = [(None, _blocks(fq, block) @ _blocks(fk, block).transpose(0, 2, 1))]
+    else:
+        block = n
+        chunks = _row_blocks(fq, fk, _ROW_TILE)
+    # numpy extrema propagate a NaN, as a min over the whole matrix would
+    lo_logit, hi_logit, cmin, cmax = np.inf, -np.inf, np.inf, -np.inf
+    for _, logits in chunks:
+        lo_logit = np.minimum(lo_logit, logits.min())
+        hi_logit = np.maximum(hi_logit, logits.max())
+        if variant == "mila":
+            # un-gated ratio with the stabilizer in the denominator; the epsilon
+            # keeps the true coefficient at or below the textbook lower bound, so
+            # the rigorous lower bound carries the epsilon too
+            logits /= logits.sum(axis=-1, keepdims=True) + epsilon
+        else:
+            _normalize(kernel, _phi_weights(kernel, logits))
+        cmin = np.minimum(cmin, logits.min())
+        cmax = np.maximum(cmax, logits.max())
+    extrema = CellExtrema(float(cmin), float(cmax), n * block)
+    lo_logit, hi_logit = float(lo_logit), float(hi_logit)
     if variant == "mila":
-        # un-gated ratio with the stabilizer in the denominator; the epsilon
-        # keeps the true coefficient at or below the textbook lower bound, so
-        # the rigorous lower bound carries the epsilon too
-        den = logits.sum(axis=-1, keepdims=True) + epsilon
-        coeff = (logits / den).reshape(n, n)
         pa, pb = phi_values(kernel, lo_logit), phi_values(kernel, hi_logit)
-        return coeff, (float(pa / (n * pb + epsilon)), float(pb / (n * pa)))
-    coeff = _normalize(kernel, _phi_weights(kernel, logits)).reshape(n, block)
+        return extrema, (float(pa / (n * pb + epsilon)), float(pb / (n * pa)))
     spec = BoundSpec.from_logit_range(variant, kernel, lo_logit, hi_logit, block)
-    return coeff, coefficient_bounds(spec)
+    return extrema, coefficient_bounds(spec)
+
+
+def _env_threads() -> int:
+    """Sweep worker count from DISPERSION_LAB_THREADS (default 1).
+
+    Anything but an integer >= 1 raises ConfigurationError, so a typo fails
+    at the edge instead of running serially or dying in int().
+    """
+    text = os.environ.get("DISPERSION_LAB_THREADS", "1")
+    try:
+        threads = int(text)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ConfigurationError(f"DISPERSION_LAB_THREADS must be an integer >= 1, got {text!r}")
+    return threads
 
 
 def measure_dispersion(variant: str, kernel: KernelSpec | None, sampler: BoundedSampler,
@@ -202,11 +258,12 @@ def measure_dispersion(variant: str, kernel: KernelSpec | None, sampler: Bounded
                        threads: int | None = None) -> DispersionReport:
     """Empirical dispersion sweep with per-sample bound containment.
 
-    For each n, draws `trials` seeded (q, k) pairs, extracts the variant's
-    coefficient matrix, and checks every coefficient against the bounds
-    computed from that draw's own logit extrema. A violation raises
-    BoundViolationError: the bounds are a test oracle, not advice. The
-    recorded per-n bounds are the loosest per-trial bounds.
+    For each n, draws `trials` seeded (q, k) pairs, streams the variant's
+    coefficients, and checks every coefficient against the bounds computed
+    from that draw's own logit extrema. A violation raises
+    BoundViolationError naming n, trial and seed: the bounds are a test
+    oracle, not advice. The recorded per-n bounds are the loosest per-trial
+    bounds. threads=None reads DISPERSION_LAB_THREADS.
     """
     if variant not in VARIANTS:
         raise ValueError(f"cannot sweep variant {variant!r}")
@@ -222,17 +279,16 @@ def measure_dispersion(variant: str, kernel: KernelSpec | None, sampler: Bounded
         else:
             rng = rng_for(seed, variant, n, trial)
         q, k = sampler.draw(rng, n)
-        coeff, (lo, hi) = _variant_cell(variant, kernel, q, k, win)
-        cmin, cmax = float(coeff.min()), float(coeff.max())
+        extrema, (lo, hi) = _variant_cell(variant, kernel, q, k, win)
+        cmin, cmax = extrema.cmin, extrema.cmax
         if cmin < lo - 1e-15 or cmax > hi + 1e-15:
             raise BoundViolationError(
-                f"{variant}: coefficient outside bounds at n={n}, trial={trial}: "
+                f"{variant}: coefficient outside bounds at n={n}, trial={trial}, seed={seed}: "
                 f"observed [{cmin}, {cmax}], bounds [{lo}, {hi}]"
             )
         return cmin, cmax, lo, hi
 
-    if threads is None:
-        threads = int(os.environ.get("DISPERSION_LAB_THREADS", "1"))
+    threads = _env_threads() if threads is None else threads
     max_c, min_c, ub, lb, med = [], [], [], [], []
     for n in n_values:
         cells = list(range(trials))

@@ -270,6 +270,34 @@ def softmax_attention_coefficients(q, k) -> Tensor:
 
 
 _CHUNK_BUDGET = 1 << 19  # entries per streamed logit block (4 MB in float64)
+# A multiple of every common BLAS register-tile height (2, 3, 4, 6, 8, 12, 16)
+_ROW_TILE = 48
+
+
+def _row_blocks(a: np.ndarray, b: np.ndarray, tile: int = 1):
+    """Yield (rows, a[rows] @ b.T) for consecutive blocks of a's rows.
+
+    Every block is written into one scratch array of about _CHUNK_BUDGET
+    entries (at least 64 rows), so the whole a @ b.T is never materialized;
+    a caller may overwrite each block in place before it asks for the next.
+    Block heights are multiples of tile. With tile=_ROW_TILE every block
+    starts on a BLAS register-tile boundary, so with one BLAS thread each row
+    is bitwise the row of the whole a @ b.T (a threaded BLAS splits the whole
+    product at boundaries of its own). A lone last row joins the block before
+    it, because numpy would hand it to gemv, which rounds differently from
+    gemm. softmax_attention keeps tile=1: its weights-times-values product
+    rounds by block height, and tile=1 keeps the heights it always had.
+    """
+    n, m = a.shape[0], b.shape[0]
+    step = max(tile, max(64, _CHUNK_BUDGET // max(m, 1)) // tile * tile)
+    scratch = np.empty((min(step + 1, n), m))
+    lo = 0
+    while lo < n:
+        hi = n if n - lo <= step + 1 else lo + step
+        block = scratch[: hi - lo]
+        np.matmul(a[lo:hi], b.T, out=block)
+        yield slice(lo, hi), block
+        lo = hi
 
 
 def softmax_attention(q, k, v) -> Tensor:
@@ -282,19 +310,10 @@ def softmax_attention(q, k, v) -> Tensor:
     """
     q, k, v = as_array(q), as_array(k), as_array(v)
     _check_qkv(q, k, v)
-    n = q.shape[0]
     kernel = KernelSpec.softmax()
-    chunk = max(64, _CHUNK_BUDGET // max(n, 1))
-    if n <= chunk:
-        return Tensor._own(_block_coefficients(q, k, kernel) @ v)
-    out = np.empty((n, v.shape[1]))
-    scratch = np.empty((chunk, n))
-    kt = np.ascontiguousarray(k.T)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        block = scratch[: hi - lo]
-        np.matmul(q[lo:hi], kt, out=block)
-        np.matmul(_normalize(kernel, _phi_weights(kernel, block)), v, out=out[lo:hi])
+    out = np.empty((q.shape[0], v.shape[1]))
+    for rows, block in _row_blocks(q, k):
+        np.matmul(_normalize(kernel, _phi_weights(kernel, block)), v, out=out[rows])
     return Tensor._own(out)
 
 

@@ -396,6 +396,30 @@ def _adj_matmul(node, g, vals):
     return g @ b.T, a.T @ g
 
 
+def _adj_gelu(node, g, vals):
+    """g * (0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 a x^2)) in two temporaries.
+
+    Every add and multiply takes the operands of the written-out expression
+    (at most swapped, which IEEE arithmetic does not see), so the gradient is
+    bitwise that of the expression.
+    """
+    x, t = vals[0], node.ctx["t"]
+    out = t * t
+    np.subtract(1.0, out, out=out)
+    tmp = 0.5 * x
+    out *= tmp
+    out *= _GELU_C
+    np.multiply(x, x, out=tmp)
+    tmp *= 3.0 * _GELU_A
+    tmp += 1.0
+    out *= tmp
+    np.add(t, 1.0, out=tmp)
+    tmp *= 0.5
+    out += tmp
+    out *= g
+    return (out,)
+
+
 def _adj_softmax_rows(node, g, vals):
     y = node.value
     return (y * (g - (g * y).sum(axis=1, keepdims=True)),)
@@ -489,11 +513,7 @@ ADJOINTS = {
     "relu": lambda node, g, vals: (g * (vals[0] > 0),),
     # the derivative is 1 where x > 0 (output x + 1 >= 1) and exp(x) = output elsewhere
     "elu_plus_one": lambda node, g, vals: (g * np.minimum(node.value, 1.0),),
-    "gelu": lambda node, g, vals: (
-        g * (0.5 * (1.0 + node.ctx["t"])
-             + 0.5 * vals[0] * (1.0 - node.ctx["t"] ** 2)
-             * _GELU_C * (1.0 + 3.0 * _GELU_A * vals[0] ** 2)),
-    ),
+    "gelu": _adj_gelu,
     "power_int": lambda node, g, vals: (
         g * node.ctx["p"] * vals[0] ** (node.ctx["p"] - 1),
     ),

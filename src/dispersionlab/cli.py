@@ -11,8 +11,8 @@ data).
 Exit codes: 0 success, 1 usage or configuration error, 2 scientific check
 failure (bound violation, equivalence failure, failed gradcheck, training
 divergence). The environment variable DISPERSION_LAB_THREADS caps sweep
-parallelism (default 1; cells derive their RNG from (seed, variant, n,
-trial), so results are schedule-independent).
+parallelism (an integer >= 1, default 1; cells derive their RNG from (seed,
+variant, n, trial), so results are schedule-independent).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shlex
 import sys
 import time
 from datetime import datetime, timezone
@@ -137,6 +138,18 @@ def _ensure_out(path: str) -> str:
 # disperse
 
 
+def _disperse_command(args) -> str:
+    """The ``dispersion-lab disperse`` command line that repeats this run."""
+    argv = ["dispersion-lab", "disperse", "--variant", args.variant, "--n", args.n,
+            "--trials", str(args.trials), "--seed", str(args.seed), "--d", str(args.d),
+            "--logit-bound", repr(args.logit_bound), "--w", str(args.w), "--out", args.out]
+    if args.kernel:
+        argv += ["--kernel", args.kernel]
+    if args.fixed_window_content:
+        argv.append("--fixed-window-content")
+    return shlex.join(argv)
+
+
 def cmd_disperse(args) -> int:
     try:
         kernel = KernelSpec.from_json(args.kernel) if args.kernel else None
@@ -155,11 +168,14 @@ def cmd_disperse(args) -> int:
         report = measure_dispersion(args.variant, kernel, sampler, n_values,
                                     args.trials, args.seed, win=win)
     except BoundViolationError as exc:
-        summary = {"variant": args.variant, "bounds_contained": False, "error": str(exc)}
+        command = _disperse_command(args)
+        summary = {"variant": args.variant, "bounds_contained": False, "error": str(exc),
+                   "reproduce": command}
         outputs = [_write(os.path.join(out_dir, "summary.json"),
                           json.dumps(summary, indent=2, sort_keys=True))]
         _write_manifest(out_dir, "disperse", vars(args), args.seed, outputs)
         print(f"bound violation: {exc}", file=sys.stderr)
+        print(f"reproduce with: {command}", file=sys.stderr)
         return 2
     summary = {
         "variant": args.variant,

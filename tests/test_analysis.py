@@ -1,20 +1,30 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from dispersionlab import analysis, attention
 from dispersionlab.analysis import (
+    VARIANTS,
     BoundSpec,
     BoundedSampler,
     DispersionReport,
     coefficient_bounds,
     complexity_estimate,
+    default_kernel,
     fit_decay_slope,
     instrumented_counts,
     measure_dispersion,
     remark_counterexample,
 )
 from dispersionlab.attention import KernelSpec, WindowSpec
-from dispersionlab.errors import ConfigurationError
+from dispersionlab.errors import BoundViolationError, ConfigurationError, KernelDomainError
 from dispersionlab.rng import rng_for
 
 
@@ -139,6 +149,108 @@ class TestMeasureDispersion:
     def test_ascending_n_required(self):
         with pytest.raises(ValueError):
             measure_dispersion("softmax", None, BoundedSampler(d=4), [16, 8], 2, seed=0)
+
+
+    def test_violation_names_the_seed(self, monkeypatch):
+        # bounds shrunk to the uniform value: every non-uniform draw violates them
+        monkeypatch.setattr(analysis, "coefficient_bounds",
+                            lambda spec: (1.0 / spec.n, 1.0 / spec.n))
+        with pytest.raises(BoundViolationError, match=r"n=8, trial=0, seed=11:"):
+            measure_dispersion("softmax", None, BoundedSampler(d=4), [8, 16, 32], 2, seed=11)
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", ""])
+    def test_bad_thread_variable_rejected(self, value, monkeypatch):
+        monkeypatch.setenv("DISPERSION_LAB_THREADS", value)
+        with pytest.raises(ConfigurationError, match="DISPERSION_LAB_THREADS"):
+            measure_dispersion("softmax", None, BoundedSampler(d=4), [8, 16, 32], 2, seed=0)
+
+    def test_thread_variable_sets_the_worker_count(self, monkeypatch):
+        sampler = BoundedSampler(d=4)
+        serial = measure_dispersion("softmax", None, sampler, [8, 16, 32], 3, seed=5)
+        monkeypatch.setenv("DISPERSION_LAB_THREADS", "3")
+        assert measure_dispersion("softmax", None, sampler, [8, 16, 32], 3, seed=5) == serial
+
+
+def _companion_coefficients(variant, q, k, win):
+    """The variant's whole coefficient matrix from its public attention companion."""
+    if variant == "softmax":
+        return attention.softmax_attention_coefficients(q, k)
+    if variant == "linear":
+        return attention.linear_attention_coefficients(q, k)
+    if variant == "focused":
+        return attention.focused_attention_coefficients(q, k)
+    if variant == "mila":
+        return attention.mila_coefficients(q, k, gated=False)
+    return attention.window_attention_coefficients(q, k, win)
+
+
+@settings(max_examples=80, deadline=None)
+@given(variant=st.sampled_from(VARIANTS), seed=st.integers(0, 2**32 - 1),
+       n=st.integers(1, 260), d=st.integers(1, 16), w=st.integers(1, 8))
+@example(variant="softmax", seed=0, n=97, d=16, w=1)  # lone last row: blocks of 48 and 49
+@example(variant="mila", seed=1, n=145, d=3, w=1)
+def check_streamed_cells(variant, seed, n, d, w):
+    """A cell streamed in blocks of _ROW_TILE rows equals the whole matrix, bitwise.
+
+    Its normalized blocks stacked are the public companion's matrix, its
+    extrema are that matrix's, and its bounds are those of the same cell in
+    one block (n <= 260 fits one block at the real budget).
+    """
+    win = WindowSpec(w) if variant == "window" else None
+    n = max(w, n - n % w) if win else n
+    q, k = BoundedSampler(d, nonneg=variant == "focused").draw(rng_for(seed, "streamed-cell"), n)
+    kernel = default_kernel(variant)
+    streamed, row_blocks = [], analysis._row_blocks
+
+    def keep_normalized_blocks(*args):
+        for rows, block in row_blocks(*args):
+            yield rows, block
+            streamed.append(block.copy())  # the cell has normalized it in place
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(attention, "_CHUNK_BUDGET", 1)
+        mp.setattr(analysis, "_row_blocks", keep_normalized_blocks)
+        extrema, bounds = analysis._variant_cell(variant, kernel, q, k, win)
+    whole = _companion_coefficients(variant, q, k, win).array
+    assert extrema.cmin == whole.min() and extrema.cmax == whole.max()
+    assert extrema.size == whole.size
+    assert bounds == analysis._variant_cell(variant, kernel, q, k, win)[1]
+    if variant != "window":  # one batched n x w array, not streamed
+        assert len(streamed) == max(1, -(-(n - 1) // attention._ROW_TILE))
+        assert np.array_equal(np.concatenate(streamed), whole)
+
+
+class TestStreamedCells:
+    """The sweep streams query-row blocks; its extrema must be the whole matrix's."""
+
+    def test_streamed_cells_equal_whole_matrices(self):
+        # A threaded BLAS splits the whole product at boundaries of its own and
+        # rounds the split rows differently, so the bitwise claim is checked in
+        # a child process with one BLAS thread, as perfbench runs.
+        tests = Path(__file__).resolve().parent
+        env = dict(os.environ, PYTHONPATH=str(tests.parent / "src"), OPENBLAS_NUM_THREADS="1",
+                   OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        code = (f"import sys; sys.path.insert(0, {str(tests)!r}); "
+                "import test_analysis; test_analysis.check_streamed_cells()")
+        child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                               text=True)
+        assert child.returncode == 0, child.stderr[-3000:]
+
+    @pytest.mark.parametrize("n,heights", [(250, [48] * 5 + [10]), (241, [48] * 4 + [49]),
+                                           (48, [48]), (1, [1])])
+    def test_small_budget_spans_many_ragged_blocks(self, n, heights, monkeypatch):
+        # a lone last row joins the block before it
+        monkeypatch.setattr(attention, "_CHUNK_BUDGET", 1)
+        a = np.ones((n, 2))
+        blocks = list(attention._row_blocks(a, a, attention._ROW_TILE))
+        assert [block.shape[0] for _, block in blocks] == heights
+        assert [rows.start for rows, _ in blocks] == [48 * i for i in range(len(heights))]
+
+    def test_zero_queries_still_raise_from_streamed_focused_cells(self, monkeypatch):
+        monkeypatch.setattr(attention, "_CHUNK_BUDGET", 1)
+        sampler = BoundedSampler(d=8, nonneg=True, zero_queries=True)
+        with pytest.raises(KernelDomainError, match="denominator"):
+            measure_dispersion("focused", None, sampler, [64, 128, 256], 1, seed=0)
 
 
 class TestComplexity:

@@ -285,6 +285,16 @@ class TestGeluCube:
         x = rng_for(20, "gelu-gc").standard_normal((8, 16))
         assert ag.gradcheck(lambda a: ag.sum_all(ag.mul(ag.gelu(a), a)), [x]).passed
 
+    def test_adjoint_bitwise_equal_to_written_out_expression(self):
+        rng = rng_for(21, "gelu-adjoint")
+        x = rng.standard_normal((16384, 32)) * 3.0
+        g = rng.standard_normal((16384, 32))
+        node = ag.gelu(ag.leaf(ag.Tape(), x)).node
+        t, c, a = node.ctx["t"], ag._GELU_C, ag._GELU_A
+        want = g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * c * (1.0 + 3.0 * a * x ** 2))
+        (got,) = ag.ADJOINTS["gelu"](node, g, (x,))
+        assert np.array_equal(got, want)
+
 
 def _per_head(op, q, k, v, block, heads):
     """Reference composition: slice each head's columns, attend, concatenate."""

@@ -1,8 +1,10 @@
 import json
 import os
+import shlex
 
 import pytest
 
+from dispersionlab import analysis
 from dispersionlab.cli import main
 from dispersionlab.model import ModelConfig
 
@@ -54,6 +56,17 @@ class TestExitCodes:
     def test_ssm_check_zero_instances_is_usage_error(self, capsys):
         # zero instances would pass the equivalence check vacuously
         self.assert_usage_error(["ssm-check", "--instances", "0"], capsys, "--instances")
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_thread_variable_is_configuration_error(self, value, monkeypatch, tmp_path,
+                                                        capsys):
+        # "abc" used to end in a ValueError traceback; "0" ran serially unnoticed
+        monkeypatch.setenv("DISPERSION_LAB_THREADS", value)
+        assert main(["disperse", "--variant", "softmax", "--n", "8,16,32",
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: DISPERSION_LAB_THREADS")
+        assert repr(value) in err[0]
 
     @pytest.mark.parametrize("bound", ["-1", "0"])
     def test_disperse_non_positive_logit_bound_is_usage_error(self, bound, tmp_path, capsys):
@@ -119,6 +132,25 @@ class TestDisperse:
         assert code == 0
         summary = json.loads(read(os.path.join(out, "summary.json")))
         assert summary["slope"] == 0.0
+
+    def test_bound_violation_prints_a_reproducing_command(self, monkeypatch, tmp_path,
+                                                          capsys):
+        # bounds shrunk to the uniform value: every non-uniform draw violates them
+        monkeypatch.setattr(analysis, "coefficient_bounds",
+                            lambda spec: (1.0 / spec.n, 1.0 / spec.n))
+        argv = ["disperse", "--variant", "softmax", "--n", "8,16,32", "--trials", "2",
+                "--d", "4", "--seed", "9", "--kernel", '{"phi": "exp"}',
+                "--out", str(tmp_path / "run")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("bound violation: softmax:") and "seed=9" in err[0]
+        prefix = "reproduce with: "
+        assert err[1].startswith(prefix + "dispersion-lab disperse ")
+        command = shlex.split(err[1][len(prefix):])
+        summary = json.loads(read(str(tmp_path / "run" / "summary.json")))
+        assert summary["reproduce"] == err[1][len(prefix):]
+        assert main(command[1:]) == 2
+        assert capsys.readouterr().err.splitlines() == err
 
     def test_reproducible_outputs_excluding_timestamp(self, tmp_path):
         args = ["disperse", "--variant", "linear", "--n", "8,16,32",

@@ -13,8 +13,10 @@ Covered: every public ``attention`` and ``posenc`` kernel at n = 16, 64 and
 (h and y at every m), ``mamba_as_attention``, ``decayed_key_magnitudes`` (every
 m) and ``forgetting_horizon`` on the golden fixture, on the 100 instances of
 ``ssm-check --seed 42`` and on a random n = 256 instance; both causal linear
-forms; the ``tiny_224`` logits at batch 1; and a 3-epoch ``train_toy`` with
-averaging on and off.
+forms; the ``tiny_224`` logits at batch 1; a 3-epoch ``train_toy`` with
+averaging on and off; and the ``DispersionReport.to_json()`` text of the five
+sweeps of perfbench's ``dispersion_sweep`` (softmax, linear, focused, MILA and
+window at w = 8 with fixed content; seed 42, d 16, n = 64..4096, 2 trials).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from dispersionlab import attention as at
-from dispersionlab import model, posenc, ssm
+from dispersionlab import analysis, model, posenc, ssm
 from dispersionlab.rng import rng_for
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -162,7 +164,17 @@ def model_outputs():
         yield f"train_toy.params/{tag}", [res.params[name] for name in sorted(res.params)]
 
 
-GROUPS = (attention_outputs, posenc_outputs, ssm_outputs, model_outputs)
+def dispersion_outputs():
+    n_values = [64 << i for i in range(7)]
+    for variant in analysis.VARIANTS:
+        win = at.WindowSpec(8) if variant == "window" else None
+        sampler = analysis.BoundedSampler(16, 1.0, nonneg=variant == "focused",
+                                          tile_rows=8 if win else None)
+        rep = analysis.measure_dispersion(variant, None, sampler, n_values, 2, SEED, win=win)
+        yield f"measure_dispersion/{variant}", np.frombuffer(rep.to_json().encode(), np.uint8)
+
+
+GROUPS = (attention_outputs, posenc_outputs, ssm_outputs, model_outputs, dispersion_outputs)
 
 
 def lines(groups=GROUPS):
