@@ -7,10 +7,8 @@ windowed attention with fixed window content), the heavy-tailed-logit
 counterexample where a query keeps attending to the first key, and
 multiply-add cost models for the complexity claims.
 
-A sweep cell never builds its n x n matrix: query rows stream through one
-scratch block of about attention._CHUNK_BUDGET entries, and a cell keeps only
-the coefficient and logit extrema. perfbench's tracer wraps _variant_cell by
-name, so its name, positional signature and result shape are an interface.
+A sweep cell streams query rows through one scratch block and keeps only the
+coefficient and logit extrema; perfbench's tracer binds _variant_cell by name.
 """
 
 from __future__ import annotations
@@ -186,19 +184,14 @@ def _variant_cell(variant: str, kernel: KernelSpec, q: np.ndarray, k: np.ndarray
                   win: WindowSpec | None, epsilon: float = 1e-6):
     """Coefficient extrema plus their sample-specific rigorous bounds for one draw.
 
-    Global variants stream query rows through attention._row_blocks: each block
-    of logits updates the running logit extrema, is normalized in place (every
-    row still passes the kernel's domain checks) and updates the running
-    coefficient extrema, so no n x n array is built. Normalization is within
-    a row and the blocks keep each row's product, so with one BLAS thread
-    every coefficient is bitwise that of the whole matrix. The window
-    variant's n x w coefficients are one batched array. The bound comes from
-    the global logit extrema at the end.
-
-    perfbench wraps this function by name: it labels a call by args[0], meters
-    it by args[2].shape[0] and adds result[0].size to its count of checked
-    coefficients. So the name, the positional (variant, kernel, q, k, win)
-    signature and CellExtrema.size are an interface.
+    Global variants stream query rows through attention._row_blocks: each
+    block of logits updates the logit extrema, is normalized in place (every
+    row passes the kernel's domain checks) and updates the coefficient
+    extrema, so no n x n array is built and, with one BLAS thread, every
+    coefficient is bitwise that of the whole matrix. The bound comes from the
+    global logit extrema. perfbench wraps this function by name, labels a call
+    by args[0], meters it by args[2].shape[0] and counts result[0].size
+    coefficients: the name, signature and CellExtrema.size are an interface.
     """
     n = q.shape[0]
     fq = _apply_psi(q, kernel.psi_q, kernel.psi_p)
@@ -237,19 +230,11 @@ def _variant_cell(variant: str, kernel: KernelSpec, q: np.ndarray, k: np.ndarray
 
 
 def _env_threads() -> int:
-    """Sweep worker count from DISPERSION_LAB_THREADS (default 1).
-
-    Anything but an integer >= 1 raises ConfigurationError, so a typo fails
-    at the edge instead of running serially or dying in int().
-    """
+    """Sweep worker count from DISPERSION_LAB_THREADS: an integer >= 1, default 1."""
     text = os.environ.get("DISPERSION_LAB_THREADS", "1")
-    try:
-        threads = int(text)
-    except ValueError:
-        threads = 0
-    if threads < 1:
+    if not text.isdecimal() or int(text) < 1:
         raise ConfigurationError(f"DISPERSION_LAB_THREADS must be an integer >= 1, got {text!r}")
-    return threads
+    return int(text)
 
 
 def measure_dispersion(variant: str, kernel: KernelSpec | None, sampler: BoundedSampler,

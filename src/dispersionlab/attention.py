@@ -277,16 +277,13 @@ _ROW_TILE = 48
 def _row_blocks(a: np.ndarray, b: np.ndarray, tile: int = 1):
     """Yield (rows, a[rows] @ b.T) for consecutive blocks of a's rows.
 
-    Every block is written into one scratch array of about _CHUNK_BUDGET
-    entries (at least 64 rows), so the whole a @ b.T is never materialized;
-    a caller may overwrite each block in place before it asks for the next.
-    Block heights are multiples of tile. With tile=_ROW_TILE every block
-    starts on a BLAS register-tile boundary, so with one BLAS thread each row
-    is bitwise the row of the whole a @ b.T (a threaded BLAS splits the whole
-    product at boundaries of its own). A lone last row joins the block before
-    it, because numpy would hand it to gemv, which rounds differently from
-    gemm. softmax_attention keeps tile=1: its weights-times-values product
-    rounds by block height, and tile=1 keeps the heights it always had.
+    The blocks share one scratch array of about _CHUNK_BUDGET entries, which a
+    caller may overwrite in place before asking for the next block. Heights
+    are multiples of tile. With tile=_ROW_TILE blocks start on BLAS
+    register-tile boundaries and a lone last row (numpy's gemv path) joins the
+    block before it, so with one BLAS thread each row is bitwise that of the
+    whole a @ b.T. softmax_attention keeps tile=1, the block heights its value
+    product has always been rounded with.
     """
     n, m = a.shape[0], b.shape[0]
     step = max(tile, max(64, _CHUNK_BUDGET // max(m, 1)) // tile * tile)

@@ -397,12 +397,8 @@ def _adj_matmul(node, g, vals):
 
 
 def _adj_gelu(node, g, vals):
-    """g * (0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 a x^2)) in two temporaries.
-
-    Every add and multiply takes the operands of the written-out expression
-    (at most swapped, which IEEE arithmetic does not see), so the gradient is
-    bitwise that of the expression.
-    """
+    """g * (0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 a x^2)) in two temporaries;
+    each step has the operands of the written-out form, so the bits match."""
     x, t = vals[0], node.ctx["t"]
     out = t * t
     np.subtract(1.0, out, out=out)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from dispersionlab import ssm
+from dispersionlab import analysis, ssm
 
 _ROOT = Path(__file__).resolve().parent.parent
 _PATH = _ROOT / "tools" / "output_digest.py"
@@ -23,6 +23,8 @@ def test_two_runs_agree():
     names = [line.split(" ")[0] for line in printed]
     assert len(names) == len(set(names))
     assert all(len(line.split(" ")) == 2 for line in printed)
+    assert ({name for name in names if name.startswith("measure_dispersion/")}
+            == {f"measure_dispersion/{variant}" for variant in analysis.VARIANTS})
 
 
 def test_perturbed_output_changes_its_lines(monkeypatch):
