@@ -25,7 +25,7 @@ import numpy as np
 
 from .attention import (KernelSpec, WindowSpec, phi_values, _apply_psi, _blocks, _normalize,
                         _phi_weights, _row_blocks, _ROW_TILE)
-from .errors import BoundViolationError, ConfigurationError, DimensionError
+from .errors import BoundViolationError, ConfigurationError, DimensionError, KernelDomainError
 from .rng import rng_for
 
 VARIANTS = ("softmax", "linear", "focused", "mila", "window")
@@ -51,7 +51,8 @@ class BoundSpec:
 
     phi_at_argmin and phi_at_argmax are the kernel values at the extremes of
     the compact logit domain (phi(a) and phi(b)); n is the key count the
-    coefficients are normalized over.
+    coefficients are normalized over. A phi that overflows or underflows on
+    the logit range gives no bound: KernelDomainError.
     """
 
     variant: str
@@ -62,10 +63,10 @@ class BoundSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.phi_at_argmin <= 0:
-            raise ValueError(f"phi(a) must be positive, got {self.phi_at_argmin}")
-        if self.phi_at_argmax < self.phi_at_argmin:
-            raise ValueError("phi(b) must be >= phi(a)")
+        if not 0 < self.phi_at_argmin <= self.phi_at_argmax < math.inf:
+            raise KernelDomainError(
+                "phi overflows or underflows on the logit range: need 0 < phi(a) <= phi(b) "
+                f"< inf, got phi(a)={self.phi_at_argmin!r}, phi(b)={self.phi_at_argmax!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
 
@@ -221,11 +222,10 @@ def _variant_cell(variant: str, kernel: KernelSpec, q: np.ndarray, k: np.ndarray
         cmin = np.minimum(cmin, logits.min())
         cmax = np.maximum(cmax, logits.max())
     extrema = CellExtrema(float(cmin), float(cmax), n * block)
-    lo_logit, hi_logit = float(lo_logit), float(hi_logit)
+    spec = BoundSpec.from_logit_range(variant, kernel, float(lo_logit), float(hi_logit), block)
     if variant == "mila":
-        pa, pb = phi_values(kernel, lo_logit), phi_values(kernel, hi_logit)
-        return extrema, (float(pa / (n * pb + epsilon)), float(pb / (n * pa)))
-    spec = BoundSpec.from_logit_range(variant, kernel, lo_logit, hi_logit, block)
+        pa, pb = spec.phi_at_argmin, spec.phi_at_argmax
+        return extrema, (pa / (n * pb + epsilon), pb / (n * pa))
     return extrema, coefficient_bounds(spec)
 
 
@@ -264,7 +264,13 @@ def measure_dispersion(variant: str, kernel: KernelSpec | None, sampler: Bounded
         else:
             rng = rng_for(seed, variant, n, trial)
         q, k = sampler.draw(rng, n)
-        extrema, (lo, hi) = _variant_cell(variant, kernel, q, k, win)
+        try:
+            # a cell checks its own results, so numpy's float warnings add nothing
+            with np.errstate(all="ignore"):
+                extrema, (lo, hi) = _variant_cell(variant, kernel, q, k, win)
+        except KernelDomainError as exc:
+            raise KernelDomainError(
+                f"{variant}: {exc} at n={n}, trial={trial}, seed={seed}") from None
         cmin, cmax = extrema.cmin, extrema.cmax
         if cmin < lo - 1e-15 or cmax > hi + 1e-15:
             raise BoundViolationError(

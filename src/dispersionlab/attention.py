@@ -9,7 +9,8 @@ the raw weight matrix, which the dispersion analysis consumes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,7 +32,8 @@ class KernelSpec:
     phi must send its logits to positive reals; identity and power kernels
     only guarantee that on nonnegative logits, so they are accepted only in
     combination with nonnegative feature maps (validated here, not at call
-    time). epsilon is the denominator validity threshold.
+    time). epsilon is the denominator validity threshold. The numbers must be
+    finite; every check is a comparison that NaN fails.
     """
 
     phi: str = "exp"
@@ -48,14 +50,14 @@ class KernelSpec:
         for psi in (self.psi_q, self.psi_k):
             if psi not in PSI_CHOICES:
                 raise ValueError(f"unknown psi {psi!r}, choose from {PSI_CHOICES}")
-        if self.theta <= 0:
-            raise ValueError("temperature theta must be positive")
-        if self.phi_p < 1:
-            raise ValueError("power kernel exponent must be >= 1")
-        if self.psi_p < 1:
-            raise ValueError("focused feature power must be >= 1")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        if not 0 < self.theta < math.inf:
+            raise ValueError(f"temperature theta must be positive and finite, got {self.theta!r}")
+        if not 1 <= self.phi_p < math.inf:
+            raise ValueError(f"power exponent phi_p must be >= 1 and finite, got {self.phi_p!r}")
+        if not 1 <= self.psi_p < math.inf:
+            raise ValueError(f"feature power psi_p must be >= 1 and finite, got {self.psi_p!r}")
+        if not 0 <= self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be >= 0 and finite, got {self.epsilon!r}")
         if self.phi in ("identity", "power") and not (
             self.psi_q in _NONNEG_PSI and self.psi_k in _NONNEG_PSI
         ):
@@ -99,9 +101,7 @@ class KernelSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "KernelSpec":
-        obj = json.loads(text)
-        if not isinstance(obj, dict):
-            raise ValueError(f"kernel spec must be a JSON object, got {text!r}")
+        obj = _json_object(text, "kernel spec", ("psi", *(f.name for f in fields(cls))))
         psi_q = obj.get("psi_q", obj.get("psi", "identity"))
         psi_k = obj.get("psi_k", obj.get("psi", "identity"))
         return cls(
@@ -115,26 +115,33 @@ class KernelSpec:
         )
 
 
+def _json_object(text: str, what: str, keys: tuple[str, ...]) -> dict:
+    """Parse a JSON object whose keys all come from keys; name any other key."""
+    obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {text!r}")
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown {what} key(s) {unknown}; known keys are {list(keys)}")
+    return obj
+
+
 @dataclass(frozen=True)
 class WindowSpec:
     """Blocked window partition: row m attends to J(m) = {Mw+1..(M+1)w}."""
 
     w: int
-    scheme: str = "blocked"
 
     def __post_init__(self):
         if self.w < 1:
             raise ValueError("window size must be >= 1")
-        if self.scheme != "blocked":
-            raise ValueError(f"only the 'blocked' scheme is implemented, got {self.scheme!r}")
 
     def to_json(self) -> str:
-        return json.dumps({"w": self.w, "scheme": self.scheme})
+        return json.dumps({"w": self.w})
 
     @classmethod
     def from_json(cls, text: str) -> "WindowSpec":
-        obj = json.loads(text)
-        return cls(w=obj["w"], scheme=obj.get("scheme", "blocked"))
+        return cls(w=_json_object(text, "window spec", ("w",))["w"])
 
 
 def elu_plus_one(x: np.ndarray) -> np.ndarray:

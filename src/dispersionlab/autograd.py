@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import attention
-from .attention import KernelSpec, _block_coefficients, _block_mean, _normalize, _phi_weights
+from .attention import KernelSpec, _block_coefficients, _block_mean
 from .errors import DifferentiationError, DimensionError
 from .posenc import depthwise_conv_grid, rotate_pairs
 from .rng import rng_for
@@ -62,7 +62,7 @@ class Tape:
 
 
 class TracedValue:
-    """Handle to one tape node; supports +, *, @ against same-tape values and unary -."""
+    """Handle to one tape node; the module's op functions combine handles."""
 
     __slots__ = ("tape", "idx", "node")
 
@@ -78,18 +78,6 @@ class TracedValue:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
 
 def leaf(tape: Tape, value) -> TracedValue:
@@ -125,10 +113,6 @@ def mul(a, b):
     return _pair(a, b).push("mul", (a.idx, b.idx), a.value * b.value)
 
 
-def scale(a, c: float):
-    return a.tape.push("scale", (a.idx,), a.value * c, {"c": float(c)})
-
-
 def add_scalar(a, c: float):
     return a.tape.push("add_scalar", (a.idx,), a.value + c)
 
@@ -141,18 +125,6 @@ def matmul(a, b):
 
 def transpose(a):
     return a.tape.push("transpose", (a.idx,), a.value.T.copy())
-
-
-def exp(a):
-    return a.tape.push("exp", (a.idx,), np.exp(a.value))
-
-
-def log(a):
-    return a.tape.push("log", (a.idx,), np.log(a.value))
-
-
-def relu(a):
-    return a.tape.push("relu", (a.idx,), np.maximum(a.value, 0.0))
 
 
 def elu_plus_one(a):
@@ -204,19 +176,10 @@ def broadcast_row(a, n: int):
     return a.tape.push("broadcast_row", (a.idx,), np.repeat(a.value, n, axis=0))
 
 
-def softmax_rows(a):
-    y = _normalize(_SOFTMAX, _phi_weights(_SOFTMAX, a.value.copy()))
-    return a.tape.push("softmax_rows", (a.idx,), y)
-
-
 def div_rowvec(a, s):
     if s.value.shape != (a.value.shape[0], 1):
         raise DimensionError(f"div_rowvec: scale shape {s.value.shape}")
     return _pair(a, s).push("div_rowvec", (a.idx, s.idx), a.value / s.value)
-
-
-def rows(a, lo: int, hi: int):
-    return a.tape.push("rows", (a.idx,), a.value[lo:hi].copy(), {"lo": lo, "hi": hi})
 
 
 def cols(a, lo: int, hi: int):
@@ -416,11 +379,6 @@ def _adj_gelu(node, g, vals):
     return (out,)
 
 
-def _adj_softmax_rows(node, g, vals):
-    y = node.value
-    return (y * (g - (g * y).sum(axis=1, keepdims=True)),)
-
-
 def _adj_layer_norm(node, g, vals):
     x, gamma, _ = vals
     xhat, inv = node.ctx["xhat"], node.ctx["inv"]
@@ -500,13 +458,9 @@ ADJOINTS = {
         g, g if vals[1].shape == g.shape else g.sum(axis=0, keepdims=True),
     ),
     "mul": lambda node, g, vals: (g * vals[1], g * vals[0]),
-    "scale": lambda node, g, vals: (g * node.ctx["c"],),
     "add_scalar": lambda node, g, vals: (g,),
     "matmul": _adj_matmul,
     "transpose": lambda node, g, vals: (g.T,),
-    "exp": lambda node, g, vals: (g * node.value,),
-    "log": lambda node, g, vals: (g / vals[0],),
-    "relu": lambda node, g, vals: (g * (vals[0] > 0),),
     # the derivative is 1 where x > 0 (output x + 1 >= 1) and exp(x) = output elsewhere
     "elu_plus_one": lambda node, g, vals: (g * np.minimum(node.value, 1.0),),
     "gelu": _adj_gelu,
@@ -516,13 +470,9 @@ ADJOINTS = {
     "sum_all": lambda node, g, vals: (np.full_like(vals[0], g[0, 0]),),
     "sum_cols": lambda node, g, vals: (np.repeat(g, vals[0].shape[1], axis=1),),
     "broadcast_row": lambda node, g, vals: (g.sum(axis=0, keepdims=True),),
-    "softmax_rows": _adj_softmax_rows,
     "div_rowvec": lambda node, g, vals: (
         g / vals[1],
         -(g * vals[0]).sum(axis=1, keepdims=True) / vals[1] ** 2,
-    ),
-    "rows": lambda node, g, vals: (
-        _scatter(g, vals[0].shape, slice(node.ctx["lo"], node.ctx["hi"])),
     ),
     "cols": lambda node, g, vals: (
         _scatter(g, vals[0].shape, (slice(None), slice(node.ctx["lo"], node.ctx["hi"]))),

@@ -30,10 +30,6 @@ class DifferentiationError(DispersionLabError, RuntimeError):
     """Backward pass encountered an op with no registered adjoint."""
 
 
-class DegenerateQueryError(DispersionLabError, ValueError):
-    """A causal linear attention denominator stayed below the stabilizer."""
-
-
 class PreconditionError(DispersionLabError, ValueError):
     """A documented precondition of an operation was violated."""
 

@@ -174,13 +174,16 @@ def parameter_count(cfg: ModelConfig) -> int:
 
 
 def init_params(cfg: ModelConfig, rng: np.random.Generator | None = None) -> dict[str, np.ndarray]:
-    """Fan-in-scaled normal init for weights; ones/zeros for norms and biases."""
+    """Ones for names ending in norm.g, norm1.g or norm2.g; zeros for names ending
+    in ".b"; N(0, 1 / fan_in) for the rest, fan_in being the first dimension
+    (k * k for lepe). The rest includes the (1, d) MLP biases mlp.b1 and mlp.b2,
+    which the suffix rule misses, so they are drawn from N(0, 1)."""
     rng = rng or rng_for(cfg.seed, "init")
     params = {}
     for name, shape in parameter_shapes(cfg).items():
-        if name.endswith("norm.g") or name.endswith("norm1.g") or name.endswith("norm2.g"):
+        if name.endswith(("norm.g", "norm1.g", "norm2.g")):
             params[name] = np.ones(shape)
-        elif name.endswith(".b") or name.endswith("norm.b"):
+        elif name.endswith(".b"):
             params[name] = np.zeros(shape)
         else:
             fan_in = int(np.prod(shape[1:])) if name.endswith("lepe") else shape[0]
@@ -353,7 +356,7 @@ def receptive_field_grid(cfg: ModelConfig, params: dict[str, np.ndarray],
     tp = _trace_params(tape, params)
     x = ag.leaf(tape, rng.standard_normal((n, dim)))
     out = _block_forward(tp, x, cfg, 0, g, "s0.b0.")
-    loss = ag.sum_all(ag.rows(out, token_i, token_i + 1))
+    loss = ag.sum_all(ag.gather_rows(out, [token_i]))
     grads = ag.backward(loss)
     return np.linalg.norm(grads[x.idx], axis=1)
 
@@ -372,8 +375,8 @@ def receptive_field_probe(cfg: ModelConfig, params: dict[str, np.ndarray],
 class SyntheticTask:
     """Global-majority color task.
 
-    Each sample is a grid of colored cells; the label is the color holding
-    the global majority, with the margin drawn from [margin_lo, margin_hi]
+    Each sample is a grid of cells in two colors; the label is the color
+    holding the global majority, with the margin drawn from [margin_lo, margin_hi]
     cells. The corner_tile x corner_tile block at the origin (the readout
     token's window) is always color-balanced, so the label is genuinely
     undecidable from that window alone; the majority lives in the rest of
@@ -386,11 +389,8 @@ class SyntheticTask:
     margin_lo: int = 12
     margin_hi: int = 28
     corner_tile: int = 2
-    num_classes: int = 2
 
     def __post_init__(self):
-        if self.num_classes != 2:
-            raise ConfigurationError("the majority task is binary in this version")
         n_rest = self.grid_tokens * self.grid_tokens - self.corner_tile**2
         if self.corner_tile**2 % 2 != 0:
             raise ConfigurationError("corner tile must hold an even cell count")
@@ -445,18 +445,21 @@ def _accuracy(cfg, params, images, labels) -> float:
     return float((logits.argmax(axis=1) == labels).mean())
 
 
-def train_toy(cfg: ModelConfig, task: SyntheticTask, epochs: int, seed: int,
-              lr: float = 0.05, momentum: float = 0.9,
-              batch_size: int = 64) -> TrainToyResult:
+_LR, _MOMENTUM, _BATCH = 0.05, 0.9, 64
+
+
+def train_toy(cfg: ModelConfig, task: SyntheticTask, epochs: int, seed: int) -> TrainToyResult:
     """Deterministic SGD on the majority task; one metrics row per epoch.
 
-    Epoch 0 records the untrained model (chance level); epochs=0 evaluates
-    only. Raises on a non-finite loss, naming the epoch.
+    Batches of 64, momentum 0.9 and a cosine learning rate from 0.05. Epoch 0
+    records the untrained model (chance level); epochs=0 evaluates only.
+    Raises on a non-finite loss, naming the epoch.
     """
     if epochs < 0:
         raise ConfigurationError(f"epochs must be >= 0, got {epochs}")
-    if cfg.num_classes != task.num_classes:
-        raise ConfigurationError("config and task class counts differ")
+    if cfg.num_classes != len(_PALETTE):
+        raise ConfigurationError(
+            f"the majority task is binary; the config has {cfg.num_classes} classes")
     if cfg.image_size != task.grid_tokens * cfg.patch_size:
         raise ConfigurationError(
             f"config image size {cfg.image_size} does not match task grid "
@@ -482,11 +485,11 @@ def train_toy(cfg: ModelConfig, task: SyntheticTask, epochs: int, seed: int,
 
     record(0, float("nan"))
     for epoch in range(1, epochs + 1):
-        lr_e = 0.5 * lr * (1.0 + math.cos(math.pi * (epoch - 1) / max(epochs, 1)))
+        lr_e = 0.5 * _LR * (1.0 + math.cos(math.pi * (epoch - 1) / max(epochs, 1)))
         order = rng_for(seed, "order", epoch).permutation(task.n_train)
         epoch_loss = 0.0
-        for start in range(0, task.n_train, batch_size):
-            batch = order[start : start + batch_size]
+        for start in range(0, task.n_train, _BATCH):
+            batch = order[start : start + _BATCH]
             tape = ag.Tape()
             tp = _trace_params(tape, params)
             logits = _forward_traced(tape, tp, cfg, train_x[batch])
@@ -500,7 +503,7 @@ def train_toy(cfg: ModelConfig, task: SyntheticTask, epochs: int, seed: int,
                 gparam = grads.get(tp[name].idx)
                 if gparam is None:
                     continue
-                velocity[name] = momentum * velocity[name] - lr_e * gparam
+                velocity[name] = _MOMENTUM * velocity[name] - lr_e * gparam
                 params[name] = params[name] + velocity[name]
         record(epoch, epoch_loss / task.n_train)
     return result

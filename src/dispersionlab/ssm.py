@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import elu_plus_one
-from .errors import DegenerateQueryError, DimensionError, PreconditionError
+from .attention import _check_qkv, elu_plus_one
+from .errors import DimensionError, PreconditionError
 from .tensor import Tensor, as_array
 
 
@@ -68,10 +68,13 @@ class SsmParams:
         h0 = np.asarray(as_array(self.h0), dtype=np.float64)
         if h0.shape != (d_state, channels):
             raise DimensionError(f"h0 must be ({d_state}, {channels}), got {h0.shape}")
+        fields = (("A_tilde", A), ("B", B), ("C_out", C), ("D", D), ("Delta", Delta), ("h0", h0))
+        for name, val in fields:
+            if not np.isfinite(val).all():
+                raise ValueError(f"{name} entries must be finite")
         if np.any(A <= 0) or np.any(A > 1):
             raise ValueError("A_tilde entries must lie in (0, 1]")
-        for name, val in (("A_tilde", A), ("B", B), ("C_out", C), ("D", D),
-                          ("Delta", Delta), ("h0", h0)):
+        for name, val in fields:
             object.__setattr__(self, name, val)
 
     @property
@@ -168,8 +171,7 @@ def causal_linear_recursive(q, k, v, epsilon: float = 1e-6) -> Tensor:
     accumulates key sums plus the stabilizer.
     """
     q, k, v = as_array(q), as_array(k), as_array(v)
-    if q.shape != k.shape or q.shape[0] != v.shape[0]:
-        raise DimensionError(f"q/k/v shapes disagree: {q.shape}, {k.shape}, {v.shape}")
+    _check_qkv(q, k, v)
     u, w = elu_plus_one(q), elu_plus_one(k)
     n, d = u.shape
     state = np.zeros((d, v.shape[1]))
@@ -179,8 +181,6 @@ def causal_linear_recursive(q, k, v, epsilon: float = 1e-6) -> Tensor:
         state = state + w[i][:, None] * v[i][None, :]
         z = z + w[i]
         den = float(u[i] @ z) + epsilon
-        if abs(den) < epsilon:
-            raise DegenerateQueryError(f"causal denominator degenerate at step {i + 1}")
         y[i] = (u[i] @ state) / den
     return Tensor._own(y)
 
@@ -188,6 +188,7 @@ def causal_linear_recursive(q, k, v, epsilon: float = 1e-6) -> Tensor:
 def causal_linear_masked(q, k, v, epsilon: float = 1e-6) -> Tensor:
     """Quadratic-form causal linear attention (the masked oracle)."""
     q, k, v = as_array(q), as_array(k), as_array(v)
+    _check_qkv(q, k, v)
     u, w = elu_plus_one(q), elu_plus_one(k)
     logits = u @ w.T
     mask = np.tril(np.ones_like(logits))
@@ -229,19 +230,17 @@ def forgetting_horizon(p: SsmParams, threshold: float) -> list[int]:
 
     For each position m returns the largest L such that the max entry of
     the elementwise product A_{m-L+1} .. A_m is >= threshold (L = 0 when
-    even the most recent factor falls below it).
+    even the most recent factor falls below it). As A <= 1 a running max never
+    grows, so one pass per lag over every position counts the horizons.
     """
     if not 0 < threshold <= 1:
         raise ValueError("threshold must lie in (0, 1]")
-    horizons = []
-    for m in range(1, p.n + 1):
-        run = np.ones((p.d_state, p.channels))
-        lag = 0
-        for j in range(m, 0, -1):
-            run = run * p.A_tilde[j - 1]
-            if run.max() >= threshold:
-                lag = m - j + 1
-            else:
-                break
-        horizons.append(lag)
-    return horizons
+    run = np.ones_like(p.A_tilde)
+    horizons = np.zeros(p.n, dtype=np.intp)
+    for lag in range(1, p.n + 1):
+        run[lag - 1:] *= p.A_tilde[: p.n - lag + 1]  # position i takes factor A[i - lag + 1]
+        reached = run[lag - 1:].max(axis=(1, 2)) >= threshold
+        if not reached.any():
+            break
+        horizons[lag - 1:] += reached
+    return horizons.tolist()

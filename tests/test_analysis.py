@@ -246,6 +246,22 @@ class TestStreamedCells:
         assert [block.shape[0] for _, block in blocks] == heights
         assert [rows.start for rows, _ in blocks] == [48 * i for i in range(len(heights))]
 
+    @pytest.mark.parametrize("variant,kernel", [
+        ("softmax", KernelSpec.softmax_temperature(1e-300)),
+        ("window", KernelSpec.softmax_temperature(1e-300)),
+        ("linear", KernelSpec(phi="power", phi_p=1e6, psi_q="elu_plus_one",
+                              psi_k="elu_plus_one")),
+        ("mila", KernelSpec(phi="power", phi_p=1e6, psi_q="elu_plus_one",
+                            psi_k="elu_plus_one")),
+    ])
+    def test_overflowing_phi_raises_naming_the_cell(self, variant, kernel):
+        # exp(logit / 1e-300) and logit ** 1e6 leave the floats: no bound can be checked
+        sampler = BoundedSampler(d=4, tile_rows=4 if variant == "window" else None)
+        win = WindowSpec(4) if variant == "window" else None
+        with pytest.raises(KernelDomainError, match=f"^{variant}: .*overflows or underflows.* "
+                                                    "at n=8, trial=0, seed=3$"):
+            measure_dispersion(variant, kernel, sampler, [8, 16, 32], 2, seed=3, win=win)
+
     def test_zero_queries_still_raise_from_streamed_focused_cells(self, monkeypatch):
         monkeypatch.setattr(attention, "_CHUNK_BUDGET", 1)
         sampler = BoundedSampler(d=8, nonneg=True, zero_queries=True)

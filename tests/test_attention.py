@@ -118,6 +118,24 @@ class TestKernelSpec:
                      KernelSpec.focused(2), KernelSpec.softmax_temperature(0.3)):
             assert KernelSpec.from_json(spec.to_json()) == spec
 
+    @pytest.mark.parametrize("field,value", [("theta", float("nan")), ("theta", float("inf")),
+                                             ("phi_p", float("nan")), ("phi_p", float("inf")),
+                                             ("psi_p", float("nan")), ("epsilon", float("nan")),
+                                             ("epsilon", float("inf"))])
+    def test_non_finite_numbers_rejected(self, field, value):
+        # NaN fails every comparison, so a "< 0" test alone let it through
+        base = {"theta": {"phi": "exp_temperature"},
+                "phi_p": {"phi": "power", "psi_q": "elu_plus_one", "psi_k": "elu_plus_one"},
+                "psi_p": {"psi_q": "focused", "psi_k": "focused"}}.get(field, {})
+        with pytest.raises(ValueError, match=field):
+            KernelSpec(**base, **{field: value})
+
+    def test_json_unknown_key_named(self):
+        with pytest.raises(ValueError, match="'thta'"):
+            KernelSpec.from_json('{"phi": "exp_temperature", "thta": 0.01}')
+        with pytest.raises(ValueError, match="theta"):
+            KernelSpec.from_json('{"phi": "exp_temperature", "theta": NaN}')
+
     def test_json_wire_format(self):
         obj = json.loads(KernelSpec.softmax().to_json())
         assert obj == {"phi": "exp", "psi": "identity", "epsilon": 1e-6}
@@ -125,11 +143,12 @@ class TestKernelSpec:
     def test_window_spec(self):
         w = WindowSpec(7)
         assert WindowSpec.from_json(w.to_json()) == w
-        assert json.loads(w.to_json()) == {"w": 7, "scheme": "blocked"}
+        assert json.loads(w.to_json()) == {"w": 7}
         with pytest.raises(ValueError):
             WindowSpec(0)
-        with pytest.raises(ValueError):
-            WindowSpec(4, scheme="sliding")
+        # blocked is the only partition; any other key, such as a scheme, is named
+        with pytest.raises(ValueError, match="'scheme'"):
+            WindowSpec.from_json('{"w": 4, "scheme": "sliding"}')
 
 
 class TestGeneralizedAttention:

@@ -65,17 +65,13 @@ class TestBasicAdjoints:
 
 
 PRIMITIVE_CASES = [
-    ("exp", lambda a: ag.sum_all(ag.exp(a)), (3, 4), None),
-    ("log", lambda a: ag.sum_all(ag.log(a)), (3, 4), "positive"),
-    ("relu", lambda a: ag.sum_all(ag.relu(a)), (3, 4), None),
     ("elu_plus_one", lambda a: ag.sum_all(ag.elu_plus_one(a)), (3, 4), None),
     ("gelu", lambda a: ag.sum_all(ag.gelu(a)), (3, 4), None),
     ("power3", lambda a: ag.sum_all(ag.power_int(a, 3)), (3, 4), None),
-    ("softmax_rows", lambda a: ag.sum_all(ag.mul(ag.softmax_rows(a), a)), (3, 4), None),
-    ("broadcast", lambda a: ag.sum_all(ag.mul(ag.broadcast_row(ag.rows(a, 0, 1), 5), a)),
+    ("broadcast", lambda a: ag.sum_all(ag.mul(ag.broadcast_row(ag.gather_rows(a, [0]), 5), a)),
      (5, 3), None),
     ("sum_cols", lambda a: ag.sum_all(ag.mul(ag.sum_cols(a), ag.sum_cols(a))), (4, 3), None),
-    ("rows_cols", lambda a: ag.sum_all(ag.cols(ag.rows(a, 1, 3), 0, 2)), (4, 4), None),
+    ("rows_cols", lambda a: ag.sum_all(ag.cols(ag.gather_rows(a, [1, 2]), 0, 2)), (4, 4), None),
     ("permute", lambda a: ag.sum_all(ag.mul(ag.permute_rows(a, [2, 0, 1, 3]), a)), (4, 3), None),
     ("gather", lambda a: ag.sum_all(ag.gather_rows(a, [0, 2, 2])), (4, 3), None),
     ("group", lambda a: ag.sum_all(ag.power_int(ag.group_rows(a, 2), 2)), (4, 3), None),
@@ -170,8 +166,10 @@ class TestPrimitiveGradients:
 
         def f(a, b):
             h = ag.gelu(ag.matmul(a, b))
-            h = ag.softmax_rows(ag.add(h, a))
-            return ag.sum_all(ag.mul(h, ag.exp(ag.scale(a, 0.1))))
+            h = ag.blocked_softmax_attention(ag.add(h, a), a, h, 4, heads=2)
+            h = ag.mul(h, ag.elu_plus_one(ag.matmul(a, ag.transpose(b))))
+            h = ag.div_rowvec(h, ag.add_scalar(ag.sum_cols(ag.elu_plus_one(a)), 1.0))
+            return ag.sum_all(ag.power_int(h, 2))
 
         report = ag.gradcheck(f, [x, w], step=1e-5)
         assert report.max_rel_err < 1e-6
@@ -441,7 +439,7 @@ class TestGradcheckHarness:
         x = np.array([[1.0, 2.0]])
 
         def f(a):
-            bad = a.tape.push("scale", (a.idx,), a.value * 3.0, {"c": 2.0})
+            bad = a.tape.push("power_int", (a.idx,), a.value ** 3, {"p": 2})
             return ag.sum_all(bad)
 
         report = ag.gradcheck(f, [x])
@@ -449,9 +447,10 @@ class TestGradcheckHarness:
         assert report.max_rel_err > 0.1
 
     def test_nan_derivative_fails(self):
-        # log of negative inputs is NaN, so the numeric derivative is NaN too
+        # at an infinite input both function values are inf, so the numeric
+        # derivative is inf - inf = NaN
         with np.errstate(invalid="ignore"):
-            report = ag.gradcheck(lambda a: ag.sum_all(ag.log(a)), [[[-1.0, -2.0]]])
+            report = ag.gradcheck(lambda a: ag.sum_all(ag.mul(a, a)), [[[np.inf, 2.0]]])
         assert not report.passed
         assert report.max_rel_err == math.inf
 

@@ -7,6 +7,7 @@ import pytest
 from dispersionlab import analysis
 from dispersionlab.cli import main
 from dispersionlab.model import ModelConfig
+from dispersionlab.tensor import Tensor
 
 
 def read(path):
@@ -27,8 +28,13 @@ class TestExitCodes:
         assert main(["ssm-check", "--instances", "5"]) == 0
         assert "max abs diff" in capsys.readouterr().out
 
-    def test_ssm_check_perturbed_fails_scientifically(self):
-        assert main(["ssm-check", "--instances", "2", "--perturb"]) == 2
+    def test_ssm_check_perturbed_fails_scientifically(self, monkeypatch):
+        from dispersionlab import ssm
+
+        original = ssm.mamba_as_attention
+        monkeypatch.setattr(ssm, "mamba_as_attention",
+                            lambda p, x: Tensor(original(p, x).array + 1e-9))
+        assert main(["ssm-check", "--instances", "2"]) == 2
 
     def assert_usage_error(self, argv, capsys, flag):
         assert main(argv) == 1
@@ -86,6 +92,35 @@ class TestExitCodes:
         self.assert_usage_error(["disperse", "--variant", "softmax", "--kernel", kernel,
                                  "--out", str(tmp_path)], capsys, "--kernel")
 
+    @pytest.mark.parametrize("kernel,flag", [
+        ('{"phi":"exp_temperature","theta":NaN}', "--kernel"),
+        ('{"epsilon":NaN}', "--kernel"),
+        ('{"phi":"exp_temperature","thta":0.01}', "'thta'"),
+    ])
+    def test_disperse_non_finite_or_unknown_kernel_field_is_usage_error(self, kernel, flag,
+                                                                        tmp_path, capsys):
+        # NaN passed every "< bound" check and an unknown key was dropped; both
+        # ran a sweep that reported all coefficients inside bounds
+        self.assert_usage_error(["disperse", "--variant", "softmax", "--kernel", kernel,
+                                 "--n", "4,8,16", "--trials", "1", "--out", str(tmp_path)],
+                                capsys, flag)
+
+    @pytest.mark.parametrize("variant,kernel", [
+        ("softmax", '{"phi":"exp_temperature","theta":1e-300}'),
+        ("softmax", '{"phi":"power","phi_p":1e6,"psi":"elu_plus_one"}'),
+        ("mila", '{"phi":"power","phi_p":1e6,"psi":"elu_plus_one"}'),
+    ])
+    def test_disperse_overflowing_kernel_names_the_cell(self, variant, kernel, tmp_path, capsys):
+        # these ended in a BoundSpec or DispersionReport traceback; for MILA, whose
+        # coefficients do not use phi, the infinite bound passed vacuously
+        assert main(["disperse", "--variant", variant, "--kernel", kernel, "--n", "4,8,16",
+                     "--trials", "1", "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert "inside bounds" not in captured.out
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {variant}: phi overflows or underflows")
+        assert "n=4, trial=0, seed=42" in err[0]
+
     @pytest.mark.parametrize("command", ["train-toy", "probe-rf"])
     @pytest.mark.parametrize("content", [None, "{nope", '{"bogus": 1}'],
                              ids=["missing", "not-json", "unknown-key"])
@@ -123,6 +158,21 @@ class TestDisperse:
         manifest = json.loads(read(os.path.join(out, "manifest.json")))
         assert manifest["subcommand"] == "disperse"
         assert manifest["seed"] == 42
+
+    def test_manifest_records_numpy_and_thread_settings(self, tmp_path, monkeypatch):
+        import numpy as np
+
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("DISPERSION_LAB_THREADS", "2")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        out = str(tmp_path / "run")
+        assert main(["disperse", "--variant", "softmax", "--n", "8,16,32", "--trials", "2",
+                     "--d", "4", "--out", out]) == 0
+        manifest = json.loads(read(os.path.join(out, "manifest.json")))
+        assert manifest["numpy_version"] == np.__version__
+        assert manifest["threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
+                                       "MKL_NUM_THREADS": None, "DISPERSION_LAB_THREADS": "2"}
 
     def test_window_fixed_content_slope_zero(self, tmp_path):
         out = str(tmp_path / "win")

@@ -117,6 +117,16 @@ class TestScanAndClosedForm:
                       C_out=np.zeros((2, 1, 2)), D=np.zeros((1, 2)),
                       Delta=np.zeros((2, 2)), h0=np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("field", ["A_tilde", "B", "C_out", "D", "Delta", "h0"])
+    def test_non_finite_entry_names_its_field(self, field):
+        # a NaN in A_tilde passed the (0, 1] test, whose comparisons are both false
+        p = make_params(rng_for(0, "finite"), n=3)
+        fields = {name: getattr(p, name).copy() for name in
+                  ("A_tilde", "B", "C_out", "D", "Delta", "h0")}
+        fields[field].flat[-1] = np.nan
+        with pytest.raises(ValueError, match=f"^{field} entries must be finite"):
+            SsmParams(**fields)
+
     def test_json_round_trip(self):
         rng = rng_for(7, "json")
         p = make_params(rng)
@@ -217,6 +227,14 @@ class TestCausalLinear:
         for i in range(5):
             np.testing.assert_allclose(out[i], v[: i + 1].mean(axis=0), atol=1e-5)
 
+    @pytest.mark.parametrize("form", [causal_linear_recursive, causal_linear_masked])
+    def test_key_count_must_match_queries(self, form):
+        # the masked form used to return a 4 x 2 result from 6 keys
+        rng = rng_for(21, "causal-shape")
+        with pytest.raises(DimensionError):
+            form(rng.standard_normal((4, 3)), rng.standard_normal((6, 3)),
+                 rng.standard_normal((6, 2)))
+
     def test_appending_token_keeps_prefix(self):
         rng = rng_for(11, "append")
         q, k, v = rng.standard_normal((3, 6, 3))
@@ -313,6 +331,22 @@ class TestForgettingHorizon:
                 if prod.max() >= threshold:
                     best = lag
             assert horizons[m - 1] == best
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), d_state=st.integers(1, 4),
+           channels=st.integers(1, 4),
+           decay_range=st.sampled_from([(0.05, 1.0), (0.5, 1.0), (0.9, 1.0), (1.0, 1.0)]),
+           threshold=st.sampled_from([1.0, 0.5, 1e-3, 1e-12]))
+    def test_equals_cumprod_reference(self, seed, n, d_state, channels, decay_range, threshold):
+        rng = rng_for(seed, "horizon", n, d_state, channels)
+        p = make_params(rng, n=n, d_state=d_state, channels=channels, decay_range=decay_range)
+        want = []
+        for m in range(1, n + 1):
+            # running products newest factor first, as the function multiplies them
+            peaks = np.cumprod(p.A_tilde[m - 1::-1], axis=0).max(axis=(1, 2))
+            below = np.flatnonzero(peaks < threshold)
+            want.append(int(below[0]) if below.size else m)
+        assert forgetting_horizon(p, threshold) == want
 
     def test_threshold_monotonicity(self):
         rng = rng_for(18, "mono")
