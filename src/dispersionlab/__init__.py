@@ -8,9 +8,9 @@ Library layout:
              one batched blocked-coefficient kernel
   analysis   dispersion bounds, sweeps, the counterexample, cost models
   ssm        the discrete state-space recursion and its attention form
-  autograd   tape-based reverse mode plus gradcheck; the blocked attention
-             ops fold heads into the batch axis of the same kernel
-  traced     differentiable twins of the attention variants
+  autograd   tape-based reverse mode plus gradcheck; every attention
+             variant is one or two tape ops that forward through the numpy
+             kernels (the blocked ops fold heads into the batch axis)
   model      toy SEMA backbone, receptive-field probes, toy training
   cli        the `dispersion-lab` experiment runner
 """

@@ -265,13 +265,6 @@ def generalized_attention_coefficients(q, k, kernel: KernelSpec) -> Tensor:
     return Tensor._own(_block_coefficients(q, k, kernel))
 
 
-def generalized_attention(q, k, v, kernel: KernelSpec) -> Tensor:
-    """Phi-normalized attention: row i mixes values by phi-normalized weights."""
-    q, k, v = as_array(q), as_array(k), as_array(v)
-    _check_qkv(q, k, v)
-    return Tensor._own(_block_coefficients(q, k, kernel) @ v)
-
-
 def softmax_attention_coefficients(q, k) -> Tensor:
     return generalized_attention_coefficients(q, k, KernelSpec.softmax())
 
@@ -289,7 +282,7 @@ def _row_blocks(a: np.ndarray, b: np.ndarray, tile: int = 1):
     are multiples of tile. With tile=_ROW_TILE blocks start on BLAS
     register-tile boundaries and a lone last row (numpy's gemv path) joins the
     block before it, so with one BLAS thread each row is bitwise that of the
-    whole a @ b.T. softmax_attention keeps tile=1, the block heights its value
+    whole a @ b.T. _global_attention keeps tile=1, the block heights its value
     product has always been rounded with.
     """
     n, m = a.shape[0], b.shape[0]
@@ -304,21 +297,32 @@ def _row_blocks(a: np.ndarray, b: np.ndarray, tile: int = 1):
         lo = hi
 
 
-def softmax_attention(q, k, v) -> Tensor:
-    """Vanilla full attention via the matrix route softmax(q k^T) v.
+def _global_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                      kernel: KernelSpec) -> np.ndarray:
+    """Phi-normalized attention over every key, one streamed row block at a time.
 
-    Query rows are streamed through one cache-sized scratch block, so the
-    n x n weight matrix is never materialized whole and large runs avoid
-    allocating (and page-faulting) O(n^2) temporaries. Each row's
-    arithmetic is unchanged by the chunking.
+    Query rows pass through one cache-sized scratch block, so the n x n
+    weight matrix is never materialized whole and large runs avoid
+    allocating (and page-faulting) O(n^2) temporaries.
     """
+    fq = _apply_psi(q, kernel.psi_q, kernel.psi_p)
+    fk = _apply_psi(k, kernel.psi_k, kernel.psi_p)
+    out = np.empty((q.shape[0], v.shape[1]))
+    for rows, block in _row_blocks(fq, fk):
+        np.matmul(_normalize(kernel, _phi_weights(kernel, block)), v, out=out[rows])
+    return out
+
+
+def generalized_attention(q, k, v, kernel: KernelSpec) -> Tensor:
+    """Phi-normalized attention: row i mixes values by phi-normalized weights."""
     q, k, v = as_array(q), as_array(k), as_array(v)
     _check_qkv(q, k, v)
-    kernel = KernelSpec.softmax()
-    out = np.empty((q.shape[0], v.shape[1]))
-    for rows, block in _row_blocks(q, k):
-        np.matmul(_normalize(kernel, _phi_weights(kernel, block)), v, out=out[rows])
-    return Tensor._own(out)
+    return Tensor._own(_global_attention(q, k, v, kernel))
+
+
+def softmax_attention(q, k, v) -> Tensor:
+    """Vanilla full attention via the matrix route softmax(q k^T) v."""
+    return generalized_attention(q, k, v, KernelSpec.softmax())
 
 
 def linear_attention_coefficients(q, k) -> Tensor:
@@ -360,7 +364,7 @@ def focused_attention(q, k, v, p: int = 3, dwc: DepthwiseKernel | None = None,
     """
     q, k, v = as_array(q), as_array(k), as_array(v)
     _check_qkv(q, k, v)
-    out = _block_coefficients(q, k, KernelSpec.focused(p)) @ v
+    out = _global_attention(q, k, v, KernelSpec.focused(p))
     if dwc is not None:
         grid = grid or GridSpec.linear(v.shape[0])
         out = out + depthwise_conv_grid(v, dwc.taps, grid.height, grid.width)
@@ -473,15 +477,15 @@ def sema_attention_full(x, params: SemaParams, win: WindowSpec, grid: GridSpec) 
     return Tensor._own(out + lepe_term + v.mean(axis=0, keepdims=True))
 
 
-def _mila_weights(q: np.ndarray, k: np.ndarray, grid: GridSpec | None, gated: bool,
-                  epsilon: float, positions) -> np.ndarray:
-    """The n x n MILA weights; the denominator always uses un-gated features."""
-    u, w = elu_plus_one(q), elu_plus_one(k)
+def _mila_weights(u: np.ndarray, w: np.ndarray, angles: np.ndarray | None,
+                  epsilon: float) -> np.ndarray:
+    """n x n MILA weights of (elu+1) features u, w; angles=None leaves the numerator un-gated.
+
+    The denominator always uses the un-gated features plus epsilon."""
     num = u @ w.T
     den = num.sum(axis=1, keepdims=True) + epsilon
-    if gated:
-        ang = rope_angles(grid or GridSpec.linear(q.shape[0]), q.shape[1], positions)
-        num = rotate_pairs(u, ang) @ rotate_pairs(w, ang).T
+    if angles is not None:
+        num = rotate_pairs(u, angles) @ rotate_pairs(w, angles).T
     return num / den
 
 
@@ -496,7 +500,9 @@ def mila_coefficients(q, k, grid: GridSpec | None = None, gated: bool = False,
     """
     q, k = as_array(q), as_array(k)
     _check_qkv(q, k, q)
-    return Tensor._own(_mila_weights(q, k, grid, gated, epsilon, positions))
+    grid = grid or GridSpec.linear(q.shape[0])
+    angles = rope_angles(grid, q.shape[1], positions) if gated else None
+    return Tensor._own(_mila_weights(elu_plus_one(q), elu_plus_one(k), angles, epsilon))
 
 
 def mila_attention(q, k, v, grid: GridSpec | None = None,
@@ -512,7 +518,8 @@ def mila_attention(q, k, v, grid: GridSpec | None = None,
     q, k, v = as_array(q), as_array(k), as_array(v)
     _check_qkv(q, k, v)
     grid = grid or GridSpec.linear(q.shape[0])
-    out = _mila_weights(q, k, grid, True, epsilon, positions) @ v
+    angles = rope_angles(grid, q.shape[1], positions)
+    out = _mila_weights(elu_plus_one(q), elu_plus_one(k), angles, epsilon) @ v
     if lepe_kernel is not None:
         out = out + depthwise_conv_grid(v, lepe_kernel.taps, grid.height, grid.width)
     return Tensor._own(out)

@@ -7,6 +7,10 @@ across fan-out, and returns the gradient of every leaf. First-order only:
 no higher derivatives, no checkpointing. A Tape(record=False) keeps no
 history, for forward-only passes.
 
+Each attention variant is one op over its feature maps (SEMA adds the mixing
+op to the window op) whose forward is the numpy kernel of attention.py;
+cli.GRADCHECK_VARIANTS composes them.
+
 gradcheck() compares a traced scalar function's backward gradients against
 central finite differences coordinate by coordinate.
 """
@@ -25,6 +29,7 @@ from .posenc import depthwise_conv_grid, rotate_pairs
 from .rng import rng_for
 
 _SOFTMAX, _LINEAR = KernelSpec.softmax(), KernelSpec.linear()
+_MILA_EPSILON = 1e-6  # attention.mila_attention's default
 
 
 @dataclass
@@ -113,18 +118,10 @@ def mul(a, b):
     return _pair(a, b).push("mul", (a.idx, b.idx), a.value * b.value)
 
 
-def add_scalar(a, c: float):
-    return a.tape.push("add_scalar", (a.idx,), a.value + c)
-
-
 def matmul(a, b):
     if a.value.shape[-1] != b.value.shape[0]:
         raise DimensionError(f"matmul: {a.value.shape} x {b.value.shape}")
     return _pair(a, b).push("matmul", (a.idx, b.idx), a.value @ b.value)
-
-
-def transpose(a):
-    return a.tape.push("transpose", (a.idx,), a.value.T.copy())
 
 
 def elu_plus_one(a):
@@ -164,22 +161,11 @@ def sum_all(a):
     return a.tape.push("sum_all", (a.idx,), np.array([[a.value.sum()]]))
 
 
-def sum_cols(a):
-    """Row sums: n x d -> n x 1."""
-    return a.tape.push("sum_cols", (a.idx,), a.value.sum(axis=1, keepdims=True))
-
-
 def broadcast_row(a, n: int):
     """Repeat a 1 x d row n times (a bias needs no copy: add broadcasts it)."""
     if a.value.shape[0] != 1:
         raise DimensionError(f"broadcast_row expects 1 x d, got {a.value.shape}")
     return a.tape.push("broadcast_row", (a.idx,), np.repeat(a.value, n, axis=0))
-
-
-def div_rowvec(a, s):
-    if s.value.shape != (a.value.shape[0], 1):
-        raise DimensionError(f"div_rowvec: scale shape {s.value.shape}")
-    return _pair(a, s).push("div_rowvec", (a.idx, s.idx), a.value / s.value)
 
 
 def cols(a, lo: int, hi: int):
@@ -324,6 +310,18 @@ def blocked_linear_attention(u, w, v, block: int, heads: int = 1):
                               u, w, v, block, heads)
 
 
+def mila_attention(u, w, v, angles: np.ndarray):
+    """MILA over already-featured u, w (elu+1 outputs) and a rope angle table.
+
+    Forwards through attention._mila_weights, so the value is bitwise that of
+    attention.mila_attention on the same rows.
+    """
+    _same_shape(u, w, "mila_attention")
+    coeff = attention._mila_weights(u.value, w.value, angles, _MILA_EPSILON)
+    return _pair(u, w).push("mila_attention", (u.idx, w.idx, v.idx), coeff @ v.value,
+                            {"coeff": coeff, "angles": angles})
+
+
 def blocked_mean_broadcast(v, block: int):
     """Mean of each row block broadcast back over the block.
 
@@ -425,6 +423,17 @@ def _adj_blocked_attention(node, g, vals):
     return _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
 
 
+def _adj_mila_attention(node, g, vals):
+    """coeff = rot(u) rot(w)^T / den, den = rowsum(u w^T) + eps: the quotient rule per row."""
+    u, w, v = vals
+    coeff, angles = node.ctx["coeff"], node.ctx["angles"]
+    dnum = (g @ v.T) / ((u @ w.T).sum(axis=1, keepdims=True) + _MILA_EPSILON)
+    dden = -(dnum * coeff).sum(axis=1, keepdims=True)
+    du = rotate_pairs(dnum @ rotate_pairs(w, angles), -angles) + dden * w.sum(axis=0)
+    dw = rotate_pairs(dnum.T @ rotate_pairs(u, angles), -angles) + dden.T @ u
+    return du, dw, coeff.T @ g
+
+
 def _adj_focused_map(node, g, vals):
     (x,) = vals
     p = node.ctx["p"]
@@ -458,9 +467,7 @@ ADJOINTS = {
         g, g if vals[1].shape == g.shape else g.sum(axis=0, keepdims=True),
     ),
     "mul": lambda node, g, vals: (g * vals[1], g * vals[0]),
-    "add_scalar": lambda node, g, vals: (g,),
     "matmul": _adj_matmul,
-    "transpose": lambda node, g, vals: (g.T,),
     # the derivative is 1 where x > 0 (output x + 1 >= 1) and exp(x) = output elsewhere
     "elu_plus_one": lambda node, g, vals: (g * np.minimum(node.value, 1.0),),
     "gelu": _adj_gelu,
@@ -468,12 +475,7 @@ ADJOINTS = {
         g * node.ctx["p"] * vals[0] ** (node.ctx["p"] - 1),
     ),
     "sum_all": lambda node, g, vals: (np.full_like(vals[0], g[0, 0]),),
-    "sum_cols": lambda node, g, vals: (np.repeat(g, vals[0].shape[1], axis=1),),
     "broadcast_row": lambda node, g, vals: (g.sum(axis=0, keepdims=True),),
-    "div_rowvec": lambda node, g, vals: (
-        g / vals[1],
-        -(g * vals[0]).sum(axis=1, keepdims=True) / vals[1] ** 2,
-    ),
     "cols": lambda node, g, vals: (
         _scatter(g, vals[0].shape, (slice(None), slice(node.ctx["lo"], node.ctx["hi"]))),
     ),
@@ -492,6 +494,7 @@ ADJOINTS = {
     "blocked_softmax_attention": _adj_blocked_attention,
     "blocked_linear_attention": _adj_blocked_attention,
     "blocked_mean_broadcast": lambda node, g, vals: (_block_mean(g, node.ctx["block"]),),
+    "mila_attention": _adj_mila_attention,
     "cross_entropy": lambda node, g, vals: (_adj_cross_entropy(node, g),),
     "focused_map": _adj_focused_map,
 }

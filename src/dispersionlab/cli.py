@@ -54,11 +54,24 @@ from .model import (
     train_toy,
     zero_lepe,
 )
+from .posenc import GridSpec, rope_angles
 from .rng import rng_for
 from . import autograd as ag
-from . import traced
 
-GRADCHECK_VARIANTS = ("softmax", "linear", "focused", "window", "sema", "mila")
+# Each attention variant on the tape, traced (q, k, v) -> output; windows hold 4 rows
+GRADCHECK_VARIANTS = {
+    "softmax": lambda q, k, v: ag.blocked_softmax_attention(q, k, v, q.shape[0]),
+    "linear": lambda q, k, v: ag.blocked_linear_attention(
+        ag.elu_plus_one(q), ag.elu_plus_one(k), v, q.shape[0]),
+    "focused": lambda q, k, v: ag.blocked_linear_attention(
+        ag.focused_map_rows(q, 3), ag.focused_map_rows(k, 3), v, q.shape[0]),
+    "window": lambda q, k, v: ag.blocked_softmax_attention(q, k, v, 4),
+    "sema": lambda q, k, v: ag.add(ag.blocked_softmax_attention(q, k, v, 4),
+                                   ag.blocked_mean_broadcast(v, v.shape[0])),
+    "mila": lambda q, k, v: ag.mila_attention(
+        ag.elu_plus_one(q), ag.elu_plus_one(k), v,
+        rope_angles(GridSpec.linear(q.shape[0]), q.shape[1])),
+}
 
 
 class _UsageError(Exception):
@@ -249,15 +262,8 @@ def _gradcheck_case(variant: str, seed: int):
     if variant == "focused":
         # relu-based features need inputs from the op's valid domain
         q, k = np.abs(q), np.abs(k)
-    fns = {
-        "softmax": lambda a, b, c: ag.sum_all(traced.softmax_attention(a, b, c)),
-        "linear": lambda a, b, c: ag.sum_all(traced.linear_attention(a, b, c)),
-        "focused": lambda a, b, c: ag.sum_all(traced.focused_attention(a, b, c, 3)),
-        "window": lambda a, b, c: ag.sum_all(traced.window_attention(a, b, c, 4)),
-        "sema": lambda a, b, c: ag.sum_all(traced.sema_attention(a, b, c, 4)),
-        "mila": lambda a, b, c: ag.sum_all(traced.mila_attention(a, b, c)),
-    }
-    return fns[variant], [q, k, v]
+    attend = GRADCHECK_VARIANTS[variant]
+    return (lambda a, b, c: ag.sum_all(attend(a, b, c))), [q, k, v]
 
 
 def cmd_gradcheck(args) -> int:
@@ -303,6 +309,9 @@ def cmd_bench(args) -> int:
         if variant not in _BENCH_FNS:
             raise _UsageError(f"unknown bench variant {variant!r}")
     n_values = _parse_n_list(args.n)
+    if {"window", "sema"} & set(variants) and any(n % args.w for n in (64, *n_values)):
+        raise _UsageError(f"--w {args.w} must divide every --n value and 64, the n of the "
+                          "counter check")
     out_dir = _ensure_out(args.out)
     rows, exponents = [], {}
     for variant in variants:

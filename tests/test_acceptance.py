@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from dispersionlab import autograd as ag
-from dispersionlab import traced
 from dispersionlab.analysis import (
     BoundedSampler,
     complexity_estimate,
@@ -29,6 +28,7 @@ from dispersionlab.attention import (
     softmax_attention,
     window_attention,
 )
+from dispersionlab.cli import GRADCHECK_VARIANTS
 from dispersionlab.model import (
     ModelConfig,
     SyntheticTask,
@@ -165,17 +165,11 @@ def test_criterion_07_gradchecks_all_variants():
     rng = rng_for(7, "acceptance-gradcheck")
     q, k, v = rng.standard_normal((3, 8, 4))
     qa, ka = np.abs(q), np.abs(k)  # focused features need nonnegative support
-    cases = {
-        "softmax": (lambda a, b, c: ag.sum_all(traced.softmax_attention(a, b, c)), [q, k, v]),
-        "linear": (lambda a, b, c: ag.sum_all(traced.linear_attention(a, b, c)), [q, k, v]),
-        "focused": (lambda a, b, c: ag.sum_all(traced.focused_attention(a, b, c, 3)), [qa, ka, v]),
-        "window": (lambda a, b, c: ag.sum_all(traced.window_attention(a, b, c, 4)), [q, k, v]),
-        "sema": (lambda a, b, c: ag.sum_all(traced.sema_attention(a, b, c, 4)), [q, k, v]),
-        "mila": (lambda a, b, c: ag.sum_all(traced.mila_attention(a, b, c)), [q, k, v]),
-    }
     errs = {}
-    for name, (fn, inputs) in cases.items():
-        rep = ag.gradcheck(fn, inputs, step=1e-5, tol=1e-5)
+    for name, attend in GRADCHECK_VARIANTS.items():
+        inputs = [qa, ka, v] if name == "focused" else [q, k, v]
+        rep = ag.gradcheck(lambda a, b, c: ag.sum_all(attend(a, b, c)), inputs,
+                           step=1e-5, tol=1e-5)
         assert rep.passed, f"{name}: {rep.max_rel_err}"
         errs[name] = rep.max_rel_err
     elapsed = time.time() - t0

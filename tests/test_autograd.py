@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dispersionlab import autograd as ag
-from dispersionlab import traced
 from dispersionlab.attention import (
     WindowSpec,
     focused_attention,
@@ -14,6 +13,7 @@ from dispersionlab.attention import (
     softmax_attention,
     window_attention,
 )
+from dispersionlab.cli import GRADCHECK_VARIANTS
 from dispersionlab.errors import DifferentiationError, DimensionError
 from dispersionlab.posenc import GridSpec, rope_angles, rotate_pairs
 from dispersionlab.rng import rng_for
@@ -70,7 +70,6 @@ PRIMITIVE_CASES = [
     ("power3", lambda a: ag.sum_all(ag.power_int(a, 3)), (3, 4), None),
     ("broadcast", lambda a: ag.sum_all(ag.mul(ag.broadcast_row(ag.gather_rows(a, [0]), 5), a)),
      (5, 3), None),
-    ("sum_cols", lambda a: ag.sum_all(ag.mul(ag.sum_cols(a), ag.sum_cols(a))), (4, 3), None),
     ("rows_cols", lambda a: ag.sum_all(ag.cols(ag.gather_rows(a, [1, 2]), 0, 2)), (4, 4), None),
     ("permute", lambda a: ag.sum_all(ag.mul(ag.permute_rows(a, [2, 0, 1, 3]), a)), (4, 3), None),
     ("gather", lambda a: ag.sum_all(ag.gather_rows(a, [0, 2, 2])), (4, 3), None),
@@ -149,6 +148,18 @@ class TestPrimitiveGradients:
 
         assert ag.gradcheck(f, [u, w, v]).passed
 
+    def test_mila_attention_gradients_with_grid_angles(self):
+        rng = rng_for(22, "mila")
+        u, w, v = rng.standard_normal((3, 8, 4))
+        u, w = np.abs(u) + 0.1, np.abs(w) + 0.1  # positive features
+        ang = rope_angles(GridSpec.grid(2, 4), 4)
+
+        def f(a, b, c):
+            return ag.sum_all(ag.power_int(ag.mila_attention(a, b, c, ang), 2))
+
+        report = ag.gradcheck(f, [u, w, v])
+        assert report.passed, report.max_rel_err
+
     def test_cross_entropy_gradient(self):
         rng = rng_for(6, "ce")
         logits = rng.standard_normal((5, 3))
@@ -163,12 +174,15 @@ class TestPrimitiveGradients:
         rng = rng_for(7, "composite")
         x = rng.standard_normal((4, 6))
         w = rng.standard_normal((6, 6))
+        ang = rope_angles(GridSpec.linear(4), 6)
 
         def f(a, b):
             h = ag.gelu(ag.matmul(a, b))
             h = ag.blocked_softmax_attention(ag.add(h, a), a, h, 4, heads=2)
-            h = ag.mul(h, ag.elu_plus_one(ag.matmul(a, ag.transpose(b))))
-            h = ag.div_rowvec(h, ag.add_scalar(ag.sum_cols(ag.elu_plus_one(a)), 1.0))
+            h = ag.mul(h, ag.elu_plus_one(ag.matmul(a, b)))
+            h = ag.mila_attention(ag.elu_plus_one(h), ag.elu_plus_one(a), h, ang)
+            h = ag.layer_norm(h, ag.gather_rows(b, [0]), ag.gather_rows(a, [1]))
+            h = ag.add(h, ag.blocked_mean_broadcast(h, 2))
             return ag.sum_all(ag.power_int(h, 2))
 
         report = ag.gradcheck(f, [x, w], step=1e-5)
@@ -367,64 +381,45 @@ class TestHeadFolding:
 
 
 class TestTracedEquivalence:
+    """Each traced variant of cli.GRADCHECK_VARIANTS against its numpy kernel."""
+
     def setup_method(self):
         rng = rng_for(7, "traced")
         self.q = rng.standard_normal((8, 4))
         self.k = rng.standard_normal((8, 4))
         self.v = rng.standard_normal((8, 4))
 
-    def run_traced(self, fn, *arrays):
+    def run_traced(self, variant, *arrays):
         tape = ag.Tape()
-        leaves = [ag.leaf(tape, a) for a in arrays]
-        return fn(*leaves).value
+        return GRADCHECK_VARIANTS[variant](*(ag.leaf(tape, a) for a in arrays)).value
 
     def test_softmax_matches_plain(self):
-        out = self.run_traced(traced.softmax_attention, self.q, self.k, self.v)
+        out = self.run_traced("softmax", self.q, self.k, self.v)
         # the same blocked kernel with block == n: bitwise equal
         np.testing.assert_array_equal(out, softmax_attention(self.q, self.k, self.v).array)
 
     def test_linear_matches_plain(self):
-        out = self.run_traced(traced.linear_attention, self.q, self.k, self.v)
+        out = self.run_traced("linear", self.q, self.k, self.v)
         np.testing.assert_array_equal(out, linear_attention(self.q, self.k, self.v).array)
 
     def test_focused_matches_plain(self):
         qa, ka = np.abs(self.q), np.abs(self.k)
-        out = self.run_traced(lambda a, b, c: traced.focused_attention(a, b, c, 3),
-                              qa, ka, self.v)
+        out = self.run_traced("focused", qa, ka, self.v)
         np.testing.assert_array_equal(out, focused_attention(qa, ka, self.v, 3).array)
 
     def test_window_matches_plain(self):
-        out = self.run_traced(lambda a, b, c: traced.window_attention(a, b, c, 4),
-                              self.q, self.k, self.v)
+        out = self.run_traced("window", self.q, self.k, self.v)
         plain = window_attention(self.q, self.k, self.v, WindowSpec(4)).array
-        assert np.abs(out - plain).max() < 1e-12
+        np.testing.assert_array_equal(out, plain)
 
     def test_sema_matches_plain(self):
-        out = self.run_traced(lambda a, b, c: traced.sema_attention(a, b, c, 4),
-                              self.q, self.k, self.v)
+        out = self.run_traced("sema", self.q, self.k, self.v)
         plain = sema_attention(self.q, self.k, self.v, WindowSpec(4)).array
-        assert np.abs(out - plain).max() < 1e-12
+        np.testing.assert_array_equal(out, plain)
 
     def test_mila_matches_plain(self):
-        out = self.run_traced(traced.mila_attention, self.q, self.k, self.v)
-        assert np.abs(out - mila_attention(self.q, self.k, self.v).array).max() < 1e-12
-
-    def test_sema_full_matches_plain(self):
-        from dispersionlab.attention import SemaParams, sema_attention_full
-        from dispersionlab.posenc import DepthwiseKernel
-
-        rng = rng_for(11, "sema-full-eq")
-        x = rng.standard_normal((8, 4))
-        wq, wk, wv = rng.standard_normal((3, 4, 4))
-        taps = rng.standard_normal((4, 3, 3))
-        grid = GridSpec.grid(2, 4)
-        out = self.run_traced(
-            lambda a, b, c, d, t: traced.sema_attention_full(a, b, c, d, t, 2, grid),
-            x, wq, wk, wv, taps)
-        plain = sema_attention_full(
-            x, SemaParams(wq, wk, wv, DepthwiseKernel(taps)),
-            WindowSpec(2), grid).array
-        assert np.abs(out - plain).max() < 1e-12
+        out = self.run_traced("mila", self.q, self.k, self.v)
+        np.testing.assert_array_equal(out, mila_attention(self.q, self.k, self.v).array)
 
 
 class TestGradcheckHarness:
@@ -465,16 +460,3 @@ class TestGradcheckHarness:
         v = rng.standard_normal((6, 3))
         (g,) = run_backward(lambda a: ag.sum_all(ag.blocked_mean_broadcast(a, 6)), [v])
         np.testing.assert_allclose(g, np.ones_like(v), atol=1e-14)
-
-    def test_sema_full_pipeline_gradcheck(self):
-        rng = rng_for(10, "sema-full")
-        x = rng.standard_normal((8, 4))
-        wq, wk, wv = rng.standard_normal((3, 4, 4))
-        taps = rng.standard_normal((4, 3, 3))
-        grid = GridSpec.grid(2, 4)
-
-        def f(a, b, c, d, t):
-            return ag.sum_all(traced.sema_attention_full(a, b, c, d, t, 2, grid))
-
-        report = ag.gradcheck(f, [x, wq, wk, wv, taps], step=1e-5, tol=1e-5)
-        assert report.passed, report.max_rel_err

@@ -59,6 +59,16 @@ class TestExitCodes:
         self.assert_usage_error(["bench", "--n", "64", "--out", str(tmp_path)],
                                 capsys, "at least 3")
 
+    @pytest.mark.parametrize("variant,w,n", [("window", "3", "9,18,36"),
+                                             ("sema", "128", "128,256,512"),
+                                             ("window", "8", "64,100,128")])
+    def test_bench_window_not_dividing_n_is_usage_error(self, variant, w, n, tmp_path, capsys):
+        # the first two timed every n, then the counter check at n = 64 ended in a traceback
+        out = tmp_path / "bench"
+        self.assert_usage_error(["bench", "--variants", variant, "--w", w, "--n", n,
+                                 "--out", str(out)], capsys, f"--w {w}")
+        assert not out.exists()
+
     def test_ssm_check_zero_instances_is_usage_error(self, capsys):
         # zero instances would pass the equivalence check vacuously
         self.assert_usage_error(["ssm-check", "--instances", "0"], capsys, "--instances")

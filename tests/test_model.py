@@ -8,6 +8,7 @@ from dispersionlab.errors import ConfigurationError, DimensionError
 from dispersionlab.model import (
     ModelConfig,
     SyntheticTask,
+    _block_forward,
     forward,
     forward_with_capture,
     init_params,
@@ -191,6 +192,28 @@ class TestHeadFolding:
                             _per_head(ag.blocked_linear_attention))
         per_head = forward(cfg, params, images).array
         np.testing.assert_array_equal(folded, per_head)
+
+
+class TestBlockGradient:
+    @pytest.mark.parametrize("averaging", [True, False])
+    def test_block_forward_gradcheck(self, averaging):
+        # one model block differentiated as it runs: windowed rotary softmax over
+        # two heads, the depthwise and mixing terms, the MLP
+        cfg = single_block_config(stage_heads=(2,), image_size=16, averaging_enabled=averaging)
+        g = stage_grids(cfg)[0]
+        rng = rng_for(23, "block-gradcheck")
+        params = init_params(cfg)
+        names = sorted(name for name in params if name.startswith("s0.b0."))
+        params["s0.b0.lepe"] = rng.standard_normal(params["s0.b0.lepe"].shape)
+        x = rng.standard_normal((g * g, 8))
+        weights = np.arange(x.size, dtype=np.float64).reshape(x.shape) / x.size
+
+        def f(a, *leaves):
+            out = _block_forward(dict(zip(names, leaves)), a, cfg, 0, g, "s0.b0.")
+            return ag.sum_all(ag.mul(out, ag.leaf(a.tape, weights)))
+
+        report = ag.gradcheck(f, [x] + [params[name] for name in names], tol=1e-5)
+        assert report.passed, dict(zip(["x"] + names, report.per_input))
 
 
 class TestReceptiveField:

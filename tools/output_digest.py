@@ -14,9 +14,11 @@ Covered: every public ``attention`` and ``posenc`` kernel at n = 16, 64 and
 m) and ``forgetting_horizon`` on the golden fixture, on the 100 instances of
 ``ssm-check --seed 42`` and on a random n = 256 instance; both causal linear
 forms; the ``tiny_224`` logits at batch 1; a 3-epoch ``train_toy`` with
-averaging on and off; and the ``DispersionReport.to_json()`` text of the five
+averaging on and off; the ``DispersionReport.to_json()`` text of the five
 sweeps of perfbench's ``dispersion_sweep`` (softmax, linear, focused, MILA and
-window at w = 8 with fixed content; seed 42, d 16, n = 64..4096, 2 trials).
+window at w = 8 with fixed content; seed 42, d 16, n = 64..4096, 2 trials); and
+on a recording tape, the loss and every leaf gradient of each case of
+``dispersion-lab gradcheck --seed 42``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from dispersionlab import attention as at
-from dispersionlab import analysis, model, posenc, ssm
+from dispersionlab import analysis, autograd, cli, model, posenc, ssm
 from dispersionlab.rng import rng_for
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -174,7 +176,21 @@ def dispersion_outputs():
         yield f"measure_dispersion/{variant}", np.frombuffer(rep.to_json().encode(), np.uint8)
 
 
-GROUPS = (attention_outputs, posenc_outputs, ssm_outputs, model_outputs, dispersion_outputs)
+def tape_outputs():
+    """Loss and q, k, v gradients of each ``dispersion-lab gradcheck`` case at seed 42."""
+    for variant in cli.GRADCHECK_VARIANTS:
+        fn, inputs = cli._gradcheck_case(variant, SEED)
+        tape = autograd.Tape()
+        leaves = [autograd.leaf(tape, x) for x in inputs]
+        loss = fn(*leaves)
+        grads = autograd.backward(loss)
+        yield f"gradcheck_case.loss/{variant}", loss.value
+        for name, lv in zip("qkv", leaves):
+            yield f"gradcheck_case.grad_{name}/{variant}", grads[lv.idx]
+
+
+GROUPS = (attention_outputs, posenc_outputs, ssm_outputs, model_outputs, dispersion_outputs,
+          tape_outputs)
 
 
 def lines(groups=GROUPS):
