@@ -1,7 +1,7 @@
 """dispersionlab: a numerical laboratory for attention dispersion.
 
 Library layout:
-  tensor     dense immutable arrays and their JSON wire format
+  tensor     dense immutable, finiteness-checked float64 arrays
   posenc     rotary embeddings, grids, depthwise positional kernels
   attention  the attention variant family (softmax, linear, focused,
              window, SEMA, MILA) with coefficient extraction, all built on
@@ -21,7 +21,6 @@ from .tensor import Tensor  # noqa: F401
 from .posenc import DepthwiseKernel, GridSpec, lepe, rope_apply  # noqa: F401
 from .attention import (  # noqa: F401
     KernelSpec,
-    SemaParams,
     WindowSpec,
     focused_attention,
     focused_map,
@@ -32,7 +31,6 @@ from .attention import (  # noqa: F401
     mila_attention,
     phi_normalize,
     sema_attention,
-    sema_attention_full,
     softmax_attention,
     window_attention,
 )
@@ -61,6 +59,5 @@ from .model import (  # noqa: F401
     forward,
     init_params,
     parameter_count,
-    receptive_field_probe,
     train_toy,
 )

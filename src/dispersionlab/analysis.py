@@ -167,10 +167,6 @@ class DispersionReport:
     def to_json(self) -> str:
         return json.dumps(self.__dict__, indent=2, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "DispersionReport":
-        return cls(**json.loads(text))
-
 
 @dataclass(frozen=True)
 class CellExtrema:

@@ -83,25 +83,16 @@ class KernelSpec:
     def focused(cls, p: int = 3) -> "KernelSpec":
         return cls(phi="identity", psi_q="focused", psi_k="focused", psi_p=p)
 
-    def to_json(self) -> str:
-        obj: dict = {"phi": self.phi}
-        if self.phi == "exp_temperature":
-            obj["theta"] = self.theta
-        if self.phi == "power":
-            obj["phi_p"] = self.phi_p
-        if self.psi_q == self.psi_k:
-            obj["psi"] = self.psi_q
-        else:
-            obj["psi_q"] = self.psi_q
-            obj["psi_k"] = self.psi_k
-        if "focused" in (self.psi_q, self.psi_k):
-            obj["psi_p"] = self.psi_p
-        obj["epsilon"] = self.epsilon
-        return json.dumps(obj)
-
     @classmethod
     def from_json(cls, text: str) -> "KernelSpec":
-        obj = _json_object(text, "kernel spec", ("psi", *(f.name for f in fields(cls))))
+        """Parse a JSON object whose keys are fields or ``psi``; name any other key."""
+        obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError(f"kernel spec must be a JSON object, got {text!r}")
+        keys = ("psi", *(f.name for f in fields(cls)))
+        unknown = sorted(set(obj) - set(keys))
+        if unknown:
+            raise ValueError(f"unknown kernel spec key(s) {unknown}; known keys are {list(keys)}")
         psi_q = obj.get("psi_q", obj.get("psi", "identity"))
         psi_k = obj.get("psi_k", obj.get("psi", "identity"))
         return cls(
@@ -115,17 +106,6 @@ class KernelSpec:
         )
 
 
-def _json_object(text: str, what: str, keys: tuple[str, ...]) -> dict:
-    """Parse a JSON object whose keys all come from keys; name any other key."""
-    obj = json.loads(text)
-    if not isinstance(obj, dict):
-        raise ValueError(f"{what} must be a JSON object, got {text!r}")
-    unknown = sorted(set(obj) - set(keys))
-    if unknown:
-        raise ValueError(f"unknown {what} key(s) {unknown}; known keys are {list(keys)}")
-    return obj
-
-
 @dataclass(frozen=True)
 class WindowSpec:
     """Blocked window partition: row m attends to J(m) = {Mw+1..(M+1)w}."""
@@ -135,13 +115,6 @@ class WindowSpec:
     def __post_init__(self):
         if self.w < 1:
             raise ValueError("window size must be >= 1")
-
-    def to_json(self) -> str:
-        return json.dumps({"w": self.w})
-
-    @classmethod
-    def from_json(cls, text: str) -> "WindowSpec":
-        return cls(w=_json_object(text, "window spec", ("w",))["w"])
 
 
 def elu_plus_one(x: np.ndarray) -> np.ndarray:
@@ -432,49 +405,6 @@ def sema_attention(q, k, v, win: WindowSpec, kernel: KernelSpec | None = None) -
     """
     wa = window_attention(q, k, v, win, kernel)
     return Tensor._own(wa.array + homogeneous_mix(v).array)
-
-
-@dataclass(frozen=True)
-class SemaParams:
-    """Projections and positional kernel for the full SEMA attention pipeline."""
-
-    wq: np.ndarray
-    wk: np.ndarray
-    wv: np.ndarray
-    lepe_kernel: DepthwiseKernel
-    rope_on_values: bool = False
-
-    @classmethod
-    def identity(cls, d: int, lepe_kernel: DepthwiseKernel | None = None,
-                 rope_on_values: bool = False) -> "SemaParams":
-        eye = np.eye(d)
-        return cls(eye, eye, eye, lepe_kernel or DepthwiseKernel.zeros(d),
-                   rope_on_values=rope_on_values)
-
-
-def sema_attention_full(x, params: SemaParams, win: WindowSpec, grid: GridSpec) -> Tensor:
-    """Full SEMA pipeline on one token matrix.
-
-    Project x to Q, K, V; partition into blocked windows; rotate windowed
-    Q and K by local window positions (V too when rope_on_values is set);
-    window softmax attention; add the depthwise positional term on V over
-    the full grid; add the sequence average of V.
-    """
-    x = as_array(x)
-    if x.ndim != 2:
-        raise DimensionError(f"expected n x d_model input, got {x.shape}")
-    n, d = x.shape
-    if grid.n != n:
-        raise DimensionError(f"grid holds {grid.n} tokens but input has {n} rows")
-    _window_blocks(n, win)
-    q, k, v = x @ params.wq, x @ params.wk, x @ params.wv
-    ang = rope_angles(GridSpec.linear(win.w), d)  # every window rotates by its local positions
-    vr = rotate_pairs(v, ang) if params.rope_on_values else v
-    coeff = _block_coefficients(_blocks(rotate_pairs(q, ang), win.w),
-                                _blocks(rotate_pairs(k, ang), win.w), KernelSpec.softmax())
-    out = (coeff @ _blocks(vr, win.w)).reshape(v.shape)
-    lepe_term = depthwise_conv_grid(v, params.lepe_kernel.taps, grid.height, grid.width)
-    return Tensor._own(out + lepe_term + v.mean(axis=0, keepdims=True))
 
 
 def _mila_weights(u: np.ndarray, w: np.ndarray, angles: np.ndarray | None,

@@ -18,6 +18,7 @@ variant, n, trial), so results are schedule-independent).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import shlex
@@ -106,20 +107,22 @@ def _parse_n_list(text: str) -> list[int]:
     return values
 
 
-def _positive(kind, noun: str):
-    """argparse type accepting only finite values of `kind` above zero."""
+def _bounded(kind, low: float, noun: str):
+    """argparse type accepting only finite values of `kind` above `low`."""
     def parse(text: str):
         try:
             value = kind(text)
         except ValueError:
             value = None
-        if value is None or not 0 < value < float("inf"):
-            raise argparse.ArgumentTypeError(f"expected a positive {noun}, got {text!r}")
+        if value is None or not low < value < float("inf"):
+            raise argparse.ArgumentTypeError(f"expected a {noun}, got {text!r}")
         return value
     return parse
 
 
-_positive_int, _positive_float = _positive(int, "integer"), _positive(float, "number")
+_positive_int = _bounded(int, 0, "positive integer")
+_positive_float = _bounded(float, 0, "positive number")
+_seed = _bounded(int, -1, "seed, an integer >= 0")
 
 
 def _write(path: str, content: str) -> str:
@@ -378,8 +381,7 @@ def _load_config(path: str | None, averaging: str | None) -> ModelConfig:
                           window=2, patch_size=4, num_classes=2, image_size=32,
                           head_mode="first_token")
     if averaging is not None:
-        cfg = ModelConfig(**{**json.loads(cfg.to_json()),
-                             "averaging_enabled": averaging == "on"})
+        cfg = dataclasses.replace(cfg, averaging_enabled=averaging == "on")
     return cfg
 
 
@@ -455,7 +457,7 @@ def build_parser() -> _Parser:
     p.add_argument("--kernel", help="KernelSpec JSON; defaults to the variant's kernel")
     p.add_argument("--n", default="64..4096", help="'lo..hi' doubling range or comma list")
     p.add_argument("--trials", type=_positive_int, default=32)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_seed, default=42)
     p.add_argument("--d", type=_positive_int, default=16)
     p.add_argument("--logit-bound", type=_positive_float, default=1.0)
     p.add_argument("--w", type=_positive_int, default=8, help="window size (window variant)")
@@ -468,14 +470,14 @@ def build_parser() -> _Parser:
     p.add_argument("--d-state", type=_positive_int, default=8)
     p.add_argument("--channels", type=_positive_int, default=8)
     p.add_argument("--instances", type=_positive_int, default=100)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_seed, default=42)
     p.add_argument("--out")
 
     p = sub.add_parser("gradcheck", help="finite-difference checks per attention variant")
     p.add_argument("--variants", help="comma list; default all six")
     p.add_argument("--tol", type=_positive_float, default=1e-5)
     p.add_argument("--step", type=_positive_float, default=1e-5)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=_seed, default=7)
     p.add_argument("--out")
 
     p = sub.add_parser("bench", help="wall-time scaling and multiply-add counters")
@@ -484,14 +486,14 @@ def build_parser() -> _Parser:
     p.add_argument("--d", type=_positive_int, default=16)
     p.add_argument("--w", type=_positive_int, default=8)
     p.add_argument("--repeats", type=_positive_int, default=3)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_seed, default=42)
     p.add_argument("--out", default="out/bench")
 
     p = sub.add_parser("train-toy", help="seeded toy training on the majority task")
     p.add_argument("--config", help="ModelConfig JSON path; default single-block ablation model")
     p.add_argument("--averaging", choices=["on", "off"])
     p.add_argument("--epochs", type=_positive_int, default=30)
-    p.add_argument("--seed", type=int, default=13)
+    p.add_argument("--seed", type=_seed, default=13)
     p.add_argument("--out", default="out/train-toy")
 
     p = sub.add_parser("probe-rf", help="receptive-field heat map of one block")

@@ -61,6 +61,17 @@ class ModelConfig:
             raise ConfigurationError("stage lists must share one length")
         if len(self.stage_dims) < 1:
             raise ConfigurationError("need at least one stage")
+        for name in ("stage_dims", "stage_depths", "stage_heads", "window", "patch_size",
+                     "image_size", "num_classes"):
+            value = getattr(self, name)
+            if min(value if isinstance(value, tuple) else (value,)) < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {value!r}")
+        if not all(math.isfinite(dim * self.mlp_ratio) and round(dim * self.mlp_ratio) >= 1
+                   for dim in self.stage_dims):
+            raise ConfigurationError(f"mlp_ratio {self.mlp_ratio!r} must be finite and give "
+                                     "every stage an MLP width >= 1")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed!r}")
         for s, (dim, heads) in enumerate(zip(self.stage_dims, self.stage_heads)):
             if dim % heads != 0:
                 raise ConfigurationError(f"stage {s}: dim {dim} not divisible by {heads} heads")
@@ -88,10 +99,6 @@ class ModelConfig:
                     num_classes=10, image_size=64)
         base.update(overrides)
         return cls(**base)
-
-    def to_json(self) -> str:
-        obj = {k: (list(v) if isinstance(v, tuple) else v) for k, v in self.__dict__.items()}
-        return json.dumps(obj, indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ModelConfig":
@@ -359,12 +366,6 @@ def receptive_field_grid(cfg: ModelConfig, params: dict[str, np.ndarray],
     loss = ag.sum_all(ag.gather_rows(out, [token_i]))
     grads = ag.backward(loss)
     return np.linalg.norm(grads[x.idx], axis=1)
-
-
-def receptive_field_probe(cfg: ModelConfig, params: dict[str, np.ndarray],
-                          token_i: int, token_j: int) -> float:
-    """Magnitude of the output-i/input-j Jacobian block after one block."""
-    return float(receptive_field_grid(cfg, params, token_i)[token_j])
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ local offset added to attention outputs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,14 +132,6 @@ class DepthwiseKernel:
             raise DimensionError(f"kernel size must be odd, got {taps.shape[1]}")
         object.__setattr__(self, "taps", taps)
 
-    @property
-    def channels(self) -> int:
-        return self.taps.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.taps.shape[1]
-
     @classmethod
     def zeros(cls, channels: int, k: int = 3) -> "DepthwiseKernel":
         return cls(np.zeros((channels, k, k)))
@@ -150,17 +141,6 @@ class DepthwiseKernel:
         taps = np.zeros((channels, k, k))
         taps[:, k // 2, k // 2] = 1.0
         return cls(taps)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"channels": self.channels, "k": self.k, "taps": self.taps.ravel().tolist()}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "DepthwiseKernel":
-        obj = json.loads(text)
-        taps = np.asarray(obj["taps"], dtype=np.float64)
-        return cls(taps.reshape(obj["channels"], obj["k"], obj["k"]))
 
 
 def depthwise_conv_grid(x: np.ndarray, taps: np.ndarray, height: int, width: int) -> np.ndarray:

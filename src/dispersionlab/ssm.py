@@ -102,13 +102,6 @@ class SsmParams:
             h0=np.zeros((d_state, channels)) if zero_h0 else rng.standard_normal((d_state, channels)),
         )
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "A_tilde": self.A_tilde.tolist(), "B": self.B.tolist(),
-            "C_out": self.C_out.tolist(), "D": self.D.tolist(),
-            "Delta": self.Delta.tolist(), "h0": self.h0.tolist(),
-        })
-
     @classmethod
     def from_json(cls, text: str) -> "SsmParams":
         obj = json.loads(text)

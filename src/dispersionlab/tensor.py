@@ -9,7 +9,6 @@ finiteness and frozen.
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
 import numpy as np
@@ -82,21 +81,6 @@ class Tensor:
 
     def __hash__(self):
         return hash((self.shape, self._array.tobytes()))
-
-    # JSON wire format: {"shape": [...], "data": [flat row-major values]}
-    def to_json(self) -> str:
-        return json.dumps({"shape": list(self.shape), "data": self._array.ravel().tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "Tensor":
-        obj = json.loads(text)
-        shape = obj["shape"]
-        data = np.asarray(obj["data"], dtype=np.float64)
-        if data.size != int(np.prod(shape)):
-            raise DimensionError(
-                f"data length {data.size} does not match shape {shape}"
-            )
-        return cls._own(data.reshape(shape))
 
 
 def as_array(x) -> np.ndarray:

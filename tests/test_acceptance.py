@@ -20,11 +20,9 @@ from dispersionlab.analysis import (
     remark_counterexample,
 )
 from dispersionlab.attention import (
-    SemaParams,
     WindowSpec,
     homogeneous_mix,
     sema_attention,
-    sema_attention_full,
     softmax_attention,
     window_attention,
 )
@@ -32,6 +30,7 @@ from dispersionlab.cli import GRADCHECK_VARIANTS
 from dispersionlab.model import (
     ModelConfig,
     SyntheticTask,
+    _block_forward,
     init_params,
     parameter_count,
     receptive_field_grid,
@@ -39,7 +38,6 @@ from dispersionlab.model import (
     train_toy,
     zero_lepe,
 )
-from dispersionlab.posenc import DepthwiseKernel, GridSpec
 from dispersionlab.rng import rng_for
 from dispersionlab.ssm import SsmParams, mamba_as_attention, ssm_closed_form, ssm_scan
 
@@ -136,16 +134,25 @@ def test_criterion_06_sema_decomposition():
         rebuilt = window_attention(q, k, v, w).array + homogeneous_mix(v).array
         assert np.array_equal(sema, rebuilt)  # diff exactly 0.0
 
-    # full pipeline with LePE zeroed and a single window collapses to
-    # softmax attention over the rotated projections plus the value mean
-    n, d = 8, 4
-    x = rng.standard_normal((n, d))
+    # the model block's attention sublayer, with one head, one window over the
+    # whole stage grid and LePE zeroed, collapses to softmax attention over the
+    # axially rotated projections plus the value mean
+    g, d = 4, 8
+    cfg = ModelConfig(stage_dims=(d,), stage_depths=(1,), stage_heads=(1,), window=g,
+                      patch_size=4, image_size=4 * g)
+    params = zero_lepe(init_params(cfg))
+    x = rng.standard_normal((g * g, d))
     wq, wk, wv = rng.standard_normal((3, d, d))
-    params = SemaParams(wq, wk, wv, DepthwiseKernel.zeros(d))
-    out = sema_attention_full(x, params, WindowSpec(n), GridSpec.linear(n)).array
-    q, k, v = x @ wq, x @ wk, x @ wv
-    t = np.arange(d // 2)
-    ang = np.arange(float(n))[:, None] * (10000.0 ** (-2.0 * t / d))[None, :]
+    params.update({"s0.b0.wq": wq, "s0.b0.wk": wk, "s0.b0.wv": wv})
+    tape, capture = ag.Tape(record=False), []
+    _block_forward({name: ag.leaf(tape, value) for name, value in params.items()},
+                   ag.leaf(tape, x), cfg, 0, g, "s0.b0.", capture)
+    xc = x - x.mean(axis=1, keepdims=True)
+    y = xc / np.sqrt((xc * xc).mean(axis=1, keepdims=True) + 1e-5)  # norm1 at init
+    q, k, v = y @ wq, y @ wk, y @ wv
+    rows, cols = np.divmod(np.arange(float(g * g)), g)
+    theta = 10000.0 ** (-2.0 * np.arange(d // 4) / (d // 2))  # d / 4 pairs per axis
+    ang = np.concatenate([rows[:, None] * theta, cols[:, None] * theta], axis=1)
 
     def rot(m):
         out_ = np.empty_like(m)
@@ -154,9 +161,9 @@ def test_criterion_06_sema_decomposition():
         return out_
 
     expect = softmax_attention(rot(q), rot(k), v).array + v.mean(axis=0)
-    diff = np.abs(out - expect).max()
+    diff = np.abs(capture[0]["attn_out"] - expect).max()
     assert diff < 1e-12, diff
-    report(6, f"sema == window + mix exactly on 50 instances; full pipeline "
+    report(6, f"sema == window + mix exactly on 50 instances; model block attention "
               f"collapse diff {diff:.2e} < 1e-12")
 
 

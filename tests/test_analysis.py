@@ -1,4 +1,5 @@
 import math
+import json
 import os
 import subprocess
 import sys
@@ -134,8 +135,8 @@ class TestMeasureDispersion:
     def test_report_serialization(self):
         sampler = BoundedSampler(d=4)
         report = measure_dispersion("linear", None, sampler, [8, 16, 32], 2, seed=6)
-        back = DispersionReport.from_json(report.to_json())
-        assert back.max_coeff == report.max_coeff
+        back = DispersionReport(**json.loads(report.to_json()))
+        assert back == report
         csv_text = report.to_csv()
         assert csv_text.splitlines()[0] == "n,max_coeff,min_coeff,lower,upper"
         assert len(csv_text.splitlines()) == 4

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shlex
@@ -132,14 +133,26 @@ class TestExitCodes:
         assert "n=4, trial=0, seed=42" in err[0]
 
     @pytest.mark.parametrize("command", ["train-toy", "probe-rf"])
-    @pytest.mark.parametrize("content", [None, "{nope", '{"bogus": 1}'],
-                             ids=["missing", "not-json", "unknown-key"])
+    @pytest.mark.parametrize("content", [
+        None, "{nope", '{"bogus": 1}',
+        '{"stage_dims": [8], "stage_depths": [0], "stage_heads": [1], "window": 2, '
+        '"image_size": 32}'], ids=["missing", "not-json", "unknown-key", "zero-depth"])
     def test_malformed_config_is_usage_error(self, command, content, tmp_path, capsys):
+        # a zero depth used to end in a KeyError traceback (probe-rf) or train a
+        # block-less model (train-toy)
         path = tmp_path / "config.json"
         if content is not None:
             path.write_text(content)
         self.assert_usage_error([command, "--config", str(path), "--out", str(tmp_path / "out")],
                                 capsys, "--config")
+
+    @pytest.mark.parametrize("command", [["disperse", "--variant", "softmax"], ["ssm-check"],
+                                         ["gradcheck"], ["bench"], ["train-toy"]],
+                             ids=lambda command: command[0])
+    def test_negative_seed_is_usage_error(self, command, tmp_path, capsys):
+        # -1 used to end in a ValueError traceback from the seeded generator
+        self.assert_usage_error([*command, "--seed", "-1", "--out", str(tmp_path)],
+                                capsys, "--seed")
 
     @pytest.mark.parametrize("flag,value", [("--step", "0"), ("--tol", "0"),
                                             ("--tol", "-1e-5"), ("--tol", "nan")])
@@ -258,7 +271,7 @@ class TestTrainToy:
                           window=2, patch_size=4, num_classes=2, image_size=32,
                           head_mode="first_token", averaging_enabled=True)
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(cfg.to_json())
+        cfg_path.write_text(json.dumps(dataclasses.asdict(cfg)))
         out = str(tmp_path / "train")
         code = main(["train-toy", "--config", str(cfg_path), "--averaging", "off",
                      "--epochs", "1", "--out", out])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -17,7 +18,6 @@ from dispersionlab.model import (
     parameter_count,
     parameter_shapes,
     receptive_field_grid,
-    receptive_field_probe,
     save_checkpoint,
     stage_grids,
     train_toy,
@@ -59,12 +59,28 @@ class TestConfigAndShapes:
                         window=2, image_size=32)
 
     def test_zero_depth_counts_stem_and_head_only(self):
-        cfg = ModelConfig(stage_dims=(8,), stage_depths=(0,), stage_heads=(1,),
-                          window=2, patch_size=4, num_classes=3, image_size=32)
-        shapes = parameter_shapes(cfg)
+        # a block-less stage is rejected; outside its blocks a one-stage model
+        # holds only the stem and the head
+        with pytest.raises(ConfigurationError, match="stage_depths"):
+            single_block_config(stage_depths=(0,))
+        cfg = single_block_config(num_classes=3)
+        shapes = {n: s for n, s in parameter_shapes(cfg).items() if not n.startswith("s0.")}
         assert all(name.startswith(("stem.", "head.")) for name in shapes)
         expected = (48 * 8 + 8) + (8 + 8) + (8 + 8) + (8 * 3 + 3)
-        assert parameter_count(cfg) == expected
+        assert sum(int(np.prod(shape)) for shape in shapes.values()) == expected
+
+    @pytest.mark.parametrize("field,value", [
+        ("stage_dims", (0,)), ("stage_heads", (0,)), ("window", 0),
+        ("window", -2), ("patch_size", 0), ("image_size", 0), ("num_classes", 0),
+        ("mlp_ratio", 0.0), ("mlp_ratio", 1e-9), ("mlp_ratio", float("inf")),
+        ("mlp_ratio", float("nan")), ("seed", -1)])
+    def test_out_of_range_field_named(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            single_block_config(**{field: value})
+
+    def test_one_unit_mlp_accepted(self):
+        cfg = single_block_config(mlp_ratio=0.07)  # round(8 * 0.07) = 1
+        assert parameter_shapes(cfg)["s0.b0.mlp.w1"] == (8, 1)
 
     def test_doubling_dims_roughly_quadruples_block_params(self):
         small = ModelConfig(stage_dims=(16,), stage_depths=(1,), stage_heads=(1,),
@@ -82,7 +98,7 @@ class TestConfigAndShapes:
 
     def test_config_json_round_trip(self):
         cfg = ModelConfig.toy(attention_variant="linear", averaging_enabled=False)
-        assert ModelConfig.from_json(cfg.to_json()) == cfg
+        assert ModelConfig.from_json(json.dumps(dataclasses.asdict(cfg))) == cfg
 
 
 class TestForward:
@@ -220,7 +236,7 @@ class TestReceptiveField:
     def test_diagonal_always_nonzero(self):
         cfg = single_block_config(averaging_enabled=False)
         params = zero_lepe(init_params(cfg))
-        assert receptive_field_probe(cfg, params, 5, 5) > 0
+        assert receptive_field_grid(cfg, params, 5)[5] > 0
 
     def test_averaging_connects_everything(self):
         cfg = single_block_config(averaging_enabled=True)

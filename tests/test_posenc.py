@@ -173,6 +173,7 @@ class TestLepe:
     def test_kernel_validation_and_json(self):
         with pytest.raises(DimensionError):
             DepthwiseKernel(np.ones((2, 2, 2)))  # even size
-        kern = DepthwiseKernel(np.arange(18.0).reshape(2, 3, 3))
-        back = DepthwiseKernel.from_json(kern.to_json())
-        np.testing.assert_array_equal(back.taps, kern.taps)
+        with pytest.raises(DimensionError):
+            DepthwiseKernel(np.ones((2, 3, 5)))  # not square
+        kern = DepthwiseKernel([[[0, 1, 2]] * 3])
+        assert kern.taps.dtype == np.float64 and kern.taps.shape == (1, 3, 3)

@@ -127,13 +127,6 @@ class TestScanAndClosedForm:
         with pytest.raises(ValueError, match=f"^{field} entries must be finite"):
             SsmParams(**fields)
 
-    def test_json_round_trip(self):
-        rng = rng_for(7, "json")
-        p = make_params(rng)
-        back = SsmParams.from_json(p.to_json())
-        np.testing.assert_array_equal(back.A_tilde, p.A_tilde)
-        np.testing.assert_array_equal(back.h0, p.h0)
-
     def test_golden_fixture(self):
         path = os.path.join(os.path.dirname(__file__), "fixtures", "ssm_golden.json")
         with open(path) as fh:

@@ -9,7 +9,10 @@ bitwise claim about a change is then a ``diff`` of the printouts of the two
 trees, each run with ``PYTHONPATH`` at that tree's ``src``.
 
 Covered: every public ``attention`` and ``posenc`` kernel at n = 16, 64 and
-1,024 (the last on the streamed softmax path); ``ssm_scan``, ``ssm_closed_form``
+1,024 (the last on the streamed softmax path); the streamed global outputs
+(``generalized_attention`` with each of the four kernels, ``softmax_attention``,
+``linear_attention`` and ``focused_attention``) also at n = 1,500 and 2,170;
+``ssm_scan``, ``ssm_closed_form``
 (h and y at every m), ``mamba_as_attention``, ``decayed_key_magnitudes`` (every
 m) and ``forgetting_horizon`` on the golden fixture, on the 100 instances of
 ``ssm-check --seed 42`` and on a random n = 256 instance; both causal linear
@@ -84,17 +87,25 @@ def attention_outputs():
         yield f"focused_attention.lepe/{tag}", at.focused_attention(qa, ka, v, 3, dwc, grid)
         yield f"focused_attention_coefficients/{tag}", at.focused_attention_coefficients(qa, ka)
         yield f"homogeneous_mix/{tag}", at.homogeneous_mix(v)
-        for rope_on_values in (False, True):
-            params = at.SemaParams(*rng_for(SEED, "digest", "sema", n).standard_normal((3, d, d)),
-                                   dwc, rope_on_values)
-            yield (f"sema_attention_full/rope_on_values={rope_on_values}/{tag}",
-                   at.sema_attention_full(q, params, at.WindowSpec(4), grid))
         positions = rng.permutation(n)
         for gated in (False, True):
             yield f"mila_coefficients/gated={gated}/{tag}", at.mila_coefficients(q, k, grid, gated)
         yield f"mila_attention/{tag}", at.mila_attention(q, k, v)
         yield f"mila_attention.lepe/{tag}", at.mila_attention(q, k, v, grid, dwc)
         yield f"mila_attention.positions/{tag}", at.mila_attention(q, k, v, positions=positions)
+    # streamed global outputs only (the window and grid outputs need n divisible by
+    # 4 and 8): at 1,500 the 349-row blocks leave a 104-row last block, and 2,170 is
+    # the first n whose lone last row joins the block before it
+    for n in (1500, 2170):
+        q, k, v = rng_for(SEED, "digest", "attention", n).standard_normal((3, n, 8))
+        qa, ka = np.abs(q), np.abs(k)
+        tag = f"n={n}"
+        for name, kernel in kernels.items():
+            qq, kk = (qa, ka) if name == "focused" else (q, k)
+            yield f"generalized_attention.{name}/{tag}", at.generalized_attention(qq, kk, v, kernel)
+        yield f"softmax_attention/{tag}", at.softmax_attention(q, k, v)
+        yield f"linear_attention/{tag}", at.linear_attention(q, k, v)
+        yield f"focused_attention/{tag}", at.focused_attention(qa, ka, v)
 
 
 def posenc_outputs():
