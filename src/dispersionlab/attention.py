@@ -118,8 +118,16 @@ class WindowSpec:
 
 
 def elu_plus_one(x: np.ndarray) -> np.ndarray:
-    """ELU(x) + 1 = x + 1 for x > 0, exp(x) otherwise; strictly positive."""
-    return np.where(x > 0, x + 1.0, np.exp(np.minimum(x, 0.0)))
+    """ELU(x) + 1 = x + 1 for x > 0, exp(x) otherwise; strictly positive.
+
+    Evaluated as exp(min(x, 0)) + max(x, 0) in one output array: one side of
+    the sum is exactly 1 or 0, so every entry (NaN, signed zeros and
+    infinities included) is bitwise that of the two-branch form.
+    """
+    out = np.minimum(x, 0.0)
+    np.exp(out, out=out)
+    out += np.maximum(x, 0.0)
+    return out
 
 
 def focused_map(x, p: int) -> Tensor:
@@ -307,6 +315,16 @@ def linear_attention(q, k, v) -> Tensor:
     return generalized_attention(q, k, v, KernelSpec.linear())
 
 
+def _associative(a: np.ndarray, b: np.ndarray, v: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """(a @ (b.T @ v)) / den rowwise: the O(n d^2) order of (a b^T / den) v.
+
+    den has shape (n, 1). No n x n array is formed (Katharopoulos et al. 2020).
+    """
+    out = a @ (b.T @ v)
+    out /= den
+    return out
+
+
 def linear_attention_fast(q, k, v, epsilon: float = 1e-6) -> Tensor:
     """Associative O(n d^2) evaluation of linear attention.
 
@@ -316,11 +334,10 @@ def linear_attention_fast(q, k, v, epsilon: float = 1e-6) -> Tensor:
     q, k, v = as_array(q), as_array(k), as_array(v)
     _check_qkv(q, k, v)
     u, w = elu_plus_one(q), elu_plus_one(k)
-    num = u @ (w.T @ v)
     den = u @ w.sum(axis=0)
     if np.any(np.abs(den) <= epsilon):
         raise KernelDomainError(f"linear attention denominator underflowed past {epsilon}")
-    return Tensor._own(num / den[:, None])
+    return Tensor._own(_associative(u, w, v, den[:, None]))
 
 
 def focused_attention_coefficients(q, k, p: int = 3) -> Tensor:
@@ -411,12 +428,29 @@ def _mila_weights(u: np.ndarray, w: np.ndarray, angles: np.ndarray | None,
                   epsilon: float) -> np.ndarray:
     """n x n MILA weights of (elu+1) features u, w; angles=None leaves the numerator un-gated.
 
-    The denominator always uses the un-gated features plus epsilon."""
+    The denominator always uses the un-gated features plus epsilon. Only
+    mila_coefficients calls it: the dispersion analysis needs the matrix, and
+    the tests hold _mila_forward to it as the quadratic oracle.
+    """
     num = u @ w.T
     den = num.sum(axis=1, keepdims=True) + epsilon
     if angles is not None:
         num = rotate_pairs(u, angles) @ rotate_pairs(w, angles).T
     return num / den
+
+
+def _mila_forward(u: np.ndarray, w: np.ndarray, v: np.ndarray, angles: np.ndarray,
+                  epsilon: float):
+    """Gated MILA of (elu+1) features u, w over values v, in O(n d^2).
+
+    The rotary gate acts on each feature row, so rot(u) rot(w)^T v equals
+    rot(u) (rot(w)^T v), and the un-gated row sums u w^T 1 equal u (w^T 1).
+    Returns (out, rot(u), rot(w), den), den of shape (n, 1): the tape op keeps
+    the last three for its adjoint, all O(n d).
+    """
+    ru, rw = rotate_pairs(u, angles), rotate_pairs(w, angles)
+    den = (u @ w.sum(axis=0))[:, None] + epsilon
+    return _associative(ru, rw, v, den), ru, rw, den
 
 
 def mila_coefficients(q, k, grid: GridSpec | None = None, gated: bool = False,
@@ -442,14 +476,16 @@ def mila_attention(q, k, v, grid: GridSpec | None = None,
 
     Numerator: rotary-rotated (elu+1) features of q and k against v.
     Denominator: un-gated (elu+1) feature products plus epsilon (added to
-    the denominator only). A depthwise positional term on v is added rowwise
-    when lepe_kernel is given.
+    the denominator only). Evaluated in the associative order, O(n d^2) time
+    and O(n d) memory; it equals mila_coefficients(q, k, grid, gated=True,
+    positions=positions) @ v up to float order. A depthwise positional term
+    on v is added rowwise when lepe_kernel is given.
     """
     q, k, v = as_array(q), as_array(k), as_array(v)
     _check_qkv(q, k, v)
     grid = grid or GridSpec.linear(q.shape[0])
     angles = rope_angles(grid, q.shape[1], positions)
-    out = _mila_weights(elu_plus_one(q), elu_plus_one(k), angles, epsilon) @ v
+    out = _mila_forward(elu_plus_one(q), elu_plus_one(k), v, angles, epsilon)[0]
     if lepe_kernel is not None:
         out = out + depthwise_conv_grid(v, lepe_kernel.taps, grid.height, grid.width)
     return Tensor._own(out)

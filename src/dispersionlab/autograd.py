@@ -313,13 +313,14 @@ def blocked_linear_attention(u, w, v, block: int, heads: int = 1):
 def mila_attention(u, w, v, angles: np.ndarray):
     """MILA over already-featured u, w (elu+1 outputs) and a rope angle table.
 
-    Forwards through attention._mila_weights, so the value is bitwise that of
-    attention.mila_attention on the same rows.
+    Forwards through attention._mila_forward, so the value is bitwise that of
+    attention.mila_attention on the same rows. The node keeps rot(u), rot(w),
+    the denominator and the angles, all O(n d): no n x n array is formed.
     """
     _same_shape(u, w, "mila_attention")
-    coeff = attention._mila_weights(u.value, w.value, angles, _MILA_EPSILON)
-    return _pair(u, w).push("mila_attention", (u.idx, w.idx, v.idx), coeff @ v.value,
-                            {"coeff": coeff, "angles": angles})
+    out, ru, rw, den = attention._mila_forward(u.value, w.value, v.value, angles, _MILA_EPSILON)
+    return _pair(u, w).push("mila_attention", (u.idx, w.idx, v.idx), out,
+                            {"ru": ru, "rw": rw, "den": den, "angles": angles})
 
 
 def blocked_mean_broadcast(v, block: int):
@@ -424,14 +425,15 @@ def _adj_blocked_attention(node, g, vals):
 
 
 def _adj_mila_attention(node, g, vals):
-    """coeff = rot(u) rot(w)^T / den, den = rowsum(u w^T) + eps: the quotient rule per row."""
+    """out = rot(u) S / den with S = rot(w)^T v and den = u (w^T 1) + eps, in the forward's order."""
     u, w, v = vals
-    coeff, angles = node.ctx["coeff"], node.ctx["angles"]
-    dnum = (g @ v.T) / ((u @ w.T).sum(axis=1, keepdims=True) + _MILA_EPSILON)
-    dden = -(dnum * coeff).sum(axis=1, keepdims=True)
-    du = rotate_pairs(dnum @ rotate_pairs(w, angles), -angles) + dden * w.sum(axis=0)
-    dw = rotate_pairs(dnum.T @ rotate_pairs(u, angles), -angles) + dden.T @ u
-    return du, dw, coeff.T @ g
+    ru, rw, den, angles = (node.ctx[key] for key in ("ru", "rw", "den", "angles"))
+    gs = g / den
+    dden = -(gs * node.value).sum(axis=1, keepdims=True)
+    ds = ru.T @ gs
+    du = rotate_pairs(gs @ (rw.T @ v).T, -angles) + dden * w.sum(axis=0)
+    dw = rotate_pairs(v @ ds.T, -angles) + dden.T @ u
+    return du, dw, rw @ ds
 
 
 def _adj_focused_map(node, g, vals):

@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,13 @@ from .rng import rng_for
 from .tensor import Tensor, as_array
 
 ATTENTION_VARIANTS = ("window", "linear", "full")
+# ModelConfig's integer fields other than seed, each >= 1
+_POSITIVE_FIELDS = ("stage_dims", "stage_depths", "stage_heads", "window", "patch_size",
+                    "image_size", "num_classes")
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -57,12 +65,22 @@ class ModelConfig:
         object.__setattr__(self, "stage_dims", tuple(self.stage_dims))
         object.__setattr__(self, "stage_depths", tuple(self.stage_depths))
         object.__setattr__(self, "stage_heads", tuple(self.stage_heads))
+        # --config JSON arrives unconverted: a float dim fails later in numpy, and
+        # a string flag such as "no" is truthy
+        for name in (*_POSITIVE_FIELDS, "seed"):
+            value = getattr(self, name)
+            if not all(_is_int(x) for x in (value if isinstance(value, tuple) else (value,))):
+                raise ConfigurationError(f"{name} must hold integers, got {value!r}")
+        if not isinstance(self.averaging_enabled, bool):
+            raise ConfigurationError(
+                f"averaging_enabled must be true or false, got {self.averaging_enabled!r}")
+        if not isinstance(self.mlp_ratio, numbers.Real) or isinstance(self.mlp_ratio, bool):
+            raise ConfigurationError(f"mlp_ratio must be a real number, got {self.mlp_ratio!r}")
         if not (len(self.stage_dims) == len(self.stage_depths) == len(self.stage_heads)):
             raise ConfigurationError("stage lists must share one length")
         if len(self.stage_dims) < 1:
             raise ConfigurationError("need at least one stage")
-        for name in ("stage_dims", "stage_depths", "stage_heads", "window", "patch_size",
-                     "image_size", "num_classes"):
+        for name in _POSITIVE_FIELDS:
             value = getattr(self, name)
             if min(value if isinstance(value, tuple) else (value,)) < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {value!r}")
@@ -184,17 +202,23 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator | None = None) -> dic
     """Ones for names ending in norm.g, norm1.g or norm2.g; zeros for names ending
     in ".b"; N(0, 1 / fan_in) for the rest, fan_in being the first dimension
     (k * k for lepe). The rest includes the (1, d) MLP biases mlp.b1 and mlp.b2,
-    which the suffix rule misses, so they are drawn from N(0, 1)."""
+    which the suffix rule misses, so they are drawn from N(0, 1).
+
+    A shape numpy refuses to allocate (say, from a huge mlp_ratio) raises
+    ConfigurationError naming the parameter."""
     rng = rng or rng_for(cfg.seed, "init")
     params = {}
     for name, shape in parameter_shapes(cfg).items():
-        if name.endswith(("norm.g", "norm1.g", "norm2.g")):
-            params[name] = np.ones(shape)
-        elif name.endswith(".b"):
-            params[name] = np.zeros(shape)
-        else:
-            fan_in = int(np.prod(shape[1:])) if name.endswith("lepe") else shape[0]
-            params[name] = rng.normal(0.0, 1.0 / math.sqrt(fan_in), shape)
+        try:
+            if name.endswith(("norm.g", "norm1.g", "norm2.g")):
+                params[name] = np.ones(shape)
+            elif name.endswith(".b"):
+                params[name] = np.zeros(shape)
+            else:
+                fan_in = int(np.prod(shape[1:])) if name.endswith("lepe") else shape[0]
+                params[name] = rng.normal(0.0, 1.0 / math.sqrt(fan_in), shape)
+        except (ValueError, MemoryError) as exc:
+            raise ConfigurationError(f"cannot allocate parameter {name}: {exc}") from None
     return params
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dispersionlab.attention import (
     KernelSpec,
@@ -224,6 +226,23 @@ class TestSoftmaxAttention:
         base = softmax_attention(q, k, v).array
         permuted = softmax_attention(q[perm], k[perm], v[perm]).array
         np.testing.assert_allclose(permuted, base[perm], atol=1e-12)
+
+
+class TestEluPlusOne:
+    def test_bitwise_equal_to_two_branch_form(self):
+        # the one-pass form exp(min(x, 0)) + max(x, 0) must keep every bit of the
+        # np.where form, including the payload-bearing NaNs and the exp overflow edge
+        special = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 709.0, 710.0, -710.0,
+                            -745.2, -746.0, 5e-324, -5e-324, 1e-320, 1e308, -1e308])
+        payload_nans = np.array([0x7FF8000000000001, 0xFFF8000000000123, 0x7FF4000000000000],
+                                dtype=np.uint64).view(np.float64)
+        rng = np.random.default_rng(33)
+        for x in (rng.standard_normal((257, 16)) * 30, rng.standard_normal(7),
+                  np.concatenate([special, payload_nans])):
+            with np.errstate(invalid="ignore"):  # the signalling NaN, in both forms
+                want = np.where(x > 0, x + 1.0, np.exp(np.minimum(x, 0.0)))
+                got = elu_plus_one(x)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestLinearAttention:
@@ -461,3 +480,19 @@ class TestMilaAttention:
         gated = mila_coefficients(q, k, gated=True).array
         ungated = mila_coefficients(q, k, gated=False).array
         assert np.abs(gated - ungated).max() > 1e-3
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), height=st.integers(1, 6), width=st.integers(1, 24),
+           pairs=st.integers(1, 6), two_d=st.booleans(),
+           positions=st.sampled_from(["grid", "zero", "permuted"]))
+    def test_associative_order_equals_quadratic_oracle(self, seed, height, width, pairs, two_d,
+                                                       positions):
+        # the associative forward against the n x n matrix it replaced
+        n, d = height * width, 2 * pairs * (2 if two_d else 1)  # a 2-D split needs 4 | d
+        grid = GridSpec.grid(height, width) if two_d else GridSpec.linear(n)
+        rng = np.random.default_rng(seed)
+        q, k, v = rng.standard_normal((3, n, d))
+        pos = {"grid": None, "zero": np.zeros(n), "permuted": rng.permutation(n)}[positions]
+        out = mila_attention(q, k, v, grid, positions=pos).array
+        want = mila_coefficients(q, k, grid, gated=True, positions=pos).array @ v
+        assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()

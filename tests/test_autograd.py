@@ -160,6 +160,35 @@ class TestPrimitiveGradients:
         report = ag.gradcheck(f, [u, w, v])
         assert report.passed, report.max_rel_err
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_mila_attention_gradients_on_random_shapes(self, seed):
+        rng = rng_for(23, "mila", seed)
+        height, width, pairs = (int(x) for x in rng.integers(1, 5, size=3))
+        two_d = seed % 2 == 1
+        grid = GridSpec.grid(height, width) if two_d else GridSpec.linear(height * width)
+        d = 2 * pairs * (2 if two_d else 1)
+        u, w = np.abs(rng.standard_normal((2, grid.n, d))) + 0.1
+        v = rng.standard_normal((grid.n, int(rng.integers(1, 5))))
+        ang = rope_angles(grid, d)
+
+        def f(a, b, c):
+            return ag.sum_all(ag.power_int(ag.mila_attention(a, b, c, ang), 2))
+
+        report = ag.gradcheck(f, [u, w, v])
+        assert report.passed, report.max_rel_err
+
+    def test_mila_attention_tape_keeps_no_n_by_n_array(self):
+        n, d = 256, 8
+        rng = rng_for(24, "mila")
+        tape = ag.Tape()
+        u, w = (ag.leaf(tape, np.abs(x) + 0.1) for x in rng.standard_normal((2, n, d)))
+        v = ag.leaf(tape, rng.standard_normal((n, d)))
+        out = ag.mila_attention(u, w, v, rope_angles(GridSpec.linear(n), d))
+        sizes = [x.size for node in tape.nodes for x in node.ctx.values()
+                 if isinstance(x, np.ndarray)]
+        assert sizes and max(sizes) <= n * d
+        assert len(ag.backward(ag.sum_all(out))) == 3
+
     def test_cross_entropy_gradient(self):
         rng = rng_for(6, "ce")
         logits = rng.standard_normal((5, 3))

@@ -132,19 +132,36 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith(f"error: {variant}: phi overflows or underflows")
         assert "n=4, trial=0, seed=42" in err[0]
 
+    _CONFIG = ('{"stage_dims": [8], "stage_depths": [1], "stage_heads": [1], "window": 2, '
+               '"image_size": 32, "num_classes": 2')
+
     @pytest.mark.parametrize("command", ["train-toy", "probe-rf"])
     @pytest.mark.parametrize("content", [
         None, "{nope", '{"bogus": 1}',
         '{"stage_dims": [8], "stage_depths": [0], "stage_heads": [1], "window": 2, '
-        '"image_size": 32}'], ids=["missing", "not-json", "unknown-key", "zero-depth"])
+        '"image_size": 32}',
+        _CONFIG.replace("[8]", "[8.0]") + "}",
+        _CONFIG + ', "averaging_enabled": "no"}',
+    ], ids=["missing", "not-json", "unknown-key", "zero-depth", "float-dim", "string-flag"])
     def test_malformed_config_is_usage_error(self, command, content, tmp_path, capsys):
         # a zero depth used to end in a KeyError traceback (probe-rf) or train a
-        # block-less model (train-toy)
+        # block-less model (train-toy); a float dim ended in a TypeError traceback,
+        # and "no" is a truthy string, so averaging ran on
         path = tmp_path / "config.json"
         if content is not None:
             path.write_text(content)
         self.assert_usage_error([command, "--config", str(path), "--out", str(tmp_path / "out")],
                                 capsys, "--config")
+
+    @pytest.mark.parametrize("command", ["train-toy", "probe-rf"])
+    def test_unallocatable_config_is_one_error_line(self, command, tmp_path, capsys):
+        # numpy refuses this MLP width before allocating; it used to end in a
+        # ValueError traceback from init_params
+        path = tmp_path / "config.json"
+        path.write_text(self._CONFIG + ', "mlp_ratio": 1e300}')
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot allocate parameter s0.b0.mlp.w1")
 
     @pytest.mark.parametrize("command", [["disperse", "--variant", "softmax"], ["ssm-check"],
                                          ["gradcheck"], ["bench"], ["train-toy"]],

@@ -73,7 +73,11 @@ class TestConfigAndShapes:
         ("stage_dims", (0,)), ("stage_heads", (0,)), ("window", 0),
         ("window", -2), ("patch_size", 0), ("image_size", 0), ("num_classes", 0),
         ("mlp_ratio", 0.0), ("mlp_ratio", 1e-9), ("mlp_ratio", float("inf")),
-        ("mlp_ratio", float("nan")), ("seed", -1)])
+        ("mlp_ratio", float("nan")), ("seed", -1),
+        # wrong types, as --config JSON can give them
+        ("stage_dims", (8.0,)), ("window", 2.0), ("image_size", 32.0), ("seed", True),
+        ("averaging_enabled", "no"), ("averaging_enabled", 1), ("mlp_ratio", "4"),
+        ("mlp_ratio", True)])
     def test_out_of_range_field_named(self, field, value):
         with pytest.raises(ConfigurationError, match=field):
             single_block_config(**{field: value})
