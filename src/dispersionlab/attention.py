@@ -124,7 +124,7 @@ def elu_plus_one(x: np.ndarray) -> np.ndarray:
     the sum is exactly 1 or 0, so every entry (NaN, signed zeros and
     infinities included) is bitwise that of the two-branch form.
     """
-    out = np.minimum(x, 0.0)
+    out = np.asarray(np.minimum(x, 0.0))  # a 0-d input gives a scalar, not an array
     np.exp(out, out=out)
     out += np.maximum(x, 0.0)
     return out

@@ -237,7 +237,7 @@ class TestEluPlusOne:
         payload_nans = np.array([0x7FF8000000000001, 0xFFF8000000000123, 0x7FF4000000000000],
                                 dtype=np.uint64).view(np.float64)
         rng = np.random.default_rng(33)
-        for x in (rng.standard_normal((257, 16)) * 30, rng.standard_normal(7),
+        for x in (rng.standard_normal((257, 16)) * 30, rng.standard_normal(7), np.array(-0.5),
                   np.concatenate([special, payload_nans])):
             with np.errstate(invalid="ignore"):  # the signalling NaN, in both forms
                 want = np.where(x > 0, x + 1.0, np.exp(np.minimum(x, 0.0)))
