@@ -44,7 +44,7 @@ qa, ka = np.abs(q), np.abs(k)
 for name, coeff in (
     ("softmax", softmax_attention_coefficients(qa, ka).array),
     ("linear", linear_attention_coefficients(qa, ka).array),
-    ("focused p=3", focused_attention_coefficients(qa, ka, 3).array),
+    ("focused p=3", focused_attention_coefficients(qa, ka).array),
 ):
     print(f"  {name:12s} max weight {coeff.max():.4f}   entropy "
           f"{-(coeff * np.log(coeff + 1e-12)).sum(axis=1).mean():.3f}")

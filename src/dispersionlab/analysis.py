@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import (KernelSpec, WindowSpec, phi_values, _apply_psi, _blocks, _normalize,
-                        _phi_weights, _row_blocks, _ROW_TILE)
+from .attention import (KernelSpec, WindowSpec, phi_values, _apply_psi, _blocks, _EPSILON,
+                        _normalize, _phi_weights, _row_blocks, _ROW_TILE)
 from .errors import BoundViolationError, ConfigurationError, DimensionError, KernelDomainError
 from .rng import rng_for
 
@@ -178,7 +178,7 @@ class CellExtrema:
 
 
 def _variant_cell(variant: str, kernel: KernelSpec, q: np.ndarray, k: np.ndarray,
-                  win: WindowSpec | None, epsilon: float = 1e-6):
+                  win: WindowSpec | None):
     """Coefficient extrema plus their sample-specific rigorous bounds for one draw.
 
     Global variants stream query rows through attention._row_blocks: each
@@ -212,7 +212,7 @@ def _variant_cell(variant: str, kernel: KernelSpec, q: np.ndarray, k: np.ndarray
             # un-gated ratio with the stabilizer in the denominator; the epsilon
             # keeps the true coefficient at or below the textbook lower bound, so
             # the rigorous lower bound carries the epsilon too
-            logits /= logits.sum(axis=-1, keepdims=True) + epsilon
+            logits /= logits.sum(axis=-1, keepdims=True) + _EPSILON
         else:
             _normalize(kernel, _phi_weights(kernel, logits))
         cmin = np.minimum(cmin, logits.min())
@@ -221,7 +221,7 @@ def _variant_cell(variant: str, kernel: KernelSpec, q: np.ndarray, k: np.ndarray
     spec = BoundSpec.from_logit_range(variant, kernel, float(lo_logit), float(hi_logit), block)
     if variant == "mila":
         pa, pb = spec.phi_at_argmin, spec.phi_at_argmax
-        return extrema, (pa / (n * pb + epsilon), pb / (n * pa))
+        return extrema, (pa / (n * pb + _EPSILON), pb / (n * pa))
     return extrema, coefficient_bounds(spec)
 
 
@@ -235,8 +235,7 @@ def _env_threads() -> int:
 
 def measure_dispersion(variant: str, kernel: KernelSpec | None, sampler: BoundedSampler,
                        n_values, trials: int, seed: int,
-                       win: WindowSpec | None = None,
-                       threads: int | None = None) -> DispersionReport:
+                       win: WindowSpec | None = None) -> DispersionReport:
     """Empirical dispersion sweep with per-sample bound containment.
 
     For each n, draws `trials` seeded (q, k) pairs, streams the variant's
@@ -244,11 +243,15 @@ def measure_dispersion(variant: str, kernel: KernelSpec | None, sampler: Bounded
     from that draw's own logit extrema. A violation raises
     BoundViolationError naming n, trial and seed: the bounds are a test
     oracle, not advice. The recorded per-n bounds are the loosest per-trial
-    bounds. threads=None reads DISPERSION_LAB_THREADS.
+    bounds. DISPERSION_LAB_THREADS sets the worker count. The MILA cell divides
+    its logits by their sum, so a MILA sweep takes only phi="identity".
     """
     if variant not in VARIANTS:
         raise ValueError(f"cannot sweep variant {variant!r}")
     kernel = kernel or default_kernel(variant)
+    if variant == "mila" and kernel.phi != "identity":
+        raise ConfigurationError(f"mila normalizes its logits by their sum; it takes phi "
+                                 f"'identity', got phi {kernel.phi!r}")
     n_values = [int(n) for n in n_values]
     if any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise ValueError("n_values must be strictly ascending")
@@ -275,7 +278,7 @@ def measure_dispersion(variant: str, kernel: KernelSpec | None, sampler: Bounded
             )
         return cmin, cmax, lo, hi
 
-    threads = _env_threads() if threads is None else threads
+    threads = _env_threads()
     max_c, min_c, ub, lb, med = [], [], [], [], []
     for n in n_values:
         cells = list(range(trials))

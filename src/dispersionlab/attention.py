@@ -24,6 +24,8 @@ PSI_CHOICES = ("identity", "elu_plus_one", "focused")
 # Feature maps guaranteed nonnegative, hence safe under identity/power phi.
 _NONNEG_PSI = ("elu_plus_one", "focused")
 
+_EPSILON = 1e-6  # the stabilizer of every elu+1 denominator; KernelSpec.epsilon's default
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -33,7 +35,7 @@ class KernelSpec:
     only guarantee that on nonnegative logits, so they are accepted only in
     combination with nonnegative feature maps (validated here, not at call
     time). epsilon is the denominator validity threshold. The numbers must be
-    finite; every check is a comparison that NaN fails.
+    finite and not booleans; every check is a comparison that NaN fails.
     """
 
     phi: str = "exp"
@@ -42,9 +44,12 @@ class KernelSpec:
     theta: float = 1.0  # temperature for exp_temperature
     phi_p: float = 1.0  # exponent for power phi
     psi_p: int = 3  # elementwise power for focused features
-    epsilon: float = 1e-6
+    epsilon: float = _EPSILON
 
     def __post_init__(self):
+        for name in ("theta", "phi_p", "psi_p", "epsilon"):
+            if isinstance(getattr(self, name), bool):  # a JSON true would run as 1
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if self.phi not in PHI_CHOICES:
             raise ValueError(f"unknown phi {self.phi!r}, choose from {PHI_CHOICES}")
         for psi in (self.psi_q, self.psi_k):
@@ -80,8 +85,8 @@ class KernelSpec:
         return cls(phi="identity", psi_q="elu_plus_one", psi_k="elu_plus_one")
 
     @classmethod
-    def focused(cls, p: int = 3) -> "KernelSpec":
-        return cls(phi="identity", psi_q="focused", psi_k="focused", psi_p=p)
+    def focused(cls) -> "KernelSpec":
+        return cls(phi="identity", psi_q="focused", psi_k="focused")
 
     @classmethod
     def from_json(cls, text: str) -> "KernelSpec":
@@ -102,7 +107,7 @@ class KernelSpec:
             theta=obj.get("theta", 1.0),
             phi_p=obj.get("phi_p", 1.0),
             psi_p=obj.get("psi_p", 3),
-            epsilon=obj.get("epsilon", 1e-6),
+            epsilon=obj.get("epsilon", _EPSILON),
         )
 
 
@@ -325,7 +330,7 @@ def _associative(a: np.ndarray, b: np.ndarray, v: np.ndarray, den: np.ndarray) -
     return out
 
 
-def linear_attention_fast(q, k, v, epsilon: float = 1e-6) -> Tensor:
+def linear_attention_fast(q, k, v) -> Tensor:
     """Associative O(n d^2) evaluation of linear attention.
 
     Computes psi(q) (psi(k)^T v) / (psi(q) sum_j psi(k)_j^T); agrees with the
@@ -335,26 +340,26 @@ def linear_attention_fast(q, k, v, epsilon: float = 1e-6) -> Tensor:
     _check_qkv(q, k, v)
     u, w = elu_plus_one(q), elu_plus_one(k)
     den = u @ w.sum(axis=0)
-    if np.any(np.abs(den) <= epsilon):
-        raise KernelDomainError(f"linear attention denominator underflowed past {epsilon}")
+    if np.any(np.abs(den) <= _EPSILON):
+        raise KernelDomainError(f"linear attention denominator underflowed past {_EPSILON}")
     return Tensor._own(_associative(u, w, v, den[:, None]))
 
 
-def focused_attention_coefficients(q, k, p: int = 3) -> Tensor:
-    return generalized_attention_coefficients(q, k, KernelSpec.focused(p))
+def focused_attention_coefficients(q, k) -> Tensor:
+    return generalized_attention_coefficients(q, k, KernelSpec.focused())
 
 
-def focused_attention(q, k, v, p: int = 3, dwc: DepthwiseKernel | None = None,
+def focused_attention(q, k, v, dwc: DepthwiseKernel | None = None,
                       grid: GridSpec | None = None) -> Tensor:
     """Focused linear attention plus a depthwise convolution of the values.
 
-    The attention part uses the norm-preserving power features focused_map;
+    The attention part uses the norm-preserving cubic features focused_map(x, 3);
     the convolution term restores rank lost to the separable form. dwc=None
     omits the convolution.
     """
     q, k, v = as_array(q), as_array(k), as_array(v)
     _check_qkv(q, k, v)
-    out = _global_attention(q, k, v, KernelSpec.focused(p))
+    out = _global_attention(q, k, v, KernelSpec.focused())
     if dwc is not None:
         grid = grid or GridSpec.linear(v.shape[0])
         out = out + depthwise_conv_grid(v, dwc.taps, grid.height, grid.width)
@@ -424,23 +429,21 @@ def sema_attention(q, k, v, win: WindowSpec, kernel: KernelSpec | None = None) -
     return Tensor._own(wa.array + homogeneous_mix(v).array)
 
 
-def _mila_weights(u: np.ndarray, w: np.ndarray, angles: np.ndarray | None,
-                  epsilon: float) -> np.ndarray:
+def _mila_weights(u: np.ndarray, w: np.ndarray, angles: np.ndarray | None) -> np.ndarray:
     """n x n MILA weights of (elu+1) features u, w; angles=None leaves the numerator un-gated.
 
-    The denominator always uses the un-gated features plus epsilon. Only
+    The denominator always uses the un-gated features plus _EPSILON. Only
     mila_coefficients calls it: the dispersion analysis needs the matrix, and
     the tests hold _mila_forward to it as the quadratic oracle.
     """
     num = u @ w.T
-    den = num.sum(axis=1, keepdims=True) + epsilon
+    den = num.sum(axis=1, keepdims=True) + _EPSILON
     if angles is not None:
         num = rotate_pairs(u, angles) @ rotate_pairs(w, angles).T
     return num / den
 
 
-def _mila_forward(u: np.ndarray, w: np.ndarray, v: np.ndarray, angles: np.ndarray,
-                  epsilon: float):
+def _mila_forward(u: np.ndarray, w: np.ndarray, v: np.ndarray, angles: np.ndarray):
     """Gated MILA of (elu+1) features u, w over values v, in O(n d^2).
 
     The rotary gate acts on each feature row, so rot(u) rot(w)^T v equals
@@ -449,15 +452,15 @@ def _mila_forward(u: np.ndarray, w: np.ndarray, v: np.ndarray, angles: np.ndarra
     the last three for its adjoint, all O(n d).
     """
     ru, rw = rotate_pairs(u, angles), rotate_pairs(w, angles)
-    den = (u @ w.sum(axis=0))[:, None] + epsilon
+    den = (u @ w.sum(axis=0))[:, None] + _EPSILON
     return _associative(ru, rw, v, den), ru, rw, den
 
 
 def mila_coefficients(q, k, grid: GridSpec | None = None, gated: bool = False,
-                      epsilon: float = 1e-6, positions=None) -> Tensor:
+                      positions=None) -> Tensor:
     """MILA weight matrix: (elu+1)-featured logits over the stabilized sum.
 
-    The denominator always uses un-gated features plus epsilon. With
+    The denominator always uses un-gated features plus 1e-6. With
     gated=False (the default, and the phi-normalized structure the
     dispersion analysis studies) the numerator is un-gated too; gated=True
     applies the rotary gate to the numerator as the full mechanism does.
@@ -466,17 +469,16 @@ def mila_coefficients(q, k, grid: GridSpec | None = None, gated: bool = False,
     _check_qkv(q, k, q)
     grid = grid or GridSpec.linear(q.shape[0])
     angles = rope_angles(grid, q.shape[1], positions) if gated else None
-    return Tensor._own(_mila_weights(elu_plus_one(q), elu_plus_one(k), angles, epsilon))
+    return Tensor._own(_mila_weights(elu_plus_one(q), elu_plus_one(k), angles))
 
 
 def mila_attention(q, k, v, grid: GridSpec | None = None,
-                   lepe_kernel: DepthwiseKernel | None = None,
-                   epsilon: float = 1e-6, positions=None) -> Tensor:
+                   lepe_kernel: DepthwiseKernel | None = None, positions=None) -> Tensor:
     """Rotary-gated linear attention with a stabilized un-gated denominator.
 
     Numerator: rotary-rotated (elu+1) features of q and k against v.
-    Denominator: un-gated (elu+1) feature products plus epsilon (added to
-    the denominator only). Evaluated in the associative order, O(n d^2) time
+    Denominator: un-gated (elu+1) feature products plus 1e-6 (added to the
+    denominator only). Evaluated in the associative order, O(n d^2) time
     and O(n d) memory; it equals mila_coefficients(q, k, grid, gated=True,
     positions=positions) @ v up to float order. A depthwise positional term
     on v is added rowwise when lepe_kernel is given.
@@ -485,7 +487,7 @@ def mila_attention(q, k, v, grid: GridSpec | None = None,
     _check_qkv(q, k, v)
     grid = grid or GridSpec.linear(q.shape[0])
     angles = rope_angles(grid, q.shape[1], positions)
-    out = _mila_forward(elu_plus_one(q), elu_plus_one(k), v, angles, epsilon)[0]
+    out = _mila_forward(elu_plus_one(q), elu_plus_one(k), v, angles)[0]
     if lepe_kernel is not None:
         out = out + depthwise_conv_grid(v, lepe_kernel.taps, grid.height, grid.width)
     return Tensor._own(out)

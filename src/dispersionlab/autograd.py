@@ -29,7 +29,6 @@ from .posenc import depthwise_conv_grid, rotate_pairs
 from .rng import rng_for
 
 _SOFTMAX, _LINEAR = KernelSpec.softmax(), KernelSpec.linear()
-_MILA_EPSILON = 1e-6  # attention.mila_attention's default
 
 
 @dataclass
@@ -246,11 +245,11 @@ def depthwise_conv(v, taps, height: int, width: int):
                                {"height": height, "width": width})
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-5):
-    """Per-row normalization with learned scale and shift (1 x d each)."""
+def layer_norm(x, gamma, beta):
+    """Per-row normalization with learned scale and shift (1 x d each), eps 1e-5."""
     xc = x.value - x.value.mean(axis=1, keepdims=True)
     var = (xc * xc).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = xc * inv
     out = xhat * gamma.value + beta.value
     tape = _pair(x, gamma)
@@ -318,7 +317,7 @@ def mila_attention(u, w, v, angles: np.ndarray):
     the denominator and the angles, all O(n d): no n x n array is formed.
     """
     _same_shape(u, w, "mila_attention")
-    out, ru, rw, den = attention._mila_forward(u.value, w.value, v.value, angles, _MILA_EPSILON)
+    out, ru, rw, den = attention._mila_forward(u.value, w.value, v.value, angles)
     return _pair(u, w).push("mila_attention", (u.idx, w.idx, v.idx), out,
                             {"ru": ru, "rw": rw, "den": den, "angles": angles})
 

@@ -105,10 +105,10 @@ class ModelConfig:
         stage_grids(self)  # validates divisibility and window fit
 
     @classmethod
-    def tiny_224(cls, num_classes: int = 1000) -> "ModelConfig":
+    def tiny_224(cls) -> "ModelConfig":
         return cls(stage_dims=(64, 128, 256, 512), stage_depths=(2, 4, 8, 4),
                    stage_heads=(2, 4, 8, 16), window=7, patch_size=4,
-                   num_classes=num_classes, image_size=224)
+                   num_classes=1000, image_size=224)
 
     @classmethod
     def toy(cls, **overrides) -> "ModelConfig":
@@ -310,8 +310,7 @@ def _block_forward(tp, x, cfg: ModelConfig, stage: int, g: int, prefix: str,
     return ag.add(x, z)
 
 
-def _forward_traced(tape, tp, cfg: ModelConfig, images: np.ndarray,
-                    capture: list | None = None):
+def _forward_traced(tape, tp, cfg: ModelConfig, images: np.ndarray):
     if images.ndim != 4 or images.shape[3] != 3:
         raise ConfigurationError(f"images must be (b, H, W, 3), got {images.shape}")
     b, h, w, _ = images.shape
@@ -330,7 +329,7 @@ def _forward_traced(tape, tp, cfg: ModelConfig, images: np.ndarray,
             x = ag.layer_norm(x, tp[f"down{s}.norm.g"], tp[f"down{s}.norm.b"])
             x = ag.matmul(x, tp[f"down{s}.w"])
         for i in range(cfg.stage_depths[s]):
-            x = _block_forward(tp, x, cfg, s, g, f"s{s}.b{i}.", capture)
+            x = _block_forward(tp, x, cfg, s, g, f"s{s}.b{i}.")
 
     x = ag.layer_norm(x, tp["head.norm.g"], tp["head.norm.b"])
     n_last = grids[-1] * grids[-1]
@@ -352,15 +351,6 @@ def forward(cfg: ModelConfig, params: dict[str, np.ndarray], images) -> Tensor:
     tp = _trace_params(tape, params)
     logits = _forward_traced(tape, tp, cfg, as_array(images))
     return Tensor._own(logits.value)
-
-
-def forward_with_capture(cfg: ModelConfig, params: dict[str, np.ndarray], images):
-    """Forward plus each block's attention-sublayer output and value matrix."""
-    tape = ag.Tape(record=False)
-    tp = _trace_params(tape, params)
-    capture: list = []
-    logits = _forward_traced(tape, tp, cfg, as_array(images), capture)
-    return Tensor._own(logits.value), capture
 
 
 # ---------------------------------------------------------------------------
@@ -396,31 +386,30 @@ def receptive_field_grid(cfg: ModelConfig, params: dict[str, np.ndarray],
 # toy task and training
 
 
+_N_TRAIN = _N_VAL = 256
+_CORNER_TILE, _MARGIN_LO, _MARGIN_HI = 2, 12, 28
+_MIN_GRID = 8  # the least g with (g * g - 2 * 2) // 2 >= 28, room for the largest margin
+
+
 @dataclass(frozen=True)
 class SyntheticTask:
-    """Global-majority color task.
+    """Global-majority color task on a grid_tokens x grid_tokens grid of cells.
 
     Each sample is a grid of cells in two colors; the label is the color
-    holding the global majority, with the margin drawn from [margin_lo, margin_hi]
-    cells. The corner_tile x corner_tile block at the origin (the readout
-    token's window) is always color-balanced, so the label is genuinely
-    undecidable from that window alone; the majority lives in the rest of
-    the grid, spread uniformly at random.
+    holding the global majority, with the margin drawn from 12..28 cells. The
+    2 x 2 block at the origin (the readout token's window) is always
+    color-balanced, so the label is genuinely undecidable from that window
+    alone; the majority lives in the rest of the grid, spread uniformly at
+    random. The largest margin needs a grid of at least 8 x 8.
     """
 
-    grid_tokens: int = 8
-    n_train: int = 256
-    n_val: int = 256
-    margin_lo: int = 12
-    margin_hi: int = 28
-    corner_tile: int = 2
+    grid_tokens: int = _MIN_GRID
 
     def __post_init__(self):
-        n_rest = self.grid_tokens * self.grid_tokens - self.corner_tile**2
-        if self.corner_tile**2 % 2 != 0:
-            raise ConfigurationError("corner tile must hold an even cell count")
-        if not 1 <= self.margin_lo <= self.margin_hi <= n_rest // 2:
-            raise ConfigurationError("margins must satisfy 1 <= lo <= hi <= rest/2")
+        g = self.grid_tokens
+        if g < _MIN_GRID:
+            raise ConfigurationError(f"the majority task needs a token grid of at least "
+                                     f"{_MIN_GRID} x {_MIN_GRID}, got {g} x {g}")
 
 
 _PALETTE = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
@@ -430,7 +419,7 @@ def make_dataset(task: SyntheticTask, patch_size: int, count: int,
                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Sample (images, labels); images are (count, S, S, 3) cell rasters."""
     g = task.grid_tokens
-    ct = task.corner_tile
+    ct = _CORNER_TILE
     size = g * patch_size
     corner = [(r, c) for r in range(ct) for c in range(ct)]
     rest = [(r, c) for r in range(g) for c in range(g) if (r, c) not in corner]
@@ -439,7 +428,7 @@ def make_dataset(task: SyntheticTask, patch_size: int, count: int,
     labels = np.empty(count, dtype=np.intp)
     for s in range(count):
         label = int(rng.integers(0, 2))
-        margin = int(rng.integers(task.margin_lo, task.margin_hi + 1))
+        margin = int(rng.integers(_MARGIN_LO, _MARGIN_HI + 1))
         cells = np.empty((g, g), dtype=np.intp)
         # balanced corner window: zero local information at the readout token
         corner_colors = np.repeat([label, 1 - label], ct * ct // 2)
@@ -490,8 +479,8 @@ def train_toy(cfg: ModelConfig, task: SyntheticTask, epochs: int, seed: int) -> 
             f"config image size {cfg.image_size} does not match task grid "
             f"{task.grid_tokens} x patch {cfg.patch_size}"
         )
-    train_x, train_y = make_dataset(task, cfg.patch_size, task.n_train, rng_for(seed, "train"))
-    val_x, val_y = make_dataset(task, cfg.patch_size, task.n_val, rng_for(seed, "val"))
+    train_x, train_y = make_dataset(task, cfg.patch_size, _N_TRAIN, rng_for(seed, "train"))
+    val_x, val_y = make_dataset(task, cfg.patch_size, _N_VAL, rng_for(seed, "val"))
     params = init_params(cfg, rng_for(seed, "init"))
     velocity = {k: np.zeros_like(v) for k, v in params.items()}
 
@@ -511,9 +500,9 @@ def train_toy(cfg: ModelConfig, task: SyntheticTask, epochs: int, seed: int) -> 
     record(0, float("nan"))
     for epoch in range(1, epochs + 1):
         lr_e = 0.5 * _LR * (1.0 + math.cos(math.pi * (epoch - 1) / max(epochs, 1)))
-        order = rng_for(seed, "order", epoch).permutation(task.n_train)
+        order = rng_for(seed, "order", epoch).permutation(_N_TRAIN)
         epoch_loss = 0.0
-        for start in range(0, task.n_train, _BATCH):
+        for start in range(0, _N_TRAIN, _BATCH):
             batch = order[start : start + _BATCH]
             tape = ag.Tape()
             tp = _trace_params(tape, params)
@@ -530,5 +519,5 @@ def train_toy(cfg: ModelConfig, task: SyntheticTask, epochs: int, seed: int) -> 
                     continue
                 velocity[name] = _MOMENTUM * velocity[name] - lr_e * gparam
                 params[name] = params[name] + velocity[name]
-        record(epoch, epoch_loss / task.n_train)
+        record(epoch, epoch_loss / _N_TRAIN)
     return result

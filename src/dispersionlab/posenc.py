@@ -133,13 +133,15 @@ class DepthwiseKernel:
         object.__setattr__(self, "taps", taps)
 
     @classmethod
-    def zeros(cls, channels: int, k: int = 3) -> "DepthwiseKernel":
-        return cls(np.zeros((channels, k, k)))
+    def zeros(cls, channels: int) -> "DepthwiseKernel":
+        """3 x 3 taps that add nothing."""
+        return cls(np.zeros((channels, 3, 3)))
 
     @classmethod
-    def identity(cls, channels: int, k: int = 3) -> "DepthwiseKernel":
-        taps = np.zeros((channels, k, k))
-        taps[:, k // 2, k // 2] = 1.0
+    def identity(cls, channels: int) -> "DepthwiseKernel":
+        """3 x 3 taps that copy each token."""
+        taps = np.zeros((channels, 3, 3))
+        taps[:, 1, 1] = 1.0
         return cls(taps)
 
 

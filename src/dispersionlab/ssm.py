@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import _check_qkv, elu_plus_one
+from .attention import _check_qkv, _EPSILON, elu_plus_one
 from .errors import DimensionError, PreconditionError
 from .tensor import Tensor, as_array
 
@@ -156,12 +156,12 @@ def ssm_closed_form(p: SsmParams, x, m: int) -> tuple[Tensor, Tensor]:
     return Tensor._own(h_m), Tensor._own(y_m[None, :])
 
 
-def causal_linear_recursive(q, k, v, epsilon: float = 1e-6) -> Tensor:
+def causal_linear_recursive(q, k, v) -> Tensor:
     """Causal (prefix) linear attention in recursive state form.
 
     q, k are lifted to strictly positive features (elu+1) on entry; the
     running state accumulates key-value outer products and the denominator
-    accumulates key sums plus the stabilizer.
+    accumulates key sums plus the stabilizer 1e-6.
     """
     q, k, v = as_array(q), as_array(k), as_array(v)
     _check_qkv(q, k, v)
@@ -173,12 +173,12 @@ def causal_linear_recursive(q, k, v, epsilon: float = 1e-6) -> Tensor:
     for i in range(n):
         state = state + w[i][:, None] * v[i][None, :]
         z = z + w[i]
-        den = float(u[i] @ z) + epsilon
+        den = float(u[i] @ z) + _EPSILON
         y[i] = (u[i] @ state) / den
     return Tensor._own(y)
 
 
-def causal_linear_masked(q, k, v, epsilon: float = 1e-6) -> Tensor:
+def causal_linear_masked(q, k, v) -> Tensor:
     """Quadratic-form causal linear attention (the masked oracle)."""
     q, k, v = as_array(q), as_array(k), as_array(v)
     _check_qkv(q, k, v)
@@ -186,7 +186,7 @@ def causal_linear_masked(q, k, v, epsilon: float = 1e-6) -> Tensor:
     logits = u @ w.T
     mask = np.tril(np.ones_like(logits))
     logits = logits * mask
-    den = logits.sum(axis=1, keepdims=True) + epsilon
+    den = logits.sum(axis=1, keepdims=True) + _EPSILON
     return Tensor._own((logits @ v) / den)
 
 

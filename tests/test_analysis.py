@@ -113,6 +113,17 @@ class TestMeasureDispersion:
                                   report.upper_bound, report.lower_bound):
             assert lo <= mn <= mx <= hi
 
+    @pytest.mark.parametrize("phi,phi_p", [("exp", 1.0), ("power", 3.0), ("power", 1e6)],
+                             ids=["exp", "power-3", "power-1e6"])
+    def test_mila_sweep_needs_identity_phi(self, phi, phi_p):
+        # the MILA cell divides its logits by their sum but took its bounds from
+        # phi: exp reported a violation, a cubed phi passed on wide bounds, and an
+        # overflowing one failed a cell
+        psi = "identity" if phi == "exp" else "elu_plus_one"
+        kernel = KernelSpec(phi=phi, phi_p=phi_p, psi_q=psi, psi_k=psi)
+        with pytest.raises(ConfigurationError, match=f"^mila .* got phi '{phi}'$"):
+            measure_dispersion("mila", kernel, BoundedSampler(d=4), [8, 16, 32], 1, seed=3)
+
     def test_window_fixed_content_bitwise_constant(self):
         sampler = BoundedSampler(d=4, tile_rows=4)
         report = measure_dispersion("window", None, sampler, [8, 16, 32], 2, seed=3,
@@ -126,10 +137,12 @@ class TestMeasureDispersion:
         med = report.max_coeff_median
         assert all(a >= b for a, b in zip(med, med[1:]))
 
-    def test_schedule_independence(self):
+    def test_schedule_independence(self, monkeypatch):
         sampler = BoundedSampler(d=4)
-        a = measure_dispersion("softmax", None, sampler, [8, 16, 32], 4, seed=5, threads=1)
-        b = measure_dispersion("softmax", None, sampler, [8, 16, 32], 4, seed=5, threads=4)
+        monkeypatch.setenv("DISPERSION_LAB_THREADS", "1")
+        a = measure_dispersion("softmax", None, sampler, [8, 16, 32], 4, seed=5)
+        monkeypatch.setenv("DISPERSION_LAB_THREADS", "4")
+        b = measure_dispersion("softmax", None, sampler, [8, 16, 32], 4, seed=5)
         assert a.max_coeff == b.max_coeff and a.min_coeff == b.min_coeff
 
     def test_report_serialization(self):
@@ -252,8 +265,6 @@ class TestStreamedCells:
         ("window", KernelSpec.softmax_temperature(1e-300)),
         ("linear", KernelSpec(phi="power", phi_p=1e6, psi_q="elu_plus_one",
                               psi_k="elu_plus_one")),
-        ("mila", KernelSpec(phi="power", phi_p=1e6, psi_q="elu_plus_one",
-                            psi_k="elu_plus_one")),
     ])
     def test_overflowing_phi_raises_naming_the_cell(self, variant, kernel):
         # exp(logit / 1e-300) and logit ** 1e6 leave the floats: no bound can be checked

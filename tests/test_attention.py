@@ -27,6 +27,8 @@ from dispersionlab.attention import (
 from dispersionlab.errors import KernelDomainError, WindowPartitionError
 from dispersionlab.posenc import DepthwiseKernel, GridSpec, lepe
 
+FOCUSED_P2 = KernelSpec(phi="identity", psi_q="focused", psi_k="focused", psi_p=2)
+
 
 def phi_of(kernel, x):
     if kernel.phi == "exp":
@@ -107,7 +109,7 @@ class TestKernelSpec:
         with pytest.raises(ValueError):
             KernelSpec(phi="exp_temperature", theta=0.0)
         with pytest.raises(ValueError):
-            KernelSpec.focused(p=0)
+            KernelSpec(phi="identity", psi_q="focused", psi_k="focused", psi_p=0)
         with pytest.raises(ValueError):
             KernelSpec(phi="nope")
 
@@ -116,7 +118,7 @@ class TestKernelSpec:
             ('{}', KernelSpec.softmax()),
             ('{"phi": "exp", "psi": "identity", "epsilon": 1e-06}', KernelSpec.softmax()),
             ('{"phi": "identity", "psi": "elu_plus_one"}', KernelSpec.linear()),
-            ('{"phi": "identity", "psi": "focused", "psi_p": 2}', KernelSpec.focused(2)),
+            ('{"phi": "identity", "psi": "focused", "psi_p": 2}', FOCUSED_P2),
             ('{"phi": "exp_temperature", "theta": 0.3}', KernelSpec.softmax_temperature(0.3)),
             ('{"phi": "power", "phi_p": 2, "psi_q": "elu_plus_one", "psi_k": "focused"}',
              KernelSpec(phi="power", phi_p=2.0, psi_q="elu_plus_one", psi_k="focused")),
@@ -168,7 +170,7 @@ class TestGeneralizedAttention:
 
     @pytest.mark.parametrize("kernel", [KernelSpec.softmax(), KernelSpec.linear(),
                                         KernelSpec.softmax_temperature(0.7),
-                                        KernelSpec.focused(3)])
+                                        KernelSpec.focused()])
     def test_against_double_loop_oracle(self, kernel):
         rng = np.random.default_rng(3)
         q, k, v = rng.standard_normal((3, 4, 2))
@@ -179,7 +181,7 @@ class TestGeneralizedAttention:
 
     def test_coefficient_rows_on_simplex(self):
         rng = np.random.default_rng(4)
-        for kernel in (KernelSpec.softmax(), KernelSpec.linear(), KernelSpec.focused(2)):
+        for kernel in (KernelSpec.softmax(), KernelSpec.linear(), FOCUSED_P2):
             q, k = rng.standard_normal((2, 6, 5))
             if "focused" in (kernel.psi_q, kernel.psi_k):
                 q, k = np.abs(q), np.abs(k)
@@ -297,9 +299,9 @@ class TestFocusedAttention:
         rng = np.random.default_rng(15)
         q, k = np.abs(rng.standard_normal((2, 6, 4)))
         v = rng.standard_normal((6, 4))
-        with_zero = focused_attention(q, k, v, 3, DepthwiseKernel.zeros(4),
+        with_zero = focused_attention(q, k, v, DepthwiseKernel.zeros(4),
                                       GridSpec.grid(2, 3)).array
-        plain = generalized_attention(q, k, v, KernelSpec.focused(3)).array
+        plain = generalized_attention(q, k, v, KernelSpec.focused()).array
         np.testing.assert_allclose(with_zero, plain, atol=1e-15)
 
     def test_dwc_term_adds_convolution(self):
@@ -308,8 +310,8 @@ class TestFocusedAttention:
         v = rng.standard_normal((4, 4))
         taps = rng.standard_normal((4, 3, 3))
         grid = GridSpec.grid(2, 2)
-        out = focused_attention(q, k, v, 3, DepthwiseKernel(taps), grid).array
-        expect = (generalized_attention(q, k, v, KernelSpec.focused(3)).array
+        out = focused_attention(q, k, v, DepthwiseKernel(taps), grid).array
+        expect = (generalized_attention(q, k, v, KernelSpec.focused()).array
                   + lepe(v, DepthwiseKernel(taps), grid).array)
         np.testing.assert_allclose(out, expect, atol=1e-15)
 

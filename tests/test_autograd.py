@@ -434,7 +434,7 @@ class TestTracedEquivalence:
     def test_focused_matches_plain(self):
         qa, ka = np.abs(self.q), np.abs(self.k)
         out = self.run_traced("focused", qa, ka, self.v)
-        np.testing.assert_array_equal(out, focused_attention(qa, ka, self.v, 3).array)
+        np.testing.assert_array_equal(out, focused_attention(qa, ka, self.v).array)
 
     def test_window_matches_plain(self):
         out = self.run_traced("window", self.q, self.k, self.v)

@@ -97,9 +97,11 @@ class TestExitCodes:
                                 capsys, "--epochs")
 
     @pytest.mark.parametrize("kernel", ['[1, 2]', '"softmax"', '{"theta": "x"}',
-                                        '{"phi_p": null}'])
+                                        '{"phi_p": null}', '{"psi_p": true}',
+                                        '{"epsilon": false}'])
     def test_disperse_malformed_kernel_is_usage_error(self, kernel, tmp_path, capsys):
-        # a non-object used to end in an AttributeError, a mistyped field in a TypeError
+        # a non-object used to end in an AttributeError, a mistyped field in a
+        # TypeError; a JSON boolean ran as the number 1 or 0
         self.assert_usage_error(["disperse", "--variant", "softmax", "--kernel", kernel,
                                  "--out", str(tmp_path)], capsys, "--kernel")
 
@@ -119,11 +121,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("variant,kernel", [
         ("softmax", '{"phi":"exp_temperature","theta":1e-300}'),
         ("softmax", '{"phi":"power","phi_p":1e6,"psi":"elu_plus_one"}'),
-        ("mila", '{"phi":"power","phi_p":1e6,"psi":"elu_plus_one"}'),
     ])
     def test_disperse_overflowing_kernel_names_the_cell(self, variant, kernel, tmp_path, capsys):
-        # these ended in a BoundSpec or DispersionReport traceback; for MILA, whose
-        # coefficients do not use phi, the infinite bound passed vacuously
+        # these ended in a BoundSpec or DispersionReport traceback
         assert main(["disperse", "--variant", variant, "--kernel", kernel, "--n", "4,8,16",
                      "--trials", "1", "--out", str(tmp_path)]) == 1
         captured = capsys.readouterr()
@@ -132,8 +132,32 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith(f"error: {variant}: phi overflows or underflows")
         assert "n=4, trial=0, seed=42" in err[0]
 
+    @pytest.mark.parametrize("kernel", ['{"phi":"exp"}',
+                                        '{"phi":"power","phi_p":3,"psi":"elu_plus_one"}',
+                                        '{"phi":"power","phi_p":1e6,"psi":"elu_plus_one"}'],
+                             ids=["exp", "power-3", "power-1e6"])
+    def test_disperse_mila_needs_identity_phi(self, kernel, tmp_path, capsys):
+        # the MILA cell ignored phi but took its bounds from it: exp exited 2 with
+        # a bound violation, the cubed phi exited 0 on bounds too wide to fail
+        assert main(["disperse", "--variant", "mila", "--kernel", kernel, "--n", "4,8,16",
+                     "--trials", "1", "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert "inside bounds" not in captured.out
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: mila normalizes its logits")
+
     _CONFIG = ('{"stage_dims": [8], "stage_depths": [1], "stage_heads": [1], "window": 2, '
                '"image_size": 32, "num_classes": 2')
+
+    def test_train_toy_grid_too_small_for_the_task_names_the_grid(self, tmp_path, capsys):
+        # the error named margin fields that no flag or config sets
+        path = tmp_path / "config.json"
+        path.write_text(self._CONFIG.replace('"image_size": 32', '"image_size": 16')
+                        + ', "patch_size": 4}')
+        assert main(["train-toy", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: the majority task needs a token grid")
+        assert "got 4 x 4" in err[0]
 
     @pytest.mark.parametrize("command", ["train-toy", "probe-rf"])
     @pytest.mark.parametrize("content", [

@@ -11,7 +11,6 @@ from dispersionlab.model import (
     SyntheticTask,
     _block_forward,
     forward,
-    forward_with_capture,
     init_params,
     load_checkpoint,
     make_dataset,
@@ -118,18 +117,22 @@ class TestForward:
         cfg_on = single_block_config(averaging_enabled=True)
         cfg_off = single_block_config(averaging_enabled=False)
         params = init_params(cfg_on)
-        images = rng_for(2, "toggle").standard_normal((2, 32, 32, 3))
-        _, cap_on = forward_with_capture(cfg_on, params, images)
-        _, cap_off = forward_with_capture(cfg_off, params, images)
-        for block_on, block_off in zip(cap_on, cap_off):
-            v = block_off["v"]
-            n = block_off["tokens"]
-            mix = np.concatenate([
-                np.tile(v[s : s + n].mean(axis=0), (n, 1))
-                for s in range(0, v.shape[0], n)
-            ])
-            rebuilt = block_off["attn_out"] + mix
-            assert np.array_equal(block_on["attn_out"], rebuilt)
+        g = stage_grids(cfg_on)[0]
+        x = rng_for(2, "toggle").standard_normal((2 * g * g, 8))  # two samples' tokens
+        cap_on, cap_off = [], []
+        for cfg, capture in ((cfg_on, cap_on), (cfg_off, cap_off)):
+            tape = ag.Tape(record=False)
+            _block_forward({name: ag.leaf(tape, value) for name, value in params.items()},
+                           ag.leaf(tape, x), cfg, 0, g, "s0.b0.", capture)
+        (block_on,), (block_off,) = cap_on, cap_off
+        v = block_off["v"]
+        n = block_off["tokens"]
+        mix = np.concatenate([
+            np.tile(v[s : s + n].mean(axis=0), (n, 1))
+            for s in range(0, v.shape[0], n)
+        ])
+        rebuilt = block_off["attn_out"] + mix
+        assert np.array_equal(block_on["attn_out"], rebuilt)
 
     def test_attention_variants_run(self):
         images = rng_for(3, "variants").standard_normal((2, 32, 32, 3))

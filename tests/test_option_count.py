@@ -1,0 +1,25 @@
+import importlib.util
+from pathlib import Path
+
+_ROOT = Path(__file__).resolve().parent
+_PATH = _ROOT.parent / "tools" / "option_count.py"
+_SPEC = importlib.util.spec_from_file_location("option_count", _PATH)
+option_count = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(option_count)
+
+_SAMPLE = _ROOT / "fixtures" / "option_count_sample.py"
+
+
+def test_counts_each_kind_of_the_fixture_module(capsys):
+    assert option_count.main([str(_SAMPLE)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "total 9", "argparse 3", "dataclass 2", "parameter 4"]
+
+
+def test_directories_add_up_their_files(tmp_path):
+    (tmp_path / "pkg").mkdir()
+    for name in ("a.py", "pkg/b.py"):
+        (tmp_path / name).write_text(_SAMPLE.read_text())
+    (tmp_path / "notes.txt").write_text("def f(x=1): pass\n")
+    counts = option_count.count_paths([tmp_path])
+    assert dict(counts) == {"argparse": 6, "dataclass": 4, "parameter": 8}

@@ -18,7 +18,7 @@ PUBLIC_KERNELS = {
     "linear": (attention.linear_attention, "qkv"),
     "linear_fast": (attention.linear_attention_fast, "qkv"),
     "focused": (lambda q, k, v: attention.focused_attention(
-        q, k, v, 3, _TAPS, GridSpec.grid(2, 4)), "qkv"),
+        q, k, v, _TAPS, GridSpec.grid(2, 4)), "qkv"),
     "window": (lambda q, k, v: attention.window_attention(q, k, v, _WIN), "qkv"),
     "homogeneous_mix": (lambda q, k, v: homogeneous_mix(v), "v"),
     "sema": (lambda q, k, v: attention.sema_attention(q, k, v, _WIN), "qkv"),

@@ -84,7 +84,7 @@ def attention_outputs():
         yield f"linear_attention_coefficients/{tag}", at.linear_attention_coefficients(q, k)
         yield f"linear_attention_fast/{tag}", at.linear_attention_fast(q, k, v)
         yield f"focused_attention/{tag}", at.focused_attention(qa, ka, v)
-        yield f"focused_attention.lepe/{tag}", at.focused_attention(qa, ka, v, 3, dwc, grid)
+        yield f"focused_attention.lepe/{tag}", at.focused_attention(qa, ka, v, dwc, grid)
         yield f"focused_attention_coefficients/{tag}", at.focused_attention_coefficients(qa, ka)
         yield f"homogeneous_mix/{tag}", at.homogeneous_mix(v)
         positions = rng.permutation(n)
