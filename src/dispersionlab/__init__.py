@@ -35,7 +35,6 @@ from .attention import (  # noqa: F401
     window_attention,
 )
 from .analysis import (  # noqa: F401
-    BoundSpec,
     BoundedSampler,
     DispersionReport,
     coefficient_bounds,

@@ -19,12 +19,12 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .attention import (KernelSpec, WindowSpec, phi_values, _apply_psi, _blocks, _EPSILON,
-                        _normalize, _phi_weights, _row_blocks, _ROW_TILE)
+                        _normalize, _row_blocks, _ROW_TILE)
 from .errors import BoundViolationError, ConfigurationError, DimensionError, KernelDomainError
 from .rng import rng_for
 
@@ -45,45 +45,23 @@ def default_kernel(variant: str) -> KernelSpec:
     return _DEFAULT_KERNELS[variant]()
 
 
-@dataclass(frozen=True)
-class BoundSpec:
-    """Inputs of the per-variant coefficient bound.
+def coefficient_bounds(kernel: KernelSpec, lo: float, hi: float, n: int,
+                       stabilizer: float) -> tuple[float, float]:
+    """Theoretical (lower, upper) for one coefficient normalized over n keys
+    whose logits lie in [lo, hi]:
+    phi(a)/(n phi(b) + stabilizer) <= alpha <= phi(b)/(n phi(a)).
 
-    phi_at_argmin and phi_at_argmax are the kernel values at the extremes of
-    the compact logit domain (phi(a) and phi(b)); n is the key count the
-    coefficients are normalized over. A phi that overflows or underflows on
-    the logit range gives no bound: KernelDomainError.
+    stabilizer is the constant the normalizer adds to its denominator (MILA's
+    epsilon, 0 for a plain ratio). A phi that overflows or underflows on the
+    logit range gives no bound: KernelDomainError.
     """
-
-    variant: str
-    phi_at_argmin: float
-    phi_at_argmax: float
-    n: int
-
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if not 0 < self.phi_at_argmin <= self.phi_at_argmax < math.inf:
-            raise KernelDomainError(
-                "phi overflows or underflows on the logit range: need 0 < phi(a) <= phi(b) "
-                f"< inf, got phi(a)={self.phi_at_argmin!r}, phi(b)={self.phi_at_argmax!r}")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-
-    @classmethod
-    def from_logit_range(cls, variant: str, kernel: KernelSpec, lo: float, hi: float,
-                         n: int) -> "BoundSpec":
-        # every supported phi is nondecreasing, so the extremizers are the endpoints
-        pa, pb = float(phi_values(kernel, lo)), float(phi_values(kernel, hi))
-        return cls(variant, pa, pb, n)
-
-
-def coefficient_bounds(spec: BoundSpec) -> tuple[float, float]:
-    """Theoretical (lower, upper) for one normalized coefficient:
-    phi(a)/(n phi(b)) <= alpha <= phi(b)/(n phi(a)).
-    """
-    pa, pb, n = spec.phi_at_argmin, spec.phi_at_argmax, spec.n
-    return (pa / (n * pb), pb / (n * pa))
+    # every supported phi is nondecreasing, so the extremizers are the endpoints
+    pa, pb = float(phi_values(kernel, lo)), float(phi_values(kernel, hi))
+    if not 0 < pa <= pb < math.inf:
+        raise KernelDomainError(
+            "phi overflows or underflows on the logit range: need 0 < phi(a) <= phi(b) "
+            f"< inf, got phi(a)={pa!r}, phi(b)={pb!r}")
+    return (pa / (n * pb + stabilizer), pb / (n * pa))
 
 
 @dataclass(frozen=True)
@@ -209,20 +187,17 @@ def _variant_cell(variant: str, kernel: KernelSpec, q: np.ndarray, k: np.ndarray
         lo_logit = np.minimum(lo_logit, logits.min())
         hi_logit = np.maximum(hi_logit, logits.max())
         if variant == "mila":
-            # un-gated ratio with the stabilizer in the denominator; the epsilon
-            # keeps the true coefficient at or below the textbook lower bound, so
-            # the rigorous lower bound carries the epsilon too
+            # un-gated ratio with the stabilizer in the denominator, not a
+            # threshold; the epsilon keeps the true coefficient at or below the
+            # textbook lower bound, so the rigorous lower bound carries it too
             logits /= logits.sum(axis=-1, keepdims=True) + _EPSILON
         else:
-            _normalize(kernel, _phi_weights(kernel, logits))
+            _normalize(kernel, logits)
         cmin = np.minimum(cmin, logits.min())
         cmax = np.maximum(cmax, logits.max())
-    extrema = CellExtrema(float(cmin), float(cmax), n * block)
-    spec = BoundSpec.from_logit_range(variant, kernel, float(lo_logit), float(hi_logit), block)
-    if variant == "mila":
-        pa, pb = spec.phi_at_argmin, spec.phi_at_argmax
-        return extrema, (pa / (n * pb + _EPSILON), pb / (n * pa))
-    return extrema, coefficient_bounds(spec)
+    bounds = coefficient_bounds(kernel, float(lo_logit), float(hi_logit), block,
+                                _EPSILON if variant == "mila" else 0.0)
+    return CellExtrema(float(cmin), float(cmax), n * block), bounds
 
 
 def _env_threads() -> int:
@@ -243,18 +218,25 @@ def measure_dispersion(variant: str, kernel: KernelSpec | None, sampler: Bounded
     from that draw's own logit extrema. A violation raises
     BoundViolationError naming n, trial and seed: the bounds are a test
     oracle, not advice. The recorded per-n bounds are the loosest per-trial
-    bounds. DISPERSION_LAB_THREADS sets the worker count. The MILA cell divides
-    its logits by their sum, so a MILA sweep takes only phi="identity".
+    bounds. DISPERSION_LAB_THREADS sets the worker count. The MILA cell has
+    its own elu+1 features and stabilized ratio, so a MILA sweep takes only
+    KernelSpec.linear().
     """
     if variant not in VARIANTS:
         raise ValueError(f"cannot sweep variant {variant!r}")
     kernel = kernel or default_kernel(variant)
-    if variant == "mila" and kernel.phi != "identity":
-        raise ConfigurationError(f"mila normalizes its logits by their sum; it takes phi "
-                                 f"'identity', got phi {kernel.phi!r}")
+    linear = KernelSpec.linear()
+    if variant == "mila" and kernel != linear:
+        pairs = [(f.name, getattr(kernel, f.name), getattr(linear, f.name))
+                 for f in fields(KernelSpec)]
+        differ = [f"{name} {got!r} (not {want!r})" for name, got, want in pairs if got != want]
+        raise ConfigurationError("mila normalizes its logits by their sum; it takes only "
+                                 f"KernelSpec.linear(), got {', '.join(differ)}")
     n_values = [int(n) for n in n_values]
     if any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise ValueError("n_values must be strictly ascending")
+    if any(n < 1 for n in n_values):
+        raise ValueError(f"n_values must be >= 1, got {min(n_values)}")
 
     def run_cell(n: int, trial: int):
         # fixed window content must not depend on n, or it would not be fixed
@@ -339,8 +321,6 @@ _COMPLEXITY_VARIANTS = ("full", "window", "homogeneous_mix", "sema", "linear")
 def complexity_estimate(variant: str, n: int, d: int, w: int | None = None) -> int:
     """Closed-form multiply-add count of coefficient computation plus value
     aggregation (projections and the exp/divide of normalization excluded)."""
-    if variant == "softmax":
-        variant = "full"
     if variant not in _COMPLEXITY_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, choose from {_COMPLEXITY_VARIANTS}")
     if n < 1 or d < 1:
@@ -369,8 +349,6 @@ def instrumented_counts(variant: str, q: np.ndarray, k: np.ndarray, v: np.ndarra
     structure, not from a formula. Counts the numerator path only, matching
     the cost-model scope (no exp, no divides).
     """
-    if variant == "softmax":
-        variant = "full"
     n, d = q.shape
     count = 0
     if variant == "full":

@@ -3,7 +3,9 @@
 Every variant normalizes kernel weights phi(psi_q(Q)_i psi_k(K)_j^T) over a
 key set: the full set (softmax, linear, focused, MILA) or a disjoint window
 block (window, SEMA). Each op has a ``*_coefficients`` companion returning
-the raw weight matrix, which the dispersion analysis consumes.
+the raw weight matrix: the tests' oracle and perfbench's reference. The
+dispersion analysis streams its own cells through ``_row_blocks`` and
+``_normalize`` and never builds that matrix.
 """
 
 from __future__ import annotations
@@ -98,17 +100,11 @@ class KernelSpec:
         unknown = sorted(set(obj) - set(keys))
         if unknown:
             raise ValueError(f"unknown kernel spec key(s) {unknown}; known keys are {list(keys)}")
-        psi_q = obj.get("psi_q", obj.get("psi", "identity"))
-        psi_k = obj.get("psi_k", obj.get("psi", "identity"))
-        return cls(
-            phi=obj.get("phi", "exp"),
-            psi_q=psi_q,
-            psi_k=psi_k,
-            theta=obj.get("theta", 1.0),
-            phi_p=obj.get("phi_p", 1.0),
-            psi_p=obj.get("psi_p", 3),
-            epsilon=obj.get("epsilon", _EPSILON),
-        )
+        if "psi" in obj:
+            psi = obj.pop("psi")
+            obj.setdefault("psi_q", psi)
+            obj.setdefault("psi_k", psi)
+        return cls(**obj)
 
 
 @dataclass(frozen=True)
@@ -166,23 +162,32 @@ def _apply_psi(x: np.ndarray, psi: str, psi_p: int) -> np.ndarray:
     raise ValueError(f"unknown psi {psi!r}")
 
 
-def _phi_weights(kernel: KernelSpec, logits: np.ndarray) -> np.ndarray:
-    """phi applied rowwise in place, rescaled per row for exp kernels.
+def _normalize(kernel: KernelSpec, logits: np.ndarray) -> np.ndarray:
+    """phi applied rowwise, then each row divided by its sum; the one row normalization.
 
-    The rescaling is ratio-invariant. logits must be a fresh array the
-    caller owns: it is overwritten and returned.
+    Exp kernels are rescaled per row before exp, which the ratio does not see.
+    logits must be a fresh array the caller owns: it is overwritten in place
+    and returned.
     """
     if kernel.phi in ("exp", "exp_temperature"):
         if kernel.phi == "exp_temperature":
             logits /= kernel.theta
         logits -= logits.max(axis=-1, keepdims=True)
-        return np.exp(logits, out=logits)
-    if np.any(logits < 0):
+        np.exp(logits, out=logits)
+    else:
+        if np.any(logits < 0):
+            raise KernelDomainError(
+                f"phi={kernel.phi!r} requires nonnegative logits, got min {logits.min()}"
+            )
+        if kernel.phi == "power":
+            logits **= kernel.phi_p
+    denom = logits.sum(axis=-1, keepdims=True)
+    if np.any(denom <= kernel.epsilon):
         raise KernelDomainError(
-            f"phi={kernel.phi!r} requires nonnegative logits, got min {logits.min()}"
+            f"normalizer denominator <= epsilon ({kernel.epsilon}); "
+            "kernel weights sum to a non-positive or vanishing value"
         )
-    if kernel.phi == "power":
-        logits **= kernel.phi_p
+    logits /= denom
     return logits
 
 
@@ -198,31 +203,24 @@ def phi_values(kernel: KernelSpec, x: np.ndarray) -> np.ndarray:
     return x if kernel.phi == "identity" else x**kernel.phi_p
 
 
-def _normalize(kernel: KernelSpec, weights: np.ndarray) -> np.ndarray:
-    """Divide each row by its sum, in place; the one row normalization."""
-    denom = weights.sum(axis=-1, keepdims=True)
-    if np.any(denom <= kernel.epsilon):
-        raise KernelDomainError(
-            f"normalizer denominator <= epsilon ({kernel.epsilon}); "
-            "kernel weights sum to a non-positive or vanishing value"
-        )
-    weights /= denom
-    return weights
-
-
 def phi_normalize(logits, kernel: KernelSpec) -> Tensor:
     """Normalize a logit vector to the probability simplex via phi."""
     x = as_array(logits)
     if x.ndim != 1:
         raise DimensionError(f"phi_normalize expects a rank-1 tensor, got {x.shape}")
-    return Tensor._own(_normalize(kernel, _phi_weights(kernel, x[None, :].copy()))[0])
+    return Tensor._own(_normalize(kernel, x[None, :].copy())[0])
 
 
-def _check_qkv(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> None:
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
+def _qkv(q, k, v=None) -> tuple[np.ndarray, ...]:
+    """(q, k, v) as arrays, or (q, k) without v: rank 2, q and k of one shape,
+    one value row per query."""
+    q, k = as_array(q), as_array(k)
+    vals = q if v is None else as_array(v)
+    if q.ndim != 2 or k.ndim != 2 or vals.ndim != 2:
         raise DimensionError("q, k, v must be rank 2")
-    if q.shape != k.shape or q.shape[0] != v.shape[0]:
-        raise DimensionError(f"q/k/v shapes disagree: {q.shape}, {k.shape}, {v.shape}")
+    if q.shape != k.shape or q.shape[0] != vals.shape[0]:
+        raise DimensionError(f"q/k/v shapes disagree: {q.shape}, {k.shape}, {vals.shape}")
+    return (q, k) if v is None else (q, k, vals)
 
 
 def _blocks(x: np.ndarray, block: int) -> np.ndarray:
@@ -241,13 +239,12 @@ def _block_coefficients(qb: np.ndarray, kb: np.ndarray, kernel: KernelSpec,
     if not featured:
         qb = _apply_psi(qb, kernel.psi_q, kernel.psi_p)
         kb = _apply_psi(kb, kernel.psi_k, kernel.psi_p)
-    return _normalize(kernel, _phi_weights(kernel, qb @ np.swapaxes(kb, -1, -2)))
+    return _normalize(kernel, qb @ np.swapaxes(kb, -1, -2))
 
 
 def generalized_attention_coefficients(q, k, kernel: KernelSpec) -> Tensor:
     """The n x n phi-normalized weight matrix of generalized attention."""
-    q, k = as_array(q), as_array(k)
-    _check_qkv(q, k, q)
+    q, k = _qkv(q, k)
     return Tensor._own(_block_coefficients(q, k, kernel))
 
 
@@ -295,14 +292,13 @@ def _global_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     fk = _apply_psi(k, kernel.psi_k, kernel.psi_p)
     out = np.empty((q.shape[0], v.shape[1]))
     for rows, block in _row_blocks(fq, fk):
-        np.matmul(_normalize(kernel, _phi_weights(kernel, block)), v, out=out[rows])
+        np.matmul(_normalize(kernel, block), v, out=out[rows])
     return out
 
 
 def generalized_attention(q, k, v, kernel: KernelSpec) -> Tensor:
     """Phi-normalized attention: row i mixes values by phi-normalized weights."""
-    q, k, v = as_array(q), as_array(k), as_array(v)
-    _check_qkv(q, k, v)
+    q, k, v = _qkv(q, k, v)
     return Tensor._own(_global_attention(q, k, v, kernel))
 
 
@@ -336,8 +332,7 @@ def linear_attention_fast(q, k, v) -> Tensor:
     Computes psi(q) (psi(k)^T v) / (psi(q) sum_j psi(k)_j^T); agrees with the
     quadratic form up to accumulation order.
     """
-    q, k, v = as_array(q), as_array(k), as_array(v)
-    _check_qkv(q, k, v)
+    q, k, v = _qkv(q, k, v)
     u, w = elu_plus_one(q), elu_plus_one(k)
     den = u @ w.sum(axis=0)
     if np.any(np.abs(den) <= _EPSILON):
@@ -357,8 +352,7 @@ def focused_attention(q, k, v, dwc: DepthwiseKernel | None = None,
     the convolution term restores rank lost to the separable form. dwc=None
     omits the convolution.
     """
-    q, k, v = as_array(q), as_array(k), as_array(v)
-    _check_qkv(q, k, v)
+    q, k, v = _qkv(q, k, v)
     out = _global_attention(q, k, v, KernelSpec.focused())
     if dwc is not None:
         grid = grid or GridSpec.linear(v.shape[0])
@@ -378,8 +372,7 @@ def window_attention_coefficients(q, k, win: WindowSpec,
                                   kernel: KernelSpec | None = None) -> Tensor:
     """Per-row weights over the row's own window: an n x w matrix."""
     kernel = kernel or KernelSpec.softmax()
-    q, k = as_array(q), as_array(k)
-    _check_qkv(q, k, q)
+    q, k = _qkv(q, k)
     _window_blocks(q.shape[0], win)
     coeff = _block_coefficients(_blocks(q, win.w), _blocks(k, win.w), kernel)
     return Tensor._own(coeff.reshape(q.shape[0], win.w))
@@ -393,8 +386,7 @@ def window_attention(q, k, v, win: WindowSpec, kernel: KernelSpec | None = None)
     kernel runs batched over the blocks.
     """
     kernel = kernel or KernelSpec.softmax()
-    q, k, v = as_array(q), as_array(k), as_array(v)
-    _check_qkv(q, k, v)
+    q, k, v = _qkv(q, k, v)
     _window_blocks(q.shape[0], win)
     coeff = _block_coefficients(_blocks(q, win.w), _blocks(k, win.w), kernel)
     return Tensor._own((coeff @ _blocks(v, win.w)).reshape(v.shape))
@@ -433,8 +425,8 @@ def _mila_weights(u: np.ndarray, w: np.ndarray, angles: np.ndarray | None) -> np
     """n x n MILA weights of (elu+1) features u, w; angles=None leaves the numerator un-gated.
 
     The denominator always uses the un-gated features plus _EPSILON. Only
-    mila_coefficients calls it: the dispersion analysis needs the matrix, and
-    the tests hold _mila_forward to it as the quadratic oracle.
+    mila_coefficients calls it; the tests hold _mila_forward to it as the
+    quadratic oracle.
     """
     num = u @ w.T
     den = num.sum(axis=1, keepdims=True) + _EPSILON
@@ -465,8 +457,7 @@ def mila_coefficients(q, k, grid: GridSpec | None = None, gated: bool = False,
     dispersion analysis studies) the numerator is un-gated too; gated=True
     applies the rotary gate to the numerator as the full mechanism does.
     """
-    q, k = as_array(q), as_array(k)
-    _check_qkv(q, k, q)
+    q, k = _qkv(q, k)
     grid = grid or GridSpec.linear(q.shape[0])
     angles = rope_angles(grid, q.shape[1], positions) if gated else None
     return Tensor._own(_mila_weights(elu_plus_one(q), elu_plus_one(k), angles))
@@ -483,8 +474,7 @@ def mila_attention(q, k, v, grid: GridSpec | None = None,
     positions=positions) @ v up to float order. A depthwise positional term
     on v is added rowwise when lepe_kernel is given.
     """
-    q, k, v = as_array(q), as_array(k), as_array(v)
-    _check_qkv(q, k, v)
+    q, k, v = _qkv(q, k, v)
     grid = grid or GridSpec.linear(q.shape[0])
     angles = rope_angles(grid, q.shape[1], positions)
     out = _mila_forward(elu_plus_one(q), elu_plus_one(k), v, angles)[0]

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    VARIANTS,
     BoundedSampler,
     complexity_estimate,
     instrumented_counts,
@@ -452,8 +453,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("disperse", help="empirical dispersion sweep with bound checks")
-    p.add_argument("--variant", required=True,
-                   choices=["softmax", "linear", "focused", "window", "mila"])
+    p.add_argument("--variant", required=True, choices=VARIANTS)
     p.add_argument("--kernel", help="KernelSpec JSON; defaults to the variant's kernel")
     p.add_argument("--n", default="64..4096", help="'lo..hi' doubling range or comma list")
     p.add_argument("--trials", type=_positive_int, default=32)

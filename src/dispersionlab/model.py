@@ -357,10 +357,6 @@ def forward(cfg: ModelConfig, params: dict[str, np.ndarray], images) -> Tensor:
 # receptive-field probes (single block on the stage-1 grid)
 
 
-def _single_block_grid(cfg: ModelConfig) -> int:
-    return stage_grids(cfg)[0]
-
-
 def receptive_field_grid(cfg: ModelConfig, params: dict[str, np.ndarray],
                          token_i: int) -> np.ndarray:
     """Gradient magnitude of block-output token i w.r.t. every input token.
@@ -368,7 +364,7 @@ def receptive_field_grid(cfg: ModelConfig, params: dict[str, np.ndarray],
     Runs one stage-1 block on seeded random tokens; entry j is the Euclidean
     norm of d(sum of output row i) / d(input row j).
     """
-    g = _single_block_grid(cfg)
+    g = stage_grids(cfg)[0]
     n, dim = g * g, cfg.stage_dims[0]
     if not 0 <= token_i < n:
         raise ConfigurationError(f"token_i must be in 0..{n - 1}")

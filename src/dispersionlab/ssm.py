@@ -20,16 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import _check_qkv, _EPSILON, elu_plus_one
+from .attention import _EPSILON, _qkv, elu_plus_one
 from .errors import DimensionError, PreconditionError
 from .tensor import Tensor, as_array
-
-
-def _as_stacked(seq) -> np.ndarray:
-    """A per-step sequence of Tensors/arrays, or an already-stacked array."""
-    if isinstance(seq, (np.ndarray, Tensor)):
-        return as_array(seq)
-    return np.stack([as_array(t) for t in seq], axis=0)
 
 
 @dataclass(frozen=True)
@@ -49,12 +42,12 @@ class SsmParams:
     h0: np.ndarray  # (d_state, C)
 
     def __post_init__(self):
-        A = _as_stacked(self.A_tilde)
+        A = as_array(self.A_tilde)
         if A.ndim != 3:
             raise DimensionError(f"A_tilde must be (n, d_state, C), got {A.shape}")
         n, d_state, channels = A.shape
-        B = _as_stacked(self.B)
-        C = _as_stacked(self.C_out)
+        B = as_array(self.B)
+        C = as_array(self.C_out)
         if B.shape != (n, d_state, 1):
             raise DimensionError(f"B must be (n, d_state, 1), got {B.shape}")
         if C.shape != (n, 1, d_state):
@@ -163,8 +156,7 @@ def causal_linear_recursive(q, k, v) -> Tensor:
     running state accumulates key-value outer products and the denominator
     accumulates key sums plus the stabilizer 1e-6.
     """
-    q, k, v = as_array(q), as_array(k), as_array(v)
-    _check_qkv(q, k, v)
+    q, k, v = _qkv(q, k, v)
     u, w = elu_plus_one(q), elu_plus_one(k)
     n, d = u.shape
     state = np.zeros((d, v.shape[1]))
@@ -180,8 +172,7 @@ def causal_linear_recursive(q, k, v) -> Tensor:
 
 def causal_linear_masked(q, k, v) -> Tensor:
     """Quadratic-form causal linear attention (the masked oracle)."""
-    q, k, v = as_array(q), as_array(k), as_array(v)
-    _check_qkv(q, k, v)
+    q, k, v = _qkv(q, k, v)
     u, w = elu_plus_one(q), elu_plus_one(k)
     logits = u @ w.T
     mask = np.tril(np.ones_like(logits))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import json
 import os
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 from dispersionlab import analysis, attention
 from dispersionlab.analysis import (
     VARIANTS,
-    BoundSpec,
     BoundedSampler,
     DispersionReport,
     coefficient_bounds,
@@ -32,22 +32,25 @@ from dispersionlab.rng import rng_for
 class TestCoefficientBounds:
     def test_constant_kernel_collapses_to_uniform(self):
         for n in (1, 10, 1000):
-            lo, hi = coefficient_bounds(BoundSpec("softmax", 2.0, 2.0, n))
+            lo, hi = coefficient_bounds(KernelSpec.softmax(), 0.5, 0.5, n, 0.0)
             assert lo == hi == pytest.approx(1.0 / n)
 
     def test_exp_kernel_on_unit_logit_range(self):
-        spec = BoundSpec.from_logit_range("softmax", KernelSpec.softmax(), -1.0, 1.0, 10)
-        lo, hi = coefficient_bounds(spec)
+        lo, hi = coefficient_bounds(KernelSpec.softmax(), -1.0, 1.0, 10, 0.0)
         assert lo == pytest.approx(math.exp(-2) / 10, abs=1e-6)
         assert hi == pytest.approx(math.exp(2) / 10, abs=1e-6)
 
+    def test_stabilizer_joins_only_the_lower_denominator(self):
+        lo, hi = coefficient_bounds(KernelSpec.linear(), 1.0, 2.0, 4, 1e-6)
+        assert lo == 1.0 / (4 * 2.0 + 1e-6) and hi == 2.0 / (4 * 1.0)
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            BoundSpec("softmax", 0.0, 1.0, 4)
-        with pytest.raises(ValueError):
-            BoundSpec("softmax", 2.0, 1.0, 4)
-        with pytest.raises(ValueError):
-            BoundSpec("softmax", 1.0, 2.0, 0)
+        # phi(a) = 0, phi(a) > phi(b) and phi(b) = inf give no bound
+        for kernel, lo, hi in ((KernelSpec.linear(), 0.0, 1.0), (KernelSpec.softmax(), 1.0, -1.0),
+                               (KernelSpec.softmax(), 0.0, 1000.0)):
+            with np.errstate(over="ignore"), pytest.raises(
+                    KernelDomainError, match="^phi overflows or underflows"):
+                coefficient_bounds(kernel, lo, hi, 4, 0.0)
 
 
 class TestFitDecaySlope:
@@ -113,16 +116,22 @@ class TestMeasureDispersion:
                                   report.upper_bound, report.lower_bound):
             assert lo <= mn <= mx <= hi
 
-    @pytest.mark.parametrize("phi,phi_p", [("exp", 1.0), ("power", 3.0), ("power", 1e6)],
-                             ids=["exp", "power-3", "power-1e6"])
-    def test_mila_sweep_needs_identity_phi(self, phi, phi_p):
-        # the MILA cell divides its logits by their sum but took its bounds from
-        # phi: exp reported a violation, a cubed phi passed on wide bounds, and an
-        # overflowing one failed a cell
-        psi = "identity" if phi == "exp" else "elu_plus_one"
-        kernel = KernelSpec(phi=phi, phi_p=phi_p, psi_q=psi, psi_k=psi)
-        with pytest.raises(ConfigurationError, match=f"^mila .* got phi '{phi}'$"):
+    @pytest.mark.parametrize("changes", [
+        {"phi": "exp", "psi_q": "identity", "psi_k": "identity"},
+        {"phi": "power", "phi_p": 3.0}, {"phi": "power", "phi_p": 1e6},
+        {"epsilon": 1000.0}, {"psi_q": "focused", "psi_k": "focused"},
+    ], ids=["exp", "power-3", "power-1e6", "epsilon-1000", "focused"])
+    def test_mila_sweep_needs_identity_phi(self, changes):
+        # the MILA cell has its own elu+1 features and stabilized ratio but took
+        # its bounds from phi: exp reported a violation, a cubed phi passed on
+        # wide bounds, an overflowing one failed a cell, epsilon was ignored and
+        # focused features failed a cell on phi(a) = 0
+        kernel = dataclasses.replace(KernelSpec.linear(), **changes)
+        with pytest.raises(ConfigurationError, match="^mila normalizes its logits") as info:
             measure_dispersion("mila", kernel, BoundedSampler(d=4), [8, 16, 32], 1, seed=3)
+        message = str(info.value)
+        assert message.count("(not ") == len(changes)
+        assert all(f"{name} {value!r} (not " in message for name, value in changes.items())
 
     def test_window_fixed_content_bitwise_constant(self):
         sampler = BoundedSampler(d=4, tile_rows=4)
@@ -164,13 +173,21 @@ class TestMeasureDispersion:
         with pytest.raises(ValueError):
             measure_dispersion("softmax", None, BoundedSampler(d=4), [16, 8], 2, seed=0)
 
+    @pytest.mark.parametrize("n_values", [[0, 8, 16], [-4, 8, 16]])
+    def test_positive_n_required(self, n_values):
+        # n = 0 ended in a phi overflow, n = -4 in numpy's negative-size error
+        with pytest.raises(ValueError, match=f"^n_values must be >= 1, got {n_values[0]}$"):
+            measure_dispersion("softmax", None, BoundedSampler(d=4), n_values, 2, seed=0)
 
-    def test_violation_names_the_seed(self, monkeypatch):
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_violation_names_the_seed(self, variant, monkeypatch):
         # bounds shrunk to the uniform value: every non-uniform draw violates them
         monkeypatch.setattr(analysis, "coefficient_bounds",
-                            lambda spec: (1.0 / spec.n, 1.0 / spec.n))
-        with pytest.raises(BoundViolationError, match=r"n=8, trial=0, seed=11:"):
-            measure_dispersion("softmax", None, BoundedSampler(d=4), [8, 16, 32], 2, seed=11)
+                            lambda kernel, lo, hi, n, stabilizer: (1.0 / n, 1.0 / n))
+        win = WindowSpec(4) if variant == "window" else None
+        with pytest.raises(BoundViolationError, match=rf"^{variant}: .* n=8, trial=0, seed=11:"):
+            measure_dispersion(variant, None, BoundedSampler(d=4, nonneg=variant == "focused"),
+                               [8, 16, 32], 2, seed=11, win=win)
 
     @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", ""])
     def test_bad_thread_variable_rejected(self, value, monkeypatch):

@@ -122,6 +122,9 @@ class TestKernelSpec:
             ('{"phi": "exp_temperature", "theta": 0.3}', KernelSpec.softmax_temperature(0.3)),
             ('{"phi": "power", "phi_p": 2, "psi_q": "elu_plus_one", "psi_k": "focused"}',
              KernelSpec(phi="power", phi_p=2.0, psi_q="elu_plus_one", psi_k="focused")),
+            # a side that names its own map keeps it; psi fills the other side
+            ('{"phi": "identity", "psi": "focused", "psi_q": "elu_plus_one"}',
+             KernelSpec(phi="identity", psi_q="elu_plus_one", psi_k="focused")),
         ):
             assert KernelSpec.from_json(text) == spec, text
 
@@ -142,6 +145,10 @@ class TestKernelSpec:
             KernelSpec.from_json('{"phi": "exp_temperature", "thta": 0.01}')
         with pytest.raises(ValueError, match="theta"):
             KernelSpec.from_json('{"phi": "exp_temperature", "theta": NaN}')
+
+    def test_json_null_psi_refused(self):
+        with pytest.raises(ValueError, match="unknown psi None"):
+            KernelSpec.from_json('{"psi": null}')
 
     def test_json_wire_format(self):
         # the --kernel example of the README

@@ -134,11 +134,15 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("kernel", ['{"phi":"exp"}',
                                         '{"phi":"power","phi_p":3,"psi":"elu_plus_one"}',
-                                        '{"phi":"power","phi_p":1e6,"psi":"elu_plus_one"}'],
-                             ids=["exp", "power-3", "power-1e6"])
+                                        '{"phi":"power","phi_p":1e6,"psi":"elu_plus_one"}',
+                                        '{"phi":"identity","psi":"elu_plus_one","epsilon":1000}',
+                                        '{"phi":"identity","psi":"focused"}'],
+                             ids=["exp", "power-3", "power-1e6", "epsilon-1000", "focused"])
     def test_disperse_mila_needs_identity_phi(self, kernel, tmp_path, capsys):
         # the MILA cell ignored phi but took its bounds from it: exp exited 2 with
-        # a bound violation, the cubed phi exited 0 on bounds too wide to fail
+        # a bound violation, the cubed phi exited 0 on bounds too wide to fail;
+        # epsilon 1000 exited 0 unread, and focused features exited 1 on a
+        # misleading phi(a) = 0 overflow line
         assert main(["disperse", "--variant", "mila", "--kernel", kernel, "--n", "4,8,16",
                      "--trials", "1", "--out", str(tmp_path)]) == 1
         captured = capsys.readouterr()
@@ -251,7 +255,7 @@ class TestDisperse:
                                                           capsys):
         # bounds shrunk to the uniform value: every non-uniform draw violates them
         monkeypatch.setattr(analysis, "coefficient_bounds",
-                            lambda spec: (1.0 / spec.n, 1.0 / spec.n))
+                            lambda kernel, lo, hi, n, stabilizer: (1.0 / n, 1.0 / n))
         argv = ["disperse", "--variant", "softmax", "--n", "8,16,32", "--trials", "2",
                 "--d", "4", "--seed", "9", "--kernel", '{"phi": "exp"}',
                 "--out", str(tmp_path / "run")]
