@@ -7,8 +7,10 @@ windowed attention with fixed window content), the heavy-tailed-logit
 counterexample where a query keeps attending to the first key, and
 multiply-add cost models for the complexity claims.
 
-A sweep cell streams query rows through one scratch block and keeps only the
-coefficient and logit extrema; perfbench's tracer binds _variant_cell by name.
+A sweep cell streams query rows through one scratch block, applies phi in
+place without dividing, and keeps only the coefficient and logit extrema, the
+former from per-row extrema and row sums; perfbench's tracer binds
+_variant_cell by name.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .attention import (KernelSpec, WindowSpec, phi_values, _apply_psi, _blocks, _EPSILON,
-                        _normalize, _row_blocks, _ROW_TILE)
+                        _phi_rows, _row_blocks, _ROW_TILE)
 from .errors import BoundViolationError, ConfigurationError, DimensionError, KernelDomainError
 from .rng import rng_for
 
@@ -159,14 +161,19 @@ def _variant_cell(variant: str, kernel: KernelSpec, q: np.ndarray, k: np.ndarray
                   win: WindowSpec | None):
     """Coefficient extrema plus their sample-specific rigorous bounds for one draw.
 
-    Global variants stream query rows through attention._row_blocks: each
-    block of logits updates the logit extrema, is normalized in place (every
-    row passes the kernel's domain checks) and updates the coefficient
-    extrema, so no n x n array is built and, with one BLAS thread, every
-    coefficient is bitwise that of the whole matrix. The bound comes from the
-    global logit extrema. perfbench wraps this function by name, labels a call
-    by args[0], meters it by args[2].shape[0] and counts result[0].size
-    coefficients: the name, signature and CellExtrema.size are an interface.
+    Global variants stream query rows through attention._row_blocks. Each
+    block of logits gives its row minima and maxima (the logit extrema), has
+    phi applied in place by attention._phi_rows (every row passes the
+    kernel's domain checks) and gives its row sums s, but is never divided.
+    Division by a positive s is correctly rounded, hence monotone, so
+    min_j fl(w_j / s) == fl(min_j w_j / s) and likewise for the max: the
+    coefficient extrema come from n row extrema of the weights w, which are
+    the logit row extrema for identity phi. No n x n array is built and,
+    with one BLAS thread, the extrema are bitwise those of the whole
+    normalized matrix. The bound comes from the global logit extrema.
+    perfbench wraps this function by name, labels a call by args[0], meters
+    it by args[2].shape[0] and counts result[0].size coefficients: the name,
+    signature and CellExtrema.size are an interface.
     """
     n = q.shape[0]
     fq = _apply_psi(q, kernel.psi_q, kernel.psi_p)
@@ -184,17 +191,21 @@ def _variant_cell(variant: str, kernel: KernelSpec, q: np.ndarray, k: np.ndarray
     # numpy extrema propagate a NaN, as a min over the whole matrix would
     lo_logit, hi_logit, cmin, cmax = np.inf, -np.inf, np.inf, -np.inf
     for _, logits in chunks:
-        lo_logit = np.minimum(lo_logit, logits.min())
-        hi_logit = np.maximum(hi_logit, logits.max())
+        lo = logits.min(axis=-1, keepdims=True)
+        hi = logits.max(axis=-1, keepdims=True)
+        lo_logit = np.minimum(lo_logit, lo.min())
+        hi_logit = np.maximum(hi_logit, hi.max())
         if variant == "mila":
             # un-gated ratio with the stabilizer in the denominator, not a
             # threshold; the epsilon keeps the true coefficient at or below the
             # textbook lower bound, so the rigorous lower bound carries it too
-            logits /= logits.sum(axis=-1, keepdims=True) + _EPSILON
+            sums = logits.sum(axis=-1, keepdims=True) + _EPSILON
         else:
-            _normalize(kernel, logits)
-        cmin = np.minimum(cmin, logits.min())
-        cmax = np.maximum(cmax, logits.max())
+            sums = _phi_rows(kernel, logits, hi)
+            if kernel.phi != "identity":  # the weights are no longer the logits
+                lo, hi = logits.min(axis=-1, keepdims=True), logits.max(axis=-1, keepdims=True)
+        cmin = np.minimum(cmin, (lo / sums).min())
+        cmax = np.maximum(cmax, (hi / sums).max())
     bounds = coefficient_bounds(kernel, float(lo_logit), float(hi_logit), block,
                                 _EPSILON if variant == "mila" else 0.0)
     return CellExtrema(float(cmin), float(cmax), n * block), bounds
@@ -237,6 +248,8 @@ def measure_dispersion(variant: str, kernel: KernelSpec | None, sampler: Bounded
         raise ValueError("n_values must be strictly ascending")
     if any(n < 1 for n in n_values):
         raise ValueError(f"n_values must be >= 1, got {min(n_values)}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
 
     def run_cell(n: int, trial: int):
         # fixed window content must not depend on n, or it would not be fixed

@@ -5,7 +5,8 @@ key set: the full set (softmax, linear, focused, MILA) or a disjoint window
 block (window, SEMA). Each op has a ``*_coefficients`` companion returning
 the raw weight matrix: the tests' oracle and perfbench's reference. The
 dispersion analysis streams its own cells through ``_row_blocks`` and
-``_normalize`` and never builds that matrix.
+``_phi_rows`` (phi and its domain checks, without the division that
+``_normalize`` adds) and never builds that matrix.
 """
 
 from __future__ import annotations
@@ -162,17 +163,23 @@ def _apply_psi(x: np.ndarray, psi: str, psi_p: int) -> np.ndarray:
     raise ValueError(f"unknown psi {psi!r}")
 
 
-def _normalize(kernel: KernelSpec, logits: np.ndarray) -> np.ndarray:
-    """phi applied rowwise, then each row divided by its sum; the one row normalization.
+def _phi_rows(kernel: KernelSpec, logits: np.ndarray,
+              row_max: np.ndarray | None = None) -> np.ndarray:
+    """phi applied rowwise in place, with its domain checks; returns the row sums (..., 1).
 
-    Exp kernels are rescaled per row before exp, which the ratio does not see.
-    logits must be a fresh array the caller owns: it is overwritten in place
-    and returned.
+    Exp kernels are shifted by each row's largest logit before exp, which the
+    ratio does not see. row_max, the logits' max(axis=-1, keepdims=True), is
+    taken here unless the caller already has it. Dividing by a positive theta
+    is correctly rounded, hence monotone, so row_max / theta is bitwise the
+    row max of logits / theta. logits must be a fresh array the caller owns.
     """
     if kernel.phi in ("exp", "exp_temperature"):
+        if row_max is None:
+            row_max = logits.max(axis=-1, keepdims=True)
         if kernel.phi == "exp_temperature":
             logits /= kernel.theta
-        logits -= logits.max(axis=-1, keepdims=True)
+            row_max = row_max / kernel.theta
+        logits -= row_max
         np.exp(logits, out=logits)
     else:
         if np.any(logits < 0):
@@ -187,7 +194,16 @@ def _normalize(kernel: KernelSpec, logits: np.ndarray) -> np.ndarray:
             f"normalizer denominator <= epsilon ({kernel.epsilon}); "
             "kernel weights sum to a non-positive or vanishing value"
         )
-    logits /= denom
+    return denom
+
+
+def _normalize(kernel: KernelSpec, logits: np.ndarray) -> np.ndarray:
+    """phi applied rowwise, then each row divided by its sum; the one row normalization.
+
+    logits must be a fresh array the caller owns: it is overwritten in place
+    and returned.
+    """
+    logits /= _phi_rows(kernel, logits)
     return logits
 
 

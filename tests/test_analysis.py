@@ -179,6 +179,12 @@ class TestMeasureDispersion:
         with pytest.raises(ValueError, match=f"^n_values must be >= 1, got {n_values[0]}$"):
             measure_dispersion("softmax", None, BoundedSampler(d=4), n_values, 2, seed=0)
 
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_positive_trials_required(self, trials):
+        # both ended in an unpack error from zip(*results) of no cells
+        with pytest.raises(ValueError, match=f"^trials must be >= 1, got {trials}$"):
+            measure_dispersion("softmax", None, BoundedSampler(d=4), [8, 16, 32], trials, seed=0)
+
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_violation_names_the_seed(self, variant, monkeypatch):
         # bounds shrunk to the uniform value: every non-uniform draw violates them
@@ -202,8 +208,18 @@ class TestMeasureDispersion:
         assert measure_dispersion("softmax", None, sampler, [8, 16, 32], 3, seed=5) == serial
 
 
-def _companion_coefficients(variant, q, k, win):
+_OTHER_KERNELS = {
+    "temperature": KernelSpec.softmax_temperature(0.5),
+    "power": KernelSpec(phi="power", phi_p=2, psi_q="elu_plus_one", psi_k="elu_plus_one"),
+}
+
+
+def _companion_coefficients(variant, q, k, win, kernel):
     """The variant's whole coefficient matrix from its public attention companion."""
+    if kernel != default_kernel(variant):
+        if variant == "window":
+            return attention.window_attention_coefficients(q, k, win, kernel)
+        return attention.generalized_attention_coefficients(q, k, kernel)
     if variant == "softmax":
         return attention.softmax_attention_coefficients(q, k)
     if variant == "linear":
@@ -217,38 +233,50 @@ def _companion_coefficients(variant, q, k, win):
 
 @settings(max_examples=80, deadline=None)
 @given(variant=st.sampled_from(VARIANTS), seed=st.integers(0, 2**32 - 1),
-       n=st.integers(1, 260), d=st.integers(1, 16), w=st.integers(1, 8))
-@example(variant="softmax", seed=0, n=97, d=16, w=1)  # lone last row: blocks of 48 and 49
-@example(variant="mila", seed=1, n=145, d=3, w=1)
-def check_streamed_cells(variant, seed, n, d, w):
+       n=st.integers(1, 260), d=st.integers(1, 16), w=st.integers(1, 8),
+       phi=st.sampled_from([None, *_OTHER_KERNELS]))
+@example(variant="softmax", seed=0, n=97, d=16, w=1, phi=None)  # lone last row: 48 and 49
+@example(variant="mila", seed=1, n=145, d=3, w=1, phi=None)
+@example(variant="softmax", seed=2, n=250, d=5, w=1, phi="temperature")  # 48 x 5 and 10
+@example(variant="window", seed=3, n=60, d=4, w=6, phi="temperature")
+@example(variant="linear", seed=4, n=241, d=7, w=1, phi="power")  # 48 x 4 and 49
+@example(variant="focused", seed=5, n=200, d=6, w=1, phi="power")
+@example(variant="window", seed=6, n=64, d=3, w=8, phi="power")
+def check_streamed_cells(variant, seed, n, d, w, phi):
     """A cell streamed in blocks of _ROW_TILE rows equals the whole matrix, bitwise.
 
-    Its normalized blocks stacked are the public companion's matrix, its
-    extrema are that matrix's, and its bounds are those of the same cell in
-    one block (n <= 260 fits one block at the real budget).
+    Its phi-weighted blocks stacked and divided by their row sums (plus the
+    stabilizer for MILA) are the public companion's matrix, its extrema are
+    that matrix's, and its bounds are those of the same cell in one block
+    (n <= 260 fits one block at the real budget). phi names a kernel other
+    than the variant's default; MILA takes only its own.
     """
     win = WindowSpec(w) if variant == "window" else None
     n = max(w, n - n % w) if win else n
     q, k = BoundedSampler(d, nonneg=variant == "focused").draw(rng_for(seed, "streamed-cell"), n)
-    kernel = default_kernel(variant)
+    kernel = default_kernel(variant) if phi is None or variant == "mila" else _OTHER_KERNELS[phi]
     streamed, row_blocks = [], analysis._row_blocks
 
-    def keep_normalized_blocks(*args):
+    def keep_weighted_blocks(*args):
         for rows, block in row_blocks(*args):
             yield rows, block
-            streamed.append(block.copy())  # the cell has normalized it in place
+            streamed.append(block.copy())  # the cell has applied phi in place
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(attention, "_CHUNK_BUDGET", 1)
-        mp.setattr(analysis, "_row_blocks", keep_normalized_blocks)
+        mp.setattr(analysis, "_row_blocks", keep_weighted_blocks)
         extrema, bounds = analysis._variant_cell(variant, kernel, q, k, win)
-    whole = _companion_coefficients(variant, q, k, win).array
+    whole = _companion_coefficients(variant, q, k, win, kernel).array
     assert extrema.cmin == whole.min() and extrema.cmax == whole.max()
     assert extrema.size == whole.size
     assert bounds == analysis._variant_cell(variant, kernel, q, k, win)[1]
     if variant != "window":  # one batched n x w array, not streamed
         assert len(streamed) == max(1, -(-(n - 1) // attention._ROW_TILE))
-        assert np.array_equal(np.concatenate(streamed), whole)
+        weights = np.concatenate(streamed)
+        sums = weights.sum(axis=-1, keepdims=True)
+        if variant == "mila":
+            sums += attention._EPSILON
+        assert np.array_equal(weights / sums, whole)
 
 
 class TestStreamedCells:
