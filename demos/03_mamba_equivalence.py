@@ -12,9 +12,7 @@ from dispersionlab import (
     SsmParams,
     causal_linear_recursive,
     forgetting_horizon,
-    mamba_as_attention,
-    ssm_closed_form,
-    ssm_scan,
+    forms_max_diff,
 )
 from dispersionlab.rng import rng_for
 from dispersionlab.ssm import causal_linear_masked, decayed_key_magnitudes
@@ -25,14 +23,7 @@ params = SsmParams.random(rng, n, d_state, channels, zero_h0=True)
 x = rng.standard_normal((n, channels))
 
 print("= Scan vs closed form vs attention form " + "=" * 33)
-h_seq, y = ssm_scan(params, x)
-worst_closed = max(
-    np.abs(ssm_closed_form(params, x, m)[1].array[0] - y.array[m - 1]).max()
-    for m in range(1, n + 1)
-)
-worst_attn = np.abs(mamba_as_attention(params, x).array - y.array).max()
-print(f"  closed form vs scan, worst prefix diff: {worst_closed:.2e}")
-print(f"  attention rewriting vs scan:            {worst_attn:.2e}")
+print(f"  worst difference between the three forms: {forms_max_diff(params, x):.2e}")
 
 print("\n= Exponential forgetting " + "=" * 49)
 # the decayed key magnitudes fall geometrically with the lag

@@ -47,6 +47,7 @@ from .ssm import (  # noqa: F401
     SsmParams,
     causal_linear_recursive,
     forgetting_horizon,
+    forms_max_diff,
     mamba_as_attention,
     ssm_closed_form,
     ssm_scan,

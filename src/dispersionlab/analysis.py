@@ -354,15 +354,13 @@ def complexity_estimate(variant: str, n: int, d: int, w: int | None = None) -> i
     return 2 * n * d * d  # linear, associative form
 
 
-def instrumented_counts(variant: str, q: np.ndarray, k: np.ndarray, v: np.ndarray,
-                        w: int | None = None) -> int:
+def instrumented_counts(variant: str, n: int, d: int, w: int | None = None) -> int:
     """Count multiply-adds by actually iterating the computation loops.
 
-    Independent oracle for complexity_estimate: the count emerges from loop
-    structure, not from a formula. Counts the numerator path only, matching
-    the cost-model scope (no exp, no divides).
+    Independent oracle for complexity_estimate, with the same arguments: the
+    count emerges from loop structure, not from a formula. Counts the
+    numerator path only, matching the cost-model scope (no exp, no divides).
     """
-    n, d = q.shape
     count = 0
     if variant == "full":
         for i in range(n):
@@ -391,9 +389,7 @@ def instrumented_counts(variant: str, q: np.ndarray, k: np.ndarray, v: np.ndarra
                 count += 1  # running sum of value rows
         return count
     if variant == "sema":
-        return instrumented_counts("window", q, k, v, w) + instrumented_counts(
-            "homogeneous_mix", q, k, v
-        )
+        return instrumented_counts("window", n, d, w) + instrumented_counts("homogeneous_mix", n, d)
     if variant == "linear":
         for i in range(n):
             for a in range(d):

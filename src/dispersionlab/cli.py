@@ -222,7 +222,7 @@ def cmd_disperse(args) -> int:
 
 
 def cmd_ssm_check(args) -> int:
-    from .ssm import SsmParams, mamba_as_attention, ssm_closed_form, ssm_scan
+    from .ssm import SsmParams, forms_max_diff
 
     worst = 0.0
     for inst in range(args.instances):
@@ -232,17 +232,7 @@ def cmd_ssm_check(args) -> int:
         channels = int(rng.integers(1, args.channels + 1))
         x = rng.standard_normal((n, channels))
         p = SsmParams.random(rng, n, d_state, channels)
-        h_seq, y = ssm_scan(p, x)
-        for m in range(1, n + 1):
-            h_m, y_m = ssm_closed_form(p, x, m)
-            worst = max(worst,
-                        float(np.abs(h_m.array - h_seq[m - 1].array).max()),
-                        float(np.abs(y_m.array[0] - y.array[m - 1]).max()))
-        p0 = SsmParams(p.A_tilde, p.B, p.C_out, p.D, p.Delta,
-                       np.zeros_like(p.h0))
-        _, y0 = ssm_scan(p0, x)
-        y_attn = mamba_as_attention(p0, x)
-        worst = max(worst, float(np.abs(y0.array - y_attn.array).max()))
+        worst = max(worst, forms_max_diff(p, x))
     print(f"ssm triple equivalence: max abs diff {worst:.3e} over {args.instances} instances")
     if args.out:
         out_dir = _ensure_out(args.out)
@@ -341,14 +331,12 @@ def cmd_bench(args) -> int:
         print(f"{variant:8s} time exponent {exponents[variant]:+.3f}")
 
     # verify the analytic counters against loop-instrumented counts at n=64
-    rng = rng_for(args.seed, "bench", "counter")
-    q64 = rng.standard_normal((64, args.d))
     counters_match = True
     for variant in variants:
         name = _BENCH_COUNT_NAMES[variant]
         w = args.w if variant in ("window", "sema") else None
         analytic = complexity_estimate(name, 64, args.d, w)
-        measured = instrumented_counts(name, q64, q64, q64, w)
+        measured = instrumented_counts(name, 64, args.d, w)
         if analytic != measured:
             counters_match = False
             print(f"counter mismatch for {variant}: analytic {analytic} vs "

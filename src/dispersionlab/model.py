@@ -271,8 +271,11 @@ def load_checkpoint(path_stem: str) -> dict[str, np.ndarray]:
 # forward
 
 
-def _block_forward(tp, x, cfg: ModelConfig, stage: int, g: int, prefix: str,
-                   capture: list | None = None):
+def _attention_sublayer(tp, x, cfg: ModelConfig, stage: int, g: int, prefix: str):
+    """norm1, q/k/v, the variant's attention, LePE and the optional mix.
+
+    Returns the attention output before the projection, and the values v.
+    """
     dim = cfg.stage_dims[stage]
     heads = cfg.stage_heads[stage]
     hd = dim // heads
@@ -298,8 +301,11 @@ def _block_forward(tp, x, cfg: ModelConfig, stage: int, g: int, prefix: str,
     att = ag.add(att, ag.depthwise_conv(v, tp[prefix + "lepe"], g, g))
     if cfg.averaging_enabled:
         att = ag.add(att, ag.blocked_mean_broadcast(v, n))
-    if capture is not None:
-        capture.append({"attn_out": att.value.copy(), "v": v.value.copy(), "tokens": n})
+    return att, v
+
+
+def _block_forward(tp, x, cfg: ModelConfig, stage: int, g: int, prefix: str):
+    att, _ = _attention_sublayer(tp, x, cfg, stage, g, prefix)
     att = ag.add(ag.matmul(att, tp[prefix + "proj.w"]), tp[prefix + "proj.b"])
     x = ag.add(x, att)
 

@@ -11,12 +11,14 @@ distant tokens instead of dispersing over them.
 The closed form, the attention form and the decayed keys read one table of
 suffix products A_{i+1} (*) ... (*) A_m (``_suffix_products``); ``ssm_scan``
 shares no code with it, so it stays an independent check of both.
+``forms_max_diff`` is the one triple check: the worst absolute difference
+between the scan, the closed form and the attention form on one instance.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -200,6 +202,23 @@ def mamba_as_attention(p: SsmParams, x) -> Tensor:
         # summed one term at a time from key m down to key 1 (see ssm_closed_form)
         y[m - 1] = np.cumsum(terms[::-1], axis=0)[-1, 0] + p.D[0] * x[m - 1]
     return Tensor._own(y)
+
+
+def forms_max_diff(p: SsmParams, x) -> float:
+    """Worst absolute difference between the three forms on one instance.
+
+    Compares the scan with ``ssm_closed_form`` at every step m, for both the
+    state h and the output y, and the scan from h0 = 0 with
+    ``mamba_as_attention``.
+    """
+    h_seq, y = ssm_scan(p, x)
+    diffs = []
+    for m, h in enumerate(h_seq, start=1):
+        h_m, y_m = ssm_closed_form(p, x, m)
+        diffs += [np.abs(h_m.array - h.array).max(), np.abs(y_m.array[0] - y.array[m - 1]).max()]
+    p0 = replace(p, h0=np.zeros_like(p.h0))  # built anew, so SsmParams checks it again
+    diffs.append(np.abs(mamba_as_attention(p0, x).array - ssm_scan(p0, x)[1].array).max())
+    return float(max(diffs))
 
 
 def decayed_key_magnitudes(p: SsmParams, m: int) -> np.ndarray:

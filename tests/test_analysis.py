@@ -195,6 +195,36 @@ class TestMeasureDispersion:
             measure_dispersion(variant, None, BoundedSampler(d=4, nonneg=variant == "focused"),
                                [8, 16, 32], 2, seed=11, win=win)
 
+    @pytest.mark.parametrize("inset", [(1e-12, 0.0), (0.0, 1e-12), (0.0, 0.0)],
+                             ids=["lower", "upper", "exact"])
+    def test_containment_has_no_slack(self, inset, monkeypatch):
+        # bounds 1e-12 inside the observed extrema must fail: a slack of 1e-9
+        # would let the central check lose six orders of magnitude unnoticed
+        cell = analysis._variant_cell
+
+        def tight_cell(*args):
+            extrema, _ = cell(*args)
+            return extrema, (extrema.cmin + inset[0], extrema.cmax - inset[1])
+
+        monkeypatch.setattr(analysis, "_variant_cell", tight_cell)
+        sweep = lambda: measure_dispersion("softmax", None, BoundedSampler(d=4), [8, 16, 32],
+                                           2, seed=0)
+        if inset == (0.0, 0.0):
+            sweep()
+        else:
+            with pytest.raises(BoundViolationError, match="^softmax: coefficient outside"):
+                sweep()
+
+    def test_max_coeff_median_is_a_median(self, monkeypatch):
+        # one outlying trial moves the mean of these maxima to 0.26, not the median
+        maxima = iter([0.1, 0.1, 0.1, 0.1, 0.9] * 3)
+        monkeypatch.setenv("DISPERSION_LAB_THREADS", "1")
+        monkeypatch.setattr(analysis, "_variant_cell", lambda *args: (
+            analysis.CellExtrema(0.05, next(maxima), 1), (0.0, 1.0)))
+        report = measure_dispersion("softmax", None, BoundedSampler(d=4), [8, 16, 32], 5,
+                                    seed=0)
+        assert report.max_coeff_median == [0.1, 0.1, 0.1]
+
     @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", ""])
     def test_bad_thread_variable_rejected(self, value, monkeypatch):
         monkeypatch.setenv("DISPERSION_LAB_THREADS", value)
@@ -340,12 +370,7 @@ class TestComplexity:
                                            ("homogeneous_mix", None), ("sema", 8),
                                            ("linear", None)])
     def test_matches_instrumented_counter(self, variant, w):
-        n, d = 64, 16
-        rng = rng_for(0, "counter-test")
-        q = rng.standard_normal((n, d))
-        analytic = complexity_estimate(variant, n, d, w)
-        measured = instrumented_counts(variant, q, q, q, w)
-        assert analytic == measured
+        assert complexity_estimate(variant, 64, 16, w) == instrumented_counts(variant, 64, 16, w)
 
     def test_window_requires_w(self):
         with pytest.raises(ValueError):

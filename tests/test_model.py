@@ -9,6 +9,7 @@ from dispersionlab.errors import ConfigurationError, DimensionError
 from dispersionlab.model import (
     ModelConfig,
     SyntheticTask,
+    _attention_sublayer,
     _block_forward,
     forward,
     init_params,
@@ -119,20 +120,20 @@ class TestForward:
         params = init_params(cfg_on)
         g = stage_grids(cfg_on)[0]
         x = rng_for(2, "toggle").standard_normal((2 * g * g, 8))  # two samples' tokens
-        cap_on, cap_off = [], []
-        for cfg, capture in ((cfg_on, cap_on), (cfg_off, cap_off)):
+
+        def sublayer(cfg):
             tape = ag.Tape(record=False)
-            _block_forward({name: ag.leaf(tape, value) for name, value in params.items()},
-                           ag.leaf(tape, x), cfg, 0, g, "s0.b0.", capture)
-        (block_on,), (block_off,) = cap_on, cap_off
-        v = block_off["v"]
-        n = block_off["tokens"]
+            return _attention_sublayer({name: ag.leaf(tape, value) for name, value in params.items()},
+                                       ag.leaf(tape, x), cfg, 0, g, "s0.b0.")
+
+        (att_on, _), (att_off, v) = sublayer(cfg_on), sublayer(cfg_off)
+        v, n = v.value, g * g
         mix = np.concatenate([
             np.tile(v[s : s + n].mean(axis=0), (n, 1))
             for s in range(0, v.shape[0], n)
         ])
-        rebuilt = block_off["attn_out"] + mix
-        assert np.array_equal(block_on["attn_out"], rebuilt)
+        rebuilt = att_off.value + mix
+        assert np.array_equal(att_on.value, rebuilt)
 
     def test_attention_variants_run(self):
         images = rng_for(3, "variants").standard_normal((2, 32, 32, 3))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dispersionlab import ssm
 from dispersionlab.errors import DimensionError, PreconditionError
 from dispersionlab.rng import rng_for
 from dispersionlab.ssm import (
@@ -14,10 +15,12 @@ from dispersionlab.ssm import (
     causal_linear_recursive,
     decayed_key_magnitudes,
     forgetting_horizon,
+    forms_max_diff,
     mamba_as_attention,
     ssm_closed_form,
     ssm_scan,
 )
+from dispersionlab.tensor import Tensor
 
 
 def make_params(rng, n=5, d_state=3, channels=2, **kw):
@@ -197,6 +200,35 @@ class TestThreeForms:
             assert np.array_equal(y_attn[m - 1], acc + p.D[0] * x[m - 1])
 
 
+class TestFormsMaxDiff:
+    """The triple check must see a fault in each of its three comparisons."""
+
+    @staticmethod
+    def instance():
+        rng = rng_for(21, "forms-max-diff")
+        p = make_params(rng, n=6, d_state=3, channels=2)
+        return p, rng.standard_normal((6, 2))
+
+    def test_unperturbed_forms_agree(self):
+        assert forms_max_diff(*self.instance()) < 1e-12
+
+    @pytest.mark.parametrize("part", ["closed_h", "closed_y", "attention"])
+    def test_each_comparison_sees_a_perturbation(self, part, monkeypatch):
+        closed, attention = ssm.ssm_closed_form, ssm.mamba_as_attention
+        if part == "attention":
+            monkeypatch.setattr(ssm, "mamba_as_attention",
+                                lambda p, x: Tensor(attention(p, x).array + 1e-9))
+        else:
+            def perturbed(p, x, m):
+                h, y = closed(p, x, m)
+                if part == "closed_h":
+                    return Tensor(h.array + 1e-9), y
+                return h, Tensor(y.array + 1e-9)
+
+            monkeypatch.setattr(ssm, "ssm_closed_form", perturbed)
+        assert forms_max_diff(*self.instance()) >= 1e-9
+
+
 class TestCausalLinear:
     def test_first_output_is_first_value(self):
         rng = rng_for(8, "first")
@@ -340,6 +372,16 @@ class TestForgettingHorizon:
             below = np.flatnonzero(peaks < threshold)
             want.append(int(below[0]) if below.size else m)
         assert forgetting_horizon(p, threshold) == want
+
+    @pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5, np.nan])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        p = make_params(rng_for(22, "threshold"), n=3)
+        with pytest.raises(ValueError, match="threshold must lie in"):
+            forgetting_horizon(p, threshold)
+
+    def test_threshold_one_accepted(self):
+        p = make_params(rng_for(22, "threshold"), n=3, decay_range=(1.0, 1.0))
+        assert forgetting_horizon(p, 1.0) == [1, 2, 3]
 
     def test_threshold_monotonicity(self):
         rng = rng_for(18, "mono")
