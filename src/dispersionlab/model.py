@@ -16,6 +16,16 @@ Tokens are rows in row-major grid order per sample; the stem patchify, each
 Everything runs on the autograd tape, so receptive-field probes and toy
 training reuse the same forward; inference runs it on a tape that keeps no
 history, so it holds one block's working set rather than the whole pass.
+
+With the single-token readout (head_mode "first_token") the head reads one row
+per sample, so the last block keeps only those rows once its attention
+sublayer has mixed the tokens: the projection, residuals, norm2, MLP, head
+norm and head matmul run on b rows instead of b * g * g. Training and
+inference share this path. Every one of those ops acts row by row, so the
+logits equal those of the full-row forward bitwise at batch >= 2; at batch 1
+numpy multiplies one-row operands by another kernel, whose sums may differ in
+the last bits. Weight gradients sum over the b rows instead of b * g * g rows
+that were zero but for those b, so they may differ in the last bits too.
 """
 
 from __future__ import annotations
@@ -304,8 +314,11 @@ def _attention_sublayer(tp, x, cfg: ModelConfig, stage: int, g: int, prefix: str
     return att, v
 
 
-def _block_forward(tp, x, cfg: ModelConfig, stage: int, g: int, prefix: str):
+def _block_forward(tp, x, cfg: ModelConfig, stage: int, g: int, prefix: str, rows=None):
+    """One block; given rows, the ops after the attention sublayer run on those rows only."""
     att, _ = _attention_sublayer(tp, x, cfg, stage, g, prefix)
+    if rows is not None:
+        att, x = ag.gather_rows(att, rows), ag.gather_rows(x, rows)
     att = ag.add(ag.matmul(att, tp[prefix + "proj.w"]), tp[prefix + "proj.b"])
     x = ag.add(x, att)
 
@@ -317,12 +330,20 @@ def _block_forward(tp, x, cfg: ModelConfig, stage: int, g: int, prefix: str):
 
 
 def _forward_traced(tape, tp, cfg: ModelConfig, images: np.ndarray):
+    """Logits of (b, H, W, 3) images on the tape, with the parameters tp traced on it.
+
+    For the first-token readout the last block's tail runs on the readout rows
+    only (see the module docstring); the gap head averages all rows.
+    """
     if images.ndim != 4 or images.shape[3] != 3:
         raise ConfigurationError(f"images must be (b, H, W, 3), got {images.shape}")
     b, h, w, _ = images.shape
     if h != w:
         raise ConfigurationError(f"square inputs required, got {h}x{w}")
     grids = stage_grids(cfg, image_size=h)
+    n_last = grids[-1] * grids[-1]
+    starts = np.arange(b) * n_last  # the first token of each sample on the last grid
+    readout = starts if cfg.head_mode == "first_token" else None
 
     x = ag.leaf(tape, images.reshape(b * h * w, 3))
     x = ag.group_rows(ag.tile_grid(x, h, cfg.patch_size), cfg.patch_size * cfg.patch_size)
@@ -334,16 +355,14 @@ def _forward_traced(tape, tp, cfg: ModelConfig, images: np.ndarray):
             x = ag.group_rows(ag.tile_grid(x, grids[s - 1], 2), 4)
             x = ag.layer_norm(x, tp[f"down{s}.norm.g"], tp[f"down{s}.norm.b"])
             x = ag.matmul(x, tp[f"down{s}.w"])
-        for i in range(cfg.stage_depths[s]):
-            x = _block_forward(tp, x, cfg, s, g, f"s{s}.b{i}.")
+        depth = cfg.stage_depths[s]
+        for i in range(depth):
+            last = s == len(grids) - 1 and i == depth - 1
+            x = _block_forward(tp, x, cfg, s, g, f"s{s}.b{i}.", readout if last else None)
 
     x = ag.layer_norm(x, tp["head.norm.g"], tp["head.norm.b"])
-    n_last = grids[-1] * grids[-1]
-    starts = np.arange(b) * n_last
     if cfg.head_mode == "gap":
         x = ag.gather_rows(ag.blocked_mean_broadcast(x, n_last), starts)
-    else:
-        x = ag.gather_rows(x, starts)
     return ag.add(ag.matmul(x, tp["head.w"]), tp["head.b"])
 
 
@@ -352,7 +371,12 @@ def _trace_params(tape, params: dict[str, np.ndarray]) -> dict[str, ag.TracedVal
 
 
 def forward(cfg: ModelConfig, params: dict[str, np.ndarray], images) -> Tensor:
-    """Classifier logits for a batch of (b, H, W, 3) images."""
+    """Classifier logits for a batch of (b, H, W, 3) images.
+
+    Runs _forward_traced on a tape that keeps no history, the same path as
+    training; with the first-token readout a batch of one may differ from a
+    larger batch holding the same image in the last bits (module docstring).
+    """
     tape = ag.Tape(record=False)
     tp = _trace_params(tape, params)
     logits = _forward_traced(tape, tp, cfg, as_array(images))

@@ -48,6 +48,8 @@ class SsmParams:
         if A.ndim != 3:
             raise DimensionError(f"A_tilde must be (n, d_state, C), got {A.shape}")
         n, d_state, channels = A.shape
+        if min(A.shape) < 1:
+            raise DimensionError(f"A_tilde needs n, d_state and C >= 1, got {A.shape}")
         B = as_array(self.B)
         C = as_array(self.C_out)
         if B.shape != (n, d_state, 1):

@@ -11,6 +11,8 @@ from dispersionlab.model import (
     SyntheticTask,
     _attention_sublayer,
     _block_forward,
+    _forward_traced,
+    _trace_params,
     forward,
     init_params,
     load_checkpoint,
@@ -238,6 +240,114 @@ class TestBlockGradient:
 
         report = ag.gradcheck(f, [x] + [params[name] for name in names], tol=1e-5)
         assert report.passed, dict(zip(["x"] + names, report.per_input))
+
+
+def _full_row_forward(tape, tp, cfg, images):
+    """The first-token forward with every block on all rows and the readout gather
+    after the head norm."""
+    b, size = images.shape[:2]
+    grids, p = stage_grids(cfg), cfg.patch_size
+    x = ag.leaf(tape, images.reshape(b * size * size, 3))
+    x = ag.group_rows(ag.tile_grid(x, size, p), p * p)
+    x = ag.add(ag.matmul(x, tp["stem.w"]), tp["stem.b"])
+    x = ag.layer_norm(x, tp["stem.norm.g"], tp["stem.norm.b"])
+    for s, g in enumerate(grids):
+        if s > 0:
+            x = ag.group_rows(ag.tile_grid(x, grids[s - 1], 2), 4)
+            x = ag.layer_norm(x, tp[f"down{s}.norm.g"], tp[f"down{s}.norm.b"])
+            x = ag.matmul(x, tp[f"down{s}.w"])
+        for i in range(cfg.stage_depths[s]):
+            x = _block_forward(tp, x, cfg, s, g, f"s{s}.b{i}.")
+    x = ag.layer_norm(x, tp["head.norm.g"], tp["head.norm.b"])
+    x = ag.gather_rows(x, np.arange(b) * grids[-1] ** 2)
+    return ag.add(ag.matmul(x, tp["head.w"]), tp["head.b"])
+
+
+def _two_stage_config(**overrides):
+    base = dict(stage_dims=(8, 16), stage_depths=(1, 2), stage_heads=(1, 2), window=2,
+                patch_size=4, num_classes=3, image_size=32, head_mode="first_token")
+    base.update(overrides)
+    return ModelConfig(**base)
+
+
+_READOUT_CASES = [(make, variant, averaging) for make in (single_block_config, _two_stage_config)
+                  for variant in ("window", "linear", "full") for averaging in (True, False)]
+
+
+def _readout_case(make, variant, averaging, batch):
+    cfg = make(attention_variant=variant, averaging_enabled=averaging)
+    params = init_params(cfg, rng_for(31, "readout-params"))
+    images = rng_for(31, "readout-images", batch).random((batch, 32, 32, 3))
+    return cfg, params, images
+
+
+def _logits(run, cfg, params, images):
+    tape = ag.Tape(record=False)
+    return run(tape, _trace_params(tape, params), cfg, images).value
+
+
+class TestReadoutRows:
+    """With head_mode="first_token" the last block's tail and the head run on the
+    readout rows only; this must match the forward that computes every row."""
+
+    @pytest.mark.parametrize("make,variant,averaging", _READOUT_CASES)
+    def test_logits_equal_the_full_row_forward(self, make, variant, averaging):
+        for batch in (2, 3, 64):
+            cfg, params, images = _readout_case(make, variant, averaging, batch)
+            np.testing.assert_array_equal(_logits(_forward_traced, cfg, params, images),
+                                          _logits(_full_row_forward, cfg, params, images))
+        # at batch 1 the readout matmuls are one-row products, which numpy may sum
+        # in another order: a few ulps of the O(1) layer-normed terms, so the bound
+        # is relative to max(1, |logit|)
+        cfg, params, images = _readout_case(make, variant, averaging, 1)
+        ref = _logits(_full_row_forward, cfg, params, images)
+        np.testing.assert_allclose(_logits(_forward_traced, cfg, params, images), ref,
+                                   rtol=0, atol=1e-15 * max(1.0, np.abs(ref).max()))
+
+    @pytest.mark.parametrize("make,variant,averaging", _READOUT_CASES)
+    def test_gradients_match_the_full_row_forward(self, make, variant, averaging):
+        cfg, params, images = _readout_case(make, variant, averaging, 4)
+        labels = np.arange(4) % cfg.num_classes
+
+        def leaf_grads(run):
+            tape = ag.Tape()
+            tp = _trace_params(tape, params)
+            grads = ag.backward(ag.cross_entropy(run(tape, tp, cfg, images), labels))
+            image_leaf = len(tp)  # the forward pushes the images right after the parameters
+            return {name: grads[leaf.idx] for name, leaf in tp.items()} | {
+                "images": grads[image_leaf]}
+
+        pruned, ref = leaf_grads(_forward_traced), leaf_grads(_full_row_forward)
+        assert pruned.keys() == ref.keys()
+        for name, g in ref.items():
+            np.testing.assert_allclose(pruned[name], g, rtol=0, atol=1e-12 * np.abs(g).max(),
+                                       err_msg=name)
+
+    @pytest.mark.parametrize("head_mode", ["first_token", "gap"])
+    def test_only_the_last_tail_is_pruned(self, head_mode):
+        cfg = _two_stage_config(head_mode=head_mode)
+        tape = ag.Tape()
+        _forward_traced(tape, _trace_params(tape, init_params(cfg)), cfg,
+                        rng_for(32, "readout-rows").random((3, 32, 32, 3)))
+        rows = [node.value.shape[0] for node in tape.nodes if node.op == "gelu"]
+        last = 3 if head_mode == "first_token" else 3 * 16
+        assert rows == [3 * 64, 3 * 16, last]
+
+    def test_forward_gradcheck(self):
+        # every parameter through the pruned tail, the gathers and the full-row
+        # attention; a weighted logit sum, as in the block gradcheck
+        cfg = single_block_config(image_size=16)
+        params = init_params(cfg, rng_for(33, "readout-gradcheck"))
+        names = sorted(params)
+        images = rng_for(33, "readout-gradcheck-images").random((4, 16, 16, 3))
+        weights = np.arange(8.0).reshape(4, 2) / 8 - 0.3
+
+        def f(*leaves):
+            logits = _forward_traced(leaves[0].tape, dict(zip(names, leaves)), cfg, images)
+            return ag.sum_all(ag.mul(logits, ag.leaf(logits.tape, weights)))
+
+        report = ag.gradcheck(f, [params[name] for name in names], tol=1e-5)
+        assert report.passed, dict(zip(names, report.per_input))
 
 
 class TestReceptiveField:

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from dispersionlab import analysis, ssm
 
@@ -48,3 +49,40 @@ def test_digest_tells_arrays_apart():
     assert output_digest.digest(a) != output_digest.digest(a.reshape(2, 3))
     assert output_digest.digest(a) != output_digest.digest(a.astype(np.float32))
     assert output_digest.digest([a, a]) != output_digest.digest([a])
+
+
+def _group(**values):
+    return lambda: iter(values.items())
+
+
+def test_save_writes_the_lines_and_compare_finds_nothing(tmp_path):
+    group = _group(a=np.array([1.0, np.nan]), b=[np.eye(2), np.arange(3)])
+    printed = output_digest.save(tmp_path, [group])
+    assert printed == list(output_digest.lines([group]))
+    assert (tmp_path / "digest.txt").read_text().splitlines() == printed
+    assert output_digest.compare(tmp_path, [group]) == []
+
+
+def test_compare_reports_each_changed_line(tmp_path):
+    output_digest.save(tmp_path, [_group(same=np.ones(2), moved=[np.array([1.0, 2.0, -4.0])],
+                                         reshaped=np.ones(4), gone=np.zeros(1))])
+    after = _group(same=np.ones(2), moved=[np.array([1.0, 2.0, -4.0 + 1e-3])],
+                   reshaped=np.ones((2, 2)), added=np.zeros(1))
+    assert output_digest.compare(tmp_path, [after]) == [
+        "moved 2.50e-04", "reshaped shape", "added new", "gone missing"]
+
+
+def test_relative_change_of_special_values():
+    change = output_digest.relative_change
+    assert change([np.array([np.nan, np.inf, 2.0])], [np.array([np.nan, np.inf, 2.0])]) == 0.0
+    assert change([np.array([np.nan, 2.0])], [np.array([1.0, 2.0])]) == np.inf
+    assert change([np.zeros(2)], [np.array([0.0, 1e-20])]) == 1e-20  # absolute at scale 0
+    assert change([np.ones(2), np.full(1, 8.0)], [np.ones(2), np.full(1, 6.0)]) == 0.25
+    assert change([np.ones(2)], [np.ones(2), np.ones(1)]) is None
+
+
+def test_save_refuses_a_directory_inside_the_tree(capsys):
+    with pytest.raises(SystemExit) as exc:
+        output_digest.main(["--save", str(_ROOT / "digest-arrays")])
+    assert exc.value.code == 2 and "outside the source tree" in capsys.readouterr().err
+    assert not (_ROOT / "digest-arrays").exists()

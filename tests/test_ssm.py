@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -129,6 +130,16 @@ class TestScanAndClosedForm:
         fields[field].flat[-1] = np.nan
         with pytest.raises(ValueError, match=f"^{field} entries must be finite"):
             SsmParams(**fields)
+
+    @pytest.mark.parametrize("n,d_state,channels", [(0, 2, 2), (2, 0, 2), (2, 2, 0)])
+    def test_zero_dimension_names_a_tilde(self, n, d_state, channels):
+        # every other field is shaped to match, so only the zero size is wrong
+        with pytest.raises(DimensionError,
+                           match=re.escape(f"A_tilde needs n, d_state and C >= 1, got "
+                                           f"{(n, d_state, channels)}")):
+            SsmParams(A_tilde=np.ones((n, d_state, channels)), B=np.ones((n, d_state, 1)),
+                      C_out=np.ones((n, 1, d_state)), D=np.ones((1, channels)),
+                      Delta=np.ones((n, channels)), h0=np.zeros((d_state, channels)))
 
     def test_golden_fixture(self):
         path = os.path.join(os.path.dirname(__file__), "fixtures", "ssm_golden.json")

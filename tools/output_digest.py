@@ -1,12 +1,22 @@
 """Print one ``name sha256`` line per library output on seeded inputs.
 
     PYTHONPATH=src python3 tools/output_digest.py > digest.txt
+    PYTHONPATH=old/src python3 tools/output_digest.py --save DIR
+    PYTHONPATH=src python3 tools/output_digest.py --compare DIR
 
 Each line hashes the dtype, shape and bytes of one output (or of a named
 sequence of outputs, such as the closed form at every m), so two source trees
 print the same line exactly when that output is bitwise equal on both. A
 bitwise claim about a change is then a ``diff`` of the printouts of the two
 trees, each run with ``PYTHONPATH`` at that tree's ``src``.
+
+``--save DIR`` also writes every output's arrays to DIR (one ``.npz`` per
+line, about 85 MB; DIR must lie outside the source tree). ``--compare DIR``
+prints, for each line whose hash differs from the saved run, the name and the
+largest absolute change divided by the largest saved entry, or ``shape``,
+``new`` or ``missing``; NaN matching NaN counts as no change. It exits 1 when
+any line differs. The ``measure_dispersion`` lines hash report text as bytes,
+so for them the number only says that the text changed.
 
 Covered: every public ``attention`` and ``posenc`` kernel at n = 16, 64 and
 1,024 (the last on the streamed softmax path); the streamed global outputs
@@ -26,6 +36,7 @@ on a recording tape, the loss and every leaf gradient of each case of
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import sys
@@ -41,12 +52,15 @@ ROOT = Path(__file__).resolve().parent.parent
 SEED = 42
 
 
+def _arrays(value) -> list[np.ndarray]:
+    items = value if isinstance(value, (list, tuple)) else [value]
+    return [np.ascontiguousarray(getattr(item, "array", item)) for item in items]
+
+
 def digest(value) -> str:
     """sha256 over the dtype, shape and bytes of an array or a sequence of arrays."""
-    items = value if isinstance(value, (list, tuple)) else [value]
     h = hashlib.sha256()
-    for item in items:
-        arr = np.ascontiguousarray(getattr(item, "array", item))
+    for arr in _arrays(value):
         h.update(f"{arr.dtype.str}{arr.shape}".encode())
         h.update(arr.tobytes())
     return h.hexdigest()
@@ -204,14 +218,79 @@ GROUPS = (attention_outputs, posenc_outputs, ssm_outputs, model_outputs, dispers
           tape_outputs)
 
 
-def lines(groups=GROUPS):
+def outputs(groups=GROUPS):
     for group in groups:
-        for name, value in group():
-            yield f"{name} {digest(value)}"
+        yield from group()
 
 
-def main() -> int:
-    for line in lines():
+def lines(groups=GROUPS):
+    for name, value in outputs(groups):
+        yield f"{name} {digest(value)}"
+
+
+def save(directory: Path, groups=GROUPS) -> list[str]:
+    """The digest lines; writes them to DIR/digest.txt and line k's arrays to DIR/k.npz."""
+    directory.mkdir(parents=True, exist_ok=True)
+    printed = []
+    for k, (name, value) in enumerate(outputs(groups)):
+        np.savez(directory / f"{k}.npz", *_arrays(value))
+        printed.append(f"{name} {digest(value)}")
+    (directory / "digest.txt").write_text("".join(line + "\n" for line in printed))
+    return printed
+
+
+def relative_change(before: list[np.ndarray], after: list[np.ndarray]) -> float | None:
+    """Largest |after - before| over the largest finite |before| (1 if that is 0);
+    None when the number or shapes of the arrays differ."""
+    if [a.shape for a in before] != [a.shape for a in after]:
+        return None
+    change = scale = 0.0
+    for old, new in zip(before, after):
+        old, new = old.astype(np.float64), new.astype(np.float64)
+        same = (old == new) | (np.isnan(old) & np.isnan(new))
+        with np.errstate(invalid="ignore"):  # inf - inf
+            diff = np.where(same, 0.0, np.abs(new - old))
+        diff[np.isnan(diff)] = np.inf  # NaN against a number
+        finite = np.abs(old[np.isfinite(old)])
+        change = max(change, float(diff.max(initial=0.0)))
+        scale = max(scale, float(finite.max(initial=0.0)))
+    return change / (scale or 1.0)
+
+
+def compare(directory: Path, groups=GROUPS) -> list[str]:
+    """One ``name change`` line per output that differs from the run saved in DIR."""
+    saved = {}
+    for k, line in enumerate((directory / "digest.txt").read_text().splitlines()):
+        name, hashed = line.split(" ")
+        saved[name] = (k, hashed)
+    report = []
+    for name, value in outputs(groups):
+        k, hashed = saved.pop(name, (None, None))
+        if k is None:
+            report.append(f"{name} new")
+        elif digest(value) != hashed:
+            with np.load(directory / f"{k}.npz") as old:
+                before = [old[f"arr_{i}"] for i in range(len(old.files))]
+            change = relative_change(before, _arrays(value))
+            report.append(f"{name} {'shape' if change is None else f'{change:.2e}'}")
+    return report + [f"{name} missing" for name in saved]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--save", type=Path, metavar="DIR",
+                      help="also write every output's arrays to DIR")
+    mode.add_argument("--compare", type=Path, metavar="DIR",
+                      help="print the lines that differ from the run saved in DIR")
+    args = parser.parse_args(argv)
+    if args.save and args.save.resolve().is_relative_to(ROOT):
+        parser.error(f"--save {args.save}: keep DIR outside the source tree {ROOT}")
+    if args.compare:
+        report = compare(args.compare)
+        print("\n".join(report + [f"{len(report)} lines differ"]))
+        return 1 if report else 0
+    for line in save(args.save) if args.save else lines():
         print(line)
     return 0
 
