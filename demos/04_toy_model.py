@@ -22,16 +22,11 @@ from dispersionlab.model import (
 )
 
 
-def config(averaging: bool) -> ModelConfig:
-    return ModelConfig(stage_dims=(8,), stage_depths=(1,), stage_heads=(1,),
-                       window=2, patch_size=4, num_classes=2, image_size=32,
-                       head_mode="first_token", averaging_enabled=averaging)
-
-
 print("= Receptive field of one block (8x8 token grid, 2x2 windows) " + "=" * 12)
-params = init_params(config(True))
-reach_on = receptive_field_grid(config(True), params, token_i=9) > 0
-reach_off = receptive_field_grid(config(False), zero_lepe(params), token_i=9) > 0
+cfg_on, cfg_off = ModelConfig.ablation(), ModelConfig.ablation(averaging_enabled=False)
+params = init_params(cfg_on)
+reach_on = receptive_field_grid(cfg_on, params, token_i=9) > 0
+reach_off = receptive_field_grid(cfg_off, zero_lepe(params), token_i=9) > 0
 print(f"  averaging on : token 9 reaches {reach_on.sum()}/64 input tokens")
 print(f"  averaging off (LePE zeroed): {reach_off.sum()}/64 "
       "(its own 2x2 window, nothing else)")
@@ -42,7 +37,7 @@ for row in reach_off.reshape(8, 8).astype(int):
 print("\n= Global-majority training " + "=" * 46)
 task = SyntheticTask()
 for avg in (True, False):
-    result = train_toy(config(avg), task, epochs=12, seed=13)
+    result = train_toy(ModelConfig.ablation(averaging_enabled=avg), task, epochs=12, seed=13)
     curve = " ".join(f"{v:.2f}" for v in result.val_acc)
     print(f"  averaging {'on ' if avg else 'off'}: val accuracy by epoch: {curve}")
 print("  the window-only model has no path from the distant majority to its"

@@ -605,6 +605,6 @@ def gradcheck(f, inputs, step: float = 1e-5, tol: float = 1e-5) -> GradcheckRepo
             denom = max(abs(a_val), abs(numeric), 1e-8)
             err = abs(a_val - numeric) / denom
             worst = max(worst, err if math.isfinite(err) else math.inf)
-        per_input.append(worst)
+        per_input.append(float(worst))
     max_err = max(per_input) if per_input else 0.0
-    return GradcheckReport(max_rel_err=max_err, passed=max_err < tol, per_input=per_input)
+    return GradcheckReport(max_rel_err=max_err, passed=bool(max_err < tol), per_input=per_input)

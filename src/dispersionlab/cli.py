@@ -1,12 +1,13 @@
 """Experiment runner: ``dispersion-lab <subcommand> [--flag value]...``.
 
 Subcommands expose the library's experiments as seeded, reproducible runs
-producing CSV/JSON plot data (no rendered images). Every run writes a
-manifest.json next to its outputs recording the subcommand, the argument
+producing CSV/JSON plot data (no rendered images). ``_save_run`` writes every
+run's files and a manifest.json recording the subcommand, the argument
 snapshot, the seed, the library and numpy versions and the thread variables;
 rerunning with identical arguments and thread settings reproduces the outputs
 byte for byte (timestamps live only in the manifest, and wall-clock timings
-in bench.csv are measurements, not derived data).
+in bench.csv are measurements, not derived data). ``main`` creates --out
+before any computation, so an unusable path is one error line.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 scientific check
 failure (bound violation, equivalence failure, failed gradcheck, training
@@ -45,7 +46,7 @@ from .attention import (
     softmax_attention,
     window_attention,
 )
-from .errors import BoundViolationError, DispersionLabError, TrainingError
+from .errors import BoundViolationError, ConfigurationError, DispersionLabError, TrainingError
 from .model import (
     ModelConfig,
     SyntheticTask,
@@ -126,17 +127,21 @@ _positive_float = _bounded(float, 0, "positive number")
 _seed = _bounded(int, -1, "seed, an integer >= 0")
 
 
-def _write(path: str, content: str) -> str:
-    with open(path, "w") as fh:
-        fh.write(content)
-    return path
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def _write_manifest(out_dir: str, subcommand: str, config: dict, seed: int,
-                    outputs: list[str]) -> str:
+def _save_run(args, seed: int, files: dict[str, str], written=()) -> None:
+    """Write each name -> text of `files` under args.out, then manifest.json.
+
+    The manifest's outputs list those files and the `written` paths, files the
+    command saved itself (train-toy's checkpoint). Without --out, nothing.
+    """
+    if args.out is None:
+        return
     manifest = {
-        "subcommand": subcommand,
-        "config": config,
+        "subcommand": args.subcommand,
+        "config": vars(args),
         "seed": seed,
         "library_version": __version__,
         "numpy_version": np.__version__,
@@ -144,15 +149,11 @@ def _write_manifest(out_dir: str, subcommand: str, config: dict, seed: int,
                     ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                      "DISPERSION_LAB_THREADS")},
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "outputs": sorted(os.path.basename(p) for p in outputs),
+        "outputs": sorted([*files, *(os.path.basename(path) for path in written)]),
     }
-    path = os.path.join(out_dir, "manifest.json")
-    return _write(path, json.dumps(manifest, indent=2, sort_keys=True))
-
-
-def _ensure_out(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path
+    for name, text in {**files, "manifest.json": _json(manifest)}.items():
+        with open(os.path.join(args.out, name), "w") as fh:
+            fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +185,6 @@ def cmd_disperse(args) -> int:
         nonneg=args.variant == "focused",
         tile_rows=args.w if (args.variant == "window" and args.fixed_window_content) else None,
     )
-    out_dir = _ensure_out(args.out)
     try:
         report = measure_dispersion(args.variant, kernel, sampler, n_values,
                                     args.trials, args.seed, win=win)
@@ -192,9 +192,7 @@ def cmd_disperse(args) -> int:
         command = _disperse_command(args)
         summary = {"variant": args.variant, "bounds_contained": False, "error": str(exc),
                    "reproduce": command}
-        outputs = [_write(os.path.join(out_dir, "summary.json"),
-                          json.dumps(summary, indent=2, sort_keys=True))]
-        _write_manifest(out_dir, "disperse", vars(args), args.seed, outputs)
+        _save_run(args, args.seed, {"summary.json": _json(summary)})
         print(f"bound violation: {exc}", file=sys.stderr)
         print(f"reproduce with: {command}", file=sys.stderr)
         return 2
@@ -205,13 +203,8 @@ def cmd_disperse(args) -> int:
         "n_values": report.n_values,
         "trials": args.trials,
     }
-    outputs = [
-        _write(os.path.join(out_dir, "report.csv"), report.to_csv()),
-        _write(os.path.join(out_dir, "report.json"), report.to_json()),
-        _write(os.path.join(out_dir, "summary.json"),
-               json.dumps(summary, indent=2, sort_keys=True)),
-    ]
-    _write_manifest(out_dir, "disperse", vars(args), args.seed, outputs)
+    _save_run(args, args.seed, {"report.csv": report.to_csv(), "report.json": report.to_json(),
+                                "summary.json": _json(summary)})
     print(f"{args.variant}: slope {report.slope:+.4f} over n={report.n_values}, "
           "all coefficients inside bounds")
     return 0
@@ -234,13 +227,8 @@ def cmd_ssm_check(args) -> int:
         p = SsmParams.random(rng, n, d_state, channels)
         worst = max(worst, forms_max_diff(p, x))
     print(f"ssm triple equivalence: max abs diff {worst:.3e} over {args.instances} instances")
-    if args.out:
-        out_dir = _ensure_out(args.out)
-        outputs = [_write(os.path.join(out_dir, "summary.json"),
-                          json.dumps({"max_abs_diff": worst,
-                                      "instances": args.instances,
-                                      "tolerance": 1e-12}, indent=2, sort_keys=True))]
-        _write_manifest(out_dir, "ssm-check", vars(args), args.seed, outputs)
+    _save_run(args, args.seed, {"summary.json": _json(
+        {"max_abs_diff": worst, "instances": args.instances, "tolerance": 1e-12})})
     return 0 if worst < 1e-12 else 2
 
 
@@ -273,11 +261,7 @@ def cmd_gradcheck(args) -> int:
                      "passed": report.passed})
         print(f"{variant:8s} max rel err {report.max_rel_err:.3e} "
               f"{'pass' if report.passed else 'FAIL'}")
-    if args.out:
-        out_dir = _ensure_out(args.out)
-        outputs = [_write(os.path.join(out_dir, "gradcheck.json"),
-                          json.dumps(rows, indent=2, sort_keys=True))]
-        _write_manifest(out_dir, "gradcheck", vars(args), args.seed, outputs)
+    _save_run(args, args.seed, {"gradcheck.json": _json(rows)})
     return 0 if all_pass else 2
 
 
@@ -306,7 +290,6 @@ def cmd_bench(args) -> int:
     if {"window", "sema"} & set(variants) and any(n % args.w for n in (64, *n_values)):
         raise _UsageError(f"--w {args.w} must divide every --n value and 64, the n of the "
                           "counter check")
-    out_dir = _ensure_out(args.out)
     rows, exponents = [], {}
     for variant in variants:
         times = []
@@ -344,13 +327,10 @@ def cmd_bench(args) -> int:
 
     csv_lines = ["variant,n,seconds,madds"]
     csv_lines += [f"{r['variant']},{r['n']},{r['seconds']!r},{r['madds']}" for r in rows]
-    outputs = [
-        _write(os.path.join(out_dir, "bench.csv"), "\n".join(csv_lines) + "\n"),
-        _write(os.path.join(out_dir, "summary.json"),
-               json.dumps({"exponents": exponents, "counters_match": counters_match},
-                          indent=2, sort_keys=True)),
-    ]
-    _write_manifest(out_dir, "bench", vars(args), args.seed, outputs)
+    _save_run(args, args.seed, {
+        "bench.csv": "\n".join(csv_lines) + "\n",
+        "summary.json": _json({"exponents": exponents, "counters_match": counters_match}),
+    })
     return 0 if counters_match else 2
 
 
@@ -366,9 +346,7 @@ def _load_config(path: str | None, averaging: str | None) -> ModelConfig:
         except (OSError, TypeError, ValueError) as exc:
             raise _UsageError(f"bad --config {path!r}: {exc}")
     else:
-        cfg = ModelConfig(stage_dims=(8,), stage_depths=(1,), stage_heads=(1,),
-                          window=2, patch_size=4, num_classes=2, image_size=32,
-                          head_mode="first_token")
+        cfg = ModelConfig.ablation()
     if averaging is not None:
         cfg = dataclasses.replace(cfg, averaging_enabled=averaging == "on")
     return cfg
@@ -382,21 +360,15 @@ def cmd_train_toy(args) -> int:
     except TrainingError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return 2
-    out_dir = _ensure_out(args.out)
     lines = ["epoch,train_acc,val_acc,loss"]
     for e, (tr, va, lo) in enumerate(zip(result.train_acc, result.val_acc, result.loss)):
         lines.append(f"{e},{tr!r},{va!r},{lo!r}")
-    ckpt_idx, ckpt_bin = save_checkpoint(result.params, os.path.join(out_dir, "best"))
-    outputs = [
-        _write(os.path.join(out_dir, "metrics.csv"), "\n".join(lines) + "\n"),
-        _write(os.path.join(out_dir, "summary.json"),
-               json.dumps({"best_val_acc": result.best_val_acc,
-                           "best_epoch": result.best_epoch,
-                           "averaging_enabled": cfg.averaging_enabled},
-                          indent=2, sort_keys=True)),
-        ckpt_idx, ckpt_bin,
-    ]
-    _write_manifest(out_dir, "train-toy", vars(args), args.seed, outputs)
+    _save_run(args, args.seed, {
+        "metrics.csv": "\n".join(lines) + "\n",
+        "summary.json": _json({"best_val_acc": result.best_val_acc,
+                               "best_epoch": result.best_epoch,
+                               "averaging_enabled": cfg.averaging_enabled}),
+    }, written=save_checkpoint(result.params, os.path.join(args.out, "best")))
     print(f"best val acc {result.best_val_acc:.4f} at epoch {result.best_epoch} "
           f"(averaging {'on' if cfg.averaging_enabled else 'off'})")
     return 0
@@ -415,17 +387,12 @@ def cmd_probe_rf(args) -> int:
     magnitudes = receptive_field_grid(cfg, params, args.token)
     heat = magnitudes.reshape(grid_side, grid_side)
     lines = [",".join(repr(float(v)) for v in row) for row in heat]
-    out_dir = _ensure_out(args.out)
-    outputs = [
-        _write(os.path.join(out_dir, "receptive_field.csv"), "\n".join(lines) + "\n"),
-        _write(os.path.join(out_dir, "summary.json"),
-               json.dumps({"token": args.token,
-                           "grid": grid_side,
-                           "averaging_enabled": cfg.averaging_enabled,
-                           "nonzero_fraction": float((magnitudes > 0).mean())},
-                          indent=2, sort_keys=True)),
-    ]
-    _write_manifest(out_dir, "probe-rf", vars(args), cfg.seed, outputs)
+    _save_run(args, cfg.seed, {
+        "receptive_field.csv": "\n".join(lines) + "\n",
+        "summary.json": _json({"token": args.token, "grid": grid_side,
+                               "averaging_enabled": cfg.averaging_enabled,
+                               "nonzero_fraction": float((magnitudes > 0).mean())}),
+    })
     print(f"receptive field of token {args.token}: "
           f"{(magnitudes > 0).sum()}/{magnitudes.size} tokens reachable")
     return 0
@@ -505,8 +472,15 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
+    made = None
     try:
         args = parser.parse_args(argv)
+        if args.out is not None and not os.path.isdir(args.out):
+            try:
+                os.makedirs(args.out)
+            except OSError as exc:
+                raise ConfigurationError(f"cannot use --out {args.out!r}: {exc.strerror}")
+            made = args.out
         return _COMMANDS[args.subcommand](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -515,6 +489,9 @@ def main(argv=None) -> int:
     except DispersionLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if made and not os.listdir(made):  # a run that wrote nothing removes its new --out
+            os.rmdir(made)
 
 
 if __name__ == "__main__":

@@ -129,6 +129,15 @@ class ModelConfig:
         return cls(**base)
 
     @classmethod
+    def ablation(cls, **overrides) -> "ModelConfig":
+        """The criterion-10 ablation model: one 8-wide block, 2 x 2 windows on an
+        8 x 8 token grid, two classes and the first-token readout."""
+        base = dict(stage_dims=(8,), stage_depths=(1,), stage_heads=(1,), window=2,
+                    patch_size=4, num_classes=2, image_size=32, head_mode="first_token")
+        base.update(overrides)
+        return cls(**base)
+
+    @classmethod
     def from_json(cls, text: str) -> "ModelConfig":
         return cls(**json.loads(text))
 
@@ -447,24 +456,22 @@ def make_dataset(task: SyntheticTask, patch_size: int, count: int,
     g = task.grid_tokens
     ct = _CORNER_TILE
     size = g * patch_size
-    corner = [(r, c) for r in range(ct) for c in range(ct)]
-    rest = [(r, c) for r in range(g) for c in range(g) if (r, c) not in corner]
-    n_rest = len(rest)
+    in_corner = np.zeros((g, g), dtype=bool)
+    in_corner[:ct, :ct] = True
+    corner, rest = np.flatnonzero(in_corner), np.flatnonzero(~in_corner)
+    n_rest = rest.size
     images = np.empty((count, size, size, 3))
     labels = np.empty(count, dtype=np.intp)
     for s in range(count):
         label = int(rng.integers(0, 2))
         margin = int(rng.integers(_MARGIN_LO, _MARGIN_HI + 1))
-        cells = np.empty((g, g), dtype=np.intp)
+        cells = np.empty(g * g, dtype=np.intp)
         # balanced corner window: zero local information at the readout token
-        corner_colors = np.repeat([label, 1 - label], ct * ct // 2)
-        for (r, c), col in zip(corner, rng.permutation(corner_colors)):
-            cells[r, c] = col
+        cells[corner] = rng.permutation(np.repeat([label, 1 - label], ct * ct // 2))
         rest_colors = np.full(n_rest, 1 - label, dtype=np.intp)
         rest_colors[: n_rest // 2 + margin] = label
-        for (r, c), col in zip(rest, rng.permutation(rest_colors)):
-            cells[r, c] = col
-        colors = _PALETTE[cells.ravel()].reshape(g, g, 3)
+        cells[rest] = rng.permutation(rest_colors)
+        colors = _PALETTE[cells].reshape(g, g, 3)
         images[s] = np.repeat(np.repeat(colors, patch_size, axis=0), patch_size, axis=1)
         labels[s] = label
     return images, labels

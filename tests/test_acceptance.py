@@ -212,19 +212,13 @@ def test_criterion_08_complexity_scaling():
               f"full {full_exp:+.2f} in [1.7, 2.3]; counters match at n=64")
 
 
-def _ablation_config(averaging: bool) -> ModelConfig:
-    return ModelConfig(stage_dims=(8,), stage_depths=(1,), stage_heads=(1,),
-                       window=2, patch_size=4, num_classes=2, image_size=32,
-                       head_mode="first_token", averaging_enabled=averaging)
-
-
 def test_criterion_09_receptive_field():
-    params = init_params(_ablation_config(True))
-    grid_on = receptive_field_grid(_ablation_config(True), params, 9)
+    cfg_on, cfg_off = ModelConfig.ablation(), ModelConfig.ablation(averaging_enabled=False)
+    params = init_params(cfg_on)
+    grid_on = receptive_field_grid(cfg_on, params, 9)
     assert (grid_on > 0).all()
 
-    grid_off = receptive_field_grid(_ablation_config(False), zero_lepe(params),
-                                    9).reshape(8, 8)
+    grid_off = receptive_field_grid(cfg_off, zero_lepe(params), 9).reshape(8, 8)
     window = np.zeros((8, 8), dtype=bool)
     window[:2, :2] = True
     assert (grid_off[window] > 0).all()
@@ -236,8 +230,8 @@ def test_criterion_09_receptive_field():
 def test_criterion_10_ablation_direction():
     t0 = time.time()
     task = SyntheticTask()
-    res_on = train_toy(_ablation_config(True), task, epochs=30, seed=13)
-    res_off = train_toy(_ablation_config(False), task, epochs=30, seed=13)
+    res_on = train_toy(ModelConfig.ablation(), task, epochs=30, seed=13)
+    res_off = train_toy(ModelConfig.ablation(averaging_enabled=False), task, epochs=30, seed=13)
     elapsed = time.time() - t0
     assert res_on.best_val_acc >= 0.9, res_on.best_val_acc
     assert max(res_off.val_acc) <= 0.6, max(res_off.val_acc)

@@ -205,12 +205,27 @@ class TestExitCodes:
         # a zero step made every finite difference 0 / 0 and still printed pass
         self.assert_usage_error(["gradcheck", flag, value], capsys, flag)
 
-    def test_gradcheck_all_variants(self, capsys):
-        assert main(["gradcheck"]) == 0
+    def test_gradcheck_all_variants(self, tmp_path, capsys):
+        assert main(["gradcheck", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         for variant in ("softmax", "linear", "focused", "window", "sema", "mila"):
             assert variant in out
         assert "FAIL" not in out
+        # each row's passed flag was a numpy bool, so --out ended in a TypeError from json
+        rows = json.loads(read(tmp_path / "gradcheck.json"))
+        assert len(rows) == 6 and all(row["passed"] is True for row in rows)
+        assert json.loads(read(tmp_path / "manifest.json"))["outputs"] == ["gradcheck.json"]
+
+    @pytest.mark.parametrize("command", [["disperse", "--variant", "softmax"], ["ssm-check"],
+                                         ["train-toy"]], ids=lambda command: command[0])
+    def test_unusable_out_is_one_error_line(self, command, tmp_path, capsys):
+        # a path under a regular file ended in a NotADirectoryError traceback,
+        # after the whole computation for ssm-check and train-toy
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main([*command, "--out", str(blocker / "x")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot use --out '{blocker}/x'")
 
 
 class TestDisperse:
@@ -312,9 +327,7 @@ class TestTrainToy:
         assert len(lines) == 3  # epoch 0 snapshot + 1 trained epoch
 
     def test_config_file_round_trip(self, tmp_path):
-        cfg = ModelConfig(stage_dims=(8,), stage_depths=(1,), stage_heads=(1,),
-                          window=2, patch_size=4, num_classes=2, image_size=32,
-                          head_mode="first_token", averaging_enabled=True)
+        cfg = ModelConfig.ablation(averaging_enabled=True)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(dataclasses.asdict(cfg)))
         out = str(tmp_path / "train")

@@ -28,13 +28,6 @@ from dispersionlab.model import (
 from dispersionlab.rng import rng_for
 
 
-def single_block_config(**overrides):
-    base = dict(stage_dims=(8,), stage_depths=(1,), stage_heads=(1,), window=2,
-                patch_size=4, num_classes=2, image_size=32, head_mode="first_token")
-    base.update(overrides)
-    return ModelConfig(**base)
-
-
 class TestConfigAndShapes:
     def test_tiny_224_stage_grids(self):
         cfg = ModelConfig.tiny_224()
@@ -64,8 +57,8 @@ class TestConfigAndShapes:
         # a block-less stage is rejected; outside its blocks a one-stage model
         # holds only the stem and the head
         with pytest.raises(ConfigurationError, match="stage_depths"):
-            single_block_config(stage_depths=(0,))
-        cfg = single_block_config(num_classes=3)
+            ModelConfig.ablation(stage_depths=(0,))
+        cfg = ModelConfig.ablation(num_classes=3)
         shapes = {n: s for n, s in parameter_shapes(cfg).items() if not n.startswith("s0.")}
         assert all(name.startswith(("stem.", "head.")) for name in shapes)
         expected = (48 * 8 + 8) + (8 + 8) + (8 + 8) + (8 * 3 + 3)
@@ -82,10 +75,10 @@ class TestConfigAndShapes:
         ("mlp_ratio", True)])
     def test_out_of_range_field_named(self, field, value):
         with pytest.raises(ConfigurationError, match=field):
-            single_block_config(**{field: value})
+            ModelConfig.ablation(**{field: value})
 
     def test_one_unit_mlp_accepted(self):
-        cfg = single_block_config(mlp_ratio=0.07)  # round(8 * 0.07) = 1
+        cfg = ModelConfig.ablation(mlp_ratio=0.07)  # round(8 * 0.07) = 1
         assert parameter_shapes(cfg)["s0.b0.mlp.w1"] == (8, 1)
 
     def test_doubling_dims_roughly_quadruples_block_params(self):
@@ -109,7 +102,7 @@ class TestConfigAndShapes:
 
 class TestForward:
     def test_deterministic_bitwise(self):
-        cfg = single_block_config()
+        cfg = ModelConfig.ablation()
         params = init_params(cfg)
         images = rng_for(1, "det").standard_normal((3, 32, 32, 3))
         a = forward(cfg, params, images).array
@@ -117,8 +110,8 @@ class TestForward:
         assert np.array_equal(a, b)
 
     def test_averaging_toggle_shifts_attention_by_value_mean(self):
-        cfg_on = single_block_config(averaging_enabled=True)
-        cfg_off = single_block_config(averaging_enabled=False)
+        cfg_on = ModelConfig.ablation(averaging_enabled=True)
+        cfg_off = ModelConfig.ablation(averaging_enabled=False)
         params = init_params(cfg_on)
         g = stage_grids(cfg_on)[0]
         x = rng_for(2, "toggle").standard_normal((2 * g * g, 8))  # two samples' tokens
@@ -140,7 +133,7 @@ class TestForward:
     def test_attention_variants_run(self):
         images = rng_for(3, "variants").standard_normal((2, 32, 32, 3))
         for variant in ("window", "linear", "full"):
-            cfg = single_block_config(attention_variant=variant)
+            cfg = ModelConfig.ablation(attention_variant=variant)
             out = forward(cfg, init_params(cfg), images).array
             assert out.shape == (2, 2) and np.isfinite(out).all()
 
@@ -152,7 +145,7 @@ class TestForward:
         assert out.shape == (2, 4) and np.isfinite(out).all()
 
     def test_checkpoint_round_trip(self, tmp_path):
-        cfg = single_block_config()
+        cfg = ModelConfig.ablation()
         params = init_params(cfg)
         stem = str(tmp_path / "ckpt")
         save_checkpoint(params, stem)
@@ -162,7 +155,7 @@ class TestForward:
             np.testing.assert_array_equal(back[name], params[name])
 
     def test_truncated_checkpoint_names_counts(self, tmp_path):
-        params = init_params(single_block_config())
+        params = init_params(ModelConfig.ablation())
         stem = str(tmp_path / "ckpt")
         _, bin_path = save_checkpoint(params, stem)
         total = sum(v.size for v in params.values())
@@ -173,7 +166,7 @@ class TestForward:
 
     def test_flipped_byte_names_sha256(self, tmp_path):
         stem = str(tmp_path / "ckpt")
-        _, bin_path = save_checkpoint(init_params(single_block_config()), stem)
+        _, bin_path = save_checkpoint(init_params(ModelConfig.ablation()), stem)
         with open(bin_path, "r+b") as fh:
             fh.seek(100)
             byte = fh.read(1)[0]
@@ -184,7 +177,7 @@ class TestForward:
 
     def test_index_byte_count_checked(self, tmp_path):
         stem = str(tmp_path / "ckpt")
-        idx_path, _ = save_checkpoint(init_params(single_block_config()), stem)
+        idx_path, _ = save_checkpoint(init_params(ModelConfig.ablation()), stem)
         with open(idx_path) as fh:
             index = json.load(fh)
         index["bytes"] += 8
@@ -225,7 +218,7 @@ class TestBlockGradient:
     def test_block_forward_gradcheck(self, averaging):
         # one model block differentiated as it runs: windowed rotary softmax over
         # two heads, the depthwise and mixing terms, the MLP
-        cfg = single_block_config(stage_heads=(2,), image_size=16, averaging_enabled=averaging)
+        cfg = ModelConfig.ablation(stage_heads=(2,), image_size=16, averaging_enabled=averaging)
         g = stage_grids(cfg)[0]
         rng = rng_for(23, "block-gradcheck")
         params = init_params(cfg)
@@ -270,7 +263,9 @@ def _two_stage_config(**overrides):
     return ModelConfig(**base)
 
 
-_READOUT_CASES = [(make, variant, averaging) for make in (single_block_config, _two_stage_config)
+_READOUT_CASES = [pytest.param(make, variant, averaging, id=f"{name}-{variant}-{averaging}")
+                  for name, make in (("single_block_config", ModelConfig.ablation),
+                                     ("_two_stage_config", _two_stage_config))
                   for variant in ("window", "linear", "full") for averaging in (True, False)]
 
 
@@ -336,7 +331,7 @@ class TestReadoutRows:
     def test_forward_gradcheck(self):
         # every parameter through the pruned tail, the gathers and the full-row
         # attention; a weighted logit sum, as in the block gradcheck
-        cfg = single_block_config(image_size=16)
+        cfg = ModelConfig.ablation(image_size=16)
         params = init_params(cfg, rng_for(33, "readout-gradcheck"))
         names = sorted(params)
         images = rng_for(33, "readout-gradcheck-images").random((4, 16, 16, 3))
@@ -352,18 +347,18 @@ class TestReadoutRows:
 
 class TestReceptiveField:
     def test_diagonal_always_nonzero(self):
-        cfg = single_block_config(averaging_enabled=False)
+        cfg = ModelConfig.ablation(averaging_enabled=False)
         params = zero_lepe(init_params(cfg))
         assert receptive_field_grid(cfg, params, 5)[5] > 0
 
     def test_averaging_connects_everything(self):
-        cfg = single_block_config(averaging_enabled=True)
+        cfg = ModelConfig.ablation(averaging_enabled=True)
         params = init_params(cfg)
         grid = receptive_field_grid(cfg, params, 9)
         assert (grid > 0).all()
 
     def test_cross_window_zero_without_averaging_and_lepe(self):
-        cfg = single_block_config(averaging_enabled=False)
+        cfg = ModelConfig.ablation(averaging_enabled=False)
         params = zero_lepe(init_params(cfg))
         grid = receptive_field_grid(cfg, params, 0).reshape(8, 8)
         window = np.zeros((8, 8), dtype=bool)
@@ -372,7 +367,7 @@ class TestReceptiveField:
         assert (grid[~window] == 0).all()
 
     def test_lepe_extends_one_ring_beyond_window(self):
-        cfg = single_block_config(averaging_enabled=False)
+        cfg = ModelConfig.ablation(averaging_enabled=False)
         params = init_params(cfg)  # lepe active
         # token (1,1): window is rows/cols 0..1, its 3x3 ring reaches index 2
         grid = receptive_field_grid(cfg, params, 9).reshape(8, 8)
@@ -404,22 +399,22 @@ class TestToyTask:
             assert labels[s] == majority
 
     def test_zero_epochs_is_chance_level(self):
-        cfg = single_block_config()
+        cfg = ModelConfig.ablation()
         result = train_toy(cfg, SyntheticTask(), epochs=0, seed=13)
         assert len(result.val_acc) == 1
         assert 0.3 <= result.val_acc[0] <= 0.7
 
     def test_short_training_reduces_loss(self):
-        cfg = single_block_config()
+        cfg = ModelConfig.ablation()
         result = train_toy(cfg, SyntheticTask(), epochs=4, seed=13)
         assert result.loss[-1] < 0.72  # below-chance cross entropy after 4 epochs
         assert len(result.val_acc) == 5
 
     def test_negative_epochs_rejected(self):
         with pytest.raises(ConfigurationError):
-            train_toy(single_block_config(), SyntheticTask(), epochs=-3, seed=13)
+            train_toy(ModelConfig.ablation(), SyntheticTask(), epochs=-3, seed=13)
 
     def test_mismatched_task_rejected(self):
-        cfg = single_block_config(num_classes=3)
+        cfg = ModelConfig.ablation(num_classes=3)
         with pytest.raises(ConfigurationError):
             train_toy(cfg, SyntheticTask(), epochs=1, seed=0)

@@ -16,11 +16,20 @@ output_digest = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(output_digest)
 
 
-def test_two_runs_agree():
+def test_two_runs_agree(tmp_path):
+    # With one BLAS thread the fresh interpreter runs while this process builds
+    # its own lines. Two multithreaded runs contend for the cores (10 s
+    # overlapped against 8 s in turn on 2 vCPUs), so they take turns. The child
+    # prints to a file: a full pipe would stall it until this process is done.
     env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
-    printed = subprocess.run([sys.executable, str(_PATH)], env=env, check=True,
-                             capture_output=True, text=True).stdout.splitlines()
-    assert printed == list(output_digest.lines())
+    with (open(tmp_path / "digest.txt", "w") as fh,
+          subprocess.Popen([sys.executable, str(_PATH)], env=env, stdout=fh) as child):
+        if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
+            child.wait()
+        in_process = list(output_digest.lines())
+    assert child.returncode == 0
+    printed = (tmp_path / "digest.txt").read_text().splitlines()
+    assert printed == in_process
     names = [line.split(" ")[0] for line in printed]
     assert len(names) == len(set(names))
     assert all(len(line.split(" ")) == 2 for line in printed)
