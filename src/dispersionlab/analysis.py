@@ -181,10 +181,8 @@ def _variant_cell(variant: str, kernel: KernelSpec, q: np.ndarray, k: np.ndarray
     if variant == "window":
         if win is None:
             raise ValueError("window variant requires a WindowSpec")
-        if n % win.w != 0:
-            raise DimensionError(f"window {win.w} does not divide n={n}")
         block = win.w
-        chunks = [(None, _blocks(fq, block) @ _blocks(fk, block).transpose(0, 2, 1))]
+        chunks = [(None, _blocks(fq, block) @ np.swapaxes(_blocks(fk, block), -1, -2))]
     else:
         block = n
         chunks = _row_blocks(fq, fk, _ROW_TILE)

@@ -239,9 +239,20 @@ def _qkv(q, k, v=None) -> tuple[np.ndarray, ...]:
     return (q, k) if v is None else (q, k, vals)
 
 
-def _blocks(x: np.ndarray, block: int) -> np.ndarray:
-    """View n x d rows as (n / block, block, d) consecutive blocks."""
-    return x.reshape(x.shape[0] // block, block, x.shape[1])
+def _blocks(x: np.ndarray, block: int, heads: int = 1) -> np.ndarray:
+    """View (n, heads * d) rows as (n / block, heads, block, d): consecutive row
+    blocks, one column slice per head. The one check that such a split divides."""
+    n, width = x.shape
+    if n % block or width % heads:
+        raise WindowPartitionError(f"block size {block} and {heads} head(s) do not divide "
+                                   f"an array of shape {x.shape} (no implicit padding)")
+    return x.reshape(n // block, block, heads, width // heads).transpose(0, 2, 1, 3)
+
+
+def _unblock(x: np.ndarray) -> np.ndarray:
+    """(n / block, heads, block, d) -> (n, heads * d), inverting _blocks."""
+    blocks, heads, block, d = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(blocks * block, heads * d)
 
 
 def _block_coefficients(qb: np.ndarray, kb: np.ndarray, kernel: KernelSpec,
@@ -376,20 +387,11 @@ def focused_attention(q, k, v, dwc: DepthwiseKernel | None = None,
     return Tensor._own(out)
 
 
-def _window_blocks(n: int, win: WindowSpec) -> int:
-    if n % win.w != 0:
-        raise WindowPartitionError(
-            f"window size {win.w} does not divide sequence length {n} (no implicit padding)"
-        )
-    return n // win.w
-
-
 def window_attention_coefficients(q, k, win: WindowSpec,
                                   kernel: KernelSpec | None = None) -> Tensor:
     """Per-row weights over the row's own window: an n x w matrix."""
     kernel = kernel or KernelSpec.softmax()
     q, k = _qkv(q, k)
-    _window_blocks(q.shape[0], win)
     coeff = _block_coefficients(_blocks(q, win.w), _blocks(k, win.w), kernel)
     return Tensor._own(coeff.reshape(q.shape[0], win.w))
 
@@ -403,9 +405,8 @@ def window_attention(q, k, v, win: WindowSpec, kernel: KernelSpec | None = None)
     """
     kernel = kernel or KernelSpec.softmax()
     q, k, v = _qkv(q, k, v)
-    _window_blocks(q.shape[0], win)
     coeff = _block_coefficients(_blocks(q, win.w), _blocks(k, win.w), kernel)
-    return Tensor._own((coeff @ _blocks(v, win.w)).reshape(v.shape))
+    return Tensor._own(_unblock(coeff @ _blocks(v, win.w)))
 
 
 def _block_mean(x: np.ndarray, block: int) -> np.ndarray:
@@ -415,7 +416,7 @@ def _block_mean(x: np.ndarray, block: int) -> np.ndarray:
     symmetric, so it is also its own adjoint.
     """
     xb = _blocks(x, block)
-    return np.repeat(xb.mean(axis=1, keepdims=True), block, axis=1).reshape(x.shape)
+    return np.repeat(xb.mean(axis=2, keepdims=True), block, axis=2).reshape(x.shape)
 
 
 def homogeneous_mix(v) -> Tensor:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import attention
-from .attention import KernelSpec, _block_coefficients, _block_mean
+from .attention import KernelSpec, _block_coefficients, _block_mean, _blocks, _unblock
 from .errors import DifferentiationError, DimensionError
 from .posenc import depthwise_conv_grid, rotate_pairs
 from .rng import rng_for
@@ -214,10 +214,8 @@ def gather_rows(a, indices):
 def group_rows(a, group: int):
     """Reshape (n, d) -> (n/group, group*d), row-major."""
     n, d = a.value.shape
-    if n % group != 0:
-        raise DimensionError(f"group {group} does not divide {n} rows")
-    return a.tape.push("group_rows", (a.idx,), a.value.reshape(n // group, group * d),
-                       {"n": n, "d": d})
+    value = _blocks(a.value, group).reshape(n // group, group * d)
+    return a.tape.push("group_rows", (a.idx,), value, {"n": n, "d": d})
 
 
 def rope_rotate(a, angles: np.ndarray):
@@ -235,12 +233,8 @@ def depthwise_conv(v, taps, height: int, width: int):
     Rows may stack several grids (row count a multiple of height*width);
     each grid is convolved independently.
     """
-    n, d = v.value.shape
-    per = height * width
-    if n % per != 0:
-        raise DimensionError(f"rows {n} not a multiple of grid size {per}")
-    batched = v.value.reshape(n // per, per, d)
-    out = depthwise_conv_grid(batched, taps.value, height, width).reshape(n, d)
+    batched = _blocks(v.value, height * width)[:, 0]
+    out = depthwise_conv_grid(batched, taps.value, height, width).reshape(v.value.shape)
     return _pair(v, taps).push("depthwise_conv", (v.idx, taps.idx), out,
                                {"height": height, "width": width})
 
@@ -257,32 +251,10 @@ def layer_norm(x, gamma, beta):
                      {"xhat": xhat, "inv": inv})
 
 
-def _check_blocks(x, block: int, heads: int, op: str) -> None:
-    n, width = x.value.shape
-    if n % block != 0:
-        raise DimensionError(f"{op}: block {block} does not divide {n} rows")
-    if width % heads != 0:
-        raise DimensionError(f"{op}: {heads} heads do not divide {width} columns")
-
-
-def _head_blocks(x: np.ndarray, block: int, heads: int) -> np.ndarray:
-    """View (n, heads * d) rows as (n / block, heads, block, d): one block per head."""
-    n, width = x.shape
-    return x.reshape(n // block, block, heads, width // heads).transpose(0, 2, 1, 3)
-
-
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    """(n / block, heads, block, d) -> (n, heads * d), inverting _head_blocks."""
-    blocks, heads, block, d = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(blocks * block, heads * d)
-
-
 def _blocked_attention(op: str, kernel: KernelSpec, q, k, v, block: int, heads: int):
-    for x in (q, k, v):
-        _check_blocks(x, block, heads, op)
-    qb, kb, vb = (_head_blocks(x.value, block, heads) for x in (q, k, v))
+    qb, kb, vb = (_blocks(x.value, block, heads) for x in (q, k, v))
     coeff = _block_coefficients(qb, kb, kernel, featured=True)
-    return _pair(q, k).push(op, (q.idx, k.idx, v.idx), _merge_heads(coeff @ vb),
+    return _pair(q, k).push(op, (q.idx, k.idx, v.idx), _unblock(coeff @ vb),
                             {"coeff": coeff, "block": block, "heads": heads})
 
 
@@ -328,9 +300,6 @@ def blocked_mean_broadcast(v, block: int):
     block == n is the homogeneous mixing term; per-sample blocks let a
     batch share one tape.
     """
-    n = v.value.shape[0]
-    if n % block != 0:
-        raise DimensionError(f"block {block} does not divide {n} rows")
     return v.tape.push("blocked_mean_broadcast", (v.idx,), _block_mean(v.value, block),
                        {"block": block})
 
@@ -390,16 +359,12 @@ def _adj_layer_norm(node, g, vals):
 def _adj_depthwise_conv(node, g, vals):
     v, taps = vals
     h, w = node.ctx["height"], node.ctx["width"]
-    n, d = v.shape
-    b = n // (h * w)
-    gb = g.reshape(b, h * w, d)
     # input grad: correlate the output grad with the spatially flipped taps
-    dv = depthwise_conv_grid(gb, taps[:, ::-1, ::-1], h, w).reshape(n, d)
+    dv = depthwise_conv_grid(_blocks(g, h * w)[:, 0], taps[:, ::-1, ::-1], h, w).reshape(v.shape)
     k = taps.shape[1]
     pad = k // 2
-    vi = v.reshape(b, h, w, d)
-    gi = g.reshape(b, h, w, d)
-    padded = np.zeros((b, h + 2 * pad, w + 2 * pad, d))
+    vi, gi = (x.reshape(-1, h, w, v.shape[1]) for x in (v, g))
+    padded = np.zeros((vi.shape[0], h + 2 * pad, w + 2 * pad, v.shape[1]))
     padded[:, pad : pad + h, pad : pad + w] = vi
     dtaps = np.empty_like(taps)
     for dr in range(k):
@@ -411,7 +376,7 @@ def _adj_depthwise_conv(node, g, vals):
 def _adj_blocked_attention(node, g, vals):
     """Shared adjoint: blocked value mixing, then the kernel's logit adjoint."""
     coeff, block, heads = node.ctx["coeff"], node.ctx["block"], node.ctx["heads"]
-    qb, kb, vb, gb = (_head_blocks(x, block, heads) for x in (*vals, g))
+    qb, kb, vb, gb = (_blocks(x, block, heads) for x in (*vals, g))
     dv = np.swapaxes(coeff, -1, -2) @ gb
     dcoeff = gb @ np.swapaxes(vb, -1, -2)
     centered = dcoeff - (dcoeff * coeff).sum(axis=-1, keepdims=True)
@@ -420,7 +385,7 @@ def _adj_blocked_attention(node, g, vals):
     else:  # identity kernel: coeff = logits / (row sum of logits)
         dlogits = centered / (qb @ np.swapaxes(kb, -1, -2)).sum(axis=-1, keepdims=True)
     dq, dk = dlogits @ kb, np.swapaxes(dlogits, -1, -2) @ qb
-    return _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
+    return _unblock(dq), _unblock(dk), _unblock(dv)
 
 
 def _adj_mila_attention(node, g, vals):

@@ -179,6 +179,9 @@ def cmd_disperse(args) -> int:
         raise _UsageError(f"bad --kernel: {exc}")
     n_values = _parse_n_list(args.n)
     win = WindowSpec(args.w) if args.variant == "window" else None
+    misfit = [n for n in n_values if n % args.w] if win else []
+    if misfit:
+        raise ConfigurationError(f"window {args.w} does not divide n={misfit[0]}")
     sampler = BoundedSampler(
         d=args.d,
         logit_bound=args.logit_bound,
@@ -472,15 +475,18 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
-    made = None
+    made = []
     try:
         args = parser.parse_args(argv)
         if args.out is not None and not os.path.isdir(args.out):
+            path = os.path.abspath(args.out)
+            while not os.path.exists(path):  # the levels makedirs creates, deepest first
+                made.append(path)
+                path = os.path.dirname(path)
             try:
                 os.makedirs(args.out)
             except OSError as exc:
                 raise ConfigurationError(f"cannot use --out {args.out!r}: {exc.strerror}")
-            made = args.out
         return _COMMANDS[args.subcommand](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -490,8 +496,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
-        if made and not os.listdir(made):  # a run that wrote nothing removes its new --out
-            os.rmdir(made)
+        for path in made:  # a run that wrote nothing removes every level of --out it made
+            if os.path.isdir(path) and not os.listdir(path):
+                os.rmdir(path)
 
 
 if __name__ == "__main__":

@@ -14,8 +14,9 @@ class KernelDomainError(DispersionLabError, ValueError):
     (e.g. a non-positive denominator after the stabilizer threshold)."""
 
 
-class WindowPartitionError(DispersionLabError, ValueError):
-    """Window size does not evenly partition the sequence."""
+class WindowPartitionError(DimensionError):
+    """A block size does not divide the rows, or a head count the columns, in any
+    split into windows, per-sample blocks, row groups, stacked grids or heads."""
 
 
 class BoundViolationError(DispersionLabError, AssertionError):

@@ -70,6 +70,32 @@ class TestExitCodes:
                                  "--out", str(out)], capsys, f"--w {w}")
         assert not out.exists()
 
+    def test_failed_run_removes_every_level_of_out_it_made(self, tmp_path, capsys):
+        # only the last level went, leaving an empty tmp_path/new behind
+        existing = tmp_path / "t"
+        existing.mkdir()
+        assert main(["bench", "--variants", "window", "--w", "3", "--n", "9,18,36",
+                     "--out", str(existing / "new" / "deep")]) == 1
+        assert os.listdir(tmp_path) == ["t"] and os.listdir(existing) == []
+
+    def test_failed_run_keeps_an_empty_directory_it_did_not_make(self, tmp_path,
+                                                                 monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # --out "" resolves to the empty working directory
+        assert main(["disperse", "--variant", "softmax", "--out", ""]) == 1
+        assert tmp_path.is_dir()
+
+    def test_disperse_window_not_dividing_n_is_one_error_line(self, tmp_path, capsys,
+                                                              monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr("dispersionlab.cli.measure_dispersion", no_sweep)
+        out = tmp_path / "disperse"
+        assert main(["disperse", "--variant", "window", "--w", "3", "--n", "8,16,32",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: window 3 does not divide n=8"]
+        assert not out.exists()
+
     def test_ssm_check_zero_instances_is_usage_error(self, capsys):
         # zero instances would pass the equivalence check vacuously
         self.assert_usage_error(["ssm-check", "--instances", "0"], capsys, "--instances")

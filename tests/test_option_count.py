@@ -23,3 +23,11 @@ def test_directories_add_up_their_files(tmp_path):
     (tmp_path / "notes.txt").write_text("def f(x=1): pass\n")
     counts = option_count.count_paths([tmp_path])
     assert dict(counts) == {"argparse": 6, "dataclass": 4, "parameter": 8}
+
+
+def test_a_missing_path_is_one_error_line(tmp_path, capsys):
+    missing = tmp_path / "nosuchpath"
+    assert option_count.main([str(_SAMPLE), str(missing)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: no such file or directory: {missing}"]

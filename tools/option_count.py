@@ -11,7 +11,8 @@ is ``src``. Three kinds of option are counted:
   method (a name without a leading underscore, dunders included), at module
   level or in a class body. Nested functions and lambdas are not counted.
 
-Prints the total, then one ``kind count`` line per kind.
+Prints the total, then one ``kind count`` line per kind. A PATH that does not
+exist is one ``error:`` line and exit code 1.
 """
 
 from __future__ import annotations
@@ -70,7 +71,12 @@ def count_paths(paths) -> Counter:
 
 
 def main(argv: list[str]) -> int:
-    counts = count_paths(argv or ["src"])
+    paths = argv or ["src"]
+    missing = [path for path in paths if not Path(path).exists()]
+    if missing:
+        print(f"error: no such file or directory: {missing[0]}", file=sys.stderr)
+        return 1
+    counts = count_paths(paths)
     print(f"total {sum(counts.values())}")
     for kind in KINDS:
         print(f"{kind} {counts[kind]}")

@@ -181,9 +181,7 @@ def model_outputs():
     image = rng_for(SEED, "digest", "tiny_224").random((1, 224, 224, 3))
     yield "tiny_224.logits", model.forward(cfg, model.init_params(cfg), image)
     for averaging in (True, False):
-        cfg = model.ModelConfig(stage_dims=(8,), stage_depths=(1,), stage_heads=(1,),
-                                window=2, patch_size=4, num_classes=2, image_size=32,
-                                head_mode="first_token", averaging_enabled=averaging)
+        cfg = model.ModelConfig.ablation(averaging_enabled=averaging)
         res = model.train_toy(cfg, model.SyntheticTask(), 3, SEED)
         tag = f"averaging={averaging}"
         yield f"train_toy.curves/{tag}", np.array([res.train_acc, res.val_acc, res.loss])
