@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .attention import (KernelSpec, WindowSpec, phi_values, _apply_psi, _blocks, _EPSILON,
-                        _phi_rows, _row_blocks, _ROW_TILE)
+                        _phi_rows, _row_blocks, _row_fold, _ROW_TILE)
 from .errors import BoundViolationError, ConfigurationError, DimensionError, KernelDomainError
 from .rng import rng_for
 
@@ -162,7 +162,8 @@ def _variant_cell(variant: str, kernel: KernelSpec, q: np.ndarray, k: np.ndarray
     """Coefficient extrema plus their sample-specific rigorous bounds for one draw.
 
     Global variants stream query rows through attention._row_blocks. Each
-    block of logits gives its row minima and maxima (the logit extrema), has
+    block of logits gives its row minima and maxima (the logit extrema; the
+    window cell's 8-wide rows fold through attention._row_fold), has
     phi applied in place by attention._phi_rows (every row passes the
     kernel's domain checks) and gives its row sums s, but is never divided.
     Division by a positive s is correctly rounded, hence monotone, so
@@ -189,8 +190,7 @@ def _variant_cell(variant: str, kernel: KernelSpec, q: np.ndarray, k: np.ndarray
     # numpy extrema propagate a NaN, as a min over the whole matrix would
     lo_logit, hi_logit, cmin, cmax = np.inf, -np.inf, np.inf, -np.inf
     for _, logits in chunks:
-        lo = logits.min(axis=-1, keepdims=True)
-        hi = logits.max(axis=-1, keepdims=True)
+        lo, hi = _row_fold(np.minimum, logits), _row_fold(np.maximum, logits)
         lo_logit = np.minimum(lo_logit, lo.min())
         hi_logit = np.maximum(hi_logit, hi.max())
         if variant == "mila":
@@ -201,7 +201,7 @@ def _variant_cell(variant: str, kernel: KernelSpec, q: np.ndarray, k: np.ndarray
         else:
             sums = _phi_rows(kernel, logits, hi)
             if kernel.phi != "identity":  # the weights are no longer the logits
-                lo, hi = logits.min(axis=-1, keepdims=True), logits.max(axis=-1, keepdims=True)
+                lo, hi = _row_fold(np.minimum, logits), _row_fold(np.maximum, logits)
         cmin = np.minimum(cmin, (lo / sums).min())
         cmax = np.maximum(cmax, (hi / sums).max())
     bounds = coefficient_bounds(kernel, float(lo_logit), float(hi_logit), block,

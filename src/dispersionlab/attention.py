@@ -11,6 +11,7 @@ dispersion analysis streams its own cells through ``_row_blocks`` and
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, fields
@@ -163,19 +164,102 @@ def _apply_psi(x: np.ndarray, psi: str, psi_p: int) -> np.ndarray:
     raise ValueError(f"unknown psi {psi!r}")
 
 
+_FOLD_BELOW = 16  # numpy's own blocked pairwise sum starts at 16 columns
+
+
+def _fold(op: np.ufunc, x: np.ndarray) -> np.ndarray:
+    """op over the last axis of x (below 16 columns) in numpy's association.
+
+    Below 8 columns the columns fold in order; from 8 to 15 the first eight
+    fold as numpy's eight pairwise accumulators, ((x0 x1)(x2 x3))((x4 x5)(x6 x7)),
+    and the rest follow in order. An op with an identity (add's 0) starts from
+    it, as op.reduce does. Each step is one ufunc call over every row at once.
+    """
+    w = x.shape[-1]
+    if w < 8:
+        acc = x[..., :1].copy()
+        for j in range(1, w):
+            op(acc, x[..., j : j + 1], out=acc)
+    else:
+        acc = op(x[..., 0:8:2], x[..., 1:8:2])
+        acc = op(acc[..., 0::2], acc[..., 1::2])
+        acc = op(acc[..., :1], acc[..., 1:])
+        for j in range(8, w):
+            op(acc, x[..., j : j + 1], out=acc)
+    if op.identity is not None:
+        op(op.identity, acc, out=acc)
+    return acc
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Bitwise equality, signs of zero included; any NaN matches any NaN."""
+    nan = np.isnan(a)
+    return bool((nan == np.isnan(b)).all()
+                and (np.ascontiguousarray(a).view(np.int64)[~nan]
+                     == np.ascontiguousarray(b).view(np.int64)[~nan]).all())
+
+
+@functools.cache
+def _fold_widths(op: np.ufunc) -> frozenset[int]:
+    """The widths below 16 at which _fold matched op.reduce on a probe; checked once per op.
+
+    The probe rows mix magnitudes from 1e-30 to 1e30 (which tell one
+    association of a sum from another), NaN, +-0 and +-inf, all-zero rows of
+    mixed signs (which show the starting value), and every pair of columns
+    holding +0 and -0 against -1 or +1 elsewhere (which shows which of two
+    tied extrema numpy keeps). A width whose fold differs anywhere is left
+    to op.reduce: the fold copies numpy's order, it never guesses it.
+    """
+    rng = np.random.default_rng(0)
+    cols = _FOLD_BELOW - 1
+    wide = rng.standard_normal((64, cols)) * 10.0 ** rng.integers(-30, 31, (64, cols))
+    special = rng.random(wide.shape) < 0.25
+    wide[special] = rng.choice([np.nan, 0.0, -0.0, np.inf, -np.inf], special.sum())
+    zeros = rng.choice([0.0, -0.0], (64, cols))
+    i, j = np.triu_indices(cols, 1)  # every pair of columns i < j
+    pair = np.arange(len(i))
+    ties = []
+    for fill, first in ((-1.0, 0.0), (-1.0, -0.0), (1.0, 0.0), (1.0, -0.0)):
+        block = np.full((len(i), cols), fill)
+        block[pair, i], block[pair, j] = first, -first
+        ties.append(block)
+    probe = np.concatenate([wide, zeros, *ties])
+    with np.errstate(all="ignore"):
+        return frozenset(
+            w for w in range(1, _FOLD_BELOW)
+            if all(_same_bits(_fold(op, p), op.reduce(p, axis=-1, keepdims=True))
+                   for p in (probe[:, :w], np.ascontiguousarray(probe[:, :w]))))
+
+
+def _row_fold(op: np.ufunc, x: np.ndarray) -> np.ndarray:
+    """op.reduce(x, axis=-1, keepdims=True), bitwise, and fast on short rows.
+
+    numpy reduces each short row in its own inner-loop call, so at width 8
+    the dispatch costs more than the arithmetic. Rows of fewer than 16
+    contiguous columns fold instead, one call per column over all rows in
+    numpy's order, at the widths where _fold_widths found that order on the
+    installed numpy (a NaN's payload is not pinned). Every other row, and any
+    layout whose last axis is not contiguous, goes to op.reduce.
+    """
+    if x.strides[-1] == x.itemsize and x.shape[-1] in _fold_widths(op):
+        return _fold(op, x)
+    return op.reduce(x, axis=-1, keepdims=True)
+
+
 def _phi_rows(kernel: KernelSpec, logits: np.ndarray,
               row_max: np.ndarray | None = None) -> np.ndarray:
     """phi applied rowwise in place, with its domain checks; returns the row sums (..., 1).
 
     Exp kernels are shifted by each row's largest logit before exp, which the
-    ratio does not see. row_max, the logits' max(axis=-1, keepdims=True), is
-    taken here unless the caller already has it. Dividing by a positive theta
-    is correctly rounded, hence monotone, so row_max / theta is bitwise the
-    row max of logits / theta. logits must be a fresh array the caller owns.
+    ratio does not see. row_max, the logits' row max (_row_fold with
+    np.maximum), is taken here unless the caller already has it. Dividing by
+    a positive theta is correctly rounded, hence monotone, so row_max / theta
+    is bitwise the row max of logits / theta. logits must be a fresh array
+    the caller owns.
     """
     if kernel.phi in ("exp", "exp_temperature"):
         if row_max is None:
-            row_max = logits.max(axis=-1, keepdims=True)
+            row_max = _row_fold(np.maximum, logits)
         if kernel.phi == "exp_temperature":
             logits /= kernel.theta
             row_max = row_max / kernel.theta
@@ -188,7 +272,7 @@ def _phi_rows(kernel: KernelSpec, logits: np.ndarray,
             )
         if kernel.phi == "power":
             logits **= kernel.phi_p
-    denom = logits.sum(axis=-1, keepdims=True)
+    denom = _row_fold(np.add, logits)
     if np.any(denom <= kernel.epsilon):
         raise KernelDomainError(
             f"normalizer denominator <= epsilon ({kernel.epsilon}); "

@@ -23,9 +23,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import attention
-from .attention import KernelSpec, _block_coefficients, _block_mean, _blocks, _unblock
+from .attention import (KernelSpec, _block_coefficients, _block_mean, _blocks, _row_fold,
+                        _unblock)
 from .errors import DifferentiationError, DimensionError
-from .posenc import depthwise_conv_grid, rotate_pairs
+from .posenc import _depthwise_taps_grad, depthwise_conv_grid, rotate_pairs
 from .rng import rng_for
 
 _SOFTMAX, _LINEAR = KernelSpec.softmax(), KernelSpec.linear()
@@ -240,9 +241,14 @@ def depthwise_conv(v, taps, height: int, width: int):
 
 
 def layer_norm(x, gamma, beta):
-    """Per-row normalization with learned scale and shift (1 x d each), eps 1e-5."""
-    xc = x.value - x.value.mean(axis=1, keepdims=True)
-    var = (xc * xc).mean(axis=1, keepdims=True)
+    """Per-row normalization with learned scale and shift (1 x d each), eps 1e-5.
+
+    The row means are row sums over d (attention._row_fold), bitwise numpy's
+    mean(axis=1, keepdims=True).
+    """
+    d = x.value.shape[1]
+    xc = x.value - _row_fold(np.add, x.value) / d
+    var = _row_fold(np.add, xc * xc) / d
     inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = xc * inv
     out = xhat * gamma.value + beta.value
@@ -351,26 +357,18 @@ def _adj_layer_norm(node, g, vals):
     xhat, inv = node.ctx["xhat"], node.ctx["inv"]
     d = x.shape[1]
     dxhat = g * gamma
-    dx = inv / d * (d * dxhat - dxhat.sum(axis=1, keepdims=True)
-                    - xhat * (dxhat * xhat).sum(axis=1, keepdims=True))
+    dx = inv / d * (d * dxhat - _row_fold(np.add, dxhat)
+                    - xhat * _row_fold(np.add, dxhat * xhat))
     return dx, (g * xhat).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True)
 
 
 def _adj_depthwise_conv(node, g, vals):
     v, taps = vals
     h, w = node.ctx["height"], node.ctx["width"]
+    vb, gb = (_blocks(x, h * w)[:, 0] for x in (v, g))
     # input grad: correlate the output grad with the spatially flipped taps
-    dv = depthwise_conv_grid(_blocks(g, h * w)[:, 0], taps[:, ::-1, ::-1], h, w).reshape(v.shape)
-    k = taps.shape[1]
-    pad = k // 2
-    vi, gi = (x.reshape(-1, h, w, v.shape[1]) for x in (v, g))
-    padded = np.zeros((vi.shape[0], h + 2 * pad, w + 2 * pad, v.shape[1]))
-    padded[:, pad : pad + h, pad : pad + w] = vi
-    dtaps = np.empty_like(taps)
-    for dr in range(k):
-        for dc in range(k):
-            dtaps[:, dr, dc] = (padded[:, dr : dr + h, dc : dc + w] * gi).sum(axis=(0, 1, 2))
-    return dv, dtaps
+    dv = depthwise_conv_grid(gb, taps[:, ::-1, ::-1], h, w).reshape(v.shape)
+    return dv, _depthwise_taps_grad(vb, gb, taps.shape[1], h, w)
 
 
 def _adj_blocked_attention(node, g, vals):
@@ -379,11 +377,11 @@ def _adj_blocked_attention(node, g, vals):
     qb, kb, vb, gb = (_blocks(x, block, heads) for x in (*vals, g))
     dv = np.swapaxes(coeff, -1, -2) @ gb
     dcoeff = gb @ np.swapaxes(vb, -1, -2)
-    centered = dcoeff - (dcoeff * coeff).sum(axis=-1, keepdims=True)
+    centered = dcoeff - _row_fold(np.add, dcoeff * coeff)
     if node.op == "blocked_softmax_attention":
         dlogits = coeff * centered
     else:  # identity kernel: coeff = logits / (row sum of logits)
-        dlogits = centered / (qb @ np.swapaxes(kb, -1, -2)).sum(axis=-1, keepdims=True)
+        dlogits = centered / _row_fold(np.add, qb @ np.swapaxes(kb, -1, -2))
     dq, dk = dlogits @ kb, np.swapaxes(dlogits, -1, -2) @ qb
     return _unblock(dq), _unblock(dk), _unblock(dv)
 

@@ -89,21 +89,30 @@ def rope_angles(grid: GridSpec, d: int, positions=None) -> np.ndarray:
 def rotate_pairs(x: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """Rotate each pair (x[r, 2t], x[r, 2t+1]) of n x d rows by a (period, pairs) table.
 
-    The table is broadcast, not tiled: row r uses angles[r % period] and
-    every 2 * pairs wide column slice (one per head) shares it, so a
-    window-local table rotates every window. rotate_pairs(y, -angles)
-    undoes it. Raises DimensionError when the table does not tile x.
+    Row r uses angles[r % period], and every 2 * pairs wide column slice (one
+    per head) shares it, so a window-local table rotates every window.
+    rotate_pairs(y, -angles) undoes it. cos and sin are taken on the table
+    and copied out to per-call (n, d/2) tables, so each of the four products
+    is one loop over all n * d/2 pairs. Raises DimensionError when the table
+    does not tile x.
     """
     n, d = x.shape
     period, pairs = angles.shape
     if n % period != 0 or d % (2 * pairs) != 0:
         raise DimensionError(f"rotation table {angles.shape} does not tile input {x.shape}")
-    xs = x.reshape(n // period, period, d // (2 * pairs), pairs, 2)
+    tiled = (n // period, period, d // (2 * pairs), pairs)
+    c, s = (np.broadcast_to(f(angles)[:, None, :], tiled).reshape(n, d // 2)
+            for f in (np.cos, np.sin))
+    xs = x.reshape(n, d // 2, 2)
     x0, x1 = xs[..., 0], xs[..., 1]
-    c, s = np.cos(angles)[:, None, :], np.sin(angles)[:, None, :]
     out = np.empty(xs.shape)
-    out[..., 0] = x0 * c - x1 * s
-    out[..., 1] = x0 * s + x1 * c
+    out0, out1 = out[..., 0], out[..., 1]
+    tmp = np.multiply(x1, s)
+    np.multiply(x0, c, out=out0)
+    out0 -= tmp  # x0 c - x1 s
+    np.multiply(x1, c, out=tmp)
+    np.multiply(x0, s, out=out1)
+    out1 += tmp  # x0 s + x1 c
     return out.reshape(n, d)
 
 
@@ -145,11 +154,31 @@ class DepthwiseKernel:
         return cls(taps)
 
 
+def _tap_windows(x: np.ndarray, k: int, height: int, width: int):
+    """Yield (dr, dc, window) for each tap of a k x k kernel, in row-major order.
+
+    x holds (b, height*width, d) rows. They are zero-padded onto the grid,
+    which is viewed as (b, height + 2 pad, (width + 2 pad) * d): whole grid
+    rows, so window, the (b, height, width * d) part that tap (dr, dc) reads,
+    runs over width * d entries at a time instead of d.
+    """
+    b, _, d = x.shape
+    pad = k // 2
+    padded = np.zeros((b, height + 2 * pad, (width + 2 * pad) * d))
+    padded[:, pad : pad + height, pad * d : (pad + width) * d] = x.reshape(b, height, width * d)
+    for dr in range(k):
+        for dc in range(k):
+            yield dr, dc, padded[:, dr : dr + height, dc * d : (dc + width) * d]
+
+
 def depthwise_conv_grid(x: np.ndarray, taps: np.ndarray, height: int, width: int) -> np.ndarray:
     """Per-channel k x k cross-correlation over (..., height*width, channels) rows.
 
     Tokens are rasterized row-major onto the grid, zero-padded, and convolved
-    channel by channel. Accepts a leading batch dimension.
+    channel by channel. Accepts a leading batch dimension. Each tap is one
+    product of its _tap_windows window with a (width * channels) row repeating
+    the tap's channel weights, into one reused buffer; the sum starts from
+    zeros and takes the taps in row-major order, as a per-channel loop would.
     """
     squeeze = x.ndim == 2
     if squeeze:
@@ -160,16 +189,30 @@ def depthwise_conv_grid(x: np.ndarray, taps: np.ndarray, height: int, width: int
     if taps.shape[0] != d:
         raise DimensionError(f"kernel has {taps.shape[0]} channels, input has {d}")
     k = taps.shape[1]
-    pad = k // 2
-    img = x.reshape(b, height, width, d)
-    padded = np.zeros((b, height + 2 * pad, width + 2 * pad, d))
-    padded[:, pad : pad + height, pad : pad + width, :] = img
-    out = np.zeros_like(img)
-    for dr in range(k):
-        for dc in range(k):
-            out += padded[:, dr : dr + height, dc : dc + width, :] * taps[:, dr, dc]
+    tap_rows = np.tile(taps.transpose(1, 2, 0), (1, 1, width))  # (k, k, width * d)
+    out = np.zeros((b, height, width * d))
+    prod = np.empty_like(out)
+    for dr, dc, window in _tap_windows(x, k, height, width):
+        out += np.multiply(window, tap_rows[dr, dc], out=prod)
     out = out.reshape(b, n, d)
     return out[0] if squeeze else out
+
+
+def _depthwise_taps_grad(x: np.ndarray, g: np.ndarray, k: int, height: int,
+                         width: int) -> np.ndarray:
+    """Gradient of depthwise_conv_grid's k x k taps, (d, k, k), given output gradient g.
+
+    x and g hold (b, height*width, d) rows. Tap (dr, dc) of channel c gets
+    the sum, over every sample and grid position, of its window times g,
+    taken as one column sum of the product's (b * height * width, d) rows.
+    """
+    b, _, d = x.shape
+    gi = g.reshape(b, height, width * d)
+    prod = np.empty(gi.shape)
+    dtaps = np.empty((d, k, k))
+    for dr, dc, window in _tap_windows(x, k, height, width):
+        dtaps[:, dr, dc] = np.multiply(window, gi, out=prod).reshape(-1, d).sum(axis=0)
+    return dtaps
 
 
 def lepe(v, kernel: DepthwiseKernel, grid: GridSpec) -> Tensor:

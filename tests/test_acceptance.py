@@ -187,16 +187,18 @@ def test_criterion_08_complexity_scaling():
     for n in n_values:
         rng = rng_for(42, "acceptance-bench", n)
         q, k, v = rng.standard_normal((3, n, d))
-        repeats = max(3, (1 << 22) // (n * n))  # more reps where calls are short
+        repeats = max(5, (1 << 22) // (n * n))  # more reps where calls are short
         for name, fn in (("sema", lambda: sema_attention(q, k, v, WindowSpec(w))),
                          ("full", lambda: softmax_attention(q, k, v))):
             gc.collect()
             fn()  # warmup: exclude first-call allocation noise
             reps = []
             for _ in range(repeats):
-                t0 = time.perf_counter()
+                # CPU time of this process, on the one BLAS thread conftest pins:
+                # time the host gives other tenants is not counted
+                t0 = time.process_time()
                 fn()
-                reps.append(time.perf_counter() - t0)
+                reps.append(time.process_time() - t0)
             # the minimum is the least noise-contaminated estimate of cost
             times[name].append(min(reps))
     logs = np.log(n_values)
@@ -208,7 +210,7 @@ def test_criterion_08_complexity_scaling():
     for variant, ww in (("full", None), ("window", w), ("homogeneous_mix", None),
                         ("sema", w), ("linear", None)):
         assert complexity_estimate(variant, 64, d, ww) == instrumented_counts(variant, 64, d, ww)
-    report(8, f"wall-time exponents sema {sema_exp:+.2f} in [0.9, 1.3], "
+    report(8, f"CPU-time exponents sema {sema_exp:+.2f} in [0.9, 1.3], "
               f"full {full_exp:+.2f} in [1.7, 2.3]; counters match at n=64")
 
 

@@ -337,6 +337,96 @@ class TestGeluCube:
         assert np.array_equal(got, want)
 
 
+def assert_same_bits(got, want):
+    """Equal entries with equal signs, so -0.0 never stands in for 0.0."""
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def depthwise_adjoint_oracle(v, taps, g, h, w):
+    """(dv, dtaps) as _adj_depthwise_conv computed them on (b, h, w, d) grids."""
+    d, k = v.shape[1], taps.shape[1]
+    pad = k // 2
+
+    def padded(x):
+        out = np.zeros((x.shape[0] // (h * w), h + 2 * pad, w + 2 * pad, d))
+        out[:, pad : pad + h, pad : pad + w] = x.reshape(-1, h, w, d)
+        return out
+
+    pv, pg, flipped = padded(v), padded(g), taps[:, ::-1, ::-1]
+    dv = np.zeros((pg.shape[0], h, w, d))
+    dtaps = np.empty_like(taps)
+    gi = g.reshape(-1, h, w, d)
+    for dr in range(k):
+        for dc in range(k):
+            dv += pg[:, dr : dr + h, dc : dc + w, :] * flipped[:, dr, dc]
+            dtaps[:, dr, dc] = (pv[:, dr : dr + h, dc : dc + w] * gi).sum(axis=(0, 1, 2))
+    return dv.reshape(v.shape), dtaps
+
+
+def with_zeros(rng, shape):
+    """Normal draws with about a fifth of the entries +0.0 or -0.0."""
+    x = rng.standard_normal(shape)
+    zero = rng.random(shape) < 0.2
+    x[zero] = rng.choice([0.0, -0.0], zero.sum())
+    return x
+
+
+class TestRowKernelAdjointsAgainstOracles:
+    @pytest.mark.parametrize("grid", [(3, 5), (5, 2), (4, 4)])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("b", [1, 3, 64])
+    def test_depthwise_conv_adjoint_is_bitwise_the_grid_loop(self, b, k, grid):
+        h, w = grid
+        rng = np.random.default_rng([b, k, h, w])
+        v, g = (with_zeros(rng, (b * h * w, 3)) for _ in range(2))
+        taps = with_zeros(rng, (3, k, k))
+        tape = ag.Tape()
+        node = ag.depthwise_conv(ag.leaf(tape, v), ag.leaf(tape, taps), h, w).node
+        dv, dtaps = ag.ADJOINTS["depthwise_conv"](node, g, (v, taps))
+        want_dv, want_dtaps = depthwise_adjoint_oracle(v, taps, g, h, w)
+        assert_same_bits(dv, want_dv)
+        assert_same_bits(dtaps, want_dtaps)
+
+    @pytest.mark.parametrize("heads", [1, 2, 3, 4])
+    @pytest.mark.parametrize("period", [2, 3, 4])
+    def test_rope_rotate_and_its_adjoint_are_bitwise_the_broadcast_rotation(self, period,
+                                                                           heads):
+        rng = np.random.default_rng([period, heads])
+        x, g = (with_zeros(rng, (5 * period, heads * 8)) for _ in range(2))
+        ang = rope_angles(GridSpec.linear(period), 8)
+        node = ag.rope_rotate(ag.leaf(ag.Tape(), x), ang).node
+
+        def oracle(y, table):
+            ys = y.reshape(5, period, heads, 4, 2)
+            c, s = np.cos(table)[:, None, :], np.sin(table)[:, None, :]
+            out = np.empty(ys.shape)
+            out[..., 0] = ys[..., 0] * c - ys[..., 1] * s
+            out[..., 1] = ys[..., 0] * s + ys[..., 1] * c
+            return out.reshape(y.shape)
+
+        assert_same_bits(node.value, oracle(x, ang))
+        (dx,) = ag.ADJOINTS["rope_rotate"](node, g, (x,))
+        assert_same_bits(dx, oracle(g, -ang))
+
+    @pytest.mark.parametrize("d", [1, 4, 8, 12, 16, 24])
+    def test_layer_norm_and_its_adjoint_are_bitwise_the_mean_formulas(self, d):
+        rng = np.random.default_rng(d)
+        x, g = rng.standard_normal((2, 300, d))
+        gamma, beta = rng.standard_normal((2, 1, d))
+        tape = ag.Tape()
+        node = ag.layer_norm(*(ag.leaf(tape, a) for a in (x, gamma, beta))).node
+        xc = x - x.mean(axis=1, keepdims=True)
+        inv = 1.0 / np.sqrt((xc * xc).mean(axis=1, keepdims=True) + 1e-5)
+        xhat = xc * inv
+        assert_same_bits(node.value, xhat * gamma + beta)
+        dxhat = g * gamma
+        want = inv / d * (d * dxhat - dxhat.sum(axis=1, keepdims=True)
+                          - xhat * (dxhat * xhat).sum(axis=1, keepdims=True))
+        dx, _, _ = ag.ADJOINTS["layer_norm"](node, g, (x, gamma, beta))
+        assert_same_bits(dx, want)
+
+
 def _per_head(op, q, k, v, block, heads):
     """Reference composition: slice each head's columns, attend, concatenate."""
     hd = q.shape[1] // heads

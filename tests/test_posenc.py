@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dispersionlab.errors import DimensionError
-from dispersionlab.posenc import DepthwiseKernel, GridSpec, lepe, rope_apply, rotate_pairs
+from dispersionlab.posenc import (DepthwiseKernel, GridSpec, depthwise_conv_grid, lepe, rope_apply,
+                                  rotate_pairs)
 
 
 def lepe_oracle(v, taps, height, width):
@@ -113,6 +114,78 @@ class TestRotatePairs:
     def test_table_that_does_not_tile_rejected(self, rows, width, table):
         with pytest.raises(DimensionError):
             rotate_pairs(np.ones((rows, width)), np.zeros(table))
+
+
+def assert_same_bits(got, want):
+    """Equal entries with equal signs, so -0.0 never stands in for 0.0."""
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def depthwise_conv_oracle(x, taps, height, width):
+    """The per-channel 4-D formulation depthwise_conv_grid had before it ran over whole rows."""
+    b, n, d = x.shape
+    k = taps.shape[1]
+    pad = k // 2
+    padded = np.zeros((b, height + 2 * pad, width + 2 * pad, d))
+    padded[:, pad : pad + height, pad : pad + width, :] = x.reshape(b, height, width, d)
+    out = np.zeros((b, height, width, d))
+    for dr in range(k):
+        for dc in range(k):
+            out += padded[:, dr : dr + height, dc : dc + width, :] * taps[:, dr, dc]
+    return out.reshape(b, n, d)
+
+
+def rotate_pairs_oracle(x, angles):
+    """The broadcast formulation rotate_pairs had before its per-call (n, d/2) tables."""
+    n, d = x.shape
+    period, pairs = angles.shape
+    xs = x.reshape(n // period, period, d // (2 * pairs), pairs, 2)
+    x0, x1 = xs[..., 0], xs[..., 1]
+    c, s = np.cos(angles)[:, None, :], np.sin(angles)[:, None, :]
+    out = np.empty(xs.shape)
+    out[..., 0] = x0 * c - x1 * s
+    out[..., 1] = x0 * s + x1 * c
+    return out.reshape(n, d)
+
+
+def with_zeros(rng, shape):
+    """Normal draws with about a fifth of the entries +0.0 or -0.0."""
+    x = rng.standard_normal(shape)
+    zero = rng.random(shape) < 0.2
+    x[zero] = rng.choice([0.0, -0.0], zero.sum())
+    return x
+
+
+class TestRowKernelsAgainstOracles:
+    @pytest.mark.parametrize("grid", [(3, 5), (5, 2), (1, 7), (4, 4)])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("b", [1, 3, 64])
+    def test_depthwise_conv_grid_is_bitwise_the_channel_loop(self, b, k, grid):
+        height, width = grid
+        rng = np.random.default_rng([b, k, height, width])
+        x = with_zeros(rng, (b, height * width, 3))
+        taps = with_zeros(rng, (3, k, k))
+        got = depthwise_conv_grid(x, taps, height, width)
+        assert_same_bits(got, depthwise_conv_oracle(x, taps, height, width))
+        assert_same_bits(depthwise_conv_grid(x[0], taps, height, width), got[0])
+
+    def test_all_negative_zero_input_gives_positive_zeros(self):
+        x = np.full((2, 6, 2), -0.0)
+        out = depthwise_conv_grid(x, np.ones((2, 3, 3)), 2, 3)
+        assert_same_bits(out, depthwise_conv_oracle(x, np.ones((2, 3, 3)), 2, 3))
+        assert not np.signbit(out).any()
+
+    @pytest.mark.parametrize("heads", [1, 2, 3, 4])
+    @pytest.mark.parametrize("period,pairs", [(1, 2), (2, 1), (3, 2), (4, 4), (6, 3)])
+    @pytest.mark.parametrize("blocks", [1, 5])
+    def test_rotate_pairs_is_bitwise_the_broadcast_rotation(self, blocks, period, pairs, heads):
+        rng = np.random.default_rng([blocks, period, pairs, heads])
+        x = with_zeros(rng, (blocks * period, heads * 2 * pairs))
+        angles = rng.uniform(-10.0, 10.0, (period, pairs))
+        angles[0, 0] = 0.0  # an exact identity pair: sin 0 = 0 meets the zeros of x
+        for table in (angles, -angles):
+            assert_same_bits(rotate_pairs(x, table), rotate_pairs_oracle(x, table))
 
 
 class TestLepe:

@@ -31,7 +31,8 @@ averaging on and off; the ``DispersionReport.to_json()`` text of the five
 sweeps of perfbench's ``dispersion_sweep`` (softmax, linear, focused, MILA and
 window at w = 8 with fixed content; seed 42, d 16, n = 64..4096, 2 trials); and
 on a recording tape, the loss and every leaf gradient of each case of
-``dispersion-lab gradcheck --seed 42``.
+``dispersion-lab gradcheck --seed 42``, and of one ``ModelConfig.toy()``
+cross-entropy backward on two seeded images (widths 16-128, 1-8 heads).
 """
 
 from __future__ import annotations
@@ -200,7 +201,8 @@ def dispersion_outputs():
 
 
 def tape_outputs():
-    """Loss and q, k, v gradients of each ``dispersion-lab gradcheck`` case at seed 42."""
+    """Loss and q, k, v gradients of each ``dispersion-lab gradcheck`` case at seed 42,
+    then the loss and every leaf gradient of a batch-2 ``ModelConfig.toy()`` backward."""
     for variant in cli.GRADCHECK_VARIANTS:
         fn, inputs = cli._gradcheck_case(variant, SEED)
         tape = autograd.Tape()
@@ -210,6 +212,19 @@ def tape_outputs():
         yield f"gradcheck_case.loss/{variant}", loss.value
         for name, lv in zip("qkv", leaves):
             yield f"gradcheck_case.grad_{name}/{variant}", grads[lv.idx]
+    # widths 16-128 and 1-8 heads, which the 8-wide ablation model never reaches
+    cfg = model.ModelConfig.toy()
+    rng = rng_for(SEED, "digest", "toy-backward")
+    images = rng.random((2, cfg.image_size, cfg.image_size, 3))
+    labels = rng.integers(0, cfg.num_classes, 2)
+    tape = autograd.Tape()
+    tp = model._trace_params(tape, model.init_params(cfg))
+    loss = autograd.cross_entropy(model._forward_traced(tape, tp, cfg, images), labels)
+    grads = autograd.backward(loss)
+    names = {lv.idx: name for name, lv in tp.items()}
+    yield "toy_backward.loss", loss.value
+    for idx in sorted(grads):
+        yield f"toy_backward.grad/{names.get(idx, 'images')}", grads[idx]
 
 
 GROUPS = (attention_outputs, posenc_outputs, ssm_outputs, model_outputs, dispersion_outputs,
