@@ -120,16 +120,46 @@ class WindowSpec:
             raise ValueError("window size must be >= 1")
 
 
+_ELU_CHUNK = 1 << 15  # entries per run of elu_plus_one (256 KB in float64, cache-sized)
+
+
 def elu_plus_one(x: np.ndarray) -> np.ndarray:
     """ELU(x) + 1 = x + 1 for x > 0, exp(x) otherwise; strictly positive.
 
     Evaluated as exp(min(x, 0)) + max(x, 0) in one output array: one side of
     the sum is exactly 1 or 0, so every entry (NaN, signed zeros and
-    infinities included) is bitwise that of the two-branch form.
+    infinities included) is bitwise that of the two-branch form. A
+    C-contiguous float64 array goes through _elu_into, so it allocates only
+    its output and one scratch run.
     """
+    x = np.asarray(x)
+    if _elu_runs(x):
+        return _elu_into(x, np.empty(x.shape))
     out = np.asarray(np.minimum(x, 0.0))  # a 0-d input gives a scalar, not an array
     np.exp(out, out=out)
     out += np.maximum(x, 0.0)
+    return out
+
+
+def _elu_runs(x: np.ndarray) -> bool:
+    """Whether _elu_into takes x: float64, C-contiguous, at least rank 1."""
+    return x.dtype == np.float64 and x.ndim >= 1 and x.flags.c_contiguous
+
+
+def _elu_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """elu_plus_one(x) written into out, a C-contiguous float64 array of x's shape.
+
+    x (see _elu_runs) passes in cache-sized runs of _ELU_CHUNK entries, each
+    through the same three ufuncs as elu_plus_one's, with one scratch run
+    for max(x, 0).
+    """
+    flat, dest = x.reshape(-1), out.reshape(-1)
+    scratch = np.empty(min(x.size, _ELU_CHUNK))
+    for lo in range(0, x.size, _ELU_CHUNK):
+        part, run = flat[lo : lo + _ELU_CHUNK], dest[lo : lo + _ELU_CHUNK]
+        np.minimum(part, 0.0, out=run)
+        np.exp(run, out=run)
+        run += np.maximum(part, 0.0, out=scratch[: run.size])
     return out
 
 
@@ -427,12 +457,12 @@ def linear_attention(q, k, v) -> Tensor:
     return generalized_attention(q, k, v, KernelSpec.linear())
 
 
-def _associative(a: np.ndarray, b: np.ndarray, v: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """(a @ (b.T @ v)) / den rowwise: the O(n d^2) order of (a b^T / den) v.
+def _associative(a: np.ndarray, bv: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """(a @ bv) / den rowwise, with bv = b.T @ v: the O(n d^2) order of (a b^T / den) v.
 
     den has shape (n, 1). No n x n array is formed (Katharopoulos et al. 2020).
     """
-    out = a @ (b.T @ v)
+    out = a @ bv
     out /= den
     return out
 
@@ -444,11 +474,14 @@ def linear_attention_fast(q, k, v) -> Tensor:
     quadratic form up to accumulation order.
     """
     q, k, v = _qkv(q, k, v)
-    u, w = elu_plus_one(q), elu_plus_one(k)
-    den = u @ w.sum(axis=0)
+    w = elu_plus_one(k)
+    w_sum, wv = w.sum(axis=0), w.T @ v
+    # once w is summed and applied, its buffer can take u (same shape and layout)
+    u = _elu_into(q, w) if _elu_runs(q) and w.flags.c_contiguous else elu_plus_one(q)
+    den = u @ w_sum
     if np.any(np.abs(den) <= _EPSILON):
         raise KernelDomainError(f"linear attention denominator underflowed past {_EPSILON}")
-    return Tensor._own(_associative(u, w, v, den[:, None]))
+    return Tensor._own(_associative(u, wv, den[:, None]))
 
 
 def focused_attention_coefficients(q, k) -> Tensor:
@@ -487,10 +520,15 @@ def window_attention(q, k, v, win: WindowSpec, kernel: KernelSpec | None = None)
     each row's coefficients do not depend on the total sequence length. Every
     kernel runs batched over the blocks.
     """
-    kernel = kernel or KernelSpec.softmax()
     q, k, v = _qkv(q, k, v)
+    return Tensor._own(_window_values(q, k, v, win, kernel or KernelSpec.softmax()))
+
+
+def _window_values(q: np.ndarray, k: np.ndarray, v: np.ndarray, win: WindowSpec,
+                   kernel: KernelSpec) -> np.ndarray:
+    """window_attention's output as a fresh (n, d) array the caller owns."""
     coeff = _block_coefficients(_blocks(q, win.w), _blocks(k, win.w), kernel)
-    return Tensor._own(_unblock(coeff @ _blocks(v, win.w)))
+    return _unblock(coeff @ _blocks(v, win.w))
 
 
 def _block_mean(x: np.ndarray, block: int) -> np.ndarray:
@@ -514,12 +552,15 @@ def homogeneous_mix(v) -> Tensor:
 def sema_attention(q, k, v, win: WindowSpec, kernel: KernelSpec | None = None) -> Tensor:
     """Window attention plus homogeneous mixing.
 
-    Computed literally as window_attention(...) + homogeneous_mix(v), so the
-    decomposition sema == window + mix holds with zero floating-point diff.
-    The default kernel is window softmax (phi=exp, identity features).
+    Computed literally as window_attention(...) + homogeneous_mix(v), the mix
+    added in place to the window output, so the decomposition sema == window
+    + mix holds with zero floating-point diff. The default kernel is window
+    softmax (phi=exp, identity features).
     """
-    wa = window_attention(q, k, v, win, kernel)
-    return Tensor._own(wa.array + homogeneous_mix(v).array)
+    q, k, v = _qkv(q, k, v)
+    out = _window_values(q, k, v, win, kernel or KernelSpec.softmax())
+    out += homogeneous_mix(v).array
+    return Tensor._own(out)
 
 
 def _mila_weights(u: np.ndarray, w: np.ndarray, angles: np.ndarray | None) -> np.ndarray:
@@ -546,7 +587,7 @@ def _mila_forward(u: np.ndarray, w: np.ndarray, v: np.ndarray, angles: np.ndarra
     """
     ru, rw = rotate_pairs(u, angles), rotate_pairs(w, angles)
     den = (u @ w.sum(axis=0))[:, None] + _EPSILON
-    return _associative(ru, rw, v, den), ru, rw, den
+    return _associative(ru, rw.T @ v, den), ru, rw, den
 
 
 def mila_coefficients(q, k, grid: GridSpec | None = None, gated: bool = False,

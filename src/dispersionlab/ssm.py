@@ -114,20 +114,31 @@ def ssm_scan(p: SsmParams, x) -> tuple[list[Tensor], Tensor]:
     """Iterate the recursion; returns every hidden state and the outputs."""
     x = as_array(x)
     _check_x(p, x)
+    inject, skip = _injections(p, x), p.D[0] * x
     h = p.h0
     h_seq, y = [], np.empty_like(x)
     for i in range(p.n):
-        inject = p.B[i] @ (p.Delta[i] * x[i])[None, :]  # (d_state, C)
-        h = p.A_tilde[i] * h + inject
+        h = p.A_tilde[i] * h + inject[i]
         h_seq.append(Tensor._own(h))
-        y[i] = (p.C_out[i] @ h)[0] + p.D[0] * x[i]
+        y[i] = (p.C_out[i] @ h)[0] + skip[i]
     return h_seq, Tensor._own(y)
+
+
+def _injections(p: SsmParams, x: np.ndarray, m: int | None = None) -> np.ndarray:
+    """(m, d_state, C) table of the first m inputs B_i (Delta_i (*) x_i); all n by default.
+
+    Each entry of the outer product is one product, so this is bitwise the
+    matmul B_i @ (Delta_i (*) x_i)[None, :], whose sum starts from +0: adding
+    0.0 turns a product's -0 into that +0.
+    """
+    return p.B[:m] * (p.Delta[:m] * x[:m])[:, None, :] + 0.0
 
 
 def _suffix_products(p: SsmParams, m: int) -> np.ndarray:
     """(m + 1, d_state, C) table: s[i] = A[i] (*) ... (*) A[m - 1], s[m] = ones."""
-    s = np.ones((m + 1, p.d_state, p.channels))
-    s[:m] = np.cumprod(p.A_tilde[m - 1::-1], axis=0)[::-1]  # grown backwards from A[m - 1]
+    s = np.empty((m + 1, p.d_state, p.channels))
+    s[m] = 1.0
+    np.cumprod(p.A_tilde[m - 1::-1], axis=0, out=s[m - 1::-1])  # grown backwards from A[m - 1]
     return s
 
 
@@ -144,10 +155,12 @@ def ssm_closed_form(p: SsmParams, x, m: int) -> tuple[Tensor, Tensor]:
         raise IndexError(f"m must be in 1..{p.n}, got {m}")
     s = _suffix_products(p, m)
     homogeneous = s[0] * p.h0  # s[0] = prod of all m factors
-    inject = p.B[:m] @ (p.Delta[:m] * x[:m])[:, None, :]  # (m, d_state, C)
+    inject = _injections(p, x, m)
     # the last cumsum row adds the terms one at a time in step order, as a loop
     # would; a plain sum(axis=0) may pair them and move the last bit
-    driven = np.cumsum(s[1:] * inject, axis=0)[-1]
+    terms = s[1:]
+    terms *= inject
+    driven = np.cumsum(terms, axis=0)[-1]
     h_m = homogeneous + driven
     y_m = (p.C_out[m - 1] @ homogeneous)[0] + (p.C_out[m - 1] @ driven)[0] + p.D[0] * x[m - 1]
     return Tensor._own(h_m), Tensor._own(y_m[None, :])
@@ -196,13 +209,15 @@ def mamba_as_attention(p: SsmParams, x) -> Tensor:
     _check_x(p, x)
     if np.any(p.h0 != 0):
         raise PreconditionError("the attention rewriting assumes h0 = 0")
-    v = p.Delta * x  # (n, C)
+    v, skip = p.Delta * x, p.D[0] * x  # (n, C) each
     y = np.empty_like(x)
     for m in range(1, p.n + 1):
-        keys = _suffix_products(p, m)[1:] * p.B[:m]  # (m, d_state, C)
-        terms = p.C_out[m - 1] @ (keys * v[:m, None, :])  # (m, 1, C)
+        keys = _suffix_products(p, m)[1:]  # (m, d_state, C), times B_i and then v_i
+        keys *= p.B[:m]
+        keys *= v[:m, None, :]
+        terms = p.C_out[m - 1] @ keys  # (m, 1, C)
         # summed one term at a time from key m down to key 1 (see ssm_closed_form)
-        y[m - 1] = np.cumsum(terms[::-1], axis=0)[-1, 0] + p.D[0] * x[m - 1]
+        y[m - 1] = np.cumsum(terms[::-1], axis=0)[-1, 0] + skip[m - 1]
     return Tensor._own(y)
 
 

@@ -38,10 +38,11 @@ class Tensor:
         arr = data.array if type(data) is _Fresh else np.array(data, np.float64, order="C")
         if arr.ndim < 1 or arr.ndim > 4:
             raise DimensionError(f"rank must be 1..4, got shape {arr.shape}")
-        if any(s <= 0 for s in arr.shape):
+        if 0 in arr.shape:
             raise DimensionError(f"all dimensions must be positive, got {arr.shape}")
-        # a broadcast view repeats its values along zero-stride axes; read each once
-        distinct = arr[tuple(slice(None) if st else slice(1) for st in arr.strides)]
+        distinct = arr
+        if 0 in arr.strides:  # a broadcast view repeats values along such axes; read each once
+            distinct = arr[tuple(slice(None) if st else slice(1) for st in arr.strides)]
         if not np.isfinite(distinct).all():
             raise ValueError("tensor values must be finite")
         arr.flags.writeable = False

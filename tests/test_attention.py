@@ -246,8 +246,13 @@ class TestEluPlusOne:
         payload_nans = np.array([0x7FF8000000000001, 0xFFF8000000000123, 0x7FF4000000000000],
                                 dtype=np.uint64).view(np.float64)
         rng = np.random.default_rng(33)
+        # more than 2^15 entries, so it goes through in cache-sized runs, with the
+        # specials spread over every run; then the same values F-ordered and strided
+        long = rng.standard_normal((3001, 17)) * 30
+        long.flat[rng.choice(long.size, 400, replace=False)] = np.resize(special, 400)
         for x in (rng.standard_normal((257, 16)) * 30, rng.standard_normal(7), np.array(-0.5),
-                  np.concatenate([special, payload_nans])):
+                  np.concatenate([special, payload_nans]), long, np.asfortranarray(long),
+                  long[::2, 1:]):
             with np.errstate(invalid="ignore"):  # the signalling NaN, in both forms
                 want = np.where(x > 0, x + 1.0, np.exp(np.minimum(x, 0.0)))
                 got = elu_plus_one(x)
@@ -274,6 +279,22 @@ class TestLinearAttention:
         quad = linear_attention(q, k, v).array
         fast = linear_attention_fast(q, k, v).array
         assert np.abs(quad - fast).max() < 1e-10
+
+    @pytest.mark.parametrize("layout", ["fresh", "self", "fortran_q", "fortran_k", "strided"])
+    def test_bitwise_equal_to_two_feature_form(self, layout):
+        # 1,100 x 40 features pass elu_plus_one in runs, and u reuses w's buffer
+        rng = np.random.default_rng(14)
+        q, k, v = rng.standard_normal((3, 2200, 40))
+        q, k, v = {"fresh": (q[:1100], k[:1100], v[:1100]),
+                   "self": (q[:1100], q[:1100], v[:1100]),
+                   "fortran_q": (np.asfortranarray(q[:1100]), k[:1100], v[:1100]),
+                   "fortran_k": (q[:1100], np.asfortranarray(k[:1100]), v[:1100]),
+                   "strided": (q[::2], k[1::2], v[::2])}[layout]
+        u, w = (np.exp(np.minimum(a, 0.0)) + np.maximum(a, 0.0) for a in (q, k))
+        want = u @ (w.T @ v)
+        want /= (u @ w.sum(axis=0))[:, None]
+        got = linear_attention_fast(q, k, v).array
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_matches_generalized(self):
         rng = np.random.default_rng(12)

@@ -211,6 +211,30 @@ class TestThreeForms:
             assert np.array_equal(y_attn[m - 1], acc + p.D[0] * x[m - 1])
 
 
+    def test_signed_zero_injections(self):
+        """Zero inputs inject +0, as the matmul B_i @ (Delta_i x_i) does, so a -0 in h0 turns +0."""
+        rng = rng_for(21, "signed-zeros")
+        n, d_state, channels = 6, 3, 4
+        p = make_params(rng, n=n, d_state=d_state, channels=channels)
+        B = p.B.copy()
+        B[::2] = -0.0
+        p = SsmParams(p.A_tilde, B, p.C_out, p.D, p.Delta, np.full((d_state, channels), -0.0))
+        x = rng.standard_normal((n, channels))
+        x[1::2, ::2] = 0.0
+        inject = p.B @ (p.Delta * x)[:, None, :]
+        h = p.h0
+        h_seq, _ = ssm_scan(p, x)
+        for m in range(1, n + 1):
+            h = p.A_tilde[m - 1] * h + inject[m - 1]
+            np.testing.assert_array_equal(h_seq[m - 1].array.view(np.uint64), h.view(np.uint64))
+            s = np.ones((m + 1, d_state, channels))  # the suffix products, grown from A[m - 1]
+            s[:m] = np.cumprod(p.A_tilde[m - 1::-1], axis=0)[::-1]
+            closed = s[0] * p.h0 + np.cumsum(s[1:] * inject[:m], axis=0)[-1]
+            got = ssm_closed_form(p, x, m)[0].array
+            np.testing.assert_array_equal(got.view(np.uint64), closed.view(np.uint64))
+        assert not np.signbit(h_seq[0].array).any()  # no -0 survives the first step
+
+
 class TestFormsMaxDiff:
     """The triple check must see a fault in each of its three comparisons."""
 
