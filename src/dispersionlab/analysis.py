@@ -16,17 +16,20 @@ _variant_cell by name.
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import math
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .attention import (KernelSpec, WindowSpec, phi_values, _apply_psi, _blocks, _EPSILON,
-                        _phi_rows, _row_blocks, _row_fold, _ROW_TILE)
+from .attention import (KernelSpec, WindowSpec, homogeneous_mix, linear_attention_fast, phi_values,
+                        sema_attention, softmax_attention, window_attention, _apply_psi, _blocks,
+                        _EPSILON, _phi_rows, _row_blocks, _row_fold, _ROW_TILE)
 from .errors import BoundViolationError, ConfigurationError, DimensionError, KernelDomainError
 from .rng import rng_for
 
@@ -326,14 +329,21 @@ def remark_counterexample(n: int) -> tuple[float, float]:
     return 1.0 / partial, 6.0 / math.pi**2
 
 
-_COMPLEXITY_VARIANTS = ("full", "window", "homogeneous_mix", "sema", "linear")
+# Each complexity_estimate cost model and a (q, k, v, w) call of the kernel it counts
+TIMED_KERNELS = {
+    "full": lambda q, k, v, w: softmax_attention(q, k, v),
+    "window": lambda q, k, v, w: window_attention(q, k, v, WindowSpec(w)),
+    "homogeneous_mix": lambda q, k, v, w: homogeneous_mix(v),
+    "sema": lambda q, k, v, w: sema_attention(q, k, v, WindowSpec(w)),
+    "linear": lambda q, k, v, w: linear_attention_fast(q, k, v),
+}
 
 
 def complexity_estimate(variant: str, n: int, d: int, w: int | None = None) -> int:
     """Closed-form multiply-add count of coefficient computation plus value
     aggregation (projections and the exp/divide of normalization excluded)."""
-    if variant not in _COMPLEXITY_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}, choose from {_COMPLEXITY_VARIANTS}")
+    if variant not in TIMED_KERNELS:
+        raise ValueError(f"unknown variant {variant!r}, choose from {tuple(TIMED_KERNELS)}")
     if n < 1 or d < 1:
         raise ValueError("n and d must be positive")
     if variant in ("window", "sema"):
@@ -399,3 +409,38 @@ def instrumented_counts(variant: str, n: int, d: int, w: int | None = None) -> i
                     count += 1  # query contraction q[i,a]*S[a,b]
         return count
     raise ValueError(f"unknown variant {variant!r}")
+
+
+def scaling_fit(kernels, n_values: list[int], d: int, w: int, seed: int) -> tuple[dict, dict, dict]:
+    """CPU-time scaling of the named TIMED_KERNELS, with their counter check.
+
+    At each n the kernels share one seeded (q, k, v) draw and run in the order
+    given: gc.collect(), one warm-up call, then the minimum process CPU time
+    over max(5, 2**22 // n**2) calls (the minimum is the least noisy estimate,
+    and CPU time leaves out what the host gives other processes). Returns
+    (seconds, exponents, counters) keyed by name: the times per n, the polyfit
+    slope of log time against log n, and whether complexity_estimate equals
+    instrumented_counts at n = 64.
+    """
+    if len(set(kernels)) != len(kernels):
+        raise ValueError(f"repeated kernel name in {list(kernels)}")
+    counters = {name: complexity_estimate(name, 64, d, w) == instrumented_counts(name, 64, d, w)
+                for name in kernels}  # checks every name and w before any timing
+    seconds = {name: [] for name in kernels}
+    for n in n_values:
+        q, k, v = rng_for(seed, "scaling-fit", n).standard_normal((3, n, d))
+        repeats = max(5, (1 << 22) // (n * n))
+        for name in kernels:
+            fn = TIMED_KERNELS[name]
+            gc.collect()
+            fn(q, k, v, w)  # warm-up: exclude first-call allocation noise
+            reps = []
+            for _ in range(repeats):
+                t0 = time.process_time()
+                fn(q, k, v, w)
+                reps.append(time.process_time() - t0)
+            seconds[name].append(min(reps))
+    logs = np.log(n_values)
+    exponents = {name: float(np.polyfit(logs, np.log(times), 1)[0])
+                 for name, times in seconds.items()}
+    return seconds, exponents, counters

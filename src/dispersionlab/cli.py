@@ -5,8 +5,8 @@ producing CSV/JSON plot data (no rendered images). ``_save_run`` writes every
 run's files and a manifest.json recording the subcommand, the argument
 snapshot, the seed, the library and numpy versions and the thread variables;
 rerunning with identical arguments and thread settings reproduces the outputs
-byte for byte (timestamps live only in the manifest, and wall-clock timings
-in bench.csv are measurements, not derived data). ``main`` creates --out
+byte for byte (timestamps live only in the manifest, and the CPU-time
+measurements in bench.csv are not derived data). ``main`` creates --out
 before any computation, so an unusable path is one error line.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 scientific check
@@ -24,28 +24,20 @@ import json
 import os
 import shlex
 import sys
-import time
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import __version__
 from .analysis import (
+    TIMED_KERNELS,
     VARIANTS,
     BoundedSampler,
     complexity_estimate,
-    instrumented_counts,
     measure_dispersion,
+    scaling_fit,
 )
-from .attention import (
-    KernelSpec,
-    WindowSpec,
-    homogeneous_mix,
-    linear_attention_fast,
-    sema_attention,
-    softmax_attention,
-    window_attention,
-)
+from .attention import KernelSpec, WindowSpec
 from .errors import BoundViolationError, ConfigurationError, DispersionLabError, TrainingError
 from .model import (
     ModelConfig,
@@ -272,64 +264,26 @@ def cmd_gradcheck(args) -> int:
 # bench
 
 
-_BENCH_FNS = {
-    "full": lambda q, k, v, w: softmax_attention(q, k, v),
-    "window": lambda q, k, v, w: window_attention(q, k, v, WindowSpec(w)),
-    "sema": lambda q, k, v, w: sema_attention(q, k, v, WindowSpec(w)),
-    "linear": lambda q, k, v, w: linear_attention_fast(q, k, v),
-    "mix": lambda q, k, v, w: homogeneous_mix(v),
-}
-
-_BENCH_COUNT_NAMES = {"full": "full", "window": "window", "sema": "sema",
-                      "linear": "linear", "mix": "homogeneous_mix"}
-
-
 def cmd_bench(args) -> int:
     variants = args.variants.split(",")
     for variant in variants:
-        if variant not in _BENCH_FNS:
+        if variant not in TIMED_KERNELS:
             raise _UsageError(f"unknown bench variant {variant!r}")
+    if len(set(variants)) != len(variants):
+        raise _UsageError(f"--variants {args.variants!r} names a variant twice")
     n_values = _parse_n_list(args.n)
     if {"window", "sema"} & set(variants) and any(n % args.w for n in (64, *n_values)):
         raise _UsageError(f"--w {args.w} must divide every --n value and 64, the n of the "
                           "counter check")
-    rows, exponents = [], {}
-    for variant in variants:
-        times = []
-        for n in n_values:
-            rng = rng_for(args.seed, "bench", variant, n)
-            q = rng.standard_normal((n, args.d))
-            k = rng.standard_normal((n, args.d))
-            v = rng.standard_normal((n, args.d))
-            fn = _BENCH_FNS[variant]
-            fn(q, k, v, args.w)  # warmup: exclude first-call allocation noise
-            reps = []
-            for _ in range(args.repeats):
-                t0 = time.perf_counter()
-                fn(q, k, v, args.w)
-                reps.append(time.perf_counter() - t0)
-            seconds = float(np.median(reps))
-            times.append(seconds)
-            madds = complexity_estimate(_BENCH_COUNT_NAMES[variant], n, args.d,
-                                        args.w if variant in ("window", "sema") else None)
-            rows.append({"variant": variant, "n": n, "seconds": seconds, "madds": madds})
-        exponents[variant] = float(np.polyfit(np.log(n_values), np.log(times), 1)[0])
-        print(f"{variant:8s} time exponent {exponents[variant]:+.3f}")
-
-    # verify the analytic counters against loop-instrumented counts at n=64
-    counters_match = True
-    for variant in variants:
-        name = _BENCH_COUNT_NAMES[variant]
-        w = args.w if variant in ("window", "sema") else None
-        analytic = complexity_estimate(name, 64, args.d, w)
-        measured = instrumented_counts(name, 64, args.d, w)
-        if analytic != measured:
-            counters_match = False
-            print(f"counter mismatch for {variant}: analytic {analytic} vs "
-                  f"instrumented {measured}", file=sys.stderr)
-
+    seconds, exponents, counters = scaling_fit(variants, n_values, args.d, args.w, args.seed)
     csv_lines = ["variant,n,seconds,madds"]
-    csv_lines += [f"{r['variant']},{r['n']},{r['seconds']!r},{r['madds']}" for r in rows]
+    for variant in variants:
+        print(f"{variant:8s} time exponent {exponents[variant]:+.3f}")
+        if not counters[variant]:
+            print(f"counter mismatch for {variant} at n = 64", file=sys.stderr)
+        csv_lines += [f"{variant},{n},{t!r},{complexity_estimate(variant, n, args.d, args.w)}"
+                      for n, t in zip(n_values, seconds[variant])]
+    counters_match = all(counters.values())
     _save_run(args, args.seed, {
         "bench.csv": "\n".join(csv_lines) + "\n",
         "summary.json": _json({"exponents": exponents, "counters_match": counters_match}),
@@ -438,12 +392,11 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=_seed, default=7)
     p.add_argument("--out")
 
-    p = sub.add_parser("bench", help="wall-time scaling and multiply-add counters")
+    p = sub.add_parser("bench", help="CPU-time scaling and multiply-add counters")
     p.add_argument("--variants", default="sema,full")
     p.add_argument("--n", default="256..8192")
     p.add_argument("--d", type=_positive_int, default=16)
     p.add_argument("--w", type=_positive_int, default=8)
-    p.add_argument("--repeats", type=_positive_int, default=3)
     p.add_argument("--seed", type=_seed, default=42)
     p.add_argument("--out", default="out/bench")
 

@@ -14,10 +14,9 @@ import pytest
 from dispersionlab import autograd as ag
 from dispersionlab.analysis import (
     BoundedSampler,
-    complexity_estimate,
-    instrumented_counts,
     measure_dispersion,
     remark_counterexample,
+    scaling_fit,
 )
 from dispersionlab.attention import (
     WindowSpec,
@@ -179,39 +178,13 @@ def test_criterion_07_gradchecks_all_variants():
 
 
 def test_criterion_08_complexity_scaling():
-    import gc
-
-    n_values = [256, 512, 1024, 2048, 4096, 8192]
-    d, w = 64, 8  # head-dim-scale width keeps compute above dispatch overhead
-    times = {"sema": [], "full": []}
-    for n in n_values:
-        rng = rng_for(42, "acceptance-bench", n)
-        q, k, v = rng.standard_normal((3, n, d))
-        repeats = max(5, (1 << 22) // (n * n))  # more reps where calls are short
-        for name, fn in (("sema", lambda: sema_attention(q, k, v, WindowSpec(w))),
-                         ("full", lambda: softmax_attention(q, k, v))):
-            gc.collect()
-            fn()  # warmup: exclude first-call allocation noise
-            reps = []
-            for _ in range(repeats):
-                # CPU time of this process, on the one BLAS thread conftest pins:
-                # time the host gives other tenants is not counted
-                t0 = time.process_time()
-                fn()
-                reps.append(time.process_time() - t0)
-            # the minimum is the least noise-contaminated estimate of cost
-            times[name].append(min(reps))
-    logs = np.log(n_values)
-    sema_exp = float(np.polyfit(logs, np.log(times["sema"]), 1)[0])
-    full_exp = float(np.polyfit(logs, np.log(times["full"]), 1)[0])
-    assert 0.9 <= sema_exp <= 1.3, sema_exp
-    assert 1.7 <= full_exp <= 2.3, full_exp
-
-    for variant, ww in (("full", None), ("window", w), ("homogeneous_mix", None),
-                        ("sema", w), ("linear", None)):
-        assert complexity_estimate(variant, 64, d, ww) == instrumented_counts(variant, 64, d, ww)
-    report(8, f"CPU-time exponents sema {sema_exp:+.2f} in [0.9, 1.3], "
-              f"full {full_exp:+.2f} in [1.7, 2.3]; counters match at n=64")
+    # d = 64 keeps compute above dispatch overhead; CPU time on the one BLAS thread conftest pins
+    _, exps, counters = scaling_fit(("sema", "full"), [256, 512, 1024, 2048, 4096, 8192], 64, 8, 42)
+    assert 0.9 <= exps["sema"] <= 1.3, exps["sema"]
+    assert 1.7 <= exps["full"] <= 2.3, exps["full"]
+    assert all(counters.values()), counters
+    report(8, f"CPU-time exponents sema {exps['sema']:+.2f} in [0.9, 1.3], "
+              f"full {exps['full']:+.2f} in [1.7, 2.3]; counters match at n=64")
 
 
 def test_criterion_09_receptive_field():

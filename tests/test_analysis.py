@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from dispersionlab import analysis, attention
 from dispersionlab.analysis import (
+    TIMED_KERNELS,
     VARIANTS,
     BoundedSampler,
     DispersionReport,
@@ -23,6 +24,7 @@ from dispersionlab.analysis import (
     instrumented_counts,
     measure_dispersion,
     remark_counterexample,
+    scaling_fit,
 )
 from dispersionlab.attention import KernelSpec, WindowSpec
 from dispersionlab.errors import BoundViolationError, ConfigurationError, KernelDomainError
@@ -366,11 +368,12 @@ class TestComplexity:
         d, w = 16, 8
         assert complexity_estimate("sema", 128, d, w) == 2 * complexity_estimate("sema", 64, d, w)
 
+    @pytest.mark.parametrize("d", [16, 64])  # 64: criterion 08's width
     @pytest.mark.parametrize("variant,w", [("full", None), ("window", 8),
                                            ("homogeneous_mix", None), ("sema", 8),
                                            ("linear", None)])
-    def test_matches_instrumented_counter(self, variant, w):
-        assert complexity_estimate(variant, 64, 16, w) == instrumented_counts(variant, 64, 16, w)
+    def test_matches_instrumented_counter(self, variant, w, d):
+        assert complexity_estimate(variant, 64, d, w) == instrumented_counts(variant, 64, d, w)
 
     def test_window_requires_w(self):
         with pytest.raises(ValueError):
@@ -379,3 +382,39 @@ class TestComplexity:
     def test_full_counts_quadratic(self):
         assert complexity_estimate("full", 64, 16) == 2 * 64 * 64 * 16
         assert complexity_estimate("linear", 64, 16) == 2 * 64 * 16 * 16
+
+    def test_unknown_name_lists_the_registry(self):
+        with pytest.raises(ValueError, match="'mix'") as info:
+            complexity_estimate("mix", 64, 16)
+        assert all(repr(name) in str(info.value) for name in TIMED_KERNELS)
+
+
+class TestTimedKernels:
+    DIRECT = {
+        "full": lambda q, k, v: attention.softmax_attention(q, k, v),
+        "window": lambda q, k, v: attention.window_attention(q, k, v, WindowSpec(8)),
+        "homogeneous_mix": lambda q, k, v: attention.homogeneous_mix(v),
+        "sema": lambda q, k, v: attention.sema_attention(q, k, v, WindowSpec(8)),
+        "linear": lambda q, k, v: attention.linear_attention_fast(q, k, v),
+    }
+
+    def test_every_registry_name_is_covered(self):
+        assert list(TIMED_KERNELS) == list(self.DIRECT)
+
+    @pytest.mark.parametrize("name", list(DIRECT))
+    def test_registry_call_is_the_public_kernel(self, name):
+        q, k, v = rng_for(0, "timed-kernels", name).standard_normal((3, 64, 8))
+        direct = self.DIRECT[name](q, k, v).array
+        assert np.array_equal(TIMED_KERNELS[name](q, k, v, 8).array, direct)
+        assert complexity_estimate(name, 64, 8, 8) == instrumented_counts(name, 64, 8, 8)
+
+    def test_scaling_fit_smoke(self):
+        names = ("linear", "sema", "full")
+        seconds, exponents, counters = scaling_fit(names, [64, 128, 256], 8, 8, 0)
+        assert list(seconds) == list(exponents) == list(counters) == list(names)
+        assert all(len(times) == 3 and min(times) > 0 for times in seconds.values())
+        assert all(counters.values())
+
+    def test_scaling_fit_rejects_a_repeated_name(self):
+        with pytest.raises(ValueError, match="repeated"):
+            scaling_fit(("sema", "sema"), [64, 128, 256], 8, 8, 0)

@@ -70,6 +70,18 @@ class TestExitCodes:
                                  "--out", str(out)], capsys, f"--w {w}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("variants,flag", [("sema,sema", "--variants"),
+                                               ("full,window,full", "--variants"),
+                                               ("mix", "'mix'")])
+    def test_bench_repeated_or_unknown_variant_is_usage_error(self, variants, flag, tmp_path,
+                                                              capsys):
+        # sema,sema printed two exponent lines and six CSV rows, and summary.json kept one;
+        # mix was bench's name for homogeneous_mix
+        out = tmp_path / "bench"
+        self.assert_usage_error(["bench", "--variants", variants, "--n", "64,128,256",
+                                 "--out", str(out)], capsys, flag)
+        assert not out.exists()
+
     def test_failed_run_removes_every_level_of_out_it_made(self, tmp_path, capsys):
         # only the last level went, leaving an empty tmp_path/new behind
         existing = tmp_path / "t"
@@ -330,7 +342,7 @@ class TestBench:
     def test_small_bench_with_counter_check(self, tmp_path):
         out = str(tmp_path / "bench")
         code = main(["bench", "--variants", "sema,full", "--n", "64,128,256",
-                     "--d", "8", "--w", "4", "--repeats", "1", "--out", out])
+                     "--d", "8", "--w", "4", "--out", out])
         assert code == 0
         lines = read(os.path.join(out, "bench.csv")).strip().splitlines()
         assert lines[0] == "variant,n,seconds,madds"
