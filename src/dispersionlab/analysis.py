@@ -29,25 +29,21 @@ import numpy as np
 
 from .attention import (KernelSpec, WindowSpec, homogeneous_mix, linear_attention_fast, phi_values,
                         sema_attention, softmax_attention, window_attention, _apply_psi, _blocks,
-                        _EPSILON, _phi_rows, _row_blocks, _row_fold, _ROW_TILE)
+                        _EPSILON, _FOCUSED, _LINEAR, _phi_rows, _row_blocks, _row_fold, _ROW_TILE,
+                        _SOFTMAX)
 from .errors import BoundViolationError, ConfigurationError, DimensionError, KernelDomainError
 from .rng import rng_for
 
 VARIANTS = ("softmax", "linear", "focused", "mila", "window")
 
-_DEFAULT_KERNELS = {
-    "softmax": KernelSpec.softmax,
-    "linear": KernelSpec.linear,
-    "focused": KernelSpec.focused,
-    "window": KernelSpec.softmax,
-    "mila": KernelSpec.linear,
-}
+_DEFAULT_KERNELS = {"softmax": _SOFTMAX, "linear": _LINEAR, "focused": _FOCUSED,
+                    "window": _SOFTMAX, "mila": _LINEAR}
 
 
 def default_kernel(variant: str) -> KernelSpec:
     if variant not in _DEFAULT_KERNELS:
         raise ValueError(f"unknown variant {variant!r}, choose from {VARIANTS}")
-    return _DEFAULT_KERNELS[variant]()
+    return _DEFAULT_KERNELS[variant]
 
 
 def coefficient_bounds(kernel: KernelSpec, lo: float, hi: float, n: int,
@@ -232,18 +228,17 @@ def measure_dispersion(variant: str, kernel: KernelSpec | None, sampler: Bounded
     oracle, not advice. The recorded per-n bounds are the loosest per-trial
     bounds. DISPERSION_LAB_THREADS sets the worker count. The MILA cell has
     its own elu+1 features and stabilized ratio, so a MILA sweep takes only
-    KernelSpec.linear().
+    the KernelSpec.linear preset.
     """
     if variant not in VARIANTS:
         raise ValueError(f"cannot sweep variant {variant!r}")
     kernel = kernel or default_kernel(variant)
-    linear = KernelSpec.linear()
-    if variant == "mila" and kernel != linear:
-        pairs = [(f.name, getattr(kernel, f.name), getattr(linear, f.name))
+    if variant == "mila" and kernel != _LINEAR:
+        pairs = [(f.name, getattr(kernel, f.name), getattr(_LINEAR, f.name))
                  for f in fields(KernelSpec)]
         differ = [f"{name} {got!r} (not {want!r})" for name, got, want in pairs if got != want]
         raise ConfigurationError("mila normalizes its logits by their sum; it takes only "
-                                 f"KernelSpec.linear(), got {', '.join(differ)}")
+                                 f"the KernelSpec.linear preset, got {', '.join(differ)}")
     n_values = [int(n) for n in n_values]
     if any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise ValueError("n_values must be strictly ascending")

@@ -6,7 +6,8 @@ block (window, SEMA). Each op has a ``*_coefficients`` companion returning
 the raw weight matrix: the tests' oracle and perfbench's reference. The
 dispersion analysis streams its own cells through ``_row_blocks`` and
 ``_phi_rows`` (phi and its domain checks, without the division that
-``_normalize`` adds) and never builds that matrix.
+``_normalize`` adds) and never builds that matrix. ``_blocked_values`` is the
+one windowed forward of window_attention, sema_attention and the tape's blocked ops.
 """
 
 from __future__ import annotations
@@ -120,6 +121,7 @@ class WindowSpec:
             raise ValueError("window size must be >= 1")
 
 
+_SOFTMAX, _LINEAR, _FOCUSED = KernelSpec.softmax(), KernelSpec.linear(), KernelSpec.focused()
 _ELU_CHUNK = 1 << 15  # entries per run of elu_plus_one (256 KB in float64, cache-sized)
 
 
@@ -383,6 +385,13 @@ def _block_coefficients(qb: np.ndarray, kb: np.ndarray, kernel: KernelSpec,
     return _normalize(kernel, qb @ np.swapaxes(kb, -1, -2))
 
 
+def _blocked_values(q, k, v, kernel: KernelSpec, block: int, heads: int = 1, featured=False):
+    """Attention inside row blocks, per head: (a fresh (n, heads * d) output, its weights)."""
+    coeff = _block_coefficients(_blocks(q, block, heads), _blocks(k, block, heads), kernel,
+                                featured)
+    return _unblock(coeff @ _blocks(v, block, heads)), coeff
+
+
 def generalized_attention_coefficients(q, k, kernel: KernelSpec) -> Tensor:
     """The n x n phi-normalized weight matrix of generalized attention."""
     q, k = _qkv(q, k)
@@ -390,7 +399,7 @@ def generalized_attention_coefficients(q, k, kernel: KernelSpec) -> Tensor:
 
 
 def softmax_attention_coefficients(q, k) -> Tensor:
-    return generalized_attention_coefficients(q, k, KernelSpec.softmax())
+    return generalized_attention_coefficients(q, k, _SOFTMAX)
 
 
 _CHUNK_BUDGET = 1 << 19  # entries per streamed logit block (4 MB in float64)
@@ -445,16 +454,16 @@ def generalized_attention(q, k, v, kernel: KernelSpec) -> Tensor:
 
 def softmax_attention(q, k, v) -> Tensor:
     """Vanilla full attention via the matrix route softmax(q k^T) v."""
-    return generalized_attention(q, k, v, KernelSpec.softmax())
+    return generalized_attention(q, k, v, _SOFTMAX)
 
 
 def linear_attention_coefficients(q, k) -> Tensor:
-    return generalized_attention_coefficients(q, k, KernelSpec.linear())
+    return generalized_attention_coefficients(q, k, _LINEAR)
 
 
 def linear_attention(q, k, v) -> Tensor:
     """Linear attention (elu+1 features, identity kernel), quadratic form."""
-    return generalized_attention(q, k, v, KernelSpec.linear())
+    return generalized_attention(q, k, v, _LINEAR)
 
 
 def _associative(a: np.ndarray, bv: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -485,7 +494,7 @@ def linear_attention_fast(q, k, v) -> Tensor:
 
 
 def focused_attention_coefficients(q, k) -> Tensor:
-    return generalized_attention_coefficients(q, k, KernelSpec.focused())
+    return generalized_attention_coefficients(q, k, _FOCUSED)
 
 
 def focused_attention(q, k, v, dwc: DepthwiseKernel | None = None,
@@ -497,7 +506,7 @@ def focused_attention(q, k, v, dwc: DepthwiseKernel | None = None,
     omits the convolution.
     """
     q, k, v = _qkv(q, k, v)
-    out = _global_attention(q, k, v, KernelSpec.focused())
+    out = _global_attention(q, k, v, _FOCUSED)
     if dwc is not None:
         grid = grid or GridSpec.linear(v.shape[0])
         out = out + depthwise_conv_grid(v, dwc.taps, grid.height, grid.width)
@@ -507,9 +516,8 @@ def focused_attention(q, k, v, dwc: DepthwiseKernel | None = None,
 def window_attention_coefficients(q, k, win: WindowSpec,
                                   kernel: KernelSpec | None = None) -> Tensor:
     """Per-row weights over the row's own window: an n x w matrix."""
-    kernel = kernel or KernelSpec.softmax()
     q, k = _qkv(q, k)
-    coeff = _block_coefficients(_blocks(q, win.w), _blocks(k, win.w), kernel)
+    coeff = _block_coefficients(_blocks(q, win.w), _blocks(k, win.w), kernel or _SOFTMAX)
     return Tensor._own(coeff.reshape(q.shape[0], win.w))
 
 
@@ -521,14 +529,7 @@ def window_attention(q, k, v, win: WindowSpec, kernel: KernelSpec | None = None)
     kernel runs batched over the blocks.
     """
     q, k, v = _qkv(q, k, v)
-    return Tensor._own(_window_values(q, k, v, win, kernel or KernelSpec.softmax()))
-
-
-def _window_values(q: np.ndarray, k: np.ndarray, v: np.ndarray, win: WindowSpec,
-                   kernel: KernelSpec) -> np.ndarray:
-    """window_attention's output as a fresh (n, d) array the caller owns."""
-    coeff = _block_coefficients(_blocks(q, win.w), _blocks(k, win.w), kernel)
-    return _unblock(coeff @ _blocks(v, win.w))
+    return Tensor._own(_blocked_values(q, k, v, kernel or _SOFTMAX, win.w)[0])
 
 
 def _block_mean(x: np.ndarray, block: int) -> np.ndarray:
@@ -558,7 +559,7 @@ def sema_attention(q, k, v, win: WindowSpec, kernel: KernelSpec | None = None) -
     softmax (phi=exp, identity features).
     """
     q, k, v = _qkv(q, k, v)
-    out = _window_values(q, k, v, win, kernel or KernelSpec.softmax())
+    out = _blocked_values(q, k, v, kernel or _SOFTMAX, win.w)[0]
     out += homogeneous_mix(v).array
     return Tensor._own(out)
 

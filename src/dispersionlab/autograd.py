@@ -8,7 +8,8 @@ no higher derivatives, no checkpointing. A Tape(record=False) keeps no
 history, for forward-only passes.
 
 Each attention variant is one op over its feature maps (SEMA adds the mixing
-op to the window op) whose forward is the numpy kernel of attention.py;
+op to the window op) whose forward is attention.py's: the blocked ops run
+window_attention's _blocked_values and mila_attention its _mila_forward;
 cli.GRADCHECK_VARIANTS composes them.
 
 gradcheck() compares a traced scalar function's backward gradients against
@@ -23,13 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import attention
-from .attention import (KernelSpec, _block_coefficients, _block_mean, _blocks, _row_fold,
-                        _unblock)
+from .attention import (KernelSpec, _block_mean, _blocked_values, _blocks, _LINEAR, _row_fold,
+                        _SOFTMAX, _unblock)
 from .errors import DifferentiationError, DimensionError
 from .posenc import _depthwise_taps_grad, depthwise_conv_grid, rotate_pairs
 from .rng import rng_for
-
-_SOFTMAX, _LINEAR = KernelSpec.softmax(), KernelSpec.linear()
 
 
 @dataclass
@@ -258,9 +257,8 @@ def layer_norm(x, gamma, beta):
 
 
 def _blocked_attention(op: str, kernel: KernelSpec, q, k, v, block: int, heads: int):
-    qb, kb, vb = (_blocks(x.value, block, heads) for x in (q, k, v))
-    coeff = _block_coefficients(qb, kb, kernel, featured=True)
-    return _pair(q, k).push(op, (q.idx, k.idx, v.idx), _unblock(coeff @ vb),
+    out, coeff = _blocked_values(q.value, k.value, v.value, kernel, block, heads, featured=True)
+    return _pair(q, k).push(op, (q.idx, k.idx, v.idx), out,
                             {"coeff": coeff, "block": block, "heads": heads})
 
 

@@ -114,6 +114,18 @@ def _bounded(kind, low: float, noun: str):
     return parse
 
 
+def _names(known):
+    """argparse type accepting a comma list of names from `known`, none named twice."""
+    def parse(text: str) -> list[str]:
+        names = text.split(",")
+        unknown = [name for name in names if name not in known]
+        if unknown or len(set(names)) != len(names):
+            raise argparse.ArgumentTypeError(f"unknown variant {unknown[0]!r}" if unknown
+                                             else f"{text!r} names a variant twice")
+        return names
+    return parse
+
+
 _positive_int = _bounded(int, 0, "positive integer")
 _positive_float = _bounded(float, 0, "positive number")
 _seed = _bounded(int, -1, "seed, an integer >= 0")
@@ -244,11 +256,8 @@ def _gradcheck_case(variant: str, seed: int):
 
 
 def cmd_gradcheck(args) -> int:
-    variants = args.variants.split(",") if args.variants else list(GRADCHECK_VARIANTS)
     rows, all_pass = [], True
-    for variant in variants:
-        if variant not in GRADCHECK_VARIANTS:
-            raise _UsageError(f"unknown variant {variant!r}")
+    for variant in args.variants:
         fn, inputs = _gradcheck_case(variant, args.seed)
         report = ag.gradcheck(fn, inputs, step=args.step, tol=args.tol)
         all_pass &= report.passed
@@ -265,19 +274,13 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    variants = args.variants.split(",")
-    for variant in variants:
-        if variant not in TIMED_KERNELS:
-            raise _UsageError(f"unknown bench variant {variant!r}")
-    if len(set(variants)) != len(variants):
-        raise _UsageError(f"--variants {args.variants!r} names a variant twice")
     n_values = _parse_n_list(args.n)
-    if {"window", "sema"} & set(variants) and any(n % args.w for n in (64, *n_values)):
+    if {"window", "sema"} & set(args.variants) and any(n % args.w for n in (64, *n_values)):
         raise _UsageError(f"--w {args.w} must divide every --n value and 64, the n of the "
                           "counter check")
-    seconds, exponents, counters = scaling_fit(variants, n_values, args.d, args.w, args.seed)
+    seconds, exponents, counters = scaling_fit(args.variants, n_values, args.d, args.w, args.seed)
     csv_lines = ["variant,n,seconds,madds"]
-    for variant in variants:
+    for variant in args.variants:
         print(f"{variant:8s} time exponent {exponents[variant]:+.3f}")
         if not counters[variant]:
             print(f"counter mismatch for {variant} at n = 64", file=sys.stderr)
@@ -386,14 +389,15 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
 
     p = sub.add_parser("gradcheck", help="finite-difference checks per attention variant")
-    p.add_argument("--variants", help="comma list; default all six")
+    p.add_argument("--variants", type=_names(GRADCHECK_VARIANTS),
+                   default=",".join(GRADCHECK_VARIANTS), help="comma list; default all six")
     p.add_argument("--tol", type=_positive_float, default=1e-5)
     p.add_argument("--step", type=_positive_float, default=1e-5)
     p.add_argument("--seed", type=_seed, default=7)
     p.add_argument("--out")
 
     p = sub.add_parser("bench", help="CPU-time scaling and multiply-add counters")
-    p.add_argument("--variants", default="sema,full")
+    p.add_argument("--variants", type=_names(TIMED_KERNELS), default="sema,full")
     p.add_argument("--n", default="256..8192")
     p.add_argument("--d", type=_positive_int, default=16)
     p.add_argument("--w", type=_positive_int, default=8)

@@ -82,6 +82,17 @@ class TestExitCodes:
                                  "--out", str(out)], capsys, flag)
         assert not out.exists()
 
+    @pytest.mark.parametrize("variants,flag", [("softmax,softmax", "--variants"),
+                                               ("", "''"),
+                                               ("sema,nope", "'nope'")])
+    def test_gradcheck_repeated_empty_or_unknown_variant_is_usage_error(self, variants, flag,
+                                                                        tmp_path, capsys):
+        # softmax,softmax printed two lines and exited 0; "" ran all six variants
+        out = tmp_path / "gradcheck"
+        self.assert_usage_error(["gradcheck", "--variants", variants, "--out", str(out)],
+                                capsys, flag)
+        assert not out.exists()
+
     def test_failed_run_removes_every_level_of_out_it_made(self, tmp_path, capsys):
         # only the last level went, leaving an empty tmp_path/new behind
         existing = tmp_path / "t"
