@@ -409,32 +409,33 @@ def instrumented_counts(variant: str, n: int, d: int, w: int | None = None) -> i
 def scaling_fit(kernels, n_values: list[int], d: int, w: int, seed: int) -> tuple[dict, dict, dict]:
     """CPU-time scaling of the named TIMED_KERNELS, with their counter check.
 
-    At each n the kernels share one seeded (q, k, v) draw and run in the order
-    given: gc.collect(), one warm-up call, then the minimum process CPU time
-    over max(5, 2**22 // n**2) calls (the minimum is the least noisy estimate,
-    and CPU time leaves out what the host gives other processes). Returns
-    (seconds, exponents, counters) keyed by name: the times per n, the polyfit
-    slope of log time against log n, and whether complexity_estimate equals
+    At each n the kernels share one seeded (q, k, v) draw. Three passes go over
+    the n grid, each running the kernels at each n in the order given: gc.collect(),
+    a warm-up call in the first pass only, then ceil(max(5, 2**22 // n**2) / 3) >= 2
+    timed calls. A time is the minimum process CPU time over all passes (the least
+    noisy estimate; a burst of contention spoils one pass, not a point). Returns
+    (seconds, exponents, counters) keyed by name: the times per n, the polyfit slope
+    of log time against log n, and whether complexity_estimate equals
     instrumented_counts at n = 64.
     """
     if len(set(kernels)) != len(kernels):
         raise ValueError(f"repeated kernel name in {list(kernels)}")
     counters = {name: complexity_estimate(name, 64, d, w) == instrumented_counts(name, 64, d, w)
                 for name in kernels}  # checks every name and w before any timing
-    seconds = {name: [] for name in kernels}
-    for n in n_values:
-        q, k, v = rng_for(seed, "scaling-fit", n).standard_normal((3, n, d))
-        repeats = max(5, (1 << 22) // (n * n))
-        for name in kernels:
-            fn = TIMED_KERNELS[name]
-            gc.collect()
-            fn(q, k, v, w)  # warm-up: exclude first-call allocation noise
-            reps = []
-            for _ in range(repeats):
-                t0 = time.process_time()
-                fn(q, k, v, w)
-                reps.append(time.process_time() - t0)
-            seconds[name].append(min(reps))
+    seconds = {name: [math.inf] * len(n_values) for name in kernels}
+    for first in (True, False, False):
+        for i, n in enumerate(n_values):
+            q, k, v = rng_for(seed, "scaling-fit", n).standard_normal((3, n, d))
+            calls = -(-max(5, (1 << 22) // (n * n)) // 3)  # ceil(... / 3)
+            for name in kernels:
+                fn = TIMED_KERNELS[name]
+                gc.collect()
+                if first:
+                    fn(q, k, v, w)  # warm-up: exclude first-call allocation noise
+                for _ in range(calls):
+                    t0 = time.process_time()
+                    fn(q, k, v, w)
+                    seconds[name][i] = min(seconds[name][i], time.process_time() - t0)
     logs = np.log(n_values)
     exponents = {name: float(np.polyfit(logs, np.log(times), 1)[0])
                  for name, times in seconds.items()}

@@ -1,10 +1,12 @@
 import dataclasses
+import itertools
 import math
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -414,6 +416,31 @@ class TestTimedKernels:
         assert list(seconds) == list(exponents) == list(counters) == list(names)
         assert all(len(times) == 3 and min(times) > 0 for times in seconds.values())
         assert all(counters.values())
+
+    def test_scaling_fit_rule_on_a_stub_clock(self, monkeypatch):
+        # the stub advances a fake CPU clock by preset durations: 1 s for the warm-up, n / 64 s
+        # for the last call of the second pass, 50 s otherwise, so the rule is checked, not the host
+        per_pass = {256: 22, 512: 6, 1024: 2, 2048: 2}  # ceil(max(5, 2**22 // n**2) / 3)
+        clock, order = [0.0], []
+
+        def stub(q, k, v, w):
+            n = q.shape[0]
+            order.append(n)
+            call = order.count(n) - 1  # 0 is the warm-up
+            clock[0] += 1.0 if call == 0 else n / 64 if call == 2 * per_pass[n] else 50.0
+
+        collects = []
+        monkeypatch.setitem(TIMED_KERNELS, "homogeneous_mix", stub)
+        monkeypatch.setattr(analysis, "time", SimpleNamespace(process_time=lambda: clock[0]))
+        monkeypatch.setattr(analysis, "gc", SimpleNamespace(collect=lambda: collects.append(1)))
+        seconds, exponents, _ = scaling_fit(("homogeneous_mix",), list(per_pass), 1, 8, 0)
+        # three passes over the whole n grid, the warm-up in the first only
+        runs = [(n, len(list(group))) for n, group in itertools.groupby(order)]
+        assert runs == ([(n, c + 1) for n, c in per_pass.items()]
+                        + [(n, c) for n, c in per_pass.items()] * 2)
+        assert len(collects) == 3 * len(per_pass)
+        assert seconds["homogeneous_mix"] == [n / 64 for n in per_pass]  # the minimum of all passes
+        assert exponents["homogeneous_mix"] == pytest.approx(1.0, abs=1e-12)
 
     def test_scaling_fit_rejects_a_repeated_name(self):
         with pytest.raises(ValueError, match="repeated"):
