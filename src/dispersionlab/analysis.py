@@ -31,7 +31,8 @@ from .attention import (KernelSpec, WindowSpec, homogeneous_mix, linear_attentio
                         sema_attention, softmax_attention, window_attention, _apply_psi, _blocks,
                         _EPSILON, _FOCUSED, _LINEAR, _phi_rows, _row_blocks, _row_fold, _ROW_TILE,
                         _SOFTMAX)
-from .errors import BoundViolationError, ConfigurationError, DimensionError, KernelDomainError
+from .errors import (BoundViolationError, ConfigurationError, DimensionError, KernelDomainError,
+                     is_int)
 from .rng import rng_for
 
 VARIANTS = ("softmax", "linear", "focused", "mila", "window")
@@ -83,9 +84,11 @@ class BoundedSampler:
     zero_queries: bool = False
 
     def __post_init__(self):
-        if self.d < 1 or not 0 < self.logit_bound < math.inf:
-            raise ConfigurationError("sampler needs d >= 1 and a positive, finite logit_bound; "
-                                     f"got d={self.d}, logit_bound={self.logit_bound}")
+        if not is_int(self.d) or self.d < 1 or not 0 < self.logit_bound < math.inf:
+            raise ConfigurationError("sampler needs integer d >= 1 and a positive, finite "
+                                     f"logit_bound; got d={self.d}, logit_bound={self.logit_bound}")
+        if self.tile_rows is not None and not (is_int(self.tile_rows) and self.tile_rows >= 1):
+            raise ConfigurationError(f"tile_rows must be an integer >= 1, got {self.tile_rows!r}")
 
     def _rows(self, rng: np.random.Generator, count: int) -> np.ndarray:
         x = rng.standard_normal((count, self.d))

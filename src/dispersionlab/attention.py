@@ -8,6 +8,10 @@ dispersion analysis streams its own cells through ``_row_blocks`` and
 ``_phi_rows`` (phi and its domain checks, without the division that
 ``_normalize`` adds) and never builds that matrix. ``_blocked_values`` is the
 one windowed forward of window_attention, sema_attention and the tape's blocked ops.
+
+``elu_plus_one`` returns fresh C-ordered float64 for any input layout, so linear
+attention and MILA give the same bits for C-ordered, Fortran-ordered and strided
+q and k. The positional term that focused attention and MILA add is ``posenc.lepe``.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DimensionError, KernelDomainError, WindowPartitionError
-from .posenc import DepthwiseKernel, GridSpec, depthwise_conv_grid, rope_angles, rotate_pairs
+from .errors import DimensionError, KernelDomainError, WindowPartitionError, is_int
+from .posenc import GridSpec, rope_angles, rotate_pairs
 from .tensor import Tensor, as_array
 
 PHI_CHOICES = ("exp", "exp_temperature", "identity", "power")
@@ -117,8 +121,8 @@ class WindowSpec:
     w: int
 
     def __post_init__(self):
-        if self.w < 1:
-            raise ValueError("window size must be >= 1")
+        if not is_int(self.w) or self.w < 1:
+            raise ValueError(f"window size must be an integer >= 1, got {self.w!r}")
 
 
 _SOFTMAX, _LINEAR, _FOCUSED = KernelSpec.softmax(), KernelSpec.linear(), KernelSpec.focused()
@@ -128,32 +132,22 @@ _ELU_CHUNK = 1 << 15  # entries per run of elu_plus_one (256 KB in float64, cach
 def elu_plus_one(x: np.ndarray) -> np.ndarray:
     """ELU(x) + 1 = x + 1 for x > 0, exp(x) otherwise; strictly positive.
 
-    Evaluated as exp(min(x, 0)) + max(x, 0) in one output array: one side of
-    the sum is exactly 1 or 0, so every entry (NaN, signed zeros and
-    infinities included) is bitwise that of the two-branch form. A
-    C-contiguous float64 array goes through _elu_into, so it allocates only
-    its output and one scratch run.
+    Evaluated as exp(min(x, 0)) + max(x, 0): one side of the sum is exactly 1
+    or 0, so every entry (NaN, signed zeros and infinities included) is
+    bitwise that of the two-branch form. x is taken as float64 in C order
+    (copied only when it is not already), and the result is always a fresh
+    C-contiguous float64 array of x's shape, 0-d included, so the bits of
+    every product of it do not depend on the caller's memory layout.
     """
-    x = np.asarray(x)
-    if _elu_runs(x):
-        return _elu_into(x, np.empty(x.shape))
-    out = np.asarray(np.minimum(x, 0.0))  # a 0-d input gives a scalar, not an array
-    np.exp(out, out=out)
-    out += np.maximum(x, 0.0)
-    return out
-
-
-def _elu_runs(x: np.ndarray) -> bool:
-    """Whether _elu_into takes x: float64, C-contiguous, at least rank 1."""
-    return x.dtype == np.float64 and x.ndim >= 1 and x.flags.c_contiguous
+    x = np.asarray(x, dtype=np.float64, order="C")
+    return _elu_into(x, np.empty(x.shape))
 
 
 def _elu_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """elu_plus_one(x) written into out, a C-contiguous float64 array of x's shape.
+    """elu_plus_one(x) written into out; x and out are C-contiguous float64 of one shape.
 
-    x (see _elu_runs) passes in cache-sized runs of _ELU_CHUNK entries, each
-    through the same three ufuncs as elu_plus_one's, with one scratch run
-    for max(x, 0).
+    x passes in cache-sized runs of _ELU_CHUNK entries, each through the same
+    three ufuncs, with one scratch run for max(x, 0).
     """
     flat, dest = x.reshape(-1), out.reshape(-1)
     scratch = np.empty(min(x.size, _ELU_CHUNK))
@@ -485,8 +479,7 @@ def linear_attention_fast(q, k, v) -> Tensor:
     q, k, v = _qkv(q, k, v)
     w = elu_plus_one(k)
     w_sum, wv = w.sum(axis=0), w.T @ v
-    # once w is summed and applied, its buffer can take u (same shape and layout)
-    u = _elu_into(q, w) if _elu_runs(q) and w.flags.c_contiguous else elu_plus_one(q)
+    u = _elu_into(np.ascontiguousarray(q), w)  # w is summed and applied: its buffer takes u
     den = u @ w_sum
     if np.any(np.abs(den) <= _EPSILON):
         raise KernelDomainError(f"linear attention denominator underflowed past {_EPSILON}")
@@ -497,20 +490,14 @@ def focused_attention_coefficients(q, k) -> Tensor:
     return generalized_attention_coefficients(q, k, _FOCUSED)
 
 
-def focused_attention(q, k, v, dwc: DepthwiseKernel | None = None,
-                      grid: GridSpec | None = None) -> Tensor:
-    """Focused linear attention plus a depthwise convolution of the values.
+def focused_attention(q, k, v) -> Tensor:
+    """Focused linear attention: norm-preserving cubic features focused_map(x, 3).
 
-    The attention part uses the norm-preserving cubic features focused_map(x, 3);
-    the convolution term restores rank lost to the separable form. dwc=None
-    omits the convolution.
+    FLatten adds a depthwise convolution of the values to restore the rank
+    lost to the separable form; that term is posenc.lepe(v, kernel, grid).
     """
     q, k, v = _qkv(q, k, v)
-    out = _global_attention(q, k, v, _FOCUSED)
-    if dwc is not None:
-        grid = grid or GridSpec.linear(v.shape[0])
-        out = out + depthwise_conv_grid(v, dwc.taps, grid.height, grid.width)
-    return Tensor._own(out)
+    return Tensor._own(_global_attention(q, k, v, _FOCUSED))
 
 
 def window_attention_coefficients(q, k, win: WindowSpec,
@@ -606,21 +593,17 @@ def mila_coefficients(q, k, grid: GridSpec | None = None, gated: bool = False,
     return Tensor._own(_mila_weights(elu_plus_one(q), elu_plus_one(k), angles))
 
 
-def mila_attention(q, k, v, grid: GridSpec | None = None,
-                   lepe_kernel: DepthwiseKernel | None = None, positions=None) -> Tensor:
+def mila_attention(q, k, v, grid: GridSpec | None = None, positions=None) -> Tensor:
     """Rotary-gated linear attention with a stabilized un-gated denominator.
 
     Numerator: rotary-rotated (elu+1) features of q and k against v.
     Denominator: un-gated (elu+1) feature products plus 1e-6 (added to the
     denominator only). Evaluated in the associative order, O(n d^2) time
     and O(n d) memory; it equals mila_coefficients(q, k, grid, gated=True,
-    positions=positions) @ v up to float order. A depthwise positional term
-    on v is added rowwise when lepe_kernel is given.
+    positions=positions) @ v up to float order. MILA's locally-enhanced
+    positional term is posenc.lepe(v, kernel, grid), added by the caller.
     """
     q, k, v = _qkv(q, k, v)
     grid = grid or GridSpec.linear(q.shape[0])
     angles = rope_angles(grid, q.shape[1], positions)
-    out = _mila_forward(elu_plus_one(q), elu_plus_one(k), v, angles)[0]
-    if lepe_kernel is not None:
-        out = out + depthwise_conv_grid(v, lepe_kernel.taps, grid.height, grid.width)
-    return Tensor._own(out)
+    return Tensor._own(_mila_forward(elu_plus_one(q), elu_plus_one(k), v, angles)[0])

@@ -149,12 +149,6 @@ def gelu(a):
     return a.tape.push("gelu", (a.idx,), out, {"t": t})
 
 
-def power_int(a, p: int):
-    if p < 1:
-        raise ValueError("power must be >= 1")
-    return a.tape.push("power_int", (a.idx,), a.value ** p, {"p": int(p)})
-
-
 def sum_all(a):
     """Total over all entries, as a 1x1 tensor."""
     return a.tape.push("sum_all", (a.idx,), np.array([[a.value.sum()]]))
@@ -433,9 +427,6 @@ ADJOINTS = {
     # the derivative is 1 where x > 0 (output x + 1 >= 1) and exp(x) = output elsewhere
     "elu_plus_one": lambda node, g, vals: (g * np.minimum(node.value, 1.0),),
     "gelu": _adj_gelu,
-    "power_int": lambda node, g, vals: (
-        g * node.ctx["p"] * vals[0] ** (node.ctx["p"] - 1),
-    ),
     "sum_all": lambda node, g, vals: (np.full_like(vals[0], g[0, 0]),),
     "broadcast_row": lambda node, g, vals: (g.sum(axis=0, keepdims=True),),
     "cols": lambda node, g, vals: (

@@ -1,4 +1,11 @@
-"""Exception types shared across the library."""
+"""Exception types, and the integer rule for sizes, shared across the library."""
+
+import numbers
+
+
+def is_int(x) -> bool:
+    """An integer, numpy's included, but not a bool: JSON true must not run as 1."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 class DispersionLabError(Exception):

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autograd as ag
-from .errors import ConfigurationError, DimensionError, TrainingError
+from .errors import ConfigurationError, DimensionError, TrainingError, is_int
 from .posenc import GridSpec, rope_angles
 from .rng import rng_for
 from .tensor import Tensor, as_array
@@ -48,10 +48,6 @@ ATTENTION_VARIANTS = ("window", "linear", "full")
 # ModelConfig's integer fields other than seed, each >= 1
 _POSITIVE_FIELDS = ("stage_dims", "stage_depths", "stage_heads", "window", "patch_size",
                     "image_size", "num_classes")
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -79,7 +75,7 @@ class ModelConfig:
         # a string flag such as "no" is truthy
         for name in (*_POSITIVE_FIELDS, "seed"):
             value = getattr(self, name)
-            if not all(_is_int(x) for x in (value if isinstance(value, tuple) else (value,))):
+            if not all(is_int(x) for x in (value if isinstance(value, tuple) else (value,))):
                 raise ConfigurationError(f"{name} must hold integers, got {value!r}")
         if not isinstance(self.averaging_enabled, bool):
             raise ConfigurationError(

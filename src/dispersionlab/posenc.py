@@ -172,17 +172,14 @@ def _tap_windows(x: np.ndarray, k: int, height: int, width: int):
 
 
 def depthwise_conv_grid(x: np.ndarray, taps: np.ndarray, height: int, width: int) -> np.ndarray:
-    """Per-channel k x k cross-correlation over (..., height*width, channels) rows.
+    """Per-channel k x k cross-correlation over (batch, height*width, channels) rows.
 
     Tokens are rasterized row-major onto the grid, zero-padded, and convolved
-    channel by channel. Accepts a leading batch dimension. Each tap is one
-    product of its _tap_windows window with a (width * channels) row repeating
-    the tap's channel weights, into one reused buffer; the sum starts from
-    zeros and takes the taps in row-major order, as a per-channel loop would.
+    channel by channel. Each tap is one product of its _tap_windows window
+    with a (width * channels) row repeating the tap's channel weights, into
+    one reused buffer; the sum starts from zeros and takes the taps in
+    row-major order, as a per-channel loop would.
     """
-    squeeze = x.ndim == 2
-    if squeeze:
-        x = x[None]
     b, n, d = x.shape
     if n != height * width:
         raise DimensionError(f"grid {height}x{width} holds {height * width} tokens, input has {n}")
@@ -194,8 +191,7 @@ def depthwise_conv_grid(x: np.ndarray, taps: np.ndarray, height: int, width: int
     prod = np.empty_like(out)
     for dr, dc, window in _tap_windows(x, k, height, width):
         out += np.multiply(window, tap_rows[dr, dc], out=prod)
-    out = out.reshape(b, n, d)
-    return out[0] if squeeze else out
+    return out.reshape(b, n, d)
 
 
 def _depthwise_taps_grad(x: np.ndarray, g: np.ndarray, k: int, height: int,
@@ -216,8 +212,8 @@ def _depthwise_taps_grad(x: np.ndarray, g: np.ndarray, k: int, height: int,
 
 
 def lepe(v, kernel: DepthwiseKernel, grid: GridSpec) -> Tensor:
-    """Locally-enhanced positional term: depthwise conv of values on the grid."""
+    """LePE, the positional term MILA and FLatten add: depthwise conv of values on the grid."""
     v = as_array(v)
     if v.ndim != 2:
         raise DimensionError(f"lepe expects n x d input, got {v.shape}")
-    return Tensor._own(depthwise_conv_grid(v, kernel.taps, grid.height, grid.width))
+    return Tensor._own(depthwise_conv_grid(v[None], kernel.taps, grid.height, grid.width)[0])

@@ -173,6 +173,14 @@ class TestMeasureDispersion:
         with pytest.raises(ConfigurationError):
             BoundedSampler(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [{"d": 2.5}, {"d": True}, {"tile_rows": 0},
+                                        {"tile_rows": -4}, {"tile_rows": 4.0},
+                                        {"tile_rows": True}])
+    def test_non_integer_sampler_sizes_rejected(self, kwargs):
+        # each failed later, inside numpy or with a ZeroDivisionError in draw
+        with pytest.raises(ConfigurationError, match=next(iter(kwargs))):
+            BoundedSampler(**kwargs)
+
     def test_ascending_n_required(self):
         with pytest.raises(ValueError):
             measure_dispersion("softmax", None, BoundedSampler(d=4), [16, 8], 2, seed=0)

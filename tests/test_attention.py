@@ -25,7 +25,7 @@ from dispersionlab.attention import (
     window_attention_coefficients,
 )
 from dispersionlab.errors import KernelDomainError, WindowPartitionError
-from dispersionlab.posenc import DepthwiseKernel, GridSpec, lepe
+from dispersionlab.posenc import GridSpec
 
 FOCUSED_P2 = KernelSpec(phi="identity", psi_q="focused", psi_k="focused", psi_p=2)
 
@@ -160,6 +160,12 @@ class TestKernelSpec:
         with pytest.raises(ValueError):
             WindowSpec(0)
 
+    @pytest.mark.parametrize("w", [True, 4.0, "4", None, 0, -2])
+    def test_window_spec_rejects_non_integer_sizes(self, w):
+        # True and 4.0 failed later, inside numpy, with a TypeError
+        with pytest.raises(ValueError, match="window size must be an integer"):
+            WindowSpec(w)
+
 
 class TestGeneralizedAttention:
     def test_single_key_returns_value(self):
@@ -258,6 +264,27 @@ class TestEluPlusOne:
                 got = elu_plus_one(x)
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
+    @pytest.mark.parametrize("x", [np.array(-0.5), np.float32([[1.5, -2.0]]),
+                                   np.asfortranarray(np.arange(-3.0, 3.0).reshape(2, 3)),
+                                   np.arange(-4.0, 4.0)[::3]],
+                             ids=["0-d", "float32", "fortran", "strided"])
+    def test_returns_fresh_c_ordered_float64(self, x):
+        got = elu_plus_one(x)
+        assert got.shape == x.shape and got.dtype == np.float64 and got.flags.c_contiguous
+        assert not np.shares_memory(got, x)
+
+    @pytest.mark.parametrize("kernel", [linear_attention_fast, mila_attention, linear_attention])
+    def test_kernels_ignore_input_layout(self, kernel):
+        # the 1,100 x 40 draw of test_bitwise_equal_to_two_feature_form
+        rng = np.random.default_rng(14)
+        q, k, v = rng.standard_normal((3, 2200, 40))
+        qc, kc, v = q[::2].copy(), k[1::2].copy(), v[::2]
+        want = kernel(qc, kc, v).array
+        fq, fk = np.asfortranarray(qc), np.asfortranarray(kc)
+        for qq, kk in ((fq, kc), (qc, fk), (fq, fk), (q[::2], k[1::2])):
+            got = kernel(qq, kk, v).array
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
 
 class TestLinearAttention:
     def test_identical_keys_mean_values(self):
@@ -290,7 +317,9 @@ class TestLinearAttention:
                    "fortran_q": (np.asfortranarray(q[:1100]), k[:1100], v[:1100]),
                    "fortran_k": (q[:1100], np.asfortranarray(k[:1100]), v[:1100]),
                    "strided": (q[::2], k[1::2], v[::2])}[layout]
-        u, w = (np.exp(np.minimum(a, 0.0)) + np.maximum(a, 0.0) for a in (q, k))
+        # C-ordered features, whatever the layout of q and k
+        u, w = (np.exp(np.minimum(a, 0.0)) + np.maximum(a, 0.0)
+                for a in map(np.ascontiguousarray, (q, k)))
         want = u @ (w.T @ v)
         want /= (u @ w.sum(axis=0))[:, None]
         got = linear_attention_fast(q, k, v).array
@@ -323,25 +352,12 @@ class TestFocusedAttention:
         mapped = focused_map(x, 3).array
         np.testing.assert_array_equal(mapped[0], np.zeros(3))
 
-    def test_zero_dwc_equals_generalized_with_focused_features(self):
+    def test_equals_generalized_with_focused_features(self):
         rng = np.random.default_rng(15)
         q, k = np.abs(rng.standard_normal((2, 6, 4)))
         v = rng.standard_normal((6, 4))
-        with_zero = focused_attention(q, k, v, DepthwiseKernel.zeros(4),
-                                      GridSpec.grid(2, 3)).array
         plain = generalized_attention(q, k, v, KernelSpec.focused()).array
-        np.testing.assert_allclose(with_zero, plain, atol=1e-15)
-
-    def test_dwc_term_adds_convolution(self):
-        rng = np.random.default_rng(16)
-        q, k = np.abs(rng.standard_normal((2, 4, 4)))
-        v = rng.standard_normal((4, 4))
-        taps = rng.standard_normal((4, 3, 3))
-        grid = GridSpec.grid(2, 2)
-        out = focused_attention(q, k, v, DepthwiseKernel(taps), grid).array
-        expect = (generalized_attention(q, k, v, KernelSpec.focused()).array
-                  + lepe(v, DepthwiseKernel(taps), grid).array)
-        np.testing.assert_allclose(out, expect, atol=1e-15)
+        np.testing.assert_allclose(focused_attention(q, k, v).array, plain, atol=1e-15)
 
 
 class TestWindowAttention:
@@ -483,16 +499,6 @@ class TestMilaAttention:
         q, k, v = rng.standard_normal((3, 6, 4))
         out = mila_attention(q, k, v).array
         np.testing.assert_allclose(out, mila_oracle(q, k, v, np.arange(6.0)), atol=1e-12)
-
-    def test_lepe_term(self):
-        rng = np.random.default_rng(30)
-        q, k, v = rng.standard_normal((3, 4, 4))
-        taps = rng.standard_normal((4, 3, 3))
-        grid = GridSpec.grid(2, 2)
-        with_term = mila_attention(q, k, v, grid, DepthwiseKernel(taps)).array
-        without = mila_attention(q, k, v, grid).array
-        np.testing.assert_allclose(with_term - without,
-                                   lepe(v, DepthwiseKernel(taps), grid).array, atol=1e-12)
 
     def test_ungated_coefficient_rows_near_simplex(self):
         rng = np.random.default_rng(31)

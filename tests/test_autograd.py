@@ -19,6 +19,10 @@ from dispersionlab.posenc import GridSpec, rope_angles, rotate_pairs
 from dispersionlab.rng import rng_for
 
 
+def _square(h):
+    return ag.mul(h, h)
+
+
 def run_backward(f, arrays):
     tape = ag.Tape()
     leaves = [ag.leaf(tape, a) for a in arrays]
@@ -67,13 +71,12 @@ class TestBasicAdjoints:
 PRIMITIVE_CASES = [
     ("elu_plus_one", lambda a: ag.sum_all(ag.elu_plus_one(a)), (3, 4), None),
     ("gelu", lambda a: ag.sum_all(ag.gelu(a)), (3, 4), None),
-    ("power3", lambda a: ag.sum_all(ag.power_int(a, 3)), (3, 4), None),
     ("broadcast", lambda a: ag.sum_all(ag.mul(ag.broadcast_row(ag.gather_rows(a, [0]), 5), a)),
      (5, 3), None),
     ("rows_cols", lambda a: ag.sum_all(ag.cols(ag.gather_rows(a, [1, 2]), 0, 2)), (4, 4), None),
     ("permute", lambda a: ag.sum_all(ag.mul(ag.permute_rows(a, [2, 0, 1, 3]), a)), (4, 3), None),
     ("gather", lambda a: ag.sum_all(ag.gather_rows(a, [0, 2, 2])), (4, 3), None),
-    ("group", lambda a: ag.sum_all(ag.power_int(ag.group_rows(a, 2), 2)), (4, 3), None),
+    ("group", lambda a: ag.sum_all(_square(ag.group_rows(a, 2))), (4, 3), None),
     ("focused_map", lambda a: ag.sum_all(ag.focused_map_rows(a, 3)), (4, 5), "positive"),
     ("blocked_mean", lambda a: ag.sum_all(ag.mul(ag.blocked_mean_broadcast(a, 2), a)),
      (6, 3), None),
@@ -114,7 +117,7 @@ class TestPrimitiveGradients:
         taps = rng.standard_normal((2, 3, 3))
 
         def f(a, t):
-            return ag.sum_all(ag.power_int(ag.depthwise_conv(a, t, 3, 4), 2))
+            return ag.sum_all(_square(ag.depthwise_conv(a, t, 3, 4)))
 
         assert ag.gradcheck(f, [v, taps]).passed
 
@@ -125,7 +128,7 @@ class TestPrimitiveGradients:
         beta = rng.standard_normal((1, 6))
 
         def f(a, g, b):
-            return ag.sum_all(ag.power_int(ag.layer_norm(a, g, b), 2))
+            return ag.sum_all(_square(ag.layer_norm(a, g, b)))
 
         assert ag.gradcheck(f, [x, gamma, beta]).passed
 
@@ -134,7 +137,7 @@ class TestPrimitiveGradients:
         q, k, v = rng.standard_normal((3, 8, 4))
 
         def f(a, b, c):
-            return ag.sum_all(ag.power_int(ag.blocked_softmax_attention(a, b, c, 4), 2))
+            return ag.sum_all(_square(ag.blocked_softmax_attention(a, b, c, 4)))
 
         assert ag.gradcheck(f, [q, k, v]).passed
 
@@ -144,7 +147,7 @@ class TestPrimitiveGradients:
         u, w = np.abs(u) + 0.1, np.abs(w) + 0.1
 
         def f(a, b, c):
-            return ag.sum_all(ag.power_int(ag.blocked_linear_attention(a, b, c, 3), 2))
+            return ag.sum_all(_square(ag.blocked_linear_attention(a, b, c, 3)))
 
         assert ag.gradcheck(f, [u, w, v]).passed
 
@@ -155,7 +158,7 @@ class TestPrimitiveGradients:
         ang = rope_angles(GridSpec.grid(2, 4), 4)
 
         def f(a, b, c):
-            return ag.sum_all(ag.power_int(ag.mila_attention(a, b, c, ang), 2))
+            return ag.sum_all(_square(ag.mila_attention(a, b, c, ang)))
 
         report = ag.gradcheck(f, [u, w, v])
         assert report.passed, report.max_rel_err
@@ -172,7 +175,7 @@ class TestPrimitiveGradients:
         ang = rope_angles(grid, d)
 
         def f(a, b, c):
-            return ag.sum_all(ag.power_int(ag.mila_attention(a, b, c, ang), 2))
+            return ag.sum_all(_square(ag.mila_attention(a, b, c, ang)))
 
         report = ag.gradcheck(f, [u, w, v])
         assert report.passed, report.max_rel_err
@@ -212,7 +215,7 @@ class TestPrimitiveGradients:
             h = ag.mila_attention(ag.elu_plus_one(h), ag.elu_plus_one(a), h, ang)
             h = ag.layer_norm(h, ag.gather_rows(b, [0]), ag.gather_rows(a, [1]))
             h = ag.add(h, ag.blocked_mean_broadcast(h, 2))
-            return ag.sum_all(ag.power_int(h, 2))
+            return ag.sum_all(_square(h))
 
         report = ag.gradcheck(f, [x, w], step=1e-5)
         assert report.max_rel_err < 1e-6
@@ -301,7 +304,7 @@ class TestBroadcastAdd:
     def test_gradcheck(self):
         rng = rng_for(18, "bias-gc")
         x, bias = rng.standard_normal((5, 3)), rng.standard_normal((1, 3))
-        report = ag.gradcheck(lambda a, b: ag.sum_all(ag.power_int(ag.add(a, b), 2)), [x, bias])
+        report = ag.gradcheck(lambda a, b: ag.sum_all(_square(ag.add(a, b))), [x, bias])
         assert report.passed, report.max_rel_err
 
     @pytest.mark.parametrize("left,right", [((5, 3), (2, 3)), ((5, 3), (1, 4)),
@@ -488,7 +491,7 @@ class TestHeadFolding:
         arrays = self.inputs(op, 6, 8)
 
         def f(a, b, c):
-            return ag.sum_all(ag.power_int(op(a, b, c, block, 2), 2))
+            return ag.sum_all(_square(op(a, b, c, block, 2)))
 
         assert ag.gradcheck(f, list(arrays), tol=1e-5).passed
 
@@ -553,7 +556,7 @@ class TestGradcheckHarness:
         x = np.array([[1.0, 2.0]])
 
         def f(a):
-            bad = a.tape.push("power_int", (a.idx,), a.value ** 3, {"p": 2})
+            bad = a.tape.push("mul", (a.idx, a.idx), a.value ** 3)  # mul's adjoint: 2x, not 3x^2
             return ag.sum_all(bad)
 
         report = ag.gradcheck(f, [x])

@@ -16,25 +16,84 @@ output_digest = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(output_digest)
 
 
-def test_two_runs_agree(tmp_path):
-    # With one BLAS thread the fresh interpreter runs while this process builds
-    # its own lines. Two multithreaded runs contend for the cores (10 s
-    # overlapped against 8 s in turn on 2 vCPUs), so they take turns. The child
-    # prints to a file: a full pipe would stall it until this process is done.
+_FIXTURE = _ROOT / "tests" / "fixtures" / "output_digest.txt"
+_REGENERATE = ("OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/output_digest.py --header "
+               "> tests/fixtures/output_digest.txt")
+
+
+@pytest.fixture(scope="module")
+def digest_runs(tmp_path_factory):
+    """(exit code, lines a fresh interpreter printed, lines built in this process), built once.
+
+    With one BLAS thread the fresh interpreter runs while this process builds
+    its own lines. Two multithreaded runs contend for the cores (10 s
+    overlapped against 8 s in turn on 2 vCPUs), so they take turns. The child
+    prints to a file: a full pipe would stall it until this process is done.
+    """
+    out = tmp_path_factory.mktemp("digest") / "digest.txt"
     env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
-    with (open(tmp_path / "digest.txt", "w") as fh,
+    with (open(out, "w") as fh,
           subprocess.Popen([sys.executable, str(_PATH)], env=env, stdout=fh) as child):
         if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
             child.wait()
         in_process = list(output_digest.lines())
-    assert child.returncode == 0
-    printed = (tmp_path / "digest.txt").read_text().splitlines()
+    return child.returncode, out.read_text().splitlines(), in_process
+
+
+def test_two_runs_agree(digest_runs):
+    returncode, printed, in_process = digest_runs
+    assert returncode == 0
     assert printed == in_process
     names = [line.split(" ")[0] for line in printed]
     assert len(names) == len(set(names))
     assert all(len(line.split(" ")) == 2 for line in printed)
     assert ({name for name in names if name.startswith("measure_dispersion/")}
             == {f"measure_dispersion/{variant}" for variant in analysis.VARIANTS})
+
+
+def digest_mismatch(committed: list[str], built: list[str]) -> str | None:
+    """None when the built lines equal the committed ones; else a report naming the
+    moved, new and missing lines, with the commands that measure and regenerate them."""
+    if committed == built:
+        return None
+    old = dict(line.split(" ") for line in committed)
+    new = dict(line.split(" ") for line in built)
+    moved = ([f"{name} moved" for name in new if name in old and new[name] != old[name]]
+             + [f"{name} new" for name in new if name not in old]
+             + [f"{name} missing" for name in old if name not in new])
+    return "\n".join([
+        f"{len(moved)} of {len(committed)} committed output digest lines differ"
+        + ("" if moved else " (same lines, another order)"), *moved[:40],
+        *(["..."] if len(moved) > 40 else []),
+        "Measure the change: at the parent tree run",
+        "  OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/output_digest.py --save DIR",
+        "then at this tree",
+        "  OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/output_digest.py --compare DIR",
+        "If the outputs moved on purpose, regenerate the fixture and list the moved lines:",
+        f"  {_REGENERATE}"])
+
+
+def test_committed_digest_matches(digest_runs):
+    text = _FIXTURE.read_text().splitlines()
+    recorded = dict(line[2:].split(": ", 1) for line in text if line.startswith("# "))
+    here = output_digest.environment()
+    for field in [*here, *sorted(recorded.keys() - here.keys())]:
+        if recorded.get(field) != here.get(field):
+            pytest.skip(f"output digest fixture: {field} is {here.get(field)!r} here, "
+                        f"{recorded.get(field)!r} in {_FIXTURE.name}; its lines are not checked")
+    report = digest_mismatch([line for line in text if not line.startswith("# ")],
+                             digest_runs[2])
+    if report:
+        pytest.fail(report, pytrace=False)
+
+
+def test_mismatch_names_the_moved_line():
+    committed = ["a 01", "b 02", "c 03"]
+    report = digest_mismatch(committed, ["a 01", "b 12", "d 04"])
+    assert report.splitlines()[:4] == ["3 of 3 committed output digest lines differ",
+                                       "b moved", "d new", "c missing"]
+    assert "--save DIR" in report and "--compare DIR" in report and _REGENERATE in report
+    assert digest_mismatch(committed, list(committed)) is None
 
 
 def test_perturbed_output_changes_its_lines(monkeypatch):

@@ -17,12 +17,11 @@ PUBLIC_KERNELS = {
         q, k, v, KernelSpec.softmax_temperature(2.0)), "qkv"),
     "linear": (attention.linear_attention, "qkv"),
     "linear_fast": (attention.linear_attention_fast, "qkv"),
-    "focused": (lambda q, k, v: attention.focused_attention(
-        q, k, v, _TAPS, GridSpec.grid(2, 4)), "qkv"),
+    "focused": (attention.focused_attention, "qkv"),
     "window": (lambda q, k, v: attention.window_attention(q, k, v, _WIN), "qkv"),
     "homogeneous_mix": (lambda q, k, v: homogeneous_mix(v), "v"),
     "sema": (lambda q, k, v: attention.sema_attention(q, k, v, _WIN), "qkv"),
-    "mila": (lambda q, k, v: attention.mila_attention(q, k, v, lepe_kernel=_TAPS), "qkv"),
+    "mila": (attention.mila_attention, "qkv"),
     "rope_apply": (lambda q, k, v: posenc.rope_apply(q, GridSpec.grid(2, 4)), "q"),
     "lepe": (lambda q, k, v: posenc.lepe(v, _TAPS, GridSpec.grid(2, 4)), "v"),
     "phi_normalize": (lambda q, k, v: attention.phi_normalize(q[0], KernelSpec.softmax()), "q"),

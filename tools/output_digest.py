@@ -3,6 +3,8 @@
     PYTHONPATH=src python3 tools/output_digest.py > digest.txt
     PYTHONPATH=old/src python3 tools/output_digest.py --save DIR
     PYTHONPATH=src python3 tools/output_digest.py --compare DIR
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 tools/output_digest.py --header \
+        > tests/fixtures/output_digest.txt
 
 Each line hashes the dtype, shape and bytes of one output (or of a named
 sequence of outputs, such as the closed form at every m), so two source trees
@@ -17,6 +19,14 @@ largest absolute change divided by the largest saved entry, or ``shape``,
 ``new`` or ``missing``; NaN matching NaN counts as no change. It exits 1 when
 any line differs. The ``measure_dispersion`` lines hash report text as bytes,
 so for them the number only says that the text changed.
+
+``--header`` puts ``# field: value`` lines before the printout, naming what the
+bits depend on besides the source: the numpy version, the BLAS library and
+version, the configuration string of the loaded OpenBLAS (its version, build
+options and the core its DYNAMIC_ARCH dispatch picked at load time), numpy's
+SIMD extensions found on this CPU and the BLAS thread count. The committed
+``tests/fixtures/output_digest.txt`` is that printout at one BLAS thread, and
+the test suite compares its own lines with it wherever the header matches.
 
 Covered: every public ``attention`` and ``posenc`` kernel at n = 16, 64 and
 1,024 (the last on the streamed softmax path); the streamed global outputs
@@ -38,6 +48,7 @@ cross-entropy backward on two seeded images (widths 16-128, 1-8 heads).
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import sys
@@ -65,6 +76,49 @@ def digest(value) -> str:
         h.update(f"{arr.dtype.str}{arr.shape}".encode())
         h.update(arr.tobytes())
     return h.hexdigest()
+
+
+def _openblas_runtime() -> tuple[str, str] | None:
+    """(configuration string, thread count) asked of the OpenBLAS this process loaded.
+
+    numpy's show_config() keeps the string of the machine that built the wheel;
+    the loaded library names the core it picked here. None when no mapped
+    library exports the calls (another BLAS, or no /proc).
+    """
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return None
+    mapped = {line.split()[-1] for line in maps.splitlines()}
+    for path in sorted(p for p in mapped if p.startswith("/") and "openblas" in p):
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_", "64_"), ("", "64_"), ("scipy_", ""), ("", "")):
+            config = getattr(lib, f"{prefix}openblas_get_config{suffix}", None)
+            threads = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+            if config is not None and threads is not None:
+                config.argtypes, config.restype = [], ctypes.c_char_p
+                threads.argtypes, threads.restype = [], ctypes.c_int
+                return config().decode(), str(threads())
+    return None
+
+
+def environment() -> dict[str, str]:
+    """What the digest's bits depend on besides the source, as the --header fields."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    runtime = _openblas_runtime()
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas['name']} {blas['version']}",
+        "openblas configuration": (runtime[0] if runtime else
+                                   f"{blas.get('openblas configuration', 'unknown')} (build)"),
+        "simd found": " ".join(config["SIMD Extensions"]["found"]),
+        "blas threads": runtime[1] if runtime else "unknown",
+    }
+
+
+def header() -> list[str]:
+    return [f"# {field}: {value}" for field, value in environment().items()]
 
 
 def attention_outputs():
@@ -99,14 +153,16 @@ def attention_outputs():
         yield f"linear_attention_coefficients/{tag}", at.linear_attention_coefficients(q, k)
         yield f"linear_attention_fast/{tag}", at.linear_attention_fast(q, k, v)
         yield f"focused_attention/{tag}", at.focused_attention(qa, ka, v)
-        yield f"focused_attention.lepe/{tag}", at.focused_attention(qa, ka, v, dwc, grid)
+        yield (f"focused_attention.lepe/{tag}",
+               at.focused_attention(qa, ka, v).array + posenc.lepe(v, dwc, grid).array)
         yield f"focused_attention_coefficients/{tag}", at.focused_attention_coefficients(qa, ka)
         yield f"homogeneous_mix/{tag}", at.homogeneous_mix(v)
         positions = rng.permutation(n)
         for gated in (False, True):
             yield f"mila_coefficients/gated={gated}/{tag}", at.mila_coefficients(q, k, grid, gated)
         yield f"mila_attention/{tag}", at.mila_attention(q, k, v)
-        yield f"mila_attention.lepe/{tag}", at.mila_attention(q, k, v, grid, dwc)
+        yield (f"mila_attention.lepe/{tag}",
+               at.mila_attention(q, k, v, grid).array + posenc.lepe(v, dwc, grid).array)
         yield f"mila_attention.positions/{tag}", at.mila_attention(q, k, v, positions=positions)
     # streamed global outputs only (the window and grid outputs need n divisible by
     # 4 and 8): at 1,500 the 349-row blocks leave a 104-row last block, and 2,170 is
@@ -137,7 +193,7 @@ def posenc_outputs():
             yield f"rope_apply/{gtag}", posenc.rope_apply(x, grid)
             yield f"lepe/{gtag}", posenc.lepe(x, posenc.DepthwiseKernel(taps), grid)
             yield (f"depthwise_conv_grid/{gtag}",
-                   posenc.depthwise_conv_grid(x, taps, grid.height, grid.width))
+                   posenc.depthwise_conv_grid(x[None], taps, grid.height, grid.width)[0])
         yield f"rope_apply.positions/{tag}", posenc.rope_apply(
             x, posenc.GridSpec.linear(n), rng.permutation(n))
 
@@ -296,6 +352,8 @@ def main(argv=None) -> int:
                       help="also write every output's arrays to DIR")
     mode.add_argument("--compare", type=Path, metavar="DIR",
                       help="print the lines that differ from the run saved in DIR")
+    mode.add_argument("--header", action="store_true",
+                      help="print the environment header before the lines")
     args = parser.parse_args(argv)
     if args.save and args.save.resolve().is_relative_to(ROOT):
         parser.error(f"--save {args.save}: keep DIR outside the source tree {ROOT}")
@@ -303,6 +361,8 @@ def main(argv=None) -> int:
         report = compare(args.compare)
         print("\n".join(report + [f"{len(report)} lines differ"]))
         return 1 if report else 0
+    if args.header:
+        print("\n".join(header()))
     for line in save(args.save) if args.save else lines():
         print(line)
     return 0
