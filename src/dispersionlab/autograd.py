@@ -13,7 +13,9 @@ window_attention's _blocked_values and mila_attention its _mila_forward;
 cli.GRADCHECK_VARIANTS composes them.
 
 gradcheck() compares a traced scalar function's backward gradients against
-central finite differences coordinate by coordinate.
+central finite differences coordinate by coordinate; directional_check()
+compares them along one seeded direction per input, which suits a loss whose
+gradient has entries near zero.
 """
 
 from __future__ import annotations
@@ -512,6 +514,24 @@ class GradcheckReport:
     per_input: list[float]
 
 
+def _evaluate(f, arrays):
+    """f on fresh leaves of the arrays, on a new recording tape: (output, leaves)."""
+    tape = Tape()
+    leaves = [leaf(tape, a) for a in arrays]
+    return f(*leaves), leaves
+
+
+def _analytic(f, arrays) -> list[np.ndarray]:
+    out, leaves = _evaluate(f, arrays)
+    grads = backward(out)
+    return [grads.get(lv.idx, np.zeros_like(a)) for lv, a in zip(leaves, arrays)]
+
+
+def _relative_error(analytic: float, numeric: float, floor: float) -> float:
+    err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), floor)
+    return err if math.isfinite(err) else math.inf
+
+
 def gradcheck(f, inputs, step: float = 1e-5, tol: float = 1e-5) -> GradcheckReport:
     """Compare backward gradients of a traced scalar function to central
     finite differences.
@@ -524,16 +544,7 @@ def gradcheck(f, inputs, step: float = 1e-5, tol: float = 1e-5) -> GradcheckRepo
     are reported, never raised.
     """
     arrays = [np.asarray(x, dtype=np.float64) for x in inputs]
-
-    def run(arrs):
-        tape = Tape()
-        leaves = [leaf(tape, a) for a in arrs]
-        out = f(*leaves)
-        return out, leaves
-
-    out, leaves = run(arrays)
-    grads = backward(out)
-    analytic = [grads.get(lv.idx, np.zeros_like(a)) for lv, a in zip(leaves, arrays)]
+    analytic = _analytic(f, arrays)
 
     per_input = []
     for which, base in enumerate(arrays):
@@ -550,13 +561,47 @@ def gradcheck(f, inputs, step: float = 1e-5, tol: float = 1e-5) -> GradcheckRepo
             minus = [a.copy() for a in arrays]
             plus[which][idx] += step
             minus[which][idx] -= step
-            f_plus = run(plus)[0].value[0, 0]
-            f_minus = run(minus)[0].value[0, 0]
+            f_plus = _evaluate(f, plus)[0].value[0, 0]
+            f_minus = _evaluate(f, minus)[0].value[0, 0]
             numeric = (f_plus - f_minus) / (2.0 * step)
-            a_val = analytic[which][idx]
-            denom = max(abs(a_val), abs(numeric), 1e-8)
-            err = abs(a_val - numeric) / denom
-            worst = max(worst, err if math.isfinite(err) else math.inf)
+            worst = max(worst, _relative_error(analytic[which][idx], numeric, 1e-8))
         per_input.append(float(worst))
+    max_err = max(per_input) if per_input else 0.0
+    return GradcheckReport(max_rel_err=max_err, passed=bool(max_err < tol), per_input=per_input)
+
+
+def directional_check(f, inputs, step: float = 1e-3, tol: float = 1e-6,
+                      seed: int = 0) -> GradcheckReport:
+    """Compare backward gradients of a traced scalar function to finite
+    differences along one seeded unit direction per input.
+
+    f is as in gradcheck. Input i moves alone along u, a standard normal
+    draw from rng_for(seed, "directional", i) scaled to unit norm; <grad_i, u>
+    is compared with one Richardson step over central differences,
+    (4 D(h/2) - D(h)) / 3 with D(h) = (f(x + h u) - f(x - h u)) / (2 h),
+    which leaves an O(h^4) truncation error. Against a single coordinate the
+    directional derivative is about |grad| / sqrt(size), far above the
+    rounding noise of f, so small gradient entries cannot fail on noise.
+    Relative error uses max(|analytic|, |numeric|, 1e-12) as the denominator;
+    a non-finite derivative counts as an infinite error. Failures are
+    reported, never raised.
+    """
+    arrays = [np.asarray(x, dtype=np.float64) for x in inputs]
+    analytic = _analytic(f, arrays)
+
+    def central(which, u, h):
+        values = []
+        for sign in (1.0, -1.0):
+            moved = list(arrays)
+            moved[which] = arrays[which] + sign * h * u
+            values.append(_evaluate(f, moved)[0].value[0, 0])
+        return (values[0] - values[1]) / (2.0 * h)
+
+    per_input = []
+    for which, base in enumerate(arrays):
+        u = rng_for(seed, "directional", which).standard_normal(base.shape)
+        u /= np.linalg.norm(u)
+        numeric = (4.0 * central(which, u, step / 2) - central(which, u, step)) / 3.0
+        per_input.append(_relative_error(float(np.sum(analytic[which] * u)), numeric, 1e-12))
     max_err = max(per_input) if per_input else 0.0
     return GradcheckReport(max_rel_err=max_err, passed=bool(max_err < tol), per_input=per_input)

@@ -3,11 +3,12 @@
 Subcommands expose the library's experiments as seeded, reproducible runs
 producing CSV/JSON plot data (no rendered images). ``_save_run`` writes every
 run's files and a manifest.json recording the subcommand, the argument
-snapshot, the seed, the library and numpy versions and the thread variables;
-rerunning with identical arguments and thread settings reproduces the outputs
-byte for byte (timestamps live only in the manifest, and the CPU-time
-measurements in bench.csv are not derived data). ``main`` creates --out
-before any computation, so an unusable path is one error line.
+snapshot, the seed, the library and numpy versions, the BLAS that ran
+(``blas_environment``) and the thread variables; rerunning with identical
+arguments and thread settings reproduces the outputs byte for byte
+(timestamps live only in the manifest, and the CPU-time measurements in
+bench.csv are not derived data). ``main`` creates --out before any
+computation, so an unusable path is one error line.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 scientific check
 failure (bound violation, equivalence failure, failed gradcheck, training
@@ -19,12 +20,14 @@ variant, n, trial), so results are schedule-independent).
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import os
 import shlex
 import sys
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 
@@ -135,6 +138,48 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
+def _openblas_runtime() -> tuple[str, str] | None:
+    """(configuration string, thread count) asked of the OpenBLAS this process loaded.
+
+    numpy's show_config() keeps the string of the machine that built the wheel;
+    the loaded library names the core it picked here. None when no mapped
+    library exports the calls (another BLAS, or no /proc).
+    """
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return None
+    mapped = {line.split()[-1] for line in maps.splitlines()}
+    for path in sorted(p for p in mapped if p.startswith("/") and "openblas" in p):
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_", "64_"), ("", "64_"), ("scipy_", ""), ("", "")):
+            config = getattr(lib, f"{prefix}openblas_get_config{suffix}", None)
+            threads = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+            if config is not None and threads is not None:
+                config.argtypes, config.restype = [], ctypes.c_char_p
+                threads.argtypes, threads.restype = [], ctypes.c_int
+                return config().decode(), str(threads())
+    return None
+
+
+def blas_environment() -> dict[str, str]:
+    """The BLAS that runs: name and version, loaded configuration and thread count.
+
+    The configuration string of a loaded OpenBLAS names its version, build
+    options and the core its DYNAMIC_ARCH dispatch picked at load time; where
+    the library cannot be asked, the build machine's string stands in, marked
+    "(build)", and the thread count is "unknown".
+    """
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    runtime = _openblas_runtime()
+    return {
+        "blas": f"{blas['name']} {blas['version']}",
+        "openblas configuration": (runtime[0] if runtime else
+                                   f"{blas.get('openblas configuration', 'unknown')} (build)"),
+        "blas threads": runtime[1] if runtime else "unknown",
+    }
+
+
 def _save_run(args, seed: int, files: dict[str, str], written=()) -> None:
     """Write each name -> text of `files` under args.out, then manifest.json.
 
@@ -149,6 +194,7 @@ def _save_run(args, seed: int, files: dict[str, str], written=()) -> None:
         "seed": seed,
         "library_version": __version__,
         "numpy_version": np.__version__,
+        "blas": blas_environment(),
         "threads": {name: os.environ.get(name) for name in
                     ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                      "DISPERSION_LAB_THREADS")},

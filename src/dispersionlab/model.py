@@ -18,14 +18,20 @@ training reuse the same forward; inference runs it on a tape that keeps no
 history, so it holds one block's working set rather than the whole pass.
 
 With the single-token readout (head_mode "first_token") the head reads one row
-per sample, so the last block keeps only those rows once its attention
-sublayer has mixed the tokens: the projection, residuals, norm2, MLP, head
-norm and head matmul run on b rows instead of b * g * g. Training and
-inference share this path. Every one of those ops acts row by row, so the
-logits equal those of the full-row forward bitwise at batch >= 2; at batch 1
-numpy multiplies one-row operands by another kernel, whose sums may differ in
-the last bits. Weight gradients sum over the b rows instead of b * g * g rows
-that were zero but for those b, so they may differ in the last bits too.
+per sample, the grid origin, so the last block computes only what that row
+depends on: its attention window, the 3 x 3 LePE reach around it and the
+value mean. Its attention sublayer keeps norm1, v and the mean on all rows,
+but runs q, k, the attention and LePE on each sample's corner, the c x c
+square of whole windows at the origin (c the least multiple of the window
+side that is >= 2, capped at the grid side; the grid itself for full and
+linear attention). The projection, residuals, norm2, MLP, head norm and head
+matmul then run on b rows instead of b * g * g. Training and inference share
+this path. Windows are independent, the LePE reach of the origin lies inside
+the corner, and every later op acts row by row, so the logits equal those of
+the full-row forward bitwise at batch >= 2; at batch 1 numpy multiplies
+one-row operands by another kernel, whose sums may differ in the last bits.
+Weight gradients sum over fewer rows, where the full-row forward adds exact
+zeros, so a BLAS that blocks those sums by length may move their last bits.
 """
 
 from __future__ import annotations
@@ -286,44 +292,75 @@ def load_checkpoint(path_stem: str) -> dict[str, np.ndarray]:
 # forward
 
 
-def _attention_sublayer(tp, x, cfg: ModelConfig, stage: int, g: int, prefix: str):
+def _attention_sublayer(tp, x, cfg: ModelConfig, stage: int, g: int, prefix: str, rows=None):
     """norm1, q/k/v, the variant's attention, LePE and the optional mix.
 
     Returns the attention output before the projection, and the values v.
+
+    Given rows, each sample's first token, it returns the output at those rows
+    only, and computes the token mixing only on each sample's corner: the
+    c x c whole attention windows at the grid origin, c being the least
+    multiple of the window side that is >= 2, capped at g. Full and linear
+    attention have one window, the grid, so their corner is the grid. norm1,
+    v and the value mean stay on all rows; q, k, the attention, its tilings
+    and LePE run on the b * c * c corner rows. The result is bitwise that of
+    the full-row sublayer at rows: windows are independent, and the 3 x 3
+    LePE reach of token (0, 0) lies inside the corner, whose zero padding
+    stands where the grid's did. y and v are gathered once per consumer, in
+    the order the full-row ops consume them, so that backward sums each
+    fan-out in the same order.
     """
     dim = cfg.stage_dims[stage]
     heads = cfg.stage_heads[stage]
     hd = dim // heads
     n = g * g
+    side = effective_window(cfg, g) if cfg.attention_variant == "window" else g
+    c = g if rows is None else min(g, side * -(-2 // side))
+    corner = None
+    if c < g:
+        origin = (np.arange(c)[:, None] * g + np.arange(c)).ravel()
+        corner = (np.asarray(rows)[:, None] + origin).ravel()
+
+    def pick(t):  # the corner rows of t, gathered anew for each consumer
+        return t if corner is None else ag.gather_rows(t, corner)
+
     y = ag.layer_norm(x, tp[prefix + "norm1.g"], tp[prefix + "norm1.b"])
-    q = ag.matmul(y, tp[prefix + "wq"])
-    k = ag.matmul(y, tp[prefix + "wk"])
+    q = ag.matmul(pick(y), tp[prefix + "wq"])
+    k = ag.matmul(pick(y), tp[prefix + "wk"])
     v = ag.matmul(y, tp[prefix + "wv"])
 
     if cfg.attention_variant == "window":
-        w_eff = effective_window(cfg, g)
-        qp, kp, vp = (ag.tile_grid(t, g, w_eff) for t in (q, k, v))
+        qp, kp, vp = (ag.tile_grid(t, c, side) for t in (q, k, pick(v)))
         # every window and head rotates by the local positions inside its window
-        ang = rope_angles(GridSpec.grid(w_eff, w_eff), hd)
+        ang = rope_angles(GridSpec.grid(side, side), hd)
         att = ag.blocked_softmax_attention(ag.rope_rotate(qp, ang), ag.rope_rotate(kp, ang),
-                                           vp, w_eff * w_eff, heads)
-        att = ag.tile_grid(att, g, w_eff, inverse=True)
+                                           vp, side * side, heads)
+        att = ag.tile_grid(att, c, side, inverse=True)
     elif cfg.attention_variant == "full":
-        att = ag.blocked_softmax_attention(q, k, v, n, heads)
+        att = ag.blocked_softmax_attention(q, k, pick(v), n, heads)
     else:  # linear
-        att = ag.blocked_linear_attention(ag.elu_plus_one(q), ag.elu_plus_one(k), v, n, heads)
+        att = ag.blocked_linear_attention(ag.elu_plus_one(q), ag.elu_plus_one(k), pick(v), n,
+                                          heads)
 
-    att = ag.add(att, ag.depthwise_conv(v, tp[prefix + "lepe"], g, g))
+    att = ag.add(att, ag.depthwise_conv(pick(v), tp[prefix + "lepe"], c, c))
+    if rows is not None:
+        att = ag.gather_rows(att, np.arange(len(rows)) * (c * c))
     if cfg.averaging_enabled:
-        att = ag.add(att, ag.blocked_mean_broadcast(v, n))
+        mean = ag.blocked_mean_broadcast(v, n)
+        att = ag.add(att, mean if rows is None else ag.gather_rows(mean, rows))
     return att, v
 
 
 def _block_forward(tp, x, cfg: ModelConfig, stage: int, g: int, prefix: str, rows=None):
-    """One block; given rows, the ops after the attention sublayer run on those rows only."""
-    att, _ = _attention_sublayer(tp, x, cfg, stage, g, prefix)
+    """One block; given rows, each sample's first token, it returns those rows only.
+
+    The attention sublayer then mixes tokens on each sample's corner only
+    (see _attention_sublayer), and the projection, residuals, norm2 and MLP
+    run on the rows.
+    """
+    att, _ = _attention_sublayer(tp, x, cfg, stage, g, prefix, rows)
     if rows is not None:
-        att, x = ag.gather_rows(att, rows), ag.gather_rows(x, rows)
+        x = ag.gather_rows(x, rows)
     att = ag.add(ag.matmul(att, tp[prefix + "proj.w"]), tp[prefix + "proj.b"])
     x = ag.add(x, att)
 
@@ -337,11 +374,15 @@ def _block_forward(tp, x, cfg: ModelConfig, stage: int, g: int, prefix: str, row
 def _forward_traced(tape, tp, cfg: ModelConfig, images: np.ndarray):
     """Logits of (b, H, W, 3) images on the tape, with the parameters tp traced on it.
 
-    For the first-token readout the last block's tail runs on the readout rows
-    only (see the module docstring); the gap head averages all rows.
+    For the first-token readout the last block mixes tokens on each sample's
+    corner and runs its tail on the readout rows only (see the module
+    docstring and _attention_sublayer); the gap head averages all rows, and
+    every block runs on all of them.
     """
     if images.ndim != 4 or images.shape[3] != 3:
         raise ConfigurationError(f"images must be (b, H, W, 3), got {images.shape}")
+    if images.shape[0] == 0:
+        raise ConfigurationError(f"images must hold at least one image, got {images.shape}")
     b, h, w, _ = images.shape
     if h != w:
         raise ConfigurationError(f"square inputs required, got {h}x{w}")

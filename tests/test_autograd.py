@@ -577,6 +577,27 @@ class TestGradcheckHarness:
             report = ag.gradcheck(lambda a: ag.sum_all(ag.mul(a, a)), [[[1.0, 2.0]]], step=0.0)
         assert not report.passed
 
+    def test_directional_check_passes_a_correct_gradient(self):
+        rng = rng_for(8, "directional")
+        x, w = rng.standard_normal((5, 4)), rng.standard_normal((4, 3))
+        report = ag.directional_check(
+            lambda a, b: ag.sum_all(ag.gelu(ag.matmul(a, b))), [x, w], tol=1e-8)
+        assert report.passed and len(report.per_input) == 2
+
+    def test_directional_check_fails_a_wrong_adjoint(self):
+        def f(a):
+            bad = a.tape.push("mul", (a.idx, a.idx), a.value ** 3)  # mul's adjoint: 2x, not 3x^2
+            return ag.sum_all(bad)
+
+        report = ag.directional_check(f, [np.array([[1.0, 2.0]])])
+        assert not report.passed and report.max_rel_err > 0.1
+
+    def test_directional_check_nan_derivative_fails(self):
+        with np.errstate(invalid="ignore"):
+            report = ag.directional_check(lambda a: ag.sum_all(ag.mul(a, a)),
+                                          [[[np.inf, 2.0]]])
+        assert not report.passed and report.max_rel_err == math.inf
+
     def test_homogeneous_mix_gradient_of_sum_is_all_ones(self):
         rng = rng_for(9, "mix")
         v = rng.standard_normal((6, 3))

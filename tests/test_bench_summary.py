@@ -66,3 +66,49 @@ def test_mixed_trees_and_empty_sets_are_refused(tmp_path, monkeypatch, capsys):
 def test_usage(argv, capsys):
     assert bench_summary.main(argv) == 2
     assert "BENCH_<label>.json" in capsys.readouterr().err
+
+
+def test_paired_section_counts_wins_interval_and_sign_test(tmp_path, monkeypatch):
+    parent_ms = [100.0, 110.0, 90.0, 105.0, 95.0, 100.0, 120.0, 80.0, 100.0, 100.0]
+    change_ms = [60.0, 66.0, 63.0, 52.5, 57.0, 70.0, 60.0, 88.0, 50.0, 100.0]
+    for seed, (before, after) in enumerate(zip(parent_ms, change_ms), start=21):
+        for name, op_ms, tree in (("parent", before, "a"), ("change", after, "b")):
+            record = _record("toy", seed, op_ms, tree=tree * 64)
+            record["end_to_end"]["work_per_s"] = {"value": 1000.0 / op_ms, "unit": "1/s"}
+            _write(tmp_path / name, record)
+    _write(tmp_path / "parent", _record("toy", 99, 1.0))  # no partner: not paired
+    monkeypatch.setattr(bench_summary, "ROOT", tmp_path)
+    assert bench_summary.main(["t", "parent=parent", "change=change"]) == 0
+    paired = json.loads((tmp_path / "BENCH_t.json").read_text())["paired"]["toy"]
+    assert set(paired) == {"op_ms_p50", "work_per_s"}  # gated and recorded; fail_ratio is not gated
+    op = paired["op_ms_p50"]
+    ratios = [a / b for a, b in zip(change_ms, parent_ms)]
+    assert [p["seed"] for p in op["pairs"]] == list(range(21, 31))
+    assert [p["ratio"] for p in op["pairs"]] == ratios
+    # seed 28 is slower and seed 30 a tie: 8 wins of 9 untied pairs
+    assert (op["wins"], op["ties"]) == (8, 1)
+    assert op["sign_test_p"] == 2 * (1 + 9) / 2 ** 9
+    assert op["median_ratio"] == statistics.median(ratios)
+    # 10 pairs: the 2nd smallest to the 2nd largest ratio covers the median with
+    # probability 1 - 2 P(B <= 1) for B ~ Binomial(10, 1/2)
+    ordered = sorted(ratios)
+    assert op["interval"] == {"low": ordered[1], "high": ordered[8],
+                              "coverage": 1 - 2 * 11 / 1024}
+    # a higher-is-better metric counts its wins the other way round
+    assert (paired["work_per_s"]["wins"], paired["work_per_s"]["ties"]) == (8, 1)
+
+
+def test_interval_and_sign_test_at_few_pairs():
+    # five pairs cannot reach 95 %: the whole range, with its coverage 1 - 2 / 32
+    assert bench_summary.median_interval([5.0, 1.0, 4.0, 2.0, 3.0]) == {
+        "low": 1.0, "high": 5.0, "coverage": 1 - 2 / 32}
+    assert bench_summary.sign_test_p(5, 0) == 2 / 32
+    assert bench_summary.sign_test_p(3, 3) == 1.0
+    assert bench_summary.sign_test_p(0, 0) == 1.0
+
+
+def test_no_paired_section_without_parent_and_change(tmp_path, monkeypatch):
+    _write(tmp_path / "runs", _record("toy", 21, 1.0))
+    monkeypatch.setattr(bench_summary, "ROOT", tmp_path)
+    assert bench_summary.main(["t", "other=runs"]) == 0
+    assert "paired" not in json.loads((tmp_path / "BENCH_t.json").read_text())

@@ -6,7 +6,7 @@ import shlex
 import pytest
 
 from dispersionlab import analysis
-from dispersionlab.cli import main
+from dispersionlab.cli import blas_environment, main
 from dispersionlab.model import ModelConfig
 from dispersionlab.tensor import Tensor
 
@@ -305,6 +305,21 @@ class TestDisperse:
         assert manifest["numpy_version"] == np.__version__
         assert manifest["threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
                                        "MKL_NUM_THREADS": None, "DISPERSION_LAB_THREADS": "2"}
+
+    def test_manifest_records_the_blas_that_ran(self, tmp_path):
+        import numpy as np
+
+        out = str(tmp_path / "run")
+        assert main(["disperse", "--variant", "softmax", "--n", "8,16,32", "--trials", "2",
+                     "--d", "4", "--out", out]) == 0
+        blas = json.loads(read(os.path.join(out, "manifest.json")))["blas"]
+        assert blas == blas_environment()
+        build = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert blas["blas"] == f"{build['name']} {build['version']}"
+        # the loaded library's string, or the build string marked as such
+        assert blas["openblas configuration"] and blas["blas threads"]
+        if blas["blas threads"] == "unknown":
+            assert blas["openblas configuration"].endswith("(build)")
 
     def test_window_fixed_content_slope_zero(self, tmp_path):
         out = str(tmp_path / "win")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dispersionlab import analysis, ssm
+from dispersionlab.cli import blas_environment
 
 _ROOT = Path(__file__).resolve().parent.parent
 _PATH = _ROOT / "tools" / "output_digest.py"
@@ -85,6 +86,11 @@ def test_committed_digest_matches(digest_runs):
                              digest_runs[2])
     if report:
         pytest.fail(report, pytrace=False)
+
+
+def test_header_reads_the_library_blas_probe():
+    here, blas = output_digest.environment(), blas_environment()
+    assert {field: here[field] for field in blas} == blas
 
 
 def test_mismatch_names_the_moved_line():

@@ -48,7 +48,6 @@ cross-entropy backward on two seeded images (widths 16-128, 1-8 heads).
 from __future__ import annotations
 
 import argparse
-import ctypes
 import hashlib
 import json
 import sys
@@ -78,42 +77,16 @@ def digest(value) -> str:
     return h.hexdigest()
 
 
-def _openblas_runtime() -> tuple[str, str] | None:
-    """(configuration string, thread count) asked of the OpenBLAS this process loaded.
-
-    numpy's show_config() keeps the string of the machine that built the wheel;
-    the loaded library names the core it picked here. None when no mapped
-    library exports the calls (another BLAS, or no /proc).
-    """
-    try:
-        maps = Path("/proc/self/maps").read_text()
-    except OSError:
-        return None
-    mapped = {line.split()[-1] for line in maps.splitlines()}
-    for path in sorted(p for p in mapped if p.startswith("/") and "openblas" in p):
-        lib = ctypes.CDLL(path)
-        for prefix, suffix in (("scipy_", "64_"), ("", "64_"), ("scipy_", ""), ("", "")):
-            config = getattr(lib, f"{prefix}openblas_get_config{suffix}", None)
-            threads = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
-            if config is not None and threads is not None:
-                config.argtypes, config.restype = [], ctypes.c_char_p
-                threads.argtypes, threads.restype = [], ctypes.c_int
-                return config().decode(), str(threads())
-    return None
-
-
 def environment() -> dict[str, str]:
     """What the digest's bits depend on besides the source, as the --header fields."""
     config = np.show_config(mode="dicts")
-    blas = config["Build Dependencies"]["blas"]
-    runtime = _openblas_runtime()
+    blas = cli.blas_environment()
     return {
         "numpy": np.__version__,
-        "blas": f"{blas['name']} {blas['version']}",
-        "openblas configuration": (runtime[0] if runtime else
-                                   f"{blas.get('openblas configuration', 'unknown')} (build)"),
+        "blas": blas["blas"],
+        "openblas configuration": blas["openblas configuration"],
         "simd found": " ".join(config["SIMD Extensions"]["found"]),
-        "blas threads": runtime[1] if runtime else "unknown",
+        "blas threads": blas["blas threads"],
     }
 
 
