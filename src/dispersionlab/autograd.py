@@ -570,16 +570,22 @@ def gradcheck(f, inputs, step: float = 1e-5, tol: float = 1e-5) -> GradcheckRepo
     return GradcheckReport(max_rel_err=max_err, passed=bool(max_err < tol), per_input=per_input)
 
 
-def directional_check(f, inputs, step: float = 1e-3, tol: float = 1e-6,
-                      seed: int = 0) -> GradcheckReport:
+# step h and pass bound of directional_check
+DIRECTIONAL_STEP = 1e-3
+DIRECTIONAL_TOL = 1e-6
+
+
+def directional_check(f, inputs) -> GradcheckReport:
     """Compare backward gradients of a traced scalar function to finite
     differences along one seeded unit direction per input.
 
     f is as in gradcheck. Input i moves alone along u, a standard normal
-    draw from rng_for(seed, "directional", i) scaled to unit norm; <grad_i, u>
-    is compared with one Richardson step over central differences,
-    (4 D(h/2) - D(h)) / 3 with D(h) = (f(x + h u) - f(x - h u)) / (2 h),
-    which leaves an O(h^4) truncation error. Against a single coordinate the
+    draw from rng_for(0, "directional", i) scaled to unit norm, the same on
+    every run; <grad_i, u> is compared with one Richardson step over central
+    differences, (4 D(h/2) - D(h)) / 3 with
+    D(h) = (f(x + h u) - f(x - h u)) / (2 h) and h = DIRECTIONAL_STEP, which
+    leaves an O(h^4) truncation error. The check passes when every relative
+    error is below DIRECTIONAL_TOL. Against a single coordinate the
     directional derivative is about |grad| / sqrt(size), far above the
     rounding noise of f, so small gradient entries cannot fail on noise.
     Relative error uses max(|analytic|, |numeric|, 1e-12) as the denominator;
@@ -599,9 +605,11 @@ def directional_check(f, inputs, step: float = 1e-3, tol: float = 1e-6,
 
     per_input = []
     for which, base in enumerate(arrays):
-        u = rng_for(seed, "directional", which).standard_normal(base.shape)
+        u = rng_for(0, "directional", which).standard_normal(base.shape)
         u /= np.linalg.norm(u)
-        numeric = (4.0 * central(which, u, step / 2) - central(which, u, step)) / 3.0
+        h = DIRECTIONAL_STEP
+        numeric = (4.0 * central(which, u, h / 2) - central(which, u, h)) / 3.0
         per_input.append(_relative_error(float(np.sum(analytic[which] * u)), numeric, 1e-12))
     max_err = max(per_input) if per_input else 0.0
-    return GradcheckReport(max_rel_err=max_err, passed=bool(max_err < tol), per_input=per_input)
+    return GradcheckReport(max_rel_err=max_err, passed=bool(max_err < DIRECTIONAL_TOL),
+                           per_input=per_input)

@@ -297,18 +297,19 @@ def _attention_sublayer(tp, x, cfg: ModelConfig, stage: int, g: int, prefix: str
 
     Returns the attention output before the projection, and the values v.
 
-    Given rows, each sample's first token, it returns the output at those rows
-    only, and computes the token mixing only on each sample's corner: the
-    c x c whole attention windows at the grid origin, c being the least
-    multiple of the window side that is >= 2, capped at g. Full and linear
-    attention have one window, the grid, so their corner is the grid. norm1,
-    v and the value mean stay on all rows; q, k, the attention, its tilings
-    and LePE run on the b * c * c corner rows. The result is bitwise that of
-    the full-row sublayer at rows: windows are independent, and the 3 x 3
-    LePE reach of token (0, 0) lies inside the corner, whose zero padding
-    stands where the grid's did. y and v are gathered once per consumer, in
-    the order the full-row ops consume them, so that backward sums each
-    fan-out in the same order.
+    Given rows, it returns the output at those rows only. Each row must be a
+    sample's first token (a multiple of g * g; any samples, in any order), and
+    the output keeps their order. It then computes the token mixing only on
+    each sample's corner: the c x c whole attention windows at the grid
+    origin, c being the least multiple of the window side that is >= 2,
+    capped at g. Full and linear attention have one window, the grid, so
+    their corner is the grid. norm1, v and the value mean stay on all rows;
+    q, k, the attention, its tilings and LePE run on the b * c * c corner
+    rows. The result is bitwise that of the full-row sublayer at rows:
+    windows are independent, and the 3 x 3 LePE reach of token (0, 0) lies
+    inside the corner, whose zero padding stands where the grid's did. y and
+    v are gathered once per consumer, in the order the full-row ops consume
+    them, so that backward sums each fan-out in the same order.
     """
     dim = cfg.stage_dims[stage]
     heads = cfg.stage_heads[stage]
@@ -343,8 +344,8 @@ def _attention_sublayer(tp, x, cfg: ModelConfig, stage: int, g: int, prefix: str
                                           heads)
 
     att = ag.add(att, ag.depthwise_conv(pick(v), tp[prefix + "lepe"], c, c))
-    if rows is not None:
-        att = ag.gather_rows(att, np.arange(len(rows)) * (c * c))
+    if rows is not None:  # the corners are stacked in the order of rows
+        att = ag.gather_rows(att, rows if corner is None else np.arange(len(rows)) * (c * c))
     if cfg.averaging_enabled:
         mean = ag.blocked_mean_broadcast(v, n)
         att = ag.add(att, mean if rows is None else ag.gather_rows(mean, rows))

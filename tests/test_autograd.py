@@ -580,9 +580,8 @@ class TestGradcheckHarness:
     def test_directional_check_passes_a_correct_gradient(self):
         rng = rng_for(8, "directional")
         x, w = rng.standard_normal((5, 4)), rng.standard_normal((4, 3))
-        report = ag.directional_check(
-            lambda a, b: ag.sum_all(ag.gelu(ag.matmul(a, b))), [x, w], tol=1e-8)
-        assert report.passed and len(report.per_input) == 2
+        report = ag.directional_check(lambda a, b: ag.sum_all(ag.gelu(ag.matmul(a, b))), [x, w])
+        assert report.passed and report.max_rel_err < 1e-8 and len(report.per_input) == 2
 
     def test_directional_check_fails_a_wrong_adjoint(self):
         def f(a):

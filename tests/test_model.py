@@ -392,6 +392,20 @@ class TestReadoutRows:
             for name, g in ref.items():
                 assert corner[name].tobytes() == g.tobytes(), (batch, name)
 
+    @pytest.mark.parametrize("cfg", [ModelConfig.ablation(), ModelConfig.ablation(window=8),
+                                     ModelConfig.ablation(attention_variant="full")],
+                             ids=["corner", "window-is-grid", "full"])
+    def test_readout_rows_may_name_any_samples(self, cfg):
+        # the first tokens of the third and the first sample, in that order
+        g = stage_grids(cfg)[-1]
+        rows = np.array([2, 0]) * g * g
+        tape = ag.Tape(record=False)
+        tp = _trace_params(tape, init_params(cfg, rng_for(31, "corner-params")))
+        x = ag.leaf(tape, rng_for(31, "corner-rows").standard_normal((3 * g * g, 8)))
+        full, _ = _attention_sublayer(tp, x, cfg, 0, g, "s0.b0.")
+        picked, _ = _attention_sublayer(tp, x, cfg, 0, g, "s0.b0.", rows)
+        np.testing.assert_array_equal(picked.value, full.value[rows])
+
     @pytest.mark.parametrize("make,pushed", [(ModelConfig.tiny_224, 742),
                                              (lambda: ModelConfig.ablation(head_mode="gap"), 58)])
     def test_without_readout_rows_the_pushed_ops_stay(self, make, pushed):
@@ -426,7 +440,7 @@ class TestLossGradient:
     ablation config on the corner path, and a two-stage gap config, whose
     downsample reaches group_rows and whose second stage has two heads."""
 
-    # the worst unmutated error is 2.4e-9 at seeds 1 and 2 (2.9e-9 at seeds
+    # the worst unmutated error is 6.4e-9 at seeds 1 and 2 (3.6e-9 at seeds
     # 3-10); scaling one output of any adjoint these models reach by 1 + 1e-4
     # errs by 1e-4 or more
     TOL = 1e-6
@@ -448,9 +462,8 @@ class TestLossGradient:
             logits = _forward_traced(leaves[0].tape, dict(zip(names, leaves)), cfg, images)
             return ag.cross_entropy(logits, labels)
 
-        report = ag.directional_check(f, [params[name] for name in names], tol=self.TOL,
-                                      seed=seed)
-        assert report.passed, dict(zip(names, report.per_input))
+        report = ag.directional_check(f, [params[name] for name in names])
+        assert report.max_rel_err < self.TOL, dict(zip(names, report.per_input))
 
 
 class TestReceptiveField:

@@ -34,6 +34,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = ROOT / "BENCHMARK.json"
+LEVEL = 0.95  # least coverage of the median interval
 
 
 def summarise(values: list[float], unit: str) -> dict:
@@ -78,11 +79,11 @@ def _below(k: int, n: int) -> float:
     return sum(math.comb(n, i) for i in range(k + 1)) / 2 ** n
 
 
-def median_interval(ratios: list[float], level: float = 0.95) -> dict:
+def median_interval(ratios: list[float]) -> dict:
     """Order-statistic interval for the median of the ratios, and its coverage."""
     values, n = sorted(ratios), len(ratios)
     k = 1
-    while k < n // 2 and 1 - 2 * _below(k, n) >= level:
+    while k < n // 2 and 1 - 2 * _below(k, n) >= LEVEL:
         k += 1
     return {"low": values[k - 1], "high": values[n - k], "coverage": 1 - 2 * _below(k - 1, n)}
 
