@@ -8,6 +8,7 @@ dispersion analysis streams its own cells through ``_row_blocks`` and
 ``_phi_rows`` (phi and its domain checks, without the division that
 ``_normalize`` adds) and never builds that matrix. ``_blocked_values`` is the
 one windowed forward of window_attention, sema_attention and the tape's blocked ops.
+``homogeneous_mix`` is the value mean as a broadcast view; the tape's is one row per block.
 
 ``elu_plus_one`` returns fresh C-ordered float64 for any input layout, so linear
 attention and MILA give the same bits for C-ordered, Fortran-ordered and strided
@@ -517,16 +518,6 @@ def window_attention(q, k, v, win: WindowSpec, kernel: KernelSpec | None = None)
     """
     q, k, v = _qkv(q, k, v)
     return Tensor._own(_blocked_values(q, k, v, kernel or _SOFTMAX, win.w)[0])
-
-
-def _block_mean(x: np.ndarray, block: int) -> np.ndarray:
-    """Mean of each block of consecutive rows, repeated over the block's rows.
-
-    The tape op blocked_mean_broadcast needs it materialized. The map is
-    symmetric, so it is also its own adjoint.
-    """
-    xb = _blocks(x, block)
-    return np.repeat(xb.mean(axis=2, keepdims=True), block, axis=2).reshape(x.shape)
 
 
 def homogeneous_mix(v) -> Tensor:

@@ -8,9 +8,10 @@ no higher derivatives, no checkpointing. A Tape(record=False) keeps no
 history, for forward-only passes.
 
 Each attention variant is one op over its feature maps (SEMA adds the mixing
-op to the window op) whose forward is attention.py's: the blocked ops run
-window_attention's _blocked_values and mila_attention its _mila_forward;
-cli.GRADCHECK_VARIANTS composes them.
+op, one mean row per block, to the window op; add is the one broadcast) whose
+forward is attention.py's: the blocked ops run window_attention's
+_blocked_values and mila_attention its _mila_forward; cli.GRADCHECK_VARIANTS
+composes them.
 
 gradcheck() compares a traced scalar function's backward gradients against
 central finite differences coordinate by coordinate; directional_check()
@@ -26,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import attention
-from .attention import (KernelSpec, _block_mean, _blocked_values, _blocks, _LINEAR, _row_fold,
-                        _SOFTMAX, _unblock)
+from .attention import (KernelSpec, _blocked_values, _blocks, _LINEAR, _row_fold, _SOFTMAX,
+                        _unblock)
 from .errors import DifferentiationError, DimensionError
 from .posenc import _depthwise_taps_grad, depthwise_conv_grid, rotate_pairs
 from .rng import rng_for
@@ -107,10 +108,13 @@ def _same_shape(a: TracedValue, b: TracedValue, op: str) -> None:
 
 
 def add(a, b):
-    """Elementwise sum; a (1, d) right operand (a bias row) is broadcast over a's rows."""
-    if b.value.shape != (1, a.value.shape[-1]):
-        _same_shape(a, b, "add")
-    return _pair(a, b).push("add", (a.idx, b.idx), a.value + b.value)
+    """Elementwise sum, the one broadcast on the tape: a right operand of m rows,
+    m dividing a's n rows, repeats over blocks of n / m rows (a bias is m = 1)."""
+    n, m = a.value.shape[0], b.value.shape[0]
+    if a.value.shape[1:] != b.value.shape[1:] or not m or n % m:
+        raise DimensionError(f"add: {b.value.shape} does not repeat over {a.value.shape}")
+    out = _unblock(_blocks(a.value, n // m) + b.value[:, None, None])
+    return _pair(a, b).push("add", (a.idx, b.idx), out)
 
 
 def mul(a, b):
@@ -295,13 +299,13 @@ def mila_attention(u, w, v, angles: np.ndarray):
 
 
 def blocked_mean_broadcast(v, block: int):
-    """Mean of each row block broadcast back over the block.
+    """The mean of each block of consecutive rows, one row per block.
 
-    block == n is the homogeneous mixing term; per-sample blocks let a
-    batch share one tape.
+    add broadcasts it back over the block's rows. block == n is the homogeneous
+    mixing term; per-sample blocks let a batch share one tape.
     """
-    return v.tape.push("blocked_mean_broadcast", (v.idx,), _block_mean(v.value, block),
-                       {"block": block})
+    mean = _blocks(v.value, block).mean(axis=2)[:, 0]
+    return v.tape.push("blocked_mean_broadcast", (v.idx,), mean, {"block": block})
 
 
 def cross_entropy(logits, labels) -> TracedValue:
@@ -422,7 +426,7 @@ def focused_map_rows(a, p: int):
 ADJOINTS = {
     "leaf": None,
     "add": lambda node, g, vals: (
-        g, g if vals[1].shape == g.shape else g.sum(axis=0, keepdims=True),
+        g, _blocks(g, g.shape[0] // vals[1].shape[0]).sum(axis=2)[:, 0],
     ),
     "mul": lambda node, g, vals: (g * vals[1], g * vals[0]),
     "matmul": _adj_matmul,
@@ -448,7 +452,9 @@ ADJOINTS = {
     "layer_norm": _adj_layer_norm,
     "blocked_softmax_attention": _adj_blocked_attention,
     "blocked_linear_attention": _adj_blocked_attention,
-    "blocked_mean_broadcast": lambda node, g, vals: (_block_mean(g, node.ctx["block"]),),
+    "blocked_mean_broadcast": lambda node, g, vals: (
+        np.repeat(g / node.ctx["block"], node.ctx["block"], axis=0),
+    ),
     "mila_attention": _adj_mila_attention,
     "cross_entropy": lambda node, g, vals: (_adj_cross_entropy(node, g),),
     "focused_map": _adj_focused_map,
@@ -532,16 +538,23 @@ def _relative_error(analytic: float, numeric: float, floor: float) -> float:
     return err if math.isfinite(err) else math.inf
 
 
-def gradcheck(f, inputs, step: float = 1e-5, tol: float = 1e-5) -> GradcheckReport:
+# step h and pass bound of gradcheck and of directional_check
+GRADCHECK_STEP = GRADCHECK_TOL = 1e-5
+DIRECTIONAL_STEP = 1e-3
+DIRECTIONAL_TOL = 1e-6
+
+
+def gradcheck(f, inputs) -> GradcheckReport:
     """Compare backward gradients of a traced scalar function to central
-    finite differences.
+    finite differences with step GRADCHECK_STEP.
 
     f takes traced leaves (one per input array) and returns a traced 1x1
     scalar. Inputs with more than 512 entries are checked on 64 random
     coordinates drawn from seed 0, the same on every run. Relative error uses
     max(|analytic|, |numeric|, 1e-8) as the denominator; a non-finite
-    derivative counts as an infinite error, so it fails the check. Failures
-    are reported, never raised.
+    derivative counts as an infinite error, so it fails the check. The check
+    passes when every relative error is below GRADCHECK_TOL. Failures are
+    reported, never raised.
     """
     arrays = [np.asarray(x, dtype=np.float64) for x in inputs]
     analytic = _analytic(f, arrays)
@@ -559,20 +572,16 @@ def gradcheck(f, inputs, step: float = 1e-5, tol: float = 1e-5) -> GradcheckRepo
             idx = np.unravel_index(int(flat_idx), base.shape)
             plus = [a.copy() for a in arrays]
             minus = [a.copy() for a in arrays]
-            plus[which][idx] += step
-            minus[which][idx] -= step
+            plus[which][idx] += GRADCHECK_STEP
+            minus[which][idx] -= GRADCHECK_STEP
             f_plus = _evaluate(f, plus)[0].value[0, 0]
             f_minus = _evaluate(f, minus)[0].value[0, 0]
-            numeric = (f_plus - f_minus) / (2.0 * step)
+            numeric = (f_plus - f_minus) / (2.0 * GRADCHECK_STEP)
             worst = max(worst, _relative_error(analytic[which][idx], numeric, 1e-8))
         per_input.append(float(worst))
     max_err = max(per_input) if per_input else 0.0
-    return GradcheckReport(max_rel_err=max_err, passed=bool(max_err < tol), per_input=per_input)
-
-
-# step h and pass bound of directional_check
-DIRECTIONAL_STEP = 1e-3
-DIRECTIONAL_TOL = 1e-6
+    return GradcheckReport(max_rel_err=max_err, passed=bool(max_err < GRADCHECK_TOL),
+                           per_input=per_input)
 
 
 def directional_check(f, inputs) -> GradcheckReport:

@@ -305,7 +305,7 @@ def cmd_gradcheck(args) -> int:
     rows, all_pass = [], True
     for variant in args.variants:
         fn, inputs = _gradcheck_case(variant, args.seed)
-        report = ag.gradcheck(fn, inputs, step=args.step, tol=args.tol)
+        report = ag.gradcheck(fn, inputs)
         all_pass &= report.passed
         rows.append({"variant": variant, "max_rel_err": report.max_rel_err,
                      "passed": report.passed})
@@ -437,8 +437,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gradcheck", help="finite-difference checks per attention variant")
     p.add_argument("--variants", type=_names(GRADCHECK_VARIANTS),
                    default=",".join(GRADCHECK_VARIANTS), help="comma list; default all six")
-    p.add_argument("--tol", type=_positive_float, default=1e-5)
-    p.add_argument("--step", type=_positive_float, default=1e-5)
     p.add_argument("--seed", type=_seed, default=7)
     p.add_argument("--out")
 

@@ -11,7 +11,8 @@ attention and switch the averaging term off.
 
 Tokens are rows in row-major grid order per sample; the stem patchify, each
 2 x 2 downsample and the window partition tile them by one reshape/transpose
-(ag.tile_grid), and ag.add broadcasts every 1 x d bias over the rows.
+(ag.tile_grid). ag.add broadcasts every 1 x d bias over the rows, and each
+sample's value mean, one row per sample, over that sample's tokens.
 
 Everything runs on the autograd tape, so receptive-field probes and toy
 training reuse the same forward; inference runs it on a tape that keeps no
@@ -20,11 +21,11 @@ history, so it holds one block's working set rather than the whole pass.
 With the single-token readout (head_mode "first_token") the head reads one row
 per sample, the grid origin, so the last block computes only what that row
 depends on: its attention window, the 3 x 3 LePE reach around it and the
-value mean. Its attention sublayer keeps norm1, v and the mean on all rows,
-but runs q, k, the attention and LePE on each sample's corner, the c x c
-square of whole windows at the origin (c the least multiple of the window
-side that is >= 2, capped at the grid side; the grid itself for full and
-linear attention). The projection, residuals, norm2, MLP, head norm and head
+value mean. Its attention sublayer keeps norm1 and v on all rows, but runs
+q, k, the attention and LePE on each sample's corner, the c x c square of
+whole windows at the origin (c the least multiple of the window side that
+is >= 2, capped at the grid side; the grid itself for full and linear
+attention). The projection, residuals, norm2, MLP, head norm and head
 matmul then run on b rows instead of b * g * g. Training and inference share
 this path. Windows are independent, the LePE reach of the origin lies inside
 the corner, and every later op acts row by row, so the logits equal those of
@@ -292,35 +293,36 @@ def load_checkpoint(path_stem: str) -> dict[str, np.ndarray]:
 # forward
 
 
-def _attention_sublayer(tp, x, cfg: ModelConfig, stage: int, g: int, prefix: str, rows=None):
+def _attention_sublayer(tp, x, cfg: ModelConfig, stage: int, g: int, prefix: str,
+                        readout: bool = False):
     """norm1, q/k/v, the variant's attention, LePE and the optional mix.
 
     Returns the attention output before the projection, and the values v.
 
-    Given rows, it returns the output at those rows only. Each row must be a
-    sample's first token (a multiple of g * g; any samples, in any order), and
-    the output keeps their order. It then computes the token mixing only on
+    With readout it returns the output at each sample's first token only, one
+    row per sample in sample order. It then computes the token mixing only on
     each sample's corner: the c x c whole attention windows at the grid
     origin, c being the least multiple of the window side that is >= 2,
     capped at g. Full and linear attention have one window, the grid, so
-    their corner is the grid. norm1, v and the value mean stay on all rows;
-    q, k, the attention, its tilings and LePE run on the b * c * c corner
-    rows. The result is bitwise that of the full-row sublayer at rows:
+    their corner is the grid. norm1 and v stay on all rows; q, k, the
+    attention, its tilings and LePE run on the b * c * c corner rows. The
+    result is bitwise that of the full-row sublayer at the first tokens:
     windows are independent, and the 3 x 3 LePE reach of token (0, 0) lies
     inside the corner, whose zero padding stands where the grid's did. y and
     v are gathered once per consumer, in the order the full-row ops consume
-    them, so that backward sums each fan-out in the same order.
+    them, so that backward sums each fan-out in the same order. The value
+    mean is one row per sample on either path, and add broadcasts it.
     """
     dim = cfg.stage_dims[stage]
     heads = cfg.stage_heads[stage]
     hd = dim // heads
     n = g * g
     side = effective_window(cfg, g) if cfg.attention_variant == "window" else g
-    c = g if rows is None else min(g, side * -(-2 // side))
+    c = min(g, side * -(-2 // side)) if readout else g
     corner = None
     if c < g:
         origin = (np.arange(c)[:, None] * g + np.arange(c)).ravel()
-        corner = (np.asarray(rows)[:, None] + origin).ravel()
+        corner = (np.arange(0, x.value.shape[0], n)[:, None] + origin).ravel()
 
     def pick(t):  # the corner rows of t, gathered anew for each consumer
         return t if corner is None else ag.gather_rows(t, corner)
@@ -344,24 +346,24 @@ def _attention_sublayer(tp, x, cfg: ModelConfig, stage: int, g: int, prefix: str
                                           heads)
 
     att = ag.add(att, ag.depthwise_conv(pick(v), tp[prefix + "lepe"], c, c))
-    if rows is not None:  # the corners are stacked in the order of rows
-        att = ag.gather_rows(att, rows if corner is None else np.arange(len(rows)) * (c * c))
+    if readout:  # the first row of each corner
+        att = ag.gather_rows(att, np.arange(0, att.value.shape[0], c * c))
     if cfg.averaging_enabled:
-        mean = ag.blocked_mean_broadcast(v, n)
-        att = ag.add(att, mean if rows is None else ag.gather_rows(mean, rows))
+        att = ag.add(att, ag.blocked_mean_broadcast(v, n))
     return att, v
 
 
-def _block_forward(tp, x, cfg: ModelConfig, stage: int, g: int, prefix: str, rows=None):
-    """One block; given rows, each sample's first token, it returns those rows only.
+def _block_forward(tp, x, cfg: ModelConfig, stage: int, g: int, prefix: str,
+                   readout: bool = False):
+    """One block; with readout it returns each sample's first token only.
 
     The attention sublayer then mixes tokens on each sample's corner only
     (see _attention_sublayer), and the projection, residuals, norm2 and MLP
-    run on the rows.
+    run on those rows.
     """
-    att, _ = _attention_sublayer(tp, x, cfg, stage, g, prefix, rows)
-    if rows is not None:
-        x = ag.gather_rows(x, rows)
+    att, _ = _attention_sublayer(tp, x, cfg, stage, g, prefix, readout)
+    if readout:
+        x = ag.gather_rows(x, np.arange(0, x.value.shape[0], g * g))
     att = ag.add(ag.matmul(att, tp[prefix + "proj.w"]), tp[prefix + "proj.b"])
     x = ag.add(x, att)
 
@@ -388,9 +390,6 @@ def _forward_traced(tape, tp, cfg: ModelConfig, images: np.ndarray):
     if h != w:
         raise ConfigurationError(f"square inputs required, got {h}x{w}")
     grids = stage_grids(cfg, image_size=h)
-    n_last = grids[-1] * grids[-1]
-    starts = np.arange(b) * n_last  # the first token of each sample on the last grid
-    readout = starts if cfg.head_mode == "first_token" else None
 
     x = ag.leaf(tape, images.reshape(b * h * w, 3))
     x = ag.group_rows(ag.tile_grid(x, h, cfg.patch_size), cfg.patch_size * cfg.patch_size)
@@ -404,12 +403,12 @@ def _forward_traced(tape, tp, cfg: ModelConfig, images: np.ndarray):
             x = ag.matmul(x, tp[f"down{s}.w"])
         depth = cfg.stage_depths[s]
         for i in range(depth):
-            last = s == len(grids) - 1 and i == depth - 1
-            x = _block_forward(tp, x, cfg, s, g, f"s{s}.b{i}.", readout if last else None)
+            readout = cfg.head_mode == "first_token" and s == len(grids) - 1 and i == depth - 1
+            x = _block_forward(tp, x, cfg, s, g, f"s{s}.b{i}.", readout)
 
     x = ag.layer_norm(x, tp["head.norm.g"], tp["head.norm.b"])
     if cfg.head_mode == "gap":
-        x = ag.gather_rows(ag.blocked_mean_broadcast(x, n_last), starts)
+        x = ag.blocked_mean_broadcast(x, grids[-1] * grids[-1])
     return ag.add(ag.matmul(x, tp["head.w"]), tp["head.b"])
 
 

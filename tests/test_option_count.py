@@ -31,3 +31,15 @@ def test_a_missing_path_is_one_error_line(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: no such file or directory: {missing}"]
+
+
+# tools/option_count.py src at this tree; a change that adds or removes an option
+# moves the pin in the same commit and says so in CHANGES.md
+SRC_OPTIONS = 120
+
+
+def test_src_option_total_is_pinned():
+    total = sum(option_count.count_paths([_ROOT.parent / "src"]).values())
+    assert total == SRC_OPTIONS, (
+        f"tools/option_count.py src counts {total} options, the pin is {SRC_OPTIONS}: "
+        "update SRC_OPTIONS in tests/test_option_count.py and record the change in CHANGES.md")
