@@ -194,14 +194,16 @@ def _apply_psi(x: np.ndarray, psi: str, psi_p: int) -> np.ndarray:
 _FOLD_BELOW = 16  # numpy's own blocked pairwise sum starts at 16 columns
 
 
-def _fold(op: np.ufunc, x: np.ndarray) -> np.ndarray:
-    """op over the last axis of x (below 16 columns) in numpy's association.
+def _fold(op: np.ufunc, x: np.ndarray, axis: int) -> np.ndarray:
+    """op over one axis of x (below 16 entries long) in numpy's association.
 
-    Below 8 columns the columns fold in order; from 8 to 15 the first eight
-    fold as numpy's eight pairwise accumulators, ((x0 x1)(x2 x3))((x4 x5)(x6 x7)),
-    and the rest follow in order. An op with an identity (add's 0) starts from
-    it, as op.reduce does. Each step is one ufunc call over every row at once.
+    Below 8 entries they fold in order; from 8 to 15 the first eight fold as
+    numpy's eight pairwise accumulators, ((x0 x1)(x2 x3))((x4 x5)(x6 x7)), and
+    the rest follow in order. An op with an identity (add's 0) starts from it,
+    as op.reduce does. Each step is one ufunc call over every other index at
+    once; the result keeps the folded axis, of length one.
     """
+    x = np.swapaxes(x, axis, -1)
     w = x.shape[-1]
     if w < 8:
         acc = x[..., :1].copy()
@@ -215,7 +217,7 @@ def _fold(op: np.ufunc, x: np.ndarray) -> np.ndarray:
             op(acc, x[..., j : j + 1], out=acc)
     if op.identity is not None:
         op(op.identity, acc, out=acc)
-    return acc
+    return np.swapaxes(acc, axis, -1)
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -254,8 +256,13 @@ def _fold_widths(op: np.ufunc) -> frozenset[int]:
     with np.errstate(all="ignore"):
         return frozenset(
             w for w in range(1, _FOLD_BELOW)
-            if all(_same_bits(_fold(op, p), op.reduce(p, axis=-1, keepdims=True))
+            if all(_same_bits(_fold(op, p, -1), op.reduce(p, axis=-1, keepdims=True))
                    for p in (probe[:, :w], np.ascontiguousarray(probe[:, :w]))))
+
+
+def _foldable(op: np.ufunc, x: np.ndarray) -> bool:
+    """Whether _row_fold folds x: a contiguous last axis at a width in _fold_widths(op)."""
+    return x.strides[-1] == x.itemsize and x.shape[-1] in _fold_widths(op)
 
 
 def _row_fold(op: np.ufunc, x: np.ndarray) -> np.ndarray:
@@ -268,8 +275,8 @@ def _row_fold(op: np.ufunc, x: np.ndarray) -> np.ndarray:
     installed numpy (a NaN's payload is not pinned). Every other row, and any
     layout whose last axis is not contiguous, goes to op.reduce.
     """
-    if x.strides[-1] == x.itemsize and x.shape[-1] in _fold_widths(op):
-        return _fold(op, x)
+    if _foldable(op, x):
+        return _fold(op, x, -1)
     return op.reduce(x, axis=-1, keepdims=True)
 
 

@@ -5,7 +5,10 @@ holding its numpy value, parent indices, and whatever the adjoint needs.
 backward() walks the tape once in reverse, accumulating gradients additively
 across fan-out, and returns the gradient of every leaf. First-order only:
 no higher derivatives, no checkpointing. A Tape(record=False) keeps no
-history, for forward-only passes.
+history, for forward-only passes. A constant is an input that backward
+never differentiates: no gradient is formed for it, or for a node computed
+only from constants, and a matmul whose left operand is constant skips that
+operand's gradient product.
 
 Each attention variant is one op over its feature maps (SEMA adds the mixing
 op, one mean row per block, to the window op; add is the one broadcast) whose
@@ -27,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import attention
-from .attention import (KernelSpec, _blocked_values, _blocks, _LINEAR, _row_fold, _SOFTMAX,
-                        _unblock)
+from .attention import (KernelSpec, _blocked_values, _blocks, _fold, _foldable, _LINEAR,
+                        _row_fold, _SOFTMAX, _unblock)
 from .errors import DifferentiationError, DimensionError
 from .posenc import _depthwise_taps_grad, depthwise_conv_grid, rotate_pairs
 from .rng import rng_for
@@ -49,12 +52,16 @@ class Tape:
     lives exactly as long as a TracedValue refers to it, so an inference
     pass holds its working set instead of its whole history. backward()
     needs a recording tape.
+
+    constants holds the indices of the constant inputs and, on a recording
+    tape, of every node computed only from them.
     """
 
     def __init__(self, record: bool = True):
         self.record = record
         self.nodes: list[Node] = []
         self.pushed = 0
+        self.constants: set[int] = set()
 
     def push(self, op: str, parents: tuple[int, ...], value: np.ndarray,
              ctx: dict | None = None) -> "TracedValue":
@@ -62,6 +69,8 @@ class Tape:
                     (ctx or {}) if self.record else {})
         if self.record:
             self.nodes.append(node)
+            if parents and self.constants.issuperset(parents):
+                self.constants.add(self.pushed)
         else:
             self.nodes = [node]
         self.pushed += 1
@@ -90,6 +99,13 @@ class TracedValue:
 def leaf(tape: Tape, value) -> TracedValue:
     """Register an input (differentiable) tensor on the tape."""
     return tape.push("leaf", (), np.asarray(value, dtype=np.float64))
+
+
+def constant(tape: Tape, value) -> TracedValue:
+    """Register an input that backward never differentiates."""
+    out = tape.push("constant", (), np.asarray(value, dtype=np.float64))
+    tape.constants.add(out.idx)
+    return out
 
 
 def _pair(a: TracedValue, b: TracedValue) -> Tape:
@@ -126,7 +142,9 @@ def mul(a, b):
 def matmul(a, b):
     if a.value.shape[-1] != b.value.shape[0]:
         raise DimensionError(f"matmul: {a.value.shape} x {b.value.shape}")
-    return _pair(a, b).push("matmul", (a.idx, b.idx), a.value @ b.value)
+    tape = _pair(a, b)
+    return tape.push("matmul", (a.idx, b.idx), a.value @ b.value,
+                     {"left_constant": a.idx in tape.constants})
 
 
 def elu_plus_one(a):
@@ -243,14 +261,29 @@ def layer_norm(x, gamma, beta):
     """Per-row normalization with learned scale and shift (1 x d each), eps 1e-5.
 
     The row means are row sums over d (attention._row_fold), bitwise numpy's
-    mean(axis=1, keepdims=True).
+    mean(axis=1, keepdims=True). Rows that _row_fold folds (fewer than 16
+    contiguous columns) are normalized in a feature-major (d, n) copy: numpy
+    would loop once per row over their few columns, where feature-major every
+    per-row statistic is one contiguous vector and every step one long loop.
+    The sums fold along axis 0 in the same association, so the output and the
+    saved xhat, returned row-major, are bitwise those of the row-major path.
     """
     d = x.value.shape[1]
-    xc = x.value - _row_fold(np.add, x.value) / d
-    var = _row_fold(np.add, xc * xc) / d
-    inv = 1.0 / np.sqrt(var + 1e-5)
-    xhat = xc * inv
-    out = xhat * gamma.value + beta.value
+    if _foldable(np.add, x.value):
+        xc = x.value.T.copy()  # a copy also of one row, whose transpose is contiguous
+        xc -= _fold(np.add, xc, 0) / d
+        sq = xc * xc
+        inv = 1.0 / np.sqrt(_fold(np.add, sq, 0) / d + 1e-5)
+        xc *= inv
+        np.multiply(xc, gamma.value.T, out=sq)
+        sq += beta.value.T
+        out, xhat, inv = np.ascontiguousarray(sq.T), np.ascontiguousarray(xc.T), inv.T
+    else:
+        xc = x.value - _row_fold(np.add, x.value) / d
+        var = _row_fold(np.add, xc * xc) / d
+        inv = 1.0 / np.sqrt(var + 1e-5)
+        xhat = xc * inv
+        out = xhat * gamma.value + beta.value
     tape = _pair(x, gamma)
     return tape.push("layer_norm", (x.idx, gamma.idx, beta.idx), out,
                      {"xhat": xhat, "inv": inv})
@@ -327,7 +360,7 @@ def cross_entropy(logits, labels) -> TracedValue:
 
 def _adj_matmul(node, g, vals):
     a, b = vals
-    return g @ b.T, a.T @ g
+    return None if node.ctx.get("left_constant") else g @ b.T, a.T @ g
 
 
 def _adj_gelu(node, g, vals):
@@ -425,8 +458,11 @@ def focused_map_rows(a, p: int):
 
 ADJOINTS = {
     "leaf": None,
+    # a same-shape operand gets g itself, signs of zero kept; a repeated one
+    # gets the sum over its blocks, which numpy starts from +0
     "add": lambda node, g, vals: (
-        g, _blocks(g, g.shape[0] // vals[1].shape[0]).sum(axis=2)[:, 0],
+        g, g if g.shape[0] == vals[1].shape[0]
+        else _blocks(g, g.shape[0] // vals[1].shape[0]).sum(axis=2)[:, 0],
     ),
     "mul": lambda node, g, vals: (g * vals[1], g * vals[0]),
     "matmul": _adj_matmul,
@@ -485,14 +521,15 @@ def backward(loss: TracedValue) -> dict[int, np.ndarray]:
     """Gradient of a 1x1 traced scalar with respect to every leaf.
 
     Returns a map from leaf node index to gradient array. Visits each node
-    exactly once, in reverse creation (= reverse topological) order.
+    exactly once, in reverse creation (= reverse topological) order. No
+    gradient is formed for a constant or a node computed only from constants.
     """
     if loss.value.shape != (1, 1):
         raise DimensionError(f"loss must be a 1x1 scalar, got shape {loss.value.shape}")
     if not loss.tape.record:
         raise DifferentiationError("backward needs a tape made with record=True")
-    nodes = loss.tape.nodes
-    grads: dict[int, np.ndarray] = {loss.idx: np.ones((1, 1))}
+    nodes, constants = loss.tape.nodes, loss.tape.constants
+    grads: dict[int, np.ndarray] = {} if loss.idx in constants else {loss.idx: np.ones((1, 1))}
     for idx in range(loss.idx, -1, -1):
         node = nodes[idx]
         g = grads.pop(idx, None)
@@ -506,6 +543,8 @@ def backward(loss: TracedValue) -> dict[int, np.ndarray]:
         vals = tuple(nodes[p].value for p in node.parents)
         parent_grads = adj(node, g, vals)
         for p, pg in zip(node.parents, parent_grads):
+            if p in constants:
+                continue
             if p in grads:
                 grads[p] = grads[p] + pg
             else:

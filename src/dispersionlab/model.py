@@ -11,7 +11,10 @@ attention and switch the averaging term off.
 
 Tokens are rows in row-major grid order per sample; the stem patchify, each
 2 x 2 downsample and the window partition tile them by one reshape/transpose
-(ag.tile_grid). ag.add broadcasts every 1 x d bias over the rows, and each
+(ag.tile_grid). The stem cuts images into patch rows on the tape, or takes
+rows that patch_rows cut beforehand as a constant input, which backward does
+not differentiate; training cuts its images once and gathers every batch from
+that table. ag.add broadcasts every 1 x d bias over the rows, and each
 sample's value mean, one row per sample, over that sample's tokens.
 
 Everything runs on the autograd tape, so receptive-field probes and toy
@@ -374,25 +377,53 @@ def _block_forward(tp, x, cfg: ModelConfig, stage: int, g: int, prefix: str,
     return ag.add(x, z)
 
 
-def _forward_traced(tape, tp, cfg: ModelConfig, images: np.ndarray):
-    """Logits of (b, H, W, 3) images on the tape, with the parameters tp traced on it.
+def patch_rows(cfg: ModelConfig, images) -> np.ndarray:
+    """The stem's patch rows of (b, S, S, 3) images, S = cfg.image_size: (b * g0^2, p^2 * 3).
 
-    For the first-token readout the last block mixes tokens on each sample's
-    corner and runs its tail on the readout rows only (see the module
-    docstring and _attention_sublayer); the gap head averages all rows, and
-    every block runs on all of them.
+    g0 is the first stage's grid side and p the patch side. Rows are patches
+    in row-major grid order per sample, each patch raveled row-major: one
+    reshape/transpose copy, bitwise the rows the stem cuts on the tape.
+    forward takes them in place of the images.
     """
-    if images.ndim != 4 or images.shape[3] != 3:
-        raise ConfigurationError(f"images must be (b, H, W, 3), got {images.shape}")
-    if images.shape[0] == 0:
-        raise ConfigurationError(f"images must hold at least one image, got {images.shape}")
-    b, h, w, _ = images.shape
-    if h != w:
-        raise ConfigurationError(f"square inputs required, got {h}x{w}")
-    grids = stage_grids(cfg, image_size=h)
+    images = as_array(images)
+    size, p = cfg.image_size, cfg.patch_size
+    if images.ndim != 4 or images.shape[1:] != (size, size, 3) or not images.shape[0]:
+        raise ConfigurationError(
+            f"patch_rows: images must be (b, {size}, {size}, 3) with b >= 1, got {images.shape}")
+    return ag._tiles(images.reshape(-1, 3), size, p, False).reshape(-1, p * p * 3)
 
-    x = ag.leaf(tape, images.reshape(b * h * w, 3))
-    x = ag.group_rows(ag.tile_grid(x, h, cfg.patch_size), cfg.patch_size * cfg.patch_size)
+
+def _forward_traced(tape, tp, cfg: ModelConfig, inputs: np.ndarray):
+    """Logits on the tape, with the parameters tp traced on it, of (b, H, W, 3)
+    images or of their patch_rows table.
+
+    Images are a leaf, cut into patches on the tape; the table is a constant,
+    so backward forms no gradient for it. For the first-token readout the last
+    block mixes tokens on each sample's corner and runs its tail on the
+    readout rows only (see the module docstring and _attention_sublayer); the
+    gap head averages all rows, and every block runs on all of them.
+    """
+    p = cfg.patch_size
+    if inputs.ndim == 4:
+        if inputs.shape[3] != 3:
+            raise ConfigurationError(f"images must be (b, H, W, 3), got {inputs.shape}")
+        if inputs.shape[0] == 0:
+            raise ConfigurationError(f"images must hold at least one image, got {inputs.shape}")
+        b, h, w, _ = inputs.shape
+        if h != w:
+            raise ConfigurationError(f"square inputs required, got {h}x{w}")
+        grids = stage_grids(cfg, image_size=h)
+        x = ag.leaf(tape, inputs.reshape(b * h * w, 3))
+        x = ag.group_rows(ag.tile_grid(x, h, p), p * p)
+    else:
+        grids = stage_grids(cfg)
+        n0 = grids[0] ** 2
+        if inputs.ndim != 2 or inputs.shape[1] != p * p * 3 or not inputs.shape[0] \
+                or inputs.shape[0] % n0:
+            raise ConfigurationError(
+                f"input must be (b, H, W, 3) images or patch rows of shape (b * {n0}, "
+                f"{p * p * 3}) with b >= 1, got {inputs.shape}")
+        x = ag.constant(tape, inputs)
     x = ag.add(ag.matmul(x, tp["stem.w"]), tp["stem.b"])
     x = ag.layer_norm(x, tp["stem.norm.g"], tp["stem.norm.b"])
 
@@ -417,7 +448,8 @@ def _trace_params(tape, params: dict[str, np.ndarray]) -> dict[str, ag.TracedVal
 
 
 def forward(cfg: ModelConfig, params: dict[str, np.ndarray], images) -> Tensor:
-    """Classifier logits for a batch of (b, H, W, 3) images.
+    """Classifier logits for a batch of (b, H, W, 3) images, or of their
+    patch_rows table (bitwise the same logits).
 
     Runs _forward_traced on a tape that keeps no history, the same path as
     training; with the first-token readout a batch of one may differ from a
@@ -489,28 +521,30 @@ _PALETTE = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
 def make_dataset(task: SyntheticTask, patch_size: int, count: int,
                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Sample (images, labels); images are (count, S, S, 3) cell rasters."""
+    """Sample (images, labels); images are (count, S, S, 3) cell rasters.
+
+    Each sample draws its label, margin and cell colors in turn; the images
+    are then rastered at once, one palette lookup and a repeat per axis.
+    """
     g = task.grid_tokens
     ct = _CORNER_TILE
-    size = g * patch_size
     in_corner = np.zeros((g, g), dtype=bool)
     in_corner[:ct, :ct] = True
     corner, rest = np.flatnonzero(in_corner), np.flatnonzero(~in_corner)
     n_rest = rest.size
-    images = np.empty((count, size, size, 3))
+    cells = np.empty((count, g * g), dtype=np.intp)
     labels = np.empty(count, dtype=np.intp)
     for s in range(count):
         label = int(rng.integers(0, 2))
         margin = int(rng.integers(_MARGIN_LO, _MARGIN_HI + 1))
-        cells = np.empty(g * g, dtype=np.intp)
         # balanced corner window: zero local information at the readout token
-        cells[corner] = rng.permutation(np.repeat([label, 1 - label], ct * ct // 2))
+        cells[s, corner] = rng.permutation(np.repeat([label, 1 - label], ct * ct // 2))
         rest_colors = np.full(n_rest, 1 - label, dtype=np.intp)
         rest_colors[: n_rest // 2 + margin] = label
-        cells[rest] = rng.permutation(rest_colors)
-        colors = _PALETTE[cells].reshape(g, g, 3)
-        images[s] = np.repeat(np.repeat(colors, patch_size, axis=0), patch_size, axis=1)
+        cells[s, rest] = rng.permutation(rest_colors)
         labels[s] = label
+    colors = _PALETTE[cells].reshape(count, g, g, 3)
+    images = np.repeat(np.repeat(colors, patch_size, axis=1), patch_size, axis=2)
     return images, labels
 
 
@@ -524,8 +558,8 @@ class TrainToyResult:
     params: dict[str, np.ndarray] = field(repr=False, default_factory=dict)
 
 
-def _accuracy(cfg, params, images, labels) -> float:
-    logits = forward(cfg, params, images).array
+def _accuracy(cfg, params, rows, labels) -> float:
+    logits = forward(cfg, params, rows).array
     return float((logits.argmax(axis=1) == labels).mean())
 
 
@@ -549,8 +583,12 @@ def train_toy(cfg: ModelConfig, task: SyntheticTask, epochs: int, seed: int) -> 
             f"config image size {cfg.image_size} does not match task grid "
             f"{task.grid_tokens} x patch {cfg.patch_size}"
         )
+    # the stem's patch rows replace the images, cut once; a step gathers its samples' rows
     train_x, train_y = make_dataset(task, cfg.patch_size, _N_TRAIN, rng_for(seed, "train"))
+    train_x = patch_rows(cfg, train_x)
     val_x, val_y = make_dataset(task, cfg.patch_size, _N_VAL, rng_for(seed, "val"))
+    val_x = patch_rows(cfg, val_x)
+    samples = train_x.reshape(_N_TRAIN, -1, train_x.shape[1])
     params = init_params(cfg, rng_for(seed, "init"))
     velocity = {k: np.zeros_like(v) for k, v in params.items()}
 
@@ -576,7 +614,8 @@ def train_toy(cfg: ModelConfig, task: SyntheticTask, epochs: int, seed: int) -> 
             batch = order[start : start + _BATCH]
             tape = ag.Tape()
             tp = _trace_params(tape, params)
-            logits = _forward_traced(tape, tp, cfg, train_x[batch])
+            rows = samples[batch].reshape(-1, train_x.shape[1])
+            logits = _forward_traced(tape, tp, cfg, rows)
             loss = ag.cross_entropy(logits, train_y[batch])
             loss_value = float(loss.value[0, 0])
             if not math.isfinite(loss_value):

@@ -6,6 +6,7 @@ import pytest
 from dispersionlab import autograd as ag
 from dispersionlab.attention import (
     WindowSpec,
+    _same_bits,
     focused_attention,
     linear_attention,
     mila_attention,
@@ -311,6 +312,20 @@ class TestBroadcastAdd:
         report = ag.gradcheck(lambda a, b: ag.sum_all(_square(ag.add(a, b))), [x, bias])
         assert report.passed, report.max_rel_err
 
+    def test_same_shape_operand_gets_g_itself_and_a_repeated_one_sums_from_plus_zero(self):
+        # the same-shape adjoint passes g through, so -0.0 stays -0.0; a repeated
+        # operand's block sum starts from +0, as numpy's sum does
+        g = np.array([[-0.0, np.nan, 1.0], [np.inf, -np.inf, -0.0]])
+        da, db = ag.ADJOINTS["add"](None, g, (g, g))
+        assert da is g and db is g
+        _, db = ag.ADJOINTS["add"](None, -np.zeros((4, 3)), (g, np.ones((2, 3))))
+        assert not np.signbit(db).any()
+        tape = ag.Tape()
+        a, b = ag.leaf(tape, np.ones((2, 3))), ag.leaf(tape, np.ones((2, 3)))
+        weights = ag.leaf(tape, np.array([[-0.0, 2.0, 1.0], [3.0, 4.0, -0.0]]))
+        grads = ag.backward(ag.sum_all(ag.mul(ag.add(a, b), weights)))
+        assert np.signbit(grads[b.idx]).tolist() == [[True, False, False], [False, False, True]]
+
     @pytest.mark.parametrize("left,right", [((5, 3), (2, 3)), ((6, 3), (4, 3)),
                                             ((5, 3), (1, 4)), ((6, 3), (2, 4)),
                                             ((1, 3), (5, 3))])
@@ -418,22 +433,38 @@ class TestRowKernelAdjointsAgainstOracles:
         (dx,) = ag.ADJOINTS["rope_rotate"](node, g, (x,))
         assert_same_bits(dx, oracle(g, -ang))
 
-    @pytest.mark.parametrize("d", [1, 4, 8, 12, 16, 24])
+    @pytest.mark.parametrize("d", [*range(1, 17), 24])
     def test_layer_norm_and_its_adjoint_are_bitwise_the_mean_formulas(self, d):
+        # below 16 columns the forward runs feature-major; rows mix +-0, NaN,
+        # +-inf and magnitudes of 1e+-300 with normal draws, and a single row
+        # (whose transpose is contiguous) must not be normalized in place
         rng = np.random.default_rng(d)
         x, g = rng.standard_normal((2, 300, d))
+        special = rng.random(x.shape) < 0.1
+        x[special] = rng.choice([0.0, -0.0, np.nan, np.inf, -np.inf, 1e300, -1e300, 1e-300,
+                                 -1e-300], special.sum())
+        x[:20] = rng.choice([0.0, -0.0], (20, d))
+        x[20:40] = rng.choice([1e300, -1e-300, 1e-300], (20, d))
         gamma, beta = rng.standard_normal((2, 1, d))
-        tape = ag.Tape()
-        node = ag.layer_norm(*(ag.leaf(tape, a) for a in (x, gamma, beta))).node
-        xc = x - x.mean(axis=1, keepdims=True)
-        inv = 1.0 / np.sqrt((xc * xc).mean(axis=1, keepdims=True) + 1e-5)
-        xhat = xc * inv
-        assert_same_bits(node.value, xhat * gamma + beta)
-        dxhat = g * gamma
-        want = inv / d * (d * dxhat - dxhat.sum(axis=1, keepdims=True)
-                          - xhat * (dxhat * xhat).sum(axis=1, keepdims=True))
-        dx, _, _ = ag.ADJOINTS["layer_norm"](node, g, (x, gamma, beta))
-        assert_same_bits(dx, want)
+        for x, g in ((x, g), (x[-1:].copy(), g[-1:].copy())):
+            tape = ag.Tape()
+            leaves = [ag.leaf(tape, a.copy()) for a in (x, gamma, beta)]
+            with np.errstate(all="ignore"):
+                node = ag.layer_norm(*leaves).node
+                xc = x - x.mean(axis=1, keepdims=True)
+                inv = 1.0 / np.sqrt((xc * xc).mean(axis=1, keepdims=True) + 1e-5)
+                xhat = xc * inv
+                dxhat = g * gamma
+                want = (inv / d * (d * dxhat - dxhat.sum(axis=1, keepdims=True)
+                                   - xhat * (dxhat * xhat).sum(axis=1, keepdims=True)),
+                        (g * xhat).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True))
+                got = ag.ADJOINTS["layer_norm"](node, g, (x, gamma, beta))
+            for a, b in ((node.value, xhat * gamma + beta), (node.ctx["xhat"], xhat),
+                         (node.ctx["inv"], inv), *zip(got, want)):
+                assert a.shape == b.shape and a.flags.c_contiguous
+                assert _same_bits(a, b)
+            for leaf, a in zip(leaves, (x, gamma, beta)):
+                assert _same_bits(leaf.value, a)
 
 
 def _per_head(op, q, k, v, block, heads):
@@ -445,6 +476,34 @@ def _per_head(op, q, k, v, block, heads):
 
 
 BLOCKED_OPS = [ag.blocked_softmax_attention, ag.blocked_linear_attention]
+
+
+class TestConstants:
+    def test_no_gradient_for_a_constant_or_what_only_constants_feed(self, monkeypatch):
+        rng = rng_for(19, "constant")
+        x, w = rng.standard_normal((5, 3)), rng.standard_normal((3, 2))
+        returned = {}
+        for op in ("mul", "matmul"):
+            adjoint = ag.ADJOINTS[op]
+            monkeypatch.setitem(ag.ADJOINTS, op, lambda node, g, vals, adjoint=adjoint:
+                                returned.setdefault(node.op, adjoint(node, g, vals)))
+
+        def loss(make):
+            tape = ag.Tape()
+            c, lw = make(tape, x), ag.leaf(tape, w)
+            return c, lw, ag.sum_all(ag.matmul(ag.mul(c, c), lw))
+
+        c, lw, out = loss(ag.constant)
+        grads = ag.backward(out)
+        assert set(grads) == {lw.idx} and {c.idx, c.idx + 2} <= c.tape.constants
+        assert "mul" not in returned and returned["matmul"][0] is None
+        returned.clear()
+        _, ref_w, ref = loss(ag.leaf)
+        assert grads[lw.idx].tobytes() == ag.backward(ref)[ref_w.idx].tobytes()
+
+    def test_a_loss_of_constants_has_no_gradients(self):
+        tape = ag.Tape()
+        assert ag.backward(ag.sum_all(ag.constant(tape, np.ones((2, 2))))) == {}
 
 
 class TestNonRecordingTape:

@@ -112,3 +112,78 @@ def test_no_paired_section_without_parent_and_change(tmp_path, monkeypatch):
     monkeypatch.setattr(bench_summary, "ROOT", tmp_path)
     assert bench_summary.main(["t", "other=runs"]) == 0
     assert "paired" not in json.loads((tmp_path / "BENCH_t.json").read_text())
+
+
+_TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+# a perfbench/run.py stand-in: logs its tree and seed, and writes a record whose
+# op_ms_p50 is 10 ms in the parent tree and 8 ms in the change tree
+_STUB_RUNNER = """
+import argparse, json, pathlib, sys
+p = argparse.ArgumentParser()
+for flag in ("--workload", "--seed", "--trace"):
+    p.add_argument(flag)
+a = p.parse_args()
+here = pathlib.Path(__file__).resolve().parent
+tree = here.parent.name
+with open(here.parent.parent / "log.txt", "a") as fh:
+    fh.write(f"{tree} {a.workload} {a.seed} {a.trace}\\n")
+record = RECORD
+record.update(workload=a.workload, seed=int(a.seed), src_sha256=tree * 10)
+record["end_to_end"]["op_ms_p50"]["value"] = {"parent": 10.0, "change": 8.0}[tree]
+(here / "out").mkdir(exist_ok=True)
+(here / "out" / f"{a.workload}-seed{a.seed}-trace0.json").write_text(json.dumps(record))
+sys.exit(EXIT)
+"""
+
+
+def _bench_pairs(monkeypatch, root):
+    monkeypatch.syspath_prepend(str(_TOOLS))
+    spec = importlib.util.spec_from_file_location("bench_pairs", _TOOLS / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module.bench_summary, "ROOT", root)
+    return module
+
+
+def _stub_trees(tmp_path, exit_code=0):
+    for tree in ("parent", "change"):
+        runner = tmp_path / tree / "perfbench" / "run.py"
+        runner.parent.mkdir(parents=True)
+        runner.write_text(_STUB_RUNNER.replace("RECORD", repr(_record("w", 0, 0.0)))
+                          .replace("EXIT", str(exit_code)))
+    return [str(tmp_path / "parent"), str(tmp_path / "change")]
+
+
+def test_bench_pairs_alternates_the_trees_and_records_the_order(tmp_path, monkeypatch):
+    bench_pairs = _bench_pairs(monkeypatch, tmp_path)
+    trees = _stub_trees(tmp_path)
+    assert bench_pairs.main(trees + ["--workload", "toy", "--pairs", "3", "--label", "t"]) == 0
+    runs = [line.split() for line in (tmp_path / "log.txt").read_text().splitlines()]
+    assert runs == [[tree, "toy", str(seed), "0"] for tree, seed in
+                    (("parent", 301), ("change", 301), ("change", 302), ("parent", 302),
+                     ("parent", 303), ("change", 303))]
+    out = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert [(r["tree"], r["seed"], r["exit"]) for r in out["run_order"]] == [
+        (tree, int(seed), 0) for tree, _, seed, _ in runs]
+    paired = out["paired"]["toy"]["op_ms_p50"]
+    assert (paired["wins"], paired["ties"], paired["median_ratio"]) == (3, 0, 0.8)
+    assert out["sets"]["change"]["seeds"] == {"toy": [301, 302, 303]}
+
+    # a second workload keeps the first call's run order ahead of its own
+    assert bench_pairs.main(trees + ["--workload", "other", "--pairs", "1", "--seed", "7",
+                                     "--label", "t"]) == 0
+    out = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert [(r["workload"], r["seed"]) for r in out["run_order"]][-3:] == [
+        ("toy", 303), ("other", 7), ("other", 7)]
+    assert set(out["paired"]) == {"toy", "other"}
+
+
+def test_bench_pairs_reports_failed_runs_and_unusable_trees(tmp_path, monkeypatch):
+    bench_pairs = _bench_pairs(monkeypatch, tmp_path)
+    trees = _stub_trees(tmp_path, exit_code=1)
+    assert bench_pairs.main(trees + ["--workload", "toy", "--pairs", "1", "--label", "t"]) == 1
+    assert bench_pairs.main([trees[0], str(tmp_path / "none"), "--workload", "toy",
+                             "--pairs", "1", "--label", "u"]) == 2
+    assert bench_pairs.main(trees + ["--workload", "toy", "--pairs", "0", "--label", "u"]) == 2
+    assert not (tmp_path / "BENCH_u.json").exists()

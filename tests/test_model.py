@@ -19,6 +19,7 @@ from dispersionlab.model import (
     load_checkpoint,
     make_dataset,
     parameter_count,
+    patch_rows,
     parameter_shapes,
     receptive_field_grid,
     save_checkpoint,
@@ -435,6 +436,93 @@ class TestReadoutRows:
         assert report.passed, dict(zip(names, report.per_input))
 
 
+def _on_tape_rows(images, patch):
+    """The stem's patch rows as the tape cuts them from (b, S, S, 3) images."""
+    tape = ag.Tape(record=False)
+    x = ag.leaf(tape, images.reshape(-1, 3))
+    return ag.group_rows(ag.tile_grid(x, images.shape[1], patch), patch * patch).value
+
+
+_TABLE_CONFIGS = [pytest.param(ModelConfig.ablation, id="ablation"),
+                  pytest.param(_two_stage_config, id="two-stage"),
+                  pytest.param(ModelConfig.toy, id="toy")]
+
+
+class TestPatchRows:
+    """forward and training take the stem's patch rows, cut once, in place of images."""
+
+    @pytest.mark.parametrize("make,batch", [
+        (ModelConfig.tiny_224, 1),
+        (ModelConfig.ablation, 3),
+        (lambda: ModelConfig.ablation(patch_size=2, image_size=16), 2),
+        (lambda: ModelConfig.ablation(patch_size=3, image_size=24), 5),
+        (lambda: ModelConfig.ablation(patch_size=8, image_size=16), 4),
+        (lambda: ModelConfig.ablation(patch_size=1, image_size=12), 2),
+    ])
+    def test_equal_to_the_on_tape_tiling(self, make, batch):
+        cfg = make()
+        images = rng_for(34, "patch-rows", batch).random((batch, cfg.image_size,
+                                                          cfg.image_size, 3))
+        rows = patch_rows(cfg, images)
+        want = _on_tape_rows(images, cfg.patch_size)
+        g0 = stage_grids(cfg)[0]
+        assert rows.shape == want.shape == (batch * g0 * g0, cfg.patch_size ** 2 * 3)
+        assert rows.flags.c_contiguous and rows.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("make", _TABLE_CONFIGS)
+    def test_forward_on_the_table_equals_forward_on_the_images(self, make):
+        cfg = make()
+        params = init_params(cfg, rng_for(35, "table-params"))
+        for batch in (2, 3, 64):
+            images = rng_for(35, "table-images", batch).random(
+                (batch, cfg.image_size, cfg.image_size, 3))
+            assert (forward(cfg, params, patch_rows(cfg, images)).array.tobytes()
+                    == forward(cfg, params, images).array.tobytes())
+
+    @pytest.mark.parametrize("make", _TABLE_CONFIGS)
+    def test_a_step_on_the_table_has_the_image_step_gradients(self, make, monkeypatch):
+        cfg = make()
+        params = init_params(cfg, rng_for(36, "table-step"))
+        images = rng_for(36, "table-step-images").random((3, cfg.image_size, cfg.image_size, 3))
+        from_images = _leaf_grads(_forward_traced, cfg, params, images)
+        skipped = []
+        matmul = ag.ADJOINTS["matmul"]
+
+        def record(node, g, vals):
+            out = matmul(node, g, vals)
+            skipped.append(out[0] is None)
+            return out
+
+        monkeypatch.setitem(ag.ADJOINTS, "matmul", record)
+        labels = np.arange(3) % cfg.num_classes
+        tape = ag.Tape()
+        tp = _trace_params(tape, params)
+        grads = ag.backward(ag.cross_entropy(
+            _forward_traced(tape, tp, cfg, patch_rows(cfg, images)), labels))
+        table = len(tp)  # pushed right after the parameters
+        assert tape.nodes[table].op == "constant" and table not in grads
+        assert set(grads) == {leaf.idx for leaf in tp.values()}
+        # only the stem's matmul, the last one backward reaches, skips g @ b.T
+        assert skipped.count(True) == 1 and skipped[-1]
+        assert not any(node.op in ("tile_grid", "group_rows") for node in tape.nodes[:table + 2])
+        for name, leaf in tp.items():
+            assert grads[leaf.idx].tobytes() == from_images[name].tobytes(), name
+
+    @pytest.mark.parametrize("shape", [(64, 48, 1), (64,), (64, 47), (65, 48), (0, 48)])
+    def test_bad_tables_are_one_line_errors(self, shape):
+        # not 2-D, the wrong width, or a row count that is not b * 64 with b >= 1
+        cfg = ModelConfig.ablation()
+        with pytest.raises(ConfigurationError) as caught:
+            forward(cfg, init_params(cfg), np.zeros(shape))
+        assert str(caught.value) == ("input must be (b, H, W, 3) images or patch rows of shape "
+                                     f"(b * 64, 48) with b >= 1, got {shape}")
+
+    @pytest.mark.parametrize("size", [16, 33])
+    def test_patch_rows_refuses_other_image_sizes(self, size):
+        with pytest.raises(ConfigurationError, match="patch_rows.*32, 32"):
+            patch_rows(ModelConfig.ablation(), np.zeros((2, size, size, 3)))
+
+
 class TestLossGradient:
     """The cross-entropy gradient of the whole model along seeded directions: the
     ablation config on the corner path, and a two-stage gap config, whose
@@ -499,7 +587,38 @@ class TestReceptiveField:
         assert corner[0, 2] == 0 and corner[2, 0] == 0
 
 
+def _per_sample_dataset(task, patch_size, count, rng):
+    """make_dataset with every image rastered in its own pass, its draws in the same order."""
+    g, ct = task.grid_tokens, 2
+    in_corner = np.zeros((g, g), dtype=bool)
+    in_corner[:ct, :ct] = True
+    corner, rest = np.flatnonzero(in_corner), np.flatnonzero(~in_corner)
+    images = np.empty((count, g * patch_size, g * patch_size, 3))
+    labels = np.empty(count, dtype=np.intp)
+    for s in range(count):
+        label = int(rng.integers(0, 2))
+        margin = int(rng.integers(12, 29))
+        cells = np.empty(g * g, dtype=np.intp)
+        cells[corner] = rng.permutation(np.repeat([label, 1 - label], ct * ct // 2))
+        rest_colors = np.full(rest.size, 1 - label, dtype=np.intp)
+        rest_colors[: rest.size // 2 + margin] = label
+        cells[rest] = rng.permutation(rest_colors)
+        colors = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])[cells].reshape(g, g, 3)
+        images[s] = np.repeat(np.repeat(colors, patch_size, axis=0), patch_size, axis=1)
+        labels[s] = label
+    return images, labels
+
+
 class TestToyTask:
+    @pytest.mark.parametrize("seed", [0, 13, 201])
+    @pytest.mark.parametrize("grid,patch,count", [(8, 4, 256), (10, 3, 7), (8, 1, 1)])
+    def test_dataset_equals_the_per_sample_raster(self, seed, grid, patch, count):
+        task = SyntheticTask(grid)
+        got = make_dataset(task, patch, count, rng_for(seed, "train"))
+        want = _per_sample_dataset(task, patch, count, rng_for(seed, "train"))
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
     def test_corner_window_is_balanced(self):
         task = SyntheticTask()
         images, labels = make_dataset(task, 4, 16, rng_for(5, "ds"))
