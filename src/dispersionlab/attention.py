@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DimensionError, KernelDomainError, WindowPartitionError, is_int
-from .posenc import GridSpec, rope_angles, rotate_pairs
+from .posenc import GridSpec, _run_rows, rope_angles, rotate_pairs
 from .tensor import Tensor, as_array
 
 PHI_CHOICES = ("exp", "exp_temperature", "identity", "power")
@@ -127,7 +127,6 @@ class WindowSpec:
 
 
 _SOFTMAX, _LINEAR, _FOCUSED = KernelSpec.softmax(), KernelSpec.linear(), KernelSpec.focused()
-_ELU_CHUNK = 1 << 15  # entries per run of elu_plus_one (256 KB in float64, cache-sized)
 
 
 def elu_plus_one(x: np.ndarray) -> np.ndarray:
@@ -147,13 +146,14 @@ def elu_plus_one(x: np.ndarray) -> np.ndarray:
 def _elu_into(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """elu_plus_one(x) written into out; x and out are C-contiguous float64 of one shape.
 
-    x passes in cache-sized runs of _ELU_CHUNK entries, each through the same
-    three ufuncs, with one scratch run for max(x, 0).
+    x passes in cache-sized runs of entries (posenc._run_rows), each through
+    the same three ufuncs, with one scratch run for max(x, 0).
     """
     flat, dest = x.reshape(-1), out.reshape(-1)
-    scratch = np.empty(min(x.size, _ELU_CHUNK))
-    for lo in range(0, x.size, _ELU_CHUNK):
-        part, run = flat[lo : lo + _ELU_CHUNK], dest[lo : lo + _ELU_CHUNK]
+    step = _run_rows(1)
+    scratch = np.empty(min(x.size, step))
+    for lo in range(0, x.size, step):
+        part, run = flat[lo : lo + step], dest[lo : lo + step]
         np.minimum(part, 0.0, out=run)
         np.exp(run, out=run)
         run += np.maximum(part, 0.0, out=scratch[: run.size])

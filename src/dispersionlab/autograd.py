@@ -33,7 +33,7 @@ from . import attention
 from .attention import (KernelSpec, _blocked_values, _blocks, _fold, _foldable, _LINEAR,
                         _row_fold, _SOFTMAX, _unblock)
 from .errors import DifferentiationError, DimensionError
-from .posenc import _depthwise_taps_grad, depthwise_conv_grid, rotate_pairs
+from .posenc import _depthwise_taps_grad, _run_rows, depthwise_conv_grid, rotate_pairs
 from .rng import rng_for
 
 
@@ -50,8 +50,10 @@ class Tape:
 
     With record=False the tape keeps only its newest node: every other value
     lives exactly as long as a TracedValue refers to it, so an inference
-    pass holds its working set instead of its whole history. backward()
-    needs a recording tape.
+    pass holds its working set instead of its whole history. Such a tape
+    also drops each op's adjoint context, so the ops that stream their rows
+    (gelu, layer_norm) keep what their adjoints read as one run's
+    temporaries instead of full arrays. backward() needs a recording tape.
 
     constants holds the indices of the constant inputs and, on a recording
     tape, of every node computed only from them.
@@ -158,19 +160,29 @@ _GELU_A = 0.044715
 def gelu(a):
     """Tanh-form gelu: 0.5 x (1 + tanh(c (x + a x^3))).
 
-    The cube is x * x * x (per-element pow costs about 40 times as much), and
-    the tanh argument is built in place in one temporary.
+    The cube is x * x * x (per-element pow costs about 40 times as much). The
+    rows of x (n x d) pass in runs (posenc._run_rows) into a preallocated output,
+    each through the same ufuncs in the same order, with the tanh argument
+    built in place, so every entry has the bits of the whole-array form. The
+    tanh term t that the adjoint reads is a full array on a recording tape
+    only; otherwise each run's t is a run-sized temporary.
     """
     x = a.value
-    t = x * x
-    t *= x
-    t *= _GELU_A
-    t += x
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    out = 0.5 * x
-    out *= 1.0 + t
-    return a.tape.push("gelu", (a.idx,), out, {"t": t})
+    n, d = x.shape
+    out = np.empty((n, d))
+    t_all = np.empty((n, d)) if a.tape.record else None
+    step = _run_rows(d)
+    for lo in range(0, n, step):
+        xr = x[lo : lo + step]
+        t = xr * xr if t_all is None else np.multiply(xr, xr, out=t_all[lo : lo + step])
+        t *= xr
+        t *= _GELU_A
+        t += xr
+        t *= _GELU_C
+        np.tanh(t, out=t)
+        o = np.multiply(0.5, xr, out=out[lo : lo + step])
+        o *= 1.0 + t
+    return a.tape.push("gelu", (a.idx,), out, {"t": t_all})
 
 
 def sum_all(a):
@@ -267,8 +279,13 @@ def layer_norm(x, gamma, beta):
     per-row statistic is one contiguous vector and every step one long loop.
     The sums fold along axis 0 in the same association, so the output and the
     saved xhat, returned row-major, are bitwise those of the row-major path.
+    Other rows (16 columns or more, or a last axis that is not contiguous)
+    pass in runs (posenc._run_rows) into a preallocated output, each run
+    through the same steps on run-sized temporaries. xhat and inv, which the
+    adjoint reads, are full arrays on a recording tape only.
     """
-    d = x.value.shape[1]
+    tape = _pair(x, gamma)
+    n, d = x.value.shape
     if _foldable(np.add, x.value):
         xc = x.value.T.copy()  # a copy also of one row, whose transpose is contiguous
         xc -= _fold(np.add, xc, 0) / d
@@ -279,12 +296,18 @@ def layer_norm(x, gamma, beta):
         sq += beta.value.T
         out, xhat, inv = np.ascontiguousarray(sq.T), np.ascontiguousarray(xc.T), inv.T
     else:
-        xc = x.value - _row_fold(np.add, x.value) / d
-        var = _row_fold(np.add, xc * xc) / d
-        inv = 1.0 / np.sqrt(var + 1e-5)
-        xhat = xc * inv
-        out = xhat * gamma.value + beta.value
-    tape = _pair(x, gamma)
+        out = np.empty((n, d))
+        xhat, inv = (np.empty((n, d)), np.empty((n, 1))) if tape.record else (None, None)
+        step = _run_rows(d)
+        for lo in range(0, n, step):
+            xr = x.value[lo : lo + step]
+            xc = xr - _row_fold(np.add, xr) / d
+            r_inv = np.sqrt(_row_fold(np.add, xc * xc) / d + 1e-5,
+                            out=None if inv is None else inv[lo : lo + step])
+            np.divide(1.0, r_inv, out=r_inv)
+            xh = np.multiply(xc, r_inv, out=xc if xhat is None else xhat[lo : lo + step])
+            o = np.multiply(xh, gamma.value, out=out[lo : lo + step])
+            o += beta.value
     return tape.push("layer_norm", (x.idx, gamma.idx, beta.idx), out,
                      {"xhat": xhat, "inv": inv})
 

@@ -4,10 +4,11 @@ Subcommands expose the library's experiments as seeded, reproducible runs
 producing CSV/JSON plot data (no rendered images). ``_save_run`` writes every
 run's files and a manifest.json recording the subcommand, the argument
 snapshot, the seed, the library and numpy versions, the BLAS that ran
-(``blas_environment``) and the thread variables; rerunning with identical
+(``blas_environment``), the thread variables and the process's resource use
+so far (peak RSS, CPU seconds, minor page faults); rerunning with identical
 arguments and thread settings reproduces the outputs byte for byte
-(timestamps live only in the manifest, and the CPU-time measurements in
-bench.csv are not derived data). ``main`` creates --out before any
+(timestamps and resource use live only in the manifest, and the CPU-time
+measurements in bench.csv are not derived data). ``main`` creates --out before any
 computation, so an unusable path is one error line.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 scientific check
@@ -24,6 +25,7 @@ import ctypes
 import dataclasses
 import json
 import os
+import resource
 import shlex
 import sys
 from datetime import datetime, timezone
@@ -180,6 +182,13 @@ def blas_environment() -> dict[str, str]:
     }
 
 
+def _resource_usage() -> dict:
+    """This process's peak RSS (MB), CPU seconds (user + system) and minor page faults."""
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return {"peak_rss_mb": usage.ru_maxrss / 1024.0,  # Linux reports kB
+            "cpu_s": usage.ru_utime + usage.ru_stime, "minor_faults": usage.ru_minflt}
+
+
 def _save_run(args, seed: int, files: dict[str, str], written=()) -> None:
     """Write each name -> text of `files` under args.out, then manifest.json.
 
@@ -198,6 +207,7 @@ def _save_run(args, seed: int, files: dict[str, str], written=()) -> None:
         "threads": {name: os.environ.get(name) for name in
                     ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                      "DISPERSION_LAB_THREADS")},
+        "resources": _resource_usage(),
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "outputs": sorted([*files, *(os.path.basename(path) for path in written)]),
     }

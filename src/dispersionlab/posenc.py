@@ -18,6 +18,19 @@ from .errors import DimensionError
 from .tensor import Tensor, as_array
 
 ROPE_BASE = 10000.0
+_RUN = 1 << 15  # entries per run of a streamed elementwise kernel (256 KB in float64, cache-sized)
+
+
+def _run_rows(row_size: int, unit: int = 1) -> int:
+    """Rows per run of a streamed kernel: the most whole units of `unit` rows of
+    row_size entries that fit in _RUN entries, and at least one unit.
+
+    A kernel walks its rows in runs of this many (the last run takes what is
+    left) with scratch for one run, instead of whole-array temporaries that
+    fault in afresh on every call. Each run applies the same ufuncs in the same
+    order, so every entry has the bits of the whole-array form.
+    """
+    return unit * (_RUN // (unit * row_size or 1) or 1)  # no max(): this runs on every call
 
 
 @dataclass(frozen=True)
@@ -91,28 +104,36 @@ def rotate_pairs(x: np.ndarray, angles: np.ndarray) -> np.ndarray:
 
     Row r uses angles[r % period], and every 2 * pairs wide column slice (one
     per head) shares it, so a window-local table rotates every window.
-    rotate_pairs(y, -angles) undoes it. cos and sin are taken on the table
-    and copied out to per-call (n, d/2) tables, so each of the four products
-    is one loop over all n * d/2 pairs. Raises DimensionError when the table
-    does not tile x.
+    rotate_pairs(y, -angles) undoes it. cos and sin are taken on the table and
+    copied out to (rows, d/2) tables for one run of whole periods (_run_rows),
+    which every run of x reuses; each of the four products is one loop over a
+    run's pairs. Raises DimensionError when the table is not a non-empty
+    (period, pairs) array or does not tile x.
     """
     n, d = x.shape
+    if angles.ndim != 2 or not angles.size:
+        raise DimensionError(f"rotation table {angles.shape} must be a non-empty "
+                             f"(period, pairs) array for input {x.shape}")
     period, pairs = angles.shape
     if n % period != 0 or d % (2 * pairs) != 0:
         raise DimensionError(f"rotation table {angles.shape} does not tile input {x.shape}")
-    tiled = (n // period, period, d // (2 * pairs), pairs)
-    c, s = (np.broadcast_to(f(angles)[:, None, :], tiled).reshape(n, d // 2)
+    step = _run_rows(d, period)
+    table = min(n, step)
+    tiled = (table // period, period, d // (2 * pairs), pairs)
+    c, s = (np.broadcast_to(f(angles)[:, None, :], tiled).reshape(table, d // 2)
             for f in (np.cos, np.sin))
     xs = x.reshape(n, d // 2, 2)
-    x0, x1 = xs[..., 0], xs[..., 1]
     out = np.empty(xs.shape)
-    out0, out1 = out[..., 0], out[..., 1]
-    tmp = np.multiply(x1, s)
-    np.multiply(x0, c, out=out0)
-    out0 -= tmp  # x0 c - x1 s
-    np.multiply(x1, c, out=tmp)
-    np.multiply(x0, s, out=out1)
-    out1 += tmp  # x0 s + x1 c
+    for lo in range(0, n, step):
+        xr, run = xs[lo : lo + step], out[lo : lo + step]
+        x0, x1, out0, out1 = xr[..., 0], xr[..., 1], run[..., 0], run[..., 1]
+        cr, sr = c[: len(xr)], s[: len(xr)]
+        tmp = np.multiply(x1, sr)
+        np.multiply(x0, cr, out=out0)
+        out0 -= tmp  # x0 c - x1 s
+        np.multiply(x1, cr, out=tmp)
+        np.multiply(x0, sr, out=out1)
+        out1 += tmp  # x0 s + x1 c
     return out.reshape(n, d)
 
 
@@ -154,30 +175,39 @@ class DepthwiseKernel:
         return cls(taps)
 
 
-def _tap_windows(x: np.ndarray, k: int, height: int, width: int):
-    """Yield (dr, dc, window) for each tap of a k x k kernel, in row-major order.
+def _padded(x: np.ndarray, k: int, height: int, width: int) -> np.ndarray:
+    """(b, height*width, d) rows zero-padded onto the grid for a k x k kernel.
 
-    x holds (b, height*width, d) rows. They are zero-padded onto the grid,
-    which is viewed as (b, height + 2 pad, (width + 2 pad) * d): whole grid
-    rows, so window, the (b, height, width * d) part that tap (dr, dc) reads,
-    runs over width * d entries at a time instead of d.
+    The grid is viewed as (b, height + 2 pad, (width + 2 pad) * d): whole grid
+    rows, so a tap's window runs over width * d entries at a time instead of d.
     """
     b, _, d = x.shape
     pad = k // 2
     padded = np.zeros((b, height + 2 * pad, (width + 2 * pad) * d))
     padded[:, pad : pad + height, pad * d : (pad + width) * d] = x.reshape(b, height, width * d)
+    return padded
+
+
+def _tap_windows(padded: np.ndarray, k: int, d: int, lo: int, hi: int):
+    """Yield (dr, dc, window) for each tap of a k x k kernel, in row-major order.
+
+    window is the (b, hi - lo, width * d) part of the _padded grid that tap
+    (dr, dc) reads for output grid rows lo..hi-1, its halo rows included.
+    """
+    span = padded.shape[2] - (k - 1) * d
     for dr in range(k):
         for dc in range(k):
-            yield dr, dc, padded[:, dr : dr + height, dc * d : (dc + width) * d]
+            yield dr, dc, padded[:, lo + dr : hi + dr, dc * d : dc * d + span]
 
 
 def depthwise_conv_grid(x: np.ndarray, taps: np.ndarray, height: int, width: int) -> np.ndarray:
     """Per-channel k x k cross-correlation over (batch, height*width, channels) rows.
 
     Tokens are rasterized row-major onto the grid, zero-padded, and convolved
-    channel by channel. Each tap is one product of its _tap_windows window
-    with a (width * channels) row repeating the tap's channel weights, into
-    one reused buffer; the sum starts from zeros and takes the taps in
+    channel by channel, in runs of whole grid rows of every sample
+    (_run_rows). Each tap is one product of its _tap_windows window with a
+    (width * channels) row repeating the tap's channel weights, into one
+    run's scratch; each run's sum starts from zeros and takes the taps in
     row-major order, as a per-channel loop would.
     """
     b, n, d = x.shape
@@ -186,11 +216,16 @@ def depthwise_conv_grid(x: np.ndarray, taps: np.ndarray, height: int, width: int
     if taps.shape[0] != d:
         raise DimensionError(f"kernel has {taps.shape[0]} channels, input has {d}")
     k = taps.shape[1]
-    tap_rows = np.tile(taps.transpose(1, 2, 0), (1, 1, width))  # (k, k, width * d)
+    tap_rows = taps.transpose(1, 2, 0)[:, :, None].repeat(width, 2).reshape(k, k, width * d)
+    padded = _padded(x, k, height, width)
     out = np.zeros((b, height, width * d))
-    prod = np.empty_like(out)
-    for dr, dc, window in _tap_windows(x, k, height, width):
-        out += np.multiply(window, tap_rows[dr, dc], out=prod)
+    step = _run_rows(b * width * d)
+    prod = np.empty((b, min(height, step), width * d))
+    for lo in range(0, height, step):
+        hi = min(lo + step, height)
+        run, scratch = out[:, lo:hi], prod[:, : hi - lo]
+        for dr, dc, window in _tap_windows(padded, k, d, lo, hi):
+            run += np.multiply(window, tap_rows[dr, dc], out=scratch)
     return out.reshape(b, n, d)
 
 
@@ -206,7 +241,7 @@ def _depthwise_taps_grad(x: np.ndarray, g: np.ndarray, k: int, height: int,
     gi = g.reshape(b, height, width * d)
     prod = np.empty(gi.shape)
     dtaps = np.empty((d, k, k))
-    for dr, dc, window in _tap_windows(x, k, height, width):
+    for dr, dc, window in _tap_windows(_padded(x, k, height, width), k, d, 0, height):
         dtaps[:, dr, dc] = np.multiply(window, gi, out=prod).reshape(-1, d).sum(axis=0)
     return dtaps
 

@@ -286,6 +286,8 @@ class TestDisperse:
         assert manifest["seed"] == 42
 
     def test_manifest_records_numpy_and_thread_settings(self, tmp_path, monkeypatch):
+        import resource
+
         import numpy as np
 
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -299,6 +301,12 @@ class TestDisperse:
         assert manifest["numpy_version"] == np.__version__
         assert manifest["threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
                                        "MKL_NUM_THREADS": None, "DISPERSION_LAB_THREADS": "2"}
+        # read when the manifest was written: positive, and no more than now
+        after = resource.getrusage(resource.RUSAGE_SELF)
+        usage = manifest["resources"]
+        assert 0 < usage["peak_rss_mb"] <= after.ru_maxrss / 1024.0
+        assert 0 < usage["cpu_s"] <= after.ru_utime + after.ru_stime
+        assert 0 < usage["minor_faults"] <= after.ru_minflt
 
     def test_manifest_records_the_blas_that_ran(self, tmp_path):
         import numpy as np
@@ -353,7 +361,8 @@ class TestDisperse:
         assert read(os.path.join(out_a, "report.json")) == read(os.path.join(out_b, "report.json"))
         ma = json.loads(read(os.path.join(out_a, "manifest.json")))
         mb = json.loads(read(os.path.join(out_b, "manifest.json")))
-        ma.pop("timestamp"), mb.pop("timestamp")
+        for key in ("timestamp", "resources"):  # measurements of the run, not outputs
+            ma.pop(key), mb.pop(key)
         ma["config"].pop("out"), mb["config"].pop("out")
         assert ma == mb
 

@@ -115,6 +115,13 @@ class TestRotatePairs:
         with pytest.raises(DimensionError):
             rotate_pairs(np.ones((rows, width)), np.zeros(table))
 
+    @pytest.mark.parametrize("table", [(0, 4), (4, 0), (4,), (), (2, 2, 2)])
+    def test_table_that_is_not_a_nonempty_period_by_pairs_array_rejected(self, table):
+        with pytest.raises(DimensionError) as caught:
+            rotate_pairs(np.ones((8, 8)), np.zeros(table))
+        message = str(caught.value)
+        assert "\n" not in message and str(table) in message and "(8, 8)" in message
+
 
 def assert_same_bits(got, want):
     """Equal entries with equal signs, so -0.0 never stands in for 0.0."""
