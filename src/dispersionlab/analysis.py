@@ -29,10 +29,11 @@ import numpy as np
 
 from .attention import (KernelSpec, WindowSpec, homogeneous_mix, linear_attention_fast, phi_values,
                         sema_attention, softmax_attention, window_attention, _apply_psi, _blocks,
-                        _EPSILON, _FOCUSED, _LINEAR, _phi_rows, _row_blocks, _row_fold, _ROW_TILE,
-                        _SOFTMAX)
+                        _EPSILON, _exp_shift, _FOCUSED, _LINEAR, _phi_rows, _row_blocks, _row_fold,
+                        _ROW_TILE, _SOFTMAX)
 from .errors import (BoundViolationError, ConfigurationError, DimensionError, KernelDomainError,
                      is_int)
+from .posenc import _run_rows
 from .rng import rng_for
 
 VARIANTS = ("softmax", "linear", "focused", "mila", "window")
@@ -159,21 +160,39 @@ class CellExtrema:
     size: int
 
 
+def _weight_extrema(kernel: KernelSpec, logits: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """phi applied in place to a block of logits whose row min and max are lo and hi;
+    returns the weights' row min, row max and row sums.
+
+    An exp row's largest weight is exp(c - c), c its shift: exactly 1 for a
+    finite c and NaN otherwise, as a max pass would give. Its row min is
+    taken again, since numpy's exp is not promised to be monotone.
+    """
+    sums = _phi_rows(kernel, logits, hi, lo)
+    if kernel.phi == "identity":  # the weights are the logits
+        return lo, hi, sums
+    if kernel.phi == "power":
+        return _row_fold(np.minimum, logits), _row_fold(np.maximum, logits), sums
+    shift = _exp_shift(kernel, hi)
+    return _row_fold(np.minimum, logits), np.exp(shift - shift), sums
+
+
 def _variant_cell(variant: str, kernel: KernelSpec, q: np.ndarray, k: np.ndarray,
                   win: WindowSpec | None):
     """Coefficient extrema plus their sample-specific rigorous bounds for one draw.
 
-    Global variants stream query rows through attention._row_blocks. Each
-    block of logits gives its row minima and maxima (the logit extrema; the
-    window cell's 8-wide rows fold through attention._row_fold), has
-    phi applied in place by attention._phi_rows (every row passes the
-    kernel's domain checks) and gives its row sums s, but is never divided.
-    Division by a positive s is correctly rounded, hence monotone, so
-    min_j fl(w_j / s) == fl(min_j w_j / s) and likewise for the max: the
-    coefficient extrema come from n row extrema of the weights w, which are
-    the logit row extrema for identity phi. No n x n array is built and,
-    with one BLAS thread, the extrema are bitwise those of the whole
-    normalized matrix. The bound comes from the global logit extrema.
+    Global variants stream query rows through attention._row_blocks in
+    cache-sized blocks of posenc._run_rows(n, _ROW_TILE) rows. Each block of
+    logits gives its row minima and maxima (the logit extrema; the window
+    cell's 8-wide rows fold through attention._row_fold), has phi applied in
+    place by attention._phi_rows (every row passes the kernel's domain
+    checks, identity and power ones answered by the row minima) and gives its
+    row sums s, but is never divided. Division by a positive s is correctly
+    rounded, hence monotone, so min_j fl(w_j / s) == fl(min_j w_j / s) and
+    likewise for the max: the coefficient extrema come from n row extrema of
+    the weights w (_weight_extrema). No n x n array is built and, with one
+    BLAS thread, the extrema are bitwise those of the whole normalized
+    matrix. The bound comes from the global logit extrema.
     perfbench wraps this function by name, labels a call by args[0], meters
     it by args[2].shape[0] and counts result[0].size coefficients: the name,
     signature and CellExtrema.size are an interface.
@@ -188,7 +207,7 @@ def _variant_cell(variant: str, kernel: KernelSpec, q: np.ndarray, k: np.ndarray
         chunks = [(None, _blocks(fq, block) @ np.swapaxes(_blocks(fk, block), -1, -2))]
     else:
         block = n
-        chunks = _row_blocks(fq, fk, _ROW_TILE)
+        chunks = _row_blocks(fq, fk, _run_rows(n, _ROW_TILE))
     # numpy extrema propagate a NaN, as a min over the whole matrix would
     lo_logit, hi_logit, cmin, cmax = np.inf, -np.inf, np.inf, -np.inf
     for _, logits in chunks:
@@ -201,9 +220,7 @@ def _variant_cell(variant: str, kernel: KernelSpec, q: np.ndarray, k: np.ndarray
             # textbook lower bound, so the rigorous lower bound carries it too
             sums = logits.sum(axis=-1, keepdims=True) + _EPSILON
         else:
-            sums = _phi_rows(kernel, logits, hi)
-            if kernel.phi != "identity":  # the weights are no longer the logits
-                lo, hi = _row_fold(np.minimum, logits), _row_fold(np.maximum, logits)
+            lo, hi, sums = _weight_extrema(kernel, logits, lo, hi)
         cmin = np.minimum(cmin, (lo / sums).min())
         cmax = np.maximum(cmax, (hi / sums).max())
     bounds = coefficient_bounds(kernel, float(lo_logit), float(hi_logit), block,

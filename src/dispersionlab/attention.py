@@ -280,27 +280,34 @@ def _row_fold(op: np.ufunc, x: np.ndarray) -> np.ndarray:
     return op.reduce(x, axis=-1, keepdims=True)
 
 
-def _phi_rows(kernel: KernelSpec, logits: np.ndarray,
-              row_max: np.ndarray | None = None) -> np.ndarray:
+def _exp_shift(kernel: KernelSpec, row_max: np.ndarray) -> np.ndarray:
+    """An exp kernel's row shift: row_max, or row_max / theta, which is bitwise the row
+    max of logits / theta (division by a positive theta is correctly rounded, so monotone)."""
+    return row_max / kernel.theta if kernel.phi == "exp_temperature" else row_max
+
+
+def _phi_rows(kernel: KernelSpec, logits: np.ndarray, row_max: np.ndarray | None = None,
+              row_min: np.ndarray | None = None) -> np.ndarray:
     """phi applied rowwise in place, with its domain checks; returns the row sums (..., 1).
 
     Exp kernels are shifted by each row's largest logit before exp, which the
     ratio does not see. row_max, the logits' row max (_row_fold with
-    np.maximum), is taken here unless the caller already has it. Dividing by
-    a positive theta is correctly rounded, hence monotone, so row_max / theta
-    is bitwise the row max of logits / theta. logits must be a fresh array
-    the caller owns.
+    np.maximum), is taken here unless the caller already has it. Identity and
+    power kernels check that no logit is negative; row_min, the logits' row
+    min (_row_fold with np.minimum), answers that without a pass over logits
+    unless some row min is NaN: a NaN row may still hold a negative logit, so
+    then every logit is checked. logits must be a fresh array the caller owns.
     """
     if kernel.phi in ("exp", "exp_temperature"):
         if row_max is None:
             row_max = _row_fold(np.maximum, logits)
         if kernel.phi == "exp_temperature":
             logits /= kernel.theta
-            row_max = row_max / kernel.theta
-        logits -= row_max
+        logits -= _exp_shift(kernel, row_max)
         np.exp(logits, out=logits)
     else:
-        if np.any(logits < 0):
+        checked = logits if row_min is None or np.isnan(row_min).any() else row_min
+        if np.any(checked < 0):
             raise KernelDomainError(
                 f"phi={kernel.phi!r} requires nonnegative logits, got min {logits.min()}"
             )
@@ -404,24 +411,24 @@ def softmax_attention_coefficients(q, k) -> Tensor:
     return generalized_attention_coefficients(q, k, _SOFTMAX)
 
 
-_CHUNK_BUDGET = 1 << 19  # entries per streamed logit block (4 MB in float64)
+_CHUNK_BUDGET = 1 << 19  # entries per _global_attention logit block (4 MB in float64)
 # A multiple of every common BLAS register-tile height (2, 3, 4, 6, 8, 12, 16)
 _ROW_TILE = 48
 
 
-def _row_blocks(a: np.ndarray, b: np.ndarray, tile: int = 1):
-    """Yield (rows, a[rows] @ b.T) for consecutive blocks of a's rows.
+def _row_blocks(a: np.ndarray, b: np.ndarray, step: int):
+    """Yield (rows, a[rows] @ b.T) for consecutive blocks of step of a's rows.
 
-    The blocks share one scratch array of about _CHUNK_BUDGET entries, which a
-    caller may overwrite in place before asking for the next block. Heights
-    are multiples of tile. With tile=_ROW_TILE blocks start on BLAS
-    register-tile boundaries and a lone last row (numpy's gemv path) joins the
-    block before it, so with one BLAS thread each row is bitwise that of the
-    whole a @ b.T. _global_attention keeps tile=1, the block heights its value
+    The blocks share one scratch array of step + 1 rows, which a caller may
+    overwrite in place before asking for the next block; a lone last row
+    (numpy's gemv path) joins the block before it. The dispersion cells pass
+    posenc._run_rows(n, _ROW_TILE), cache-sized whole multiples of _ROW_TILE:
+    blocks then start on BLAS register-tile boundaries, so with one BLAS
+    thread each row is bitwise that of the whole a @ b.T. _global_attention
+    passes its own heights of about _CHUNK_BUDGET entries, the ones its value
     product has always been rounded with.
     """
     n, m = a.shape[0], b.shape[0]
-    step = max(tile, max(64, _CHUNK_BUDGET // max(m, 1)) // tile * tile)
     scratch = np.empty((min(step + 1, n), m))
     lo = 0
     while lo < n:
@@ -436,14 +443,14 @@ def _global_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
                       kernel: KernelSpec) -> np.ndarray:
     """Phi-normalized attention over every key, one streamed row block at a time.
 
-    Query rows pass through one cache-sized scratch block, so the n x n
-    weight matrix is never materialized whole and large runs avoid
+    Query rows pass through one scratch block of about _CHUNK_BUDGET entries,
+    so the n x n weight matrix is never materialized whole and large runs avoid
     allocating (and page-faulting) O(n^2) temporaries.
     """
     fq = _apply_psi(q, kernel.psi_q, kernel.psi_p)
     fk = _apply_psi(k, kernel.psi_k, kernel.psi_p)
     out = np.empty((q.shape[0], v.shape[1]))
-    for rows, block in _row_blocks(fq, fk):
+    for rows, block in _row_blocks(fq, fk, max(64, _CHUNK_BUDGET // max(k.shape[0], 1))):
         np.matmul(_normalize(kernel, block), v, out=out[rows])
     return out
 

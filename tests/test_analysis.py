@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dispersionlab import analysis, attention
+from dispersionlab import analysis, attention, posenc
 from dispersionlab.analysis import (
     TIMED_KERNELS,
     VARIANTS,
@@ -287,11 +287,12 @@ def _companion_coefficients(variant, q, k, win, kernel):
 def check_streamed_cells(variant, seed, n, d, w, phi):
     """A cell streamed in blocks of _ROW_TILE rows equals the whole matrix, bitwise.
 
-    Its phi-weighted blocks stacked and divided by their row sums (plus the
-    stabilizer for MILA) are the public companion's matrix, its extrema are
-    that matrix's, and its bounds are those of the same cell in one block
-    (n <= 260 fits one block at the real budget). phi names a kernel other
-    than the variant's default; MILA takes only its own.
+    posenc._RUN = 1 makes every block one _ROW_TILE high. Its phi-weighted
+    blocks stacked and divided by their row sums (plus the stabilizer for
+    MILA) are the public companion's matrix, its extrema are that matrix's,
+    and its bounds are those of the same cell at the real run budget (one
+    block up to n = 128; 260 rows are three blocks of 96, 96 and 68). phi
+    names a kernel other than the variant's default; MILA takes only its own.
     """
     win = WindowSpec(w) if variant == "window" else None
     n = max(w, n - n % w) if win else n
@@ -305,7 +306,7 @@ def check_streamed_cells(variant, seed, n, d, w, phi):
             streamed.append(block.copy())  # the cell has applied phi in place
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(attention, "_CHUNK_BUDGET", 1)
+        mp.setattr(posenc, "_RUN", 1)
         mp.setattr(analysis, "_row_blocks", keep_weighted_blocks)
         extrema, bounds = analysis._variant_cell(variant, kernel, q, k, win)
     whole = _companion_coefficients(variant, q, k, win, kernel).array
@@ -337,15 +338,51 @@ class TestStreamedCells:
                                text=True)
         assert child.returncode == 0, child.stderr[-3000:]
 
+    @staticmethod
+    def record_blocks(monkeypatch, module):
+        """The (start, height) of every block that module's _row_blocks yields from now on."""
+        blocks, row_blocks = [], module._row_blocks
+
+        def record(*args):
+            for rows, block in row_blocks(*args):
+                blocks.append((rows.start, block.shape[0]))
+                yield rows, block
+
+        monkeypatch.setattr(module, "_row_blocks", record)
+        return blocks
+
+    def linear_cell_heights(self, monkeypatch, n):
+        blocks = self.record_blocks(monkeypatch, analysis)
+        q, k = BoundedSampler(2, nonneg=True).draw(rng_for(0, "cell-blocks"), n)
+        analysis._variant_cell("linear", KernelSpec.linear(), q, k, None)
+        starts, heights = map(list, zip(*blocks))
+        assert starts == [sum(heights[:i]) for i in range(len(heights))]  # consecutive
+        assert all(start % attention._ROW_TILE == 0 for start in starts)
+        return heights
+
     @pytest.mark.parametrize("n,heights", [(250, [48] * 5 + [10]), (241, [48] * 4 + [49]),
                                            (48, [48]), (1, [1])])
     def test_small_budget_spans_many_ragged_blocks(self, n, heights, monkeypatch):
         # a lone last row joins the block before it
+        monkeypatch.setattr(posenc, "_RUN", 1)
+        assert self.linear_cell_heights(monkeypatch, n) == heights
+
+    @pytest.mark.parametrize("n,heights", [(4096, [48] * 85 + [16]), (1024, [48] * 21 + [16]),
+                                           (260, [96, 96, 68]), (128, [128])])
+    def test_cells_stream_run_sized_blocks(self, n, heights, monkeypatch):
+        # posenc._run_rows(n, 48): 1.5 MB of logits at n = 1,024 and 4,096
+        assert self.linear_cell_heights(monkeypatch, n) == heights
+
+    @pytest.mark.parametrize("n,heights", [(250, [64] * 3 + [58]), (129, [64, 65]),
+                                           (64, [64]), (1, [1])])
+    def test_global_attention_keeps_its_tile_one_blocks(self, n, heights, monkeypatch):
+        # _CHUNK_BUDGET, not posenc._RUN, sets these heights: at least 64 rows
         monkeypatch.setattr(attention, "_CHUNK_BUDGET", 1)
-        a = np.ones((n, 2))
-        blocks = list(attention._row_blocks(a, a, attention._ROW_TILE))
-        assert [block.shape[0] for _, block in blocks] == heights
-        assert [rows.start for rows, _ in blocks] == [48 * i for i in range(len(heights))]
+        monkeypatch.setattr(posenc, "_RUN", 1)
+        blocks = self.record_blocks(monkeypatch, attention)
+        q = np.ones((n, 2))
+        attention.softmax_attention(q, q, q)
+        assert [height for _, height in blocks] == heights
 
     @pytest.mark.parametrize("variant,kernel", [
         ("softmax", KernelSpec.softmax_temperature(1e-300)),
@@ -362,10 +399,148 @@ class TestStreamedCells:
             measure_dispersion(variant, kernel, sampler, [8, 16, 32], 2, seed=3, win=win)
 
     def test_zero_queries_still_raise_from_streamed_focused_cells(self, monkeypatch):
-        monkeypatch.setattr(attention, "_CHUNK_BUDGET", 1)
+        monkeypatch.setattr(posenc, "_RUN", 1)
+        heights, phi_rows = [], analysis._phi_rows
+
+        def record(kernel, logits, *rows):
+            heights.append(logits.shape[0])
+            return phi_rows(kernel, logits, *rows)
+
+        monkeypatch.setattr(analysis, "_phi_rows", record)
         sampler = BoundedSampler(d=8, nonneg=True, zero_queries=True)
         with pytest.raises(KernelDomainError, match="denominator"):
             measure_dispersion("focused", None, sampler, [64, 128, 256], 1, seed=0)
+        assert heights == [48]  # streamed: the first of n = 64's blocks (48 and 16 rows) raises
+
+
+_SOFTMAX = KernelSpec.softmax()
+_POWER = KernelSpec(phi="power", phi_p=2.0, psi_q="elu_plus_one", psi_k="elu_plus_one")
+_EXP_KERNELS = [_SOFTMAX, KernelSpec.softmax_temperature(0.5),
+                KernelSpec.softmax_temperature(1e-300)]
+
+# a logit block: ordinary rows, signed zeros, a NaN, a +inf among finite logits,
+# all -inf, and logits whose row max / 1e-300 overflows to +inf or to -inf
+_SPECIAL_LOGITS = np.array([
+    [0.3, -1.2, 0.7, 0.0],
+    [-700.0, -710.0, -745.0, -800.0],
+    [-0.0, 0.0, -0.0, 0.0],
+    [0.1, np.nan, 0.5, -0.2],
+    [1.0, np.inf, -3.0, 0.0],
+    [-np.inf] * 4,
+    [2e8, 1e8, -3e8, 5.0],
+    [-2e8, -3e8, -4e8, -5e8],
+])
+
+
+def _real_row_extrema(weights):
+    return (np.minimum.reduce(weights, axis=-1, keepdims=True),
+            np.maximum.reduce(weights, axis=-1, keepdims=True))
+
+
+def _check_weight_extrema(monkeypatch):
+    """Make every block of a cell check its weights' extrema against real passes;
+    returns the list of checked block heights."""
+    checked, weight_extrema = [], analysis._weight_extrema
+
+    def check(kernel, logits, lo, hi):
+        out = weight_extrema(kernel, logits, lo, hi)
+        real = _real_row_extrema(logits)  # logits now hold the weights
+        assert attention._same_bits(out[0], real[0]) and attention._same_bits(out[1], real[1])
+        checked.append(logits.shape[0])
+        return out
+
+    monkeypatch.setattr(analysis, "_weight_extrema", check)
+    return checked
+
+
+class TestExpRowMax:
+    """An exp cell skips the max pass over its weights: each row's max is exp(c - c)."""
+
+    @pytest.mark.parametrize("kernel", _EXP_KERNELS)
+    def test_skipped_pass_equals_a_max_pass(self, kernel):
+        logits = _SPECIAL_LOGITS.copy()
+        lo, hi = _real_row_extrema(logits)
+        with np.errstate(all="ignore"):
+            w_lo, w_hi, _ = analysis._weight_extrema(kernel, logits, lo, hi)
+        real_lo, real_hi = _real_row_extrema(logits)
+        assert attention._same_bits(w_hi, real_hi) and attention._same_bits(w_lo, real_lo)
+        # finite shifts give exactly 1, the others NaN
+        assert np.isnan(w_hi).any() and (w_hi[~np.isnan(w_hi)] == 1.0).all()
+
+    @pytest.mark.parametrize("variant,kernel",
+                             itertools.product(("softmax", "window"), _EXP_KERNELS[:2]))
+    def test_streamed_cells_check_every_block(self, variant, kernel, monkeypatch):
+        monkeypatch.setattr(posenc, "_RUN", 1)
+        checked = _check_weight_extrema(monkeypatch)
+        win = WindowSpec(8) if variant == "window" else None
+        q, k = BoundedSampler(6).draw(rng_for(0, "exp-row-max"), 248)
+        analysis._variant_cell(variant, kernel, q, k, win)
+        assert checked == ([248 // 8] if win else [48] * 5 + [8])
+
+    @pytest.mark.parametrize("case", ["nan row", "inf row", "all -inf row", "overflow"])
+    def test_streamed_special_rows_check_every_block(self, case, monkeypatch):
+        monkeypatch.setattr(posenc, "_RUN", 1)
+        checked = _check_weight_extrema(monkeypatch)
+        q, k = BoundedSampler(4, logit_bound=1e18 if case == "overflow" else 1.0).draw(
+            rng_for(1, "exp-row-max"), 150)
+        if case == "nan row":
+            q[100, 2] = np.nan
+        elif case == "inf row":  # one logit of row 60 overflows to +inf, the others stay finite
+            q[60], k[:, 0], k[7, 0] = [1e308, 0.0, 0.0, 0.0], 0.5, 4.0
+        elif case == "all -inf row":
+            q[10], k[:, 1] = [0.0, -1e308, 0.0, 0.0], 4.0
+        kernel = KernelSpec.softmax_temperature(1e-300) if case == "overflow" else _SOFTMAX
+        with np.errstate(all="ignore"), pytest.raises(KernelDomainError, match="overflows"):
+            analysis._variant_cell("softmax", kernel, q, k, None)
+        assert checked == [48, 48, 48, 6]
+
+
+class TestRowMinDomainCheck:
+    """Identity and power cells take their domain check from the row minima."""
+
+    @pytest.fixture(autouse=True)
+    def signed_logits(self, monkeypatch):
+        # the nonnegative feature maps never give a negative logit; without them the check can fire
+        monkeypatch.setattr(analysis, "_apply_psi", lambda x, psi, p: x)
+
+    @pytest.mark.parametrize("kernel", [KernelSpec.linear(), _POWER])
+    def test_negative_logit_raises_the_full_checks_message(self, kernel):
+        q, k = BoundedSampler(4).draw(rng_for(0, "row-min"), 64)
+        logits = q @ k.T  # n = 64 is one block
+        assert logits.min() < 0 and not np.isnan(logits).any()
+        with pytest.raises(KernelDomainError) as info:
+            analysis._variant_cell("linear", kernel, q, k, None)
+        assert str(info.value) == (f"phi={kernel.phi!r} requires nonnegative logits, "
+                                   f"got min {logits.min()}")
+        with pytest.raises(KernelDomainError) as full:
+            attention._phi_rows(kernel, logits.copy())
+        assert str(full.value) == str(info.value)
+
+    @pytest.mark.parametrize("kernel", [KernelSpec.linear(), _POWER])
+    def test_a_nan_row_with_a_negative_logit_still_raises(self, kernel):
+        # logits [[inf * 0, -inf], [1, 0]]: row 0's min is NaN, and it holds -inf
+        q, k = np.array([[np.inf, -1.0], [0.0, 1.0]]), np.array([[0.0, 1.0], [-1.0, 0.0]])
+        with np.errstate(all="ignore"):
+            logits = q @ k.T
+            lo = np.minimum.reduce(logits, axis=-1, keepdims=True)
+            assert np.isnan(lo[0, 0]) and lo[1, 0] == 0.0 and logits[0, 1] == -np.inf
+            with pytest.raises(KernelDomainError, match="requires nonnegative logits, got min nan"):
+                attention._phi_rows(kernel, logits, row_min=lo)
+            with pytest.raises(KernelDomainError, match="requires nonnegative logits, got min nan"):
+                analysis._variant_cell("linear", kernel, q, k, None)
+
+    def test_nonnegative_rows_pass_the_row_min_check(self):
+        logits = np.array([[0.0, 2.0, 1.0], [-0.0, 0.5, 3.0]])
+        lo = np.minimum.reduce(logits, axis=-1, keepdims=True)
+        sums = attention._phi_rows(KernelSpec.linear(), logits.copy(), row_min=lo)
+        assert np.array_equal(sums, attention._phi_rows(KernelSpec.linear(), logits.copy()))
+
+    @pytest.mark.parametrize("kernel", [None, _POWER])
+    def test_measure_dispersion_names_the_cell(self, kernel):
+        phi = "identity" if kernel is None else "power"
+        with pytest.raises(KernelDomainError, match=f"^linear: phi='{phi}' requires nonnegative "
+                                                    "logits, got min -.* at n=8, trial=0, seed=3$"):
+            measure_dispersion("linear", kernel, BoundedSampler(d=4), [8, 16, 32], 2, seed=3)
 
 
 class TestComplexity:
