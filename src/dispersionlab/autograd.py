@@ -277,8 +277,9 @@ def layer_norm(x, gamma, beta):
     contiguous columns) are normalized in a feature-major (d, n) copy: numpy
     would loop once per row over their few columns, where feature-major every
     per-row statistic is one contiguous vector and every step one long loop.
-    The sums fold along axis 0 in the same association, so the output and the
-    saved xhat, returned row-major, are bitwise those of the row-major path.
+    The sums fold along axis 0 in the same association, so the output,
+    returned row-major, is bitwise that of the row-major path. The node keeps
+    xhat and inv feature-major, and the adjoint runs feature-major too.
     Other rows (16 columns or more, or a last axis that is not contiguous)
     pass in runs (posenc._run_rows) into a preallocated output, each run
     through the same steps on run-sized temporaries. xhat and inv, which the
@@ -294,20 +295,20 @@ def layer_norm(x, gamma, beta):
         xc *= inv
         np.multiply(xc, gamma.value.T, out=sq)
         sq += beta.value.T
-        out, xhat, inv = np.ascontiguousarray(sq.T), np.ascontiguousarray(xc.T), inv.T
-    else:
-        out = np.empty((n, d))
-        xhat, inv = (np.empty((n, d)), np.empty((n, 1))) if tape.record else (None, None)
-        step = _run_rows(d)
-        for lo in range(0, n, step):
-            xr = x.value[lo : lo + step]
-            xc = xr - _row_fold(np.add, xr) / d
-            r_inv = np.sqrt(_row_fold(np.add, xc * xc) / d + 1e-5,
-                            out=None if inv is None else inv[lo : lo + step])
-            np.divide(1.0, r_inv, out=r_inv)
-            xh = np.multiply(xc, r_inv, out=xc if xhat is None else xhat[lo : lo + step])
-            o = np.multiply(xh, gamma.value, out=out[lo : lo + step])
-            o += beta.value
+        return tape.push("layer_norm", (x.idx, gamma.idx, beta.idx), np.ascontiguousarray(sq.T),
+                         {"xhat_t": xc, "inv_t": inv})
+    out = np.empty((n, d))
+    xhat, inv = (np.empty((n, d)), np.empty((n, 1))) if tape.record else (None, None)
+    step = _run_rows(d)
+    for lo in range(0, n, step):
+        xr = x.value[lo : lo + step]
+        xc = xr - _row_fold(np.add, xr) / d
+        r_inv = np.sqrt(_row_fold(np.add, xc * xc) / d + 1e-5,
+                        out=None if inv is None else inv[lo : lo + step])
+        np.divide(1.0, r_inv, out=r_inv)
+        xh = np.multiply(xc, r_inv, out=xc if xhat is None else xhat[lo : lo + step])
+        o = np.multiply(xh, gamma.value, out=out[lo : lo + step])
+        o += beta.value
     return tape.push("layer_norm", (x.idx, gamma.idx, beta.idx), out,
                      {"xhat": xhat, "inv": inv})
 
@@ -408,8 +409,16 @@ def _adj_gelu(node, g, vals):
 
 def _adj_layer_norm(node, g, vals):
     x, gamma, _ = vals
-    xhat, inv = node.ctx["xhat"], node.ctx["inv"]
     d = x.shape[1]
+    if "xhat_t" in node.ctx:  # narrow rows: (d, n) xhat and (1, n) inv, row sums along axis 0
+        xhat_t, inv_t = node.ctx["xhat_t"], node.ctx["inv_t"]
+        dxhat = np.multiply(g.T, gamma.T, order="C")
+        dx = inv_t / d * (d * dxhat - _fold(np.add, dxhat, 0)
+                          - xhat_t * _fold(np.add, dxhat * xhat_t, 0))
+        return (np.ascontiguousarray(dx.T),
+                np.multiply(g, xhat_t.T, order="C").sum(axis=0, keepdims=True),
+                g.sum(axis=0, keepdims=True))
+    xhat, inv = node.ctx["xhat"], node.ctx["inv"]
     dxhat = g * gamma
     dx = inv / d * (d * dxhat - _row_fold(np.add, dxhat)
                     - xhat * _row_fold(np.add, dxhat * xhat))

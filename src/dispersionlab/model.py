@@ -36,6 +36,17 @@ the full-row forward bitwise at batch >= 2; at batch 1 numpy multiplies
 one-row operands by another kernel, whose sums may differ in the last bits.
 Weight gradients sum over fewer rows, where the full-row forward adds exact
 zeros, so a BLAS that blocks those sums by length may move their last bits.
+
+With averaging off, a model whose readout block is its only block (one stage
+of depth one, as the ablation model) reads nothing of a sample but its
+corner, and no op before that block mixes tokens. So the stem gathers each
+corner right after its product, and the stem bias add, the stem norm and the
+whole block, norm1 and v included, run on the b * c * c corner rows, on a
+c x c grid. On that grid the corner is the whole grid, so the attention
+sublayer sees the same windows, LePE padding and readout rows, and the
+logits are bitwise those of the stem on all rows. The stem product stays on
+all rows, so its weight gradient sums the same rows; wv's now sums the
+corner rows, with the same caveat.
 """
 
 from __future__ import annotations
@@ -296,6 +307,24 @@ def load_checkpoint(path_stem: str) -> dict[str, np.ndarray]:
 # forward
 
 
+def _corner(cfg: ModelConfig, g: int, rows: int):
+    """The attention window side, the corner side c and the corner's row indices.
+
+    The corner is the c x c square of whole windows at each sample's grid
+    origin, c the least multiple of the window side that is >= 2, capped at
+    g; full and linear attention have one window, the grid. The indices pick
+    the corner of each of the rows / (g * g) samples, in sample order and
+    row-major inside a corner; they are None when c == g. rows == 0 asks for
+    no corner: c is g.
+    """
+    side = effective_window(cfg, g) if cfg.attention_variant == "window" else g
+    c = min(g, side * -(-2 // side)) if rows else g
+    if c == g:
+        return side, c, None
+    origin = (np.arange(c)[:, None] * g + np.arange(c)).ravel()
+    return side, c, (np.arange(0, rows, g * g)[:, None] + origin).ravel()
+
+
 def _attention_sublayer(tp, x, cfg: ModelConfig, stage: int, g: int, prefix: str,
                         readout: bool = False):
     """norm1, q/k/v, the variant's attention, LePE and the optional mix.
@@ -304,11 +333,11 @@ def _attention_sublayer(tp, x, cfg: ModelConfig, stage: int, g: int, prefix: str
 
     With readout it returns the output at each sample's first token only, one
     row per sample in sample order. It then computes the token mixing only on
-    each sample's corner: the c x c whole attention windows at the grid
-    origin, c being the least multiple of the window side that is >= 2,
-    capped at g. Full and linear attention have one window, the grid, so
-    their corner is the grid. norm1 and v stay on all rows; q, k, the
-    attention, its tilings and LePE run on the b * c * c corner rows. The
+    each sample's corner (_corner): the c x c whole attention windows at the
+    grid origin. norm1 and v stay on all the rows of x; q, k, the attention,
+    its tilings and LePE run on the b * c * c corner rows. When the stem has
+    already cut x to the corners (averaging off, one block), g is c, the
+    corner is the grid and every op runs on those rows. The
     result is bitwise that of the full-row sublayer at the first tokens:
     windows are independent, and the 3 x 3 LePE reach of token (0, 0) lies
     inside the corner, whose zero padding stands where the grid's did. y and
@@ -320,12 +349,7 @@ def _attention_sublayer(tp, x, cfg: ModelConfig, stage: int, g: int, prefix: str
     heads = cfg.stage_heads[stage]
     hd = dim // heads
     n = g * g
-    side = effective_window(cfg, g) if cfg.attention_variant == "window" else g
-    c = min(g, side * -(-2 // side)) if readout else g
-    corner = None
-    if c < g:
-        origin = (np.arange(c)[:, None] * g + np.arange(c)).ravel()
-        corner = (np.arange(0, x.value.shape[0], n)[:, None] + origin).ravel()
+    side, c, corner = _corner(cfg, g, x.value.shape[0] if readout else 0)
 
     def pick(t):  # the corner rows of t, gathered anew for each consumer
         return t if corner is None else ag.gather_rows(t, corner)
@@ -401,7 +425,10 @@ def _forward_traced(tape, tp, cfg: ModelConfig, inputs: np.ndarray):
     so backward forms no gradient for it. For the first-token readout the last
     block mixes tokens on each sample's corner and runs its tail on the
     readout rows only (see the module docstring and _attention_sublayer); the
-    gap head averages all rows, and every block runs on all of them.
+    gap head averages all rows, and every block runs on all of them. With
+    averaging off and the readout block the only block, the corners are
+    gathered from the stem product: its bias add, its norm and the block run
+    on the b * c * c corner rows, the stem product on all b * g * g.
     """
     p = cfg.patch_size
     if inputs.ndim == 4:
@@ -424,7 +451,13 @@ def _forward_traced(tape, tp, cfg: ModelConfig, inputs: np.ndarray):
                 f"input must be (b, H, W, 3) images or patch rows of shape (b * {n0}, "
                 f"{p * p * 3}) with b >= 1, got {inputs.shape}")
         x = ag.constant(tape, inputs)
-    x = ag.add(ag.matmul(x, tp["stem.w"]), tp["stem.b"])
+    x = ag.matmul(x, tp["stem.w"])
+    if cfg.head_mode == "first_token" and not cfg.averaging_enabled and cfg.stage_depths == (1,):
+        # the readout block is the only one, and no op before it mixes tokens
+        _, c, corner = _corner(cfg, grids[0], x.value.shape[0])
+        if corner is not None:
+            x, grids = ag.gather_rows(x, corner), [c]
+    x = ag.add(x, tp["stem.b"])
     x = ag.layer_norm(x, tp["stem.norm.g"], tp["stem.norm.b"])
 
     for s, g in enumerate(grids):

@@ -59,14 +59,84 @@ def softmax_attention(q, k, v):
 """
 
 
+# a tape whose layer_norm node keeps its input, and an adjoint that returns it
+# with the upstream gradient; DIFFER names the call whose change output moves
+_STUB_AUTOGRAD = """
+DIFFER = {differ!r}
+
+
+class Tape:
+    pass
+
+
+class Traced:
+    def __init__(self, value):
+        self.value = value
+        self.node = self
+
+
+def leaf(tape, value):
+    return Traced(value)
+
+
+def layer_norm(x, gamma, beta):
+    return Traced(x.value * gamma.value + beta.value)
+
+
+def _adjoint(node, g, vals):
+    return (g + (1.0 if DIFFER == "layer_norm" else 0.0), vals[1], vals[2])
+
+
+ADJOINTS = {{"layer_norm": _adjoint}}
+"""
+
+# train_toy returns a dataclass whose params dict holds arrays, as the real
+# TrainToyResult does; averaging off moves its params when DIFFER says so
+_STUB_MODEL = """
+import dataclasses
+
+import numpy as np
+
+DIFFER = {differ!r}
+
+
+@dataclasses.dataclass(frozen=True)
+class ModelConfig:
+    averaging_enabled: bool = True
+
+    @classmethod
+    def ablation(cls, **overrides):
+        return cls(**overrides)
+
+
+class SyntheticTask:
+    pass
+
+
+@dataclasses.dataclass
+class TrainToyResult:
+    best_epoch: int
+    params: dict
+
+
+def train_toy(cfg, task, epochs, seed):
+    moved = DIFFER == "train_toy" and not cfg.averaging_enabled
+    return TrainToyResult(epochs, {{"w": np.full((2, 2), float(seed + moved)),
+                                   "b": np.zeros(2)}})
+"""
+
+
 def _stub_trees(tmp_path, differ=None):
     for tree, work in (("parent", 40000), ("change", 20000)):
         package = tmp_path / tree / "src" / "dispersionlab"
         package.mkdir(parents=True)
-        (package / "__init__.py").write_text("from . import analysis, attention\n")
-        (package / "analysis.py").write_text(
-            _STUB_ANALYSIS.format(work=work, differ=differ if tree == "change" else None))
+        moved = differ if tree == "change" else None
+        (package / "__init__.py").write_text(
+            "from . import analysis, attention, autograd, model\n")
+        (package / "analysis.py").write_text(_STUB_ANALYSIS.format(work=work, differ=moved))
         (package / "attention.py").write_text(_STUB_ATTENTION.format(tree=tree))
+        (package / "autograd.py").write_text(_STUB_AUTOGRAD.format(differ=moved))
+        (package / "model.py").write_text(_STUB_MODEL.format(differ=moved))
     return [str(tmp_path / "parent"), str(tmp_path / "change")]
 
 
@@ -81,7 +151,9 @@ def test_pairs_time_and_compare_every_call(ab_ops, tmp_path, monkeypatch, capsys
     assert ab_ops.main(_stub_trees(tmp_path) + ["--pairs", "3"]) == 0
     lines = _lines(capsys, 3)
     cells = [f"_variant_cell {v} n={n}" for n in (1024, 4096) for v in ab_ops.VARIANTS]
-    assert list(lines) == cells + ["softmax_attention n=4096"]
+    assert list(lines) == cells + ["softmax_attention n=4096", "layer_norm+adjoint n=4096 d=8",
+                                   "layer_norm+adjoint n=16384 d=8", "train_toy averaging=on",
+                                   "train_toy averaging=off"]
     assert all(fields[-2:] == ["bitwise", "equal"] for fields in lines.values())
     ratios = [float(lines[cell][lines[cell].index("ratio") + 1]) for cell in cells]
     assert np.median(ratios) < 1.0  # the change's cells spin half as long
@@ -91,11 +163,17 @@ def test_pairs_time_and_compare_every_call(ab_ops, tmp_path, monkeypatch, capsys
         assert low <= float(fields[i + 1]) <= high
 
 
-def test_differing_outputs_are_named_and_fail(ab_ops, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("moved,named", [
+    ("mila", ["_variant_cell mila n=1024", "_variant_cell mila n=4096"]),
+    ("layer_norm", ["layer_norm+adjoint n=4096 d=8", "layer_norm+adjoint n=16384 d=8"]),
+    ("train_toy", ["train_toy averaging=off"]),
+])
+def test_differing_outputs_are_named_and_fail(ab_ops, tmp_path, monkeypatch, capsys, moved,
+                                              named):
     monkeypatch.setattr(ab_ops, "BATCH_S", 0.001)
-    assert ab_ops.main(_stub_trees(tmp_path, differ="mila") + ["--pairs", "1"]) == 1
+    assert ab_ops.main(_stub_trees(tmp_path, differ=moved) + ["--pairs", "1"]) == 1
     differ = [label for label, fields in _lines(capsys, 1).items() if "DIFFER" in fields]
-    assert differ == ["_variant_cell mila n=1024", "_variant_cell mila n=4096"]
+    assert differ == named
 
 
 def test_each_tree_loads_its_own_package(ab_ops, tmp_path):
@@ -116,3 +194,11 @@ def test_unusable_arguments(ab_ops, tmp_path):
 def test_bits_tell_apart_what_equality_does_not(ab_ops, a, b):
     assert ab_ops.bits((a, [a])) == ab_ops.bits((a, [a]))
     assert ab_ops.bits((a, [a])) != ab_ops.bits((b, [b]))
+
+
+def test_bits_compare_dicts_key_by_key(ab_ops):
+    params = {"w": np.ones((2, 2)), "b": np.zeros(2)}
+    assert ab_ops.bits(params) == ab_ops.bits({"b": np.zeros(2), "w": np.ones((2, 2))})
+    for other in ({"w": np.ones((2, 2)), "b": np.full(2, -0.0)}, {"w": np.ones((2, 2))},
+                  {"w": np.ones((2, 2)), "c": np.zeros(2)}):
+        assert ab_ops.bits(params) != ab_ops.bits(other)

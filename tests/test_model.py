@@ -289,13 +289,24 @@ def _logits(run, cfg, params, images):
 
 
 def _leaf_grads(run, cfg, params, images):
-    """Cross-entropy gradient of every parameter and of the images."""
-    labels = np.arange(len(images)) % cfg.num_classes
+    """Cross-entropy gradient of every parameter and of the images; a patch_rows
+    table in place of the images is a constant, which has none."""
+    batch = len(images) if images.ndim == 4 else len(images) // stage_grids(cfg)[0] ** 2
+    labels = np.arange(batch) % cfg.num_classes
     tape = ag.Tape()
     tp = _trace_params(tape, params)
     grads = ag.backward(ag.cross_entropy(run(tape, tp, cfg, images), labels))
     image_leaf = len(tp)  # the forward pushes the images right after the parameters
-    return {name: grads[leaf.idx] for name, leaf in tp.items()} | {"images": grads[image_leaf]}
+    return {name: grads[leaf.idx] for name, leaf in tp.items()} | (
+        {"images": grads[image_leaf]} if images.ndim == 4 else {})
+
+
+_corner = model._corner  # taken before _full_attention_forward patches it
+
+
+def _no_corner(cfg, g, rows):
+    """_corner asked for no corner: the stem and every block keep all rows."""
+    return _corner(cfg, g, 0)
 
 
 def _full_attention_forward(tape, tp, cfg, images):
@@ -307,7 +318,24 @@ def _full_attention_forward(tape, tp, cfg, images):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(model, "_attention_sublayer", sublayer)
+        patch.setattr(model, "_corner", _no_corner)
         return _forward_traced(tape, tp, cfg, images)
+
+
+def _stem_on_all_rows_forward(tape, tp, cfg, inputs):
+    """The one-block first-token forward with the stem on every row, so that only
+    the readout block takes each sample's corner (_attention_sublayer)."""
+    g, p = stage_grids(cfg)[0], cfg.patch_size
+    if inputs.ndim == 4:
+        x = ag.leaf(tape, inputs.reshape(-1, 3))
+        x = ag.group_rows(ag.tile_grid(x, cfg.image_size, p), p * p)
+    else:
+        x = ag.constant(tape, inputs)
+    x = ag.add(ag.matmul(x, tp["stem.w"]), tp["stem.b"])
+    x = ag.layer_norm(x, tp["stem.norm.g"], tp["stem.norm.b"])
+    x = _block_forward(tp, x, cfg, 0, g, "s0.b0.", readout=True)
+    x = ag.layer_norm(x, tp["head.norm.g"], tp["head.norm.b"])
+    return ag.add(ag.matmul(x, tp["head.w"]), tp["head.b"])
 
 
 # (config, corner side c, batches) for the corner rule: c is the least multiple
@@ -374,10 +402,12 @@ class TestReadoutRows:
                         rng_for(32, "corner").random((b, cfg.image_size, cfg.image_size, 3)))
         last = {node.op: node.value.shape[0] for node in tape.nodes}
         assert last["blocked_softmax_attention"] == last["depthwise_conv"] == b * c * c
-        # y twice and v twice when the corner is smaller than the grid; the
+        # y twice and v twice when the corner is smaller than the grid, or the
+        # stem product once when averaging is off in a one-block model; the
         # readout rows of the attention and of the residual
+        early = not cfg.averaging_enabled and cfg.stage_depths == (1,)
         gathers = sum(node.op == "gather_rows" for node in tape.nodes)
-        assert gathers == (4 if c < g else 0) + 2
+        assert gathers == ((1 if early else 4) if c < g else 0) + 2
 
     @pytest.mark.parametrize("cfg,c,batches", _CORNER_CASES)
     def test_corner_is_bitwise_the_full_row_attention(self, cfg, c, batches):
@@ -392,6 +422,54 @@ class TestReadoutRows:
             assert corner.keys() == ref.keys()
             for name, g in ref.items():
                 assert corner[name].tobytes() == g.tobytes(), (batch, name)
+
+    @pytest.mark.parametrize("window,image_size,c", [(1, 32, 2), (2, 32, 2), (3, 36, 3),
+                                                     (4, 32, 4)])
+    @pytest.mark.parametrize("table", [False, True], ids=["images", "table"])
+    def test_without_averaging_the_stem_runs_on_the_corner_bitwise(self, window, image_size,
+                                                                   c, table):
+        # the one-block model gathers each corner after the stem product; logits
+        # and every leaf gradient are those of the stem on all rows, bit for bit
+        cfg = ModelConfig.ablation(averaging_enabled=False, window=window,
+                                   image_size=image_size)
+        assert model._corner(cfg, stage_grids(cfg)[0], 1)[1] == c
+        params = init_params(cfg, rng_for(37, "early-corner-params"))
+        for batch in (1, 2, 3, 64):
+            images = rng_for(37, "early-corner-images", batch).random(
+                (batch, image_size, image_size, 3))
+            inputs = patch_rows(cfg, images) if table else images
+            assert (_logits(_forward_traced, cfg, params, inputs).tobytes()
+                    == _logits(_stem_on_all_rows_forward, cfg, params, inputs).tobytes()), batch
+            early = _leaf_grads(_forward_traced, cfg, params, inputs)
+            ref = _leaf_grads(_stem_on_all_rows_forward, cfg, params, inputs)
+            assert early.keys() == ref.keys() and ("images" in ref) != table
+            for name, g in ref.items():
+                assert early[name].tobytes() == g.tobytes(), (batch, name)
+
+    @pytest.mark.parametrize("averaging", [True, False])
+    @pytest.mark.parametrize("table", [False, True], ids=["images", "table"])
+    def test_without_averaging_the_stem_and_block_hold_corner_rows(self, averaging, table):
+        cfg = ModelConfig.ablation(averaging_enabled=averaging)
+        b, g, c = 3, 8, 2
+        images = rng_for(32, "early-corner-rows").random((b, 32, 32, 3))
+        tape = ag.Tape()
+        tp = _trace_params(tape, init_params(cfg))
+        _forward_traced(tape, tp, cfg, patch_rows(cfg, images) if table else images)
+        rows = [node.value.shape[0] for node in tape.nodes]
+        ops = [node.op for node in tape.nodes]
+        stem = ops.index("matmul")
+        assert tape.nodes[stem].parents[1] == tp["stem.w"].idx and rows[stem] == b * g * g
+        bias, readout = stem + 1 + (not averaging), ops.index("gather_rows", stem + 2)
+        assert tape.nodes[bias].op == "add" and tape.nodes[bias].parents[1] == tp["stem.b"].idx
+        assert ops[bias + 1 : bias + 3] == ["layer_norm", "layer_norm"]  # stem norm, norm1
+        wv = next(i for i, node in enumerate(tape.nodes)
+                  if node.op == "matmul" and node.parents[1] == tp["s0.b0.wv"].idx)
+        if averaging:  # the stem, norm1 and v on every row; q, k and LePE on the corner
+            assert rows[bias] == rows[bias + 1] == rows[bias + 2] == rows[wv] == b * g * g
+            assert rows[ops.index("depthwise_conv")] == b * c * c
+        else:  # every node from the bias add to the first readout gather
+            assert ops[stem + 1] == "gather_rows" and readout > wv
+            assert set(rows[bias:readout]) == {b * c * c}
 
     @pytest.mark.parametrize("head_mode", ["first_token", "gap"])
     def test_the_value_mean_is_one_row_per_sample(self, head_mode):

@@ -11,7 +11,11 @@ to one thread before numpy loads.
 
 The catalogue: ``analysis._variant_cell`` for the five sweep variants (their
 default kernels and perfbench's samplers, d = 16, window 8) at n = 1,024 and
-4,096, and ``softmax_attention`` at n = 4,096 (d = 64). Per call, both trees
+4,096; ``softmax_attention`` at n = 4,096 (d = 64); the tape's ``layer_norm``
+forward on a recording tape plus its adjoint at the toy model's two shapes,
+(4,096, 8) for a training batch and (16,384, 8) for an evaluation pass; and
+``model.train_toy`` for 3 epochs on the ablation model with averaging on and
+off (seed 13). Per call, both trees
 run once to warm up and to set the batch size, about BATCH_S of process CPU
 time. Then N pairs of batches run, the parent first in even pairs and the change
 first in odd ones, each batch timed in process CPU time after a gc.collect().
@@ -53,6 +57,8 @@ BATCH_S = 0.1  # process CPU seconds per timed batch, about
 SEED = 0
 CELL_N = (1024, 4096)
 VARIANTS = ("softmax", "linear", "focused", "mila", "window")
+NORM_ROWS = (4096, 16384)  # the toy model's training batch and evaluation pass, 8 wide
+TOY_EPOCHS, TOY_SEED = 3, 13
 
 
 def load(name: str, tree: Path):
@@ -96,6 +102,24 @@ def catalogue(parent) -> list[tuple[str, object]]:
     q, k, v = rng.standard_normal((3, 4096, 64))
     calls.append(("softmax_attention n=4096",
                   lambda pkg: sub(pkg, "attention").softmax_attention(q, k, v)))
+    for n in NORM_ROWS:
+        x, g = rng.standard_normal((2, n, 8))
+        gamma, beta = rng.standard_normal((2, 1, 8))
+
+        def norm(pkg, x=x, g=g, gamma=gamma, beta=beta):
+            ag = sub(pkg, "autograd")
+            tape = ag.Tape()
+            out = ag.layer_norm(*(ag.leaf(tape, a) for a in (x, gamma, beta)))
+            return out.value, ag.ADJOINTS["layer_norm"](out.node, g, (x, gamma, beta))
+
+        calls.append((f"layer_norm+adjoint n={n} d=8", norm))
+    for averaging in (True, False):
+        def toy(pkg, averaging=averaging):
+            model = sub(pkg, "model")
+            cfg = model.ModelConfig.ablation(averaging_enabled=averaging)
+            return model.train_toy(cfg, model.SyntheticTask(), TOY_EPOCHS, TOY_SEED)
+
+        calls.append((f"train_toy averaging={'on' if averaging else 'off'}", toy))
     return calls
 
 
@@ -109,6 +133,8 @@ def bits(x):
         return struct.pack("<d", x)
     if dataclasses.is_dataclass(x):
         x = [getattr(x, f.name) for f in dataclasses.fields(x)]
+    if isinstance(x, dict):  # key by key, in key order
+        return tuple((key, bits(x[key])) for key in sorted(x))
     if isinstance(x, (tuple, list)):
         return tuple(bits(item) for item in x)
     return x
