@@ -15,17 +15,18 @@ default kernels and perfbench's samplers, d = 16, window 8) at n = 1,024 and
 forward on a recording tape plus its adjoint at the toy model's two shapes,
 (4,096, 8) for a training batch and (16,384, 8) for an evaluation pass; and
 ``model.train_toy`` for 3 epochs on the ablation model with averaging on and
-off (seed 13). Per call, both trees
-run once to warm up and to set the batch size, about BATCH_S of process CPU
-time. Then N pairs of batches run, the parent first in even pairs and the change
-first in odd ones, each batch timed in process CPU time after a gc.collect().
+off (seed 13). Per call, both trees run once to warm up and to set the batch
+size, about BATCH_S of process CPU time. Then N pairs of batches run, the
+parent first in even pairs and the change first in odd ones, each batch timed
+in process CPU time after a gc.collect().
 
 Prints one line per call: the median per-call milliseconds of each tree, the
 median of the pairs' change / parent ratios with bench_summary's
 order-statistic interval for it, the wins (pairs where the change took less
 time) and whether the two trees' outputs are bitwise equal (arrays byte for
-byte, floats by their bits; a NaN's payload counts). Exit code: 2
-when a tree has no package, 1 when some call's outputs differ, 0 otherwise.
+byte, floats by their bits, dicts key by key; a NaN's payload counts). Exit
+code: 2 when a tree has no package, 1 when some call's outputs differ, 0
+otherwise.
 """
 
 from __future__ import annotations
