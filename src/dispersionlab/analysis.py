@@ -245,9 +245,11 @@ def measure_dispersion(variant: str, kernel: KernelSpec | None, sampler: Bounded
     coefficients, and checks every coefficient against the bounds computed
     from that draw's own logit extrema. A violation raises
     BoundViolationError naming n, trial and seed: the bounds are a test
-    oracle, not advice. The recorded per-n bounds are the loosest per-trial
-    bounds. DISPERSION_LAB_THREADS sets the worker count. The MILA cell has
-    its own elu+1 features and stabilized ratio, so a MILA sweep takes only
+    oracle, not advice. A lower bound or smallest coefficient that
+    underflows to 0 would make that check vacuous: KernelDomainError, naming
+    the same. The recorded per-n bounds are the loosest per-trial bounds.
+    DISPERSION_LAB_THREADS sets the worker count. The MILA cell has its own
+    elu+1 features and stabilized ratio, so a MILA sweep takes only
     the KernelSpec.linear preset.
     """
     if variant not in VARIANTS:
@@ -278,6 +280,10 @@ def measure_dispersion(variant: str, kernel: KernelSpec | None, sampler: Bounded
             # a cell checks its own results, so numpy's float warnings add nothing
             with np.errstate(all="ignore"):
                 extrema, (lo, hi) = _variant_cell(variant, kernel, q, k, win)
+            if not (lo > 0 and extrema.cmin > 0):  # a zero lower bound contains nothing
+                raise KernelDomainError(
+                    "the lower bound or the smallest coefficient underflows: need both > 0, "
+                    f"got lower bound {lo!r} and smallest coefficient {extrema.cmin!r}")
         except KernelDomainError as exc:
             raise KernelDomainError(
                 f"{variant}: {exc} at n={n}, trial={trial}, seed={seed}") from None

@@ -9,11 +9,11 @@ homogeneous mixing term that broadcasts the value mean to every token.
 Ablation toggles swap the window path for global linear or full softmax
 attention and switch the averaging term off.
 
-Tokens are rows in row-major grid order per sample; the stem patchify, each
-2 x 2 downsample and the window partition tile them by one reshape/transpose
-(ag.tile_grid). The stem cuts images into patch rows on the tape, or takes
-rows that patch_rows cut beforehand as a constant input, which backward does
-not differentiate; training cuts its images once and gathers every batch from
+Tokens are rows in row-major grid order per sample; each 2 x 2 downsample
+and the window partition tile them by one reshape/transpose (ag.tile_grid).
+The stem takes the patch rows that patch_rows cuts from images of
+cfg.image_size, off the tape, as a constant input, which backward does not
+differentiate; training cuts its images once and gathers every batch from
 that table. ag.add broadcasts every 1 x d bias over the rows, and each
 sample's value mean, one row per sample, over that sample's tokens.
 
@@ -159,15 +159,14 @@ class ModelConfig:
         return cls(**json.loads(text))
 
 
-def stage_grids(cfg: ModelConfig, image_size: int | None = None) -> list[int]:
+def stage_grids(cfg: ModelConfig) -> list[int]:
     """Token grid side per stage; raises naming the first failing stage."""
-    size = image_size or cfg.image_size
-    if size % cfg.patch_size != 0:
+    if cfg.image_size % cfg.patch_size != 0:
         raise ConfigurationError(
-            f"stem: image size {size} not divisible by patch size {cfg.patch_size}"
+            f"stem: image size {cfg.image_size} not divisible by patch size {cfg.patch_size}"
         )
     grids = []
-    g = size // cfg.patch_size
+    g = cfg.image_size // cfg.patch_size
     for s in range(len(cfg.stage_dims)):
         if s > 0:
             if g % 2 != 0:
@@ -406,51 +405,40 @@ def patch_rows(cfg: ModelConfig, images) -> np.ndarray:
 
     g0 is the first stage's grid side and p the patch side. Rows are patches
     in row-major grid order per sample, each patch raveled row-major: one
-    reshape/transpose copy, bitwise the rows the stem cuts on the tape.
-    forward takes them in place of the images.
+    reshape/transpose copy, the stem's one image check and cut, off the tape.
+    Images of another size h take dataclasses.replace(cfg, image_size=h).
     """
     images = as_array(images)
     size, p = cfg.image_size, cfg.patch_size
     if images.ndim != 4 or images.shape[1:] != (size, size, 3) or not images.shape[0]:
-        raise ConfigurationError(
-            f"patch_rows: images must be (b, {size}, {size}, 3) with b >= 1, got {images.shape}")
+        raise ConfigurationError(f"patch_rows: images must be (b, {size}, {size}, 3), "
+                                 f"{size} = cfg.image_size, with b >= 1, got {images.shape}")
     return ag._tiles(images.reshape(-1, 3), size, p, False).reshape(-1, p * p * 3)
 
 
 def _forward_traced(tape, tp, cfg: ModelConfig, inputs: np.ndarray):
-    """Logits on the tape, with the parameters tp traced on it, of (b, H, W, 3)
-    images or of their patch_rows table.
+    """Logits on the tape, with the parameters tp traced on it, of (b, S, S, 3)
+    images, S = cfg.image_size, or of their patch_rows table.
 
-    Images are a leaf, cut into patches on the tape; the table is a constant,
-    so backward forms no gradient for it. For the first-token readout the last
-    block mixes tokens on each sample's corner and runs its tail on the
-    readout rows only (see the module docstring and _attention_sublayer); the
-    gap head averages all rows, and every block runs on all of them. With
-    averaging off and the readout block the only block, the corners are
-    gathered from the stem product: its bias add, its norm and the block run
-    on the b * c * c corner rows, the stem product on all b * g * g.
+    patch_rows cuts images into the table. The table is a constant, so
+    backward forms no gradient for it, and no local holds it: a tape that
+    keeps no history frees it after the stem product. For the first-token
+    readout the last block mixes tokens on each sample's corner and runs its
+    tail on the readout rows only (see the module docstring and
+    _attention_sublayer); the gap head averages all rows, and every block
+    runs on all of them. With averaging off and the readout block the only
+    block, the corners are gathered from the stem product: its bias add, its
+    norm and the block run on the b * c * c corner rows, the stem product on
+    all b * g * g.
     """
-    p = cfg.patch_size
-    if inputs.ndim == 4:
-        if inputs.shape[3] != 3:
-            raise ConfigurationError(f"images must be (b, H, W, 3), got {inputs.shape}")
-        if inputs.shape[0] == 0:
-            raise ConfigurationError(f"images must hold at least one image, got {inputs.shape}")
-        b, h, w, _ = inputs.shape
-        if h != w:
-            raise ConfigurationError(f"square inputs required, got {h}x{w}")
-        grids = stage_grids(cfg, image_size=h)
-        x = ag.leaf(tape, inputs.reshape(b * h * w, 3))
-        x = ag.group_rows(ag.tile_grid(x, h, p), p * p)
-    else:
-        grids = stage_grids(cfg)
-        n0 = grids[0] ** 2
-        if inputs.ndim != 2 or inputs.shape[1] != p * p * 3 or not inputs.shape[0] \
-                or inputs.shape[0] % n0:
-            raise ConfigurationError(
-                f"input must be (b, H, W, 3) images or patch rows of shape (b * {n0}, "
-                f"{p * p * 3}) with b >= 1, got {inputs.shape}")
-        x = ag.constant(tape, inputs)
+    p, grids = cfg.patch_size, stage_grids(cfg)
+    n0 = grids[0] ** 2
+    if inputs.ndim != 4 and (inputs.ndim != 2 or inputs.shape[1] != p * p * 3
+                             or not inputs.shape[0] or inputs.shape[0] % n0):
+        raise ConfigurationError(
+            f"input must be (b, H, W, 3) images or patch rows of shape (b * {n0}, "
+            f"{p * p * 3}) with b >= 1, got {inputs.shape}")
+    x = ag.constant(tape, patch_rows(cfg, inputs) if inputs.ndim == 4 else inputs)
     x = ag.matmul(x, tp["stem.w"])
     if cfg.head_mode == "first_token" and not cfg.averaging_enabled and cfg.stage_depths == (1,):
         # the readout block is the only one, and no op before it mixes tokens
@@ -481,8 +469,9 @@ def _trace_params(tape, params: dict[str, np.ndarray]) -> dict[str, ag.TracedVal
 
 
 def forward(cfg: ModelConfig, params: dict[str, np.ndarray], images) -> Tensor:
-    """Classifier logits for a batch of (b, H, W, 3) images, or of their
-    patch_rows table (bitwise the same logits).
+    """Classifier logits for a batch of (b, S, S, 3) images, S = cfg.image_size,
+    or of their patch_rows table (bitwise the same logits). Images of another
+    size h take dataclasses.replace(cfg, image_size=h) and the same params.
 
     Runs _forward_traced on a tape that keeps no history, the same path as
     training; with the first-token readout a batch of one may differ from a

@@ -91,7 +91,8 @@ ADJOINTS = {{"layer_norm": _adjoint}}
 """
 
 # train_toy returns a dataclass whose params dict holds arrays, as the real
-# TrainToyResult does; averaging off moves its params when DIFFER says so
+# TrainToyResult does; averaging off moves its params when DIFFER says so, and
+# forward moves its logits
 _STUB_MODEL = """
 import dataclasses
 
@@ -108,6 +109,10 @@ class ModelConfig:
     def ablation(cls, **overrides):
         return cls(**overrides)
 
+    @classmethod
+    def tiny_224(cls):
+        return cls()
+
 
 class SyntheticTask:
     pass
@@ -123,6 +128,15 @@ def train_toy(cfg, task, epochs, seed):
     moved = DIFFER == "train_toy" and not cfg.averaging_enabled
     return TrainToyResult(epochs, {{"w": np.full((2, 2), float(seed + moved)),
                                    "b": np.zeros(2)}})
+
+
+def init_params(cfg):
+    return {{"w": np.ones((3, 2))}}
+
+
+def forward(cfg, params, images):
+    logits = images.reshape(len(images), -1)[:, :3] @ params["w"]
+    return logits + (1.0 if DIFFER == "forward" else 0.0)
 """
 
 
@@ -153,7 +167,7 @@ def test_pairs_time_and_compare_every_call(ab_ops, tmp_path, monkeypatch, capsys
     cells = [f"_variant_cell {v} n={n}" for n in (1024, 4096) for v in ab_ops.VARIANTS]
     assert list(lines) == cells + ["softmax_attention n=4096", "layer_norm+adjoint n=4096 d=8",
                                    "layer_norm+adjoint n=16384 d=8", "train_toy averaging=on",
-                                   "train_toy averaging=off"]
+                                   "train_toy averaging=off", "forward tiny_224 batch=1 images"]
     assert all(fields[-2:] == ["bitwise", "equal"] for fields in lines.values())
     ratios = [float(lines[cell][lines[cell].index("ratio") + 1]) for cell in cells]
     assert np.median(ratios) < 1.0  # the change's cells spin half as long
@@ -167,6 +181,7 @@ def test_pairs_time_and_compare_every_call(ab_ops, tmp_path, monkeypatch, capsys
     ("mila", ["_variant_cell mila n=1024", "_variant_cell mila n=4096"]),
     ("layer_norm", ["layer_norm+adjoint n=4096 d=8", "layer_norm+adjoint n=16384 d=8"]),
     ("train_toy", ["train_toy averaging=off"]),
+    ("forward", ["forward tiny_224 batch=1 images"]),
 ])
 def test_differing_outputs_are_named_and_fail(ab_ops, tmp_path, monkeypatch, capsys, moved,
                                               named):

@@ -232,7 +232,7 @@ class TestMeasureDispersion:
         maxima = iter([0.1, 0.1, 0.1, 0.1, 0.9] * 3)
         monkeypatch.setenv("DISPERSION_LAB_THREADS", "1")
         monkeypatch.setattr(analysis, "_variant_cell", lambda *args: (
-            analysis.CellExtrema(0.05, next(maxima), 1), (0.0, 1.0)))
+            analysis.CellExtrema(0.05, next(maxima), 1), (0.01, 1.0)))
         report = measure_dispersion("softmax", None, BoundedSampler(d=4), [8, 16, 32], 5,
                                     seed=0)
         assert report.max_coeff_median == [0.1, 0.1, 0.1]
@@ -397,6 +397,32 @@ class TestStreamedCells:
         with pytest.raises(KernelDomainError, match=f"^{variant}: .*overflows or underflows.* "
                                                     "at n=8, trial=0, seed=3$"):
             measure_dispersion(variant, kernel, sampler, [8, 16, 32], 2, seed=3, win=win)
+
+    @pytest.mark.parametrize("variant,d,bound,at", [
+        ("softmax", 16, 600.0, "n=128, trial=0, seed=42"),
+        ("softmax", 16, 700.0, "n=128, trial=0, seed=42"),
+        ("linear", 64, 1e308, "n=64, trial=0, seed=42"),
+        ("window", 16, 800.0, "n=128, trial=1, seed=42"),
+    ])
+    def test_an_underflowing_lower_bound_raises_naming_the_cell(self, variant, d, bound, at):
+        # a lower bound of 0.0 contains everything, and a coefficient of 0.0 ended
+        # in a DispersionReport traceback; softmax at 600 has a smallest
+        # coefficient of 8.5e-305 under its zero bound at n = 128
+        sampler = BoundedSampler(d=d, logit_bound=bound)
+        win = WindowSpec(8) if variant == "window" else None
+        with pytest.raises(KernelDomainError, match=rf"^{variant}: the lower bound or the "
+                                                    rf"smallest coefficient underflows.* at {at}$"):
+            measure_dispersion(variant, None, sampler, [64, 128, 256], 2, seed=42, win=win)
+
+    def test_a_zero_coefficient_above_a_positive_bound_raises(self, monkeypatch):
+        # each of the two conditions raises on its own
+        def cell(variant, kernel, q, k, win):
+            return analysis.CellExtrema(0.0, 0.5, 4), (1e-300, 1.0)
+
+        monkeypatch.setattr(analysis, "_variant_cell", cell)
+        with pytest.raises(KernelDomainError, match=r"got lower bound 1e-300 and smallest "
+                                                    r"coefficient 0.0 at n=4, trial=0, seed=1$"):
+            measure_dispersion("softmax", None, BoundedSampler(d=4), [4], 1, seed=1)
 
     def test_zero_queries_still_raise_from_streamed_focused_cells(self, monkeypatch):
         monkeypatch.setattr(posenc, "_RUN", 1)

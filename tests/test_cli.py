@@ -181,6 +181,26 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith(f"error: {variant}: phi overflows or underflows")
         assert "n=4, trial=0, seed=42" in err[0]
 
+    @pytest.mark.parametrize("argv", [
+        ["--variant", "softmax", "--logit-bound", "600"],
+        ["--variant", "softmax", "--logit-bound", "700"],
+        ["--variant", "softmax", "--logit-bound", "800"],
+        ["--variant", "linear", "--d", "64", "--logit-bound", "1e308"],
+        ["--variant", "window", "--w", "8", "--logit-bound", "800"],
+    ])
+    def test_disperse_underflowing_lower_bound_names_the_cell(self, argv, tmp_path, capsys):
+        # softmax and linear ended in a DispersionReport traceback; window exited
+        # 0 with lower bounds of 0.0, which contain every coefficient
+        out = tmp_path / "run"
+        assert main(["disperse", *argv, "--n", "64,128,256", "--trials", "2",
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "inside bounds" not in captured.out
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith(
+            f"error: {argv[1]}: the lower bound or the smallest coefficient underflows")
+        assert err[0].endswith("seed=42") and "trial=" in err[0] and not out.exists()
+
     @pytest.mark.parametrize("kernel", ['{"phi":"exp"}',
                                         '{"phi":"power","phi_p":3,"psi":"elu_plus_one"}',
                                         '{"phi":"power","phi_p":1e6,"psi":"elu_plus_one"}',

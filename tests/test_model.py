@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -46,9 +47,17 @@ class TestConfigAndShapes:
         assert forward(cfg, params, images).shape == (2, 5)
 
     def test_indivisible_resolution_names_stage(self):
-        cfg = ModelConfig.toy()
         with pytest.raises(ConfigurationError, match="stem"):
-            stage_grids(cfg, image_size=30)
+            ModelConfig.toy(image_size=30)
+
+    @pytest.mark.parametrize("make", [ModelConfig.tiny_224, ModelConfig.toy,
+                                      ModelConfig.ablation])
+    def test_another_resolution_keeps_the_parameter_shapes(self, make):
+        # so the same params serve images of another size
+        cfg = make()
+        other = dataclasses.replace(cfg, image_size=2 * cfg.image_size)
+        assert stage_grids(other) == [2 * g for g in stage_grids(cfg)]
+        assert parameter_shapes(other) == parameter_shapes(cfg)
 
     def test_head_divisibility_validated(self):
         with pytest.raises(ConfigurationError, match="divisible"):
@@ -245,10 +254,8 @@ class TestBlockGradient:
 def _full_row_forward(tape, tp, cfg, images):
     """The first-token forward with every block on all rows and the readout gather
     after the head norm."""
-    b, size = images.shape[:2]
-    grids, p = stage_grids(cfg), cfg.patch_size
-    x = ag.leaf(tape, images.reshape(b * size * size, 3))
-    x = ag.group_rows(ag.tile_grid(x, size, p), p * p)
+    b, grids = len(images), stage_grids(cfg)
+    x = ag.constant(tape, patch_rows(cfg, images))
     x = ag.add(ag.matmul(x, tp["stem.w"]), tp["stem.b"])
     x = ag.layer_norm(x, tp["stem.norm.g"], tp["stem.norm.b"])
     for s, g in enumerate(grids):
@@ -288,17 +295,14 @@ def _logits(run, cfg, params, images):
     return run(tape, _trace_params(tape, params), cfg, images).value
 
 
-def _leaf_grads(run, cfg, params, images):
-    """Cross-entropy gradient of every parameter and of the images; a patch_rows
-    table in place of the images is a constant, which has none."""
-    batch = len(images) if images.ndim == 4 else len(images) // stage_grids(cfg)[0] ** 2
+def _leaf_grads(run, cfg, params, inputs):
+    """Cross-entropy gradient of every parameter, for images or their patch_rows table."""
+    batch = len(inputs) if inputs.ndim == 4 else len(inputs) // stage_grids(cfg)[0] ** 2
     labels = np.arange(batch) % cfg.num_classes
     tape = ag.Tape()
     tp = _trace_params(tape, params)
-    grads = ag.backward(ag.cross_entropy(run(tape, tp, cfg, images), labels))
-    image_leaf = len(tp)  # the forward pushes the images right after the parameters
-    return {name: grads[leaf.idx] for name, leaf in tp.items()} | (
-        {"images": grads[image_leaf]} if images.ndim == 4 else {})
+    grads = ag.backward(ag.cross_entropy(run(tape, tp, cfg, inputs), labels))
+    return {name: grads[leaf.idx] for name, leaf in tp.items()}
 
 
 _corner = model._corner  # taken before _full_attention_forward patches it
@@ -325,12 +329,8 @@ def _full_attention_forward(tape, tp, cfg, images):
 def _stem_on_all_rows_forward(tape, tp, cfg, inputs):
     """The one-block first-token forward with the stem on every row, so that only
     the readout block takes each sample's corner (_attention_sublayer)."""
-    g, p = stage_grids(cfg)[0], cfg.patch_size
-    if inputs.ndim == 4:
-        x = ag.leaf(tape, inputs.reshape(-1, 3))
-        x = ag.group_rows(ag.tile_grid(x, cfg.image_size, p), p * p)
-    else:
-        x = ag.constant(tape, inputs)
+    g = stage_grids(cfg)[0]
+    x = ag.constant(tape, patch_rows(cfg, inputs) if inputs.ndim == 4 else inputs)
     x = ag.add(ag.matmul(x, tp["stem.w"]), tp["stem.b"])
     x = ag.layer_norm(x, tp["stem.norm.g"], tp["stem.norm.b"])
     x = _block_forward(tp, x, cfg, 0, g, "s0.b0.", readout=True)
@@ -442,7 +442,7 @@ class TestReadoutRows:
                     == _logits(_stem_on_all_rows_forward, cfg, params, inputs).tobytes()), batch
             early = _leaf_grads(_forward_traced, cfg, params, inputs)
             ref = _leaf_grads(_stem_on_all_rows_forward, cfg, params, inputs)
-            assert early.keys() == ref.keys() and ("images" in ref) != table
+            assert early.keys() == ref.keys()
             for name, g in ref.items():
                 assert early[name].tobytes() == g.tobytes(), (batch, name)
 
@@ -484,12 +484,13 @@ class TestReadoutRows:
         assert not any(node.op == "gather_rows" and node.parents[0] in means
                        for node in tape.nodes)
 
-    @pytest.mark.parametrize("make,pushed", [(ModelConfig.tiny_224, 741),
-                                             (lambda: ModelConfig.ablation(head_mode="gap"), 57)])
+    @pytest.mark.parametrize("make,pushed", [(ModelConfig.tiny_224, 739),
+                                             (lambda: ModelConfig.ablation(head_mode="gap"), 55)])
     def test_without_readout_rows_the_pushed_ops_stay(self, make, pushed):
         # the counts of the forward before the corner rule, less the gap head's
-        # gather of the mean rows; zero parameters as broadcast views keep
-        # tiny_224's 28M of them out of memory
+        # gather of the mean rows and with the stem's table one constant in place
+        # of the image leaf and its two tilings; zero parameters as broadcast
+        # views keep tiny_224's 28M of them out of memory
         cfg = make()
         tape = ag.Tape(record=False)
         tp = _trace_params(tape, {name: np.broadcast_to(0.0, shape)
@@ -559,10 +560,12 @@ class TestPatchRows:
 
     @pytest.mark.parametrize("make", _TABLE_CONFIGS)
     def test_a_step_on_the_table_has_the_image_step_gradients(self, make, monkeypatch):
+        # the table forward cuts from the images, a constant, against the same
+        # table pushed as a leaf: backward forms the leaf's gradient, and no
+        # parameter gradient may move
         cfg = make()
         params = init_params(cfg, rng_for(36, "table-step"))
         images = rng_for(36, "table-step-images").random((3, cfg.image_size, cfg.image_size, 3))
-        from_images = _leaf_grads(_forward_traced, cfg, params, images)
         skipped = []
         matmul = ag.ADJOINTS["matmul"]
 
@@ -572,11 +575,15 @@ class TestPatchRows:
             return out
 
         monkeypatch.setitem(ag.ADJOINTS, "matmul", record)
+        with monkeypatch.context() as patch:
+            patch.setattr(ag, "constant", ag.leaf)
+            from_leaf = _leaf_grads(_forward_traced, cfg, params, patch_rows(cfg, images))
+        assert skipped and not any(skipped)  # the leaf's stem product forms g @ b.T
+        skipped.clear()
         labels = np.arange(3) % cfg.num_classes
         tape = ag.Tape()
         tp = _trace_params(tape, params)
-        grads = ag.backward(ag.cross_entropy(
-            _forward_traced(tape, tp, cfg, patch_rows(cfg, images)), labels))
+        grads = ag.backward(ag.cross_entropy(_forward_traced(tape, tp, cfg, images), labels))
         table = len(tp)  # pushed right after the parameters
         assert tape.nodes[table].op == "constant" and table not in grads
         assert set(grads) == {leaf.idx for leaf in tp.values()}
@@ -584,7 +591,28 @@ class TestPatchRows:
         assert skipped.count(True) == 1 and skipped[-1]
         assert not any(node.op in ("tile_grid", "group_rows") for node in tape.nodes[:table + 2])
         for name, leaf in tp.items():
-            assert grads[leaf.idx].tobytes() == from_images[name].tobytes(), name
+            assert grads[leaf.idx].tobytes() == from_leaf[name].tobytes(), name
+
+    @pytest.mark.parametrize("make", _TABLE_CONFIGS)
+    def test_the_cut_table_is_freed_after_the_stem_product(self, make, monkeypatch):
+        # a tape that keeps no history holds the table only until the stem
+        # product has read it; the stem norm, the first layer_norm, follows it
+        cfg = make()
+        tables, alive = [], []
+        cut, norm = model.patch_rows, ag.layer_norm
+
+        def record_cut(cfg, images):
+            tables.append(weakref.ref(table := cut(cfg, images)))
+            return table
+
+        def record_norm(*args):
+            alive.append(tables[0]() is not None)
+            return norm(*args)
+
+        monkeypatch.setattr(model, "patch_rows", record_cut)
+        monkeypatch.setattr(ag, "layer_norm", record_norm)
+        forward(cfg, init_params(cfg), np.ones((2, cfg.image_size, cfg.image_size, 3)))
+        assert len(tables) == 1 and alive[0] is False
 
     @pytest.mark.parametrize("shape", [(64, 48, 1), (64,), (64, 47), (65, 48), (0, 48)])
     def test_bad_tables_are_one_line_errors(self, shape):
@@ -599,6 +627,17 @@ class TestPatchRows:
     def test_patch_rows_refuses_other_image_sizes(self, size):
         with pytest.raises(ConfigurationError, match="patch_rows.*32, 32"):
             patch_rows(ModelConfig.ablation(), np.zeros((2, size, size, 3)))
+
+    @pytest.mark.parametrize("shape", [(2, 64, 64, 3), (2, 16, 16, 3), (2, 32, 16, 3),
+                                       (2, 32, 32, 4), (0, 32, 32, 3)])
+    def test_forward_refuses_other_images_naming_the_image_size(self, shape):
+        # another size, a non-square image, another channel count or no image:
+        # patch_rows' one check, which names cfg.image_size
+        cfg = ModelConfig.ablation()
+        with pytest.raises(ConfigurationError) as caught:
+            forward(cfg, init_params(cfg), np.zeros(shape))
+        assert str(caught.value) == ("patch_rows: images must be (b, 32, 32, 3), "
+                                     f"32 = cfg.image_size, with b >= 1, got {shape}")
 
 
 class TestLossGradient:

@@ -13,12 +13,14 @@ The catalogue: ``analysis._variant_cell`` for the five sweep variants (their
 default kernels and perfbench's samplers, d = 16, window 8) at n = 1,024 and
 4,096; ``softmax_attention`` at n = 4,096 (d = 64); the tape's ``layer_norm``
 forward on a recording tape plus its adjoint at the toy model's two shapes,
-(4,096, 8) for a training batch and (16,384, 8) for an evaluation pass; and
+(4,096, 8) for a training batch and (16,384, 8) for an evaluation pass;
 ``model.train_toy`` for 3 epochs on the ablation model with averaging on and
-off (seed 13). Per call, both trees run once to warm up and to set the batch
-size, about BATCH_S of process CPU time. Then N pairs of batches run, the
-parent first in even pairs and the change first in odd ones, each batch timed
-in process CPU time after a gc.collect().
+off (seed 13); and ``model.forward`` of ``tiny_224`` on one 224 x 224 image,
+perfbench's ``backbone_inference`` call, with parameters drawn once. Per
+call, both trees run once to warm up and to set the batch size, about
+BATCH_S of process CPU time. Then N pairs of batches run, the parent first in
+even pairs and the change first in odd ones, each batch timed in process CPU
+time after a gc.collect().
 
 Prints one line per call: the median per-call milliseconds of each tree, the
 median of the pairs' change / parent ratios with bench_summary's
@@ -121,6 +123,15 @@ def catalogue(parent) -> list[tuple[str, object]]:
             return model.train_toy(cfg, model.SyntheticTask(), TOY_EPOCHS, TOY_SEED)
 
         calls.append((f"train_toy averaging={'on' if averaging else 'off'}", toy))
+    model = sub(parent, "model")
+    params = model.init_params(model.ModelConfig.tiny_224())
+    image = rng.random((1, 224, 224, 3))
+
+    def backbone(pkg):
+        tree = sub(pkg, "model")
+        return tree.forward(tree.ModelConfig.tiny_224(), params, image)
+
+    calls.append(("forward tiny_224 batch=1 images", backbone))
     return calls
 
 

@@ -253,7 +253,7 @@ def tape_outputs():
     names = {lv.idx: name for name, lv in tp.items()}
     yield "toy_backward.loss", loss.value
     for idx in sorted(grads):
-        yield f"toy_backward.grad/{names.get(idx, 'images')}", grads[idx]
+        yield f"toy_backward.grad/{names[idx]}", grads[idx]
 
 
 GROUPS = (attention_outputs, posenc_outputs, ssm_outputs, model_outputs, dispersion_outputs,
