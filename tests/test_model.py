@@ -629,10 +629,11 @@ class TestPatchRows:
             patch_rows(ModelConfig.ablation(), np.zeros((2, size, size, 3)))
 
     @pytest.mark.parametrize("shape", [(2, 64, 64, 3), (2, 16, 16, 3), (2, 32, 16, 3),
-                                       (2, 32, 32, 4), (0, 32, 32, 3)])
+                                       (2, 32, 32, 4)])
     def test_forward_refuses_other_images_naming_the_image_size(self, shape):
-        # another size, a non-square image, another channel count or no image:
-        # patch_rows' one check, which names cfg.image_size
+        # another size, a non-square image or another channel count (no image:
+        # test_empty_batch_names_images): patch_rows' one check, which names
+        # cfg.image_size
         cfg = ModelConfig.ablation()
         with pytest.raises(ConfigurationError) as caught:
             forward(cfg, init_params(cfg), np.zeros(shape))
