@@ -20,9 +20,7 @@ import gc
 import io
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -228,14 +226,6 @@ def _variant_cell(variant: str, kernel: KernelSpec, q: np.ndarray, k: np.ndarray
     return CellExtrema(float(cmin), float(cmax), n * block), bounds
 
 
-def _env_threads() -> int:
-    """Sweep worker count from DISPERSION_LAB_THREADS: an integer >= 1, default 1."""
-    text = os.environ.get("DISPERSION_LAB_THREADS", "1")
-    if not text.isdecimal() or int(text) < 1:
-        raise ConfigurationError(f"DISPERSION_LAB_THREADS must be an integer >= 1, got {text!r}")
-    return int(text)
-
-
 def measure_dispersion(variant: str, kernel: KernelSpec | None, sampler: BoundedSampler,
                        n_values, trials: int, seed: int,
                        win: WindowSpec | None = None) -> DispersionReport:
@@ -248,9 +238,8 @@ def measure_dispersion(variant: str, kernel: KernelSpec | None, sampler: Bounded
     oracle, not advice. A lower bound or smallest coefficient that
     underflows to 0 would make that check vacuous: KernelDomainError, naming
     the same. The recorded per-n bounds are the loosest per-trial bounds.
-    DISPERSION_LAB_THREADS sets the worker count. The MILA cell has its own
-    elu+1 features and stabilized ratio, so a MILA sweep takes only
-    the KernelSpec.linear preset.
+    The MILA cell has its own elu+1 features and stabilized ratio, so a MILA
+    sweep takes only the KernelSpec.linear preset.
     """
     if variant not in VARIANTS:
         raise ValueError(f"cannot sweep variant {variant!r}")
@@ -295,16 +284,9 @@ def measure_dispersion(variant: str, kernel: KernelSpec | None, sampler: Bounded
             )
         return cmin, cmax, lo, hi
 
-    threads = _env_threads()
     max_c, min_c, ub, lb, med = [], [], [], [], []
     for n in n_values:
-        cells = list(range(trials))
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(lambda t: run_cell(n, t), cells))
-        else:
-            results = [run_cell(n, t) for t in cells]
-        mins, maxs, los, his = zip(*results)
+        mins, maxs, los, his = zip(*[run_cell(n, t) for t in range(trials)])
         max_c.append(max(maxs))
         min_c.append(min(mins))
         lb.append(min(los))

@@ -4,8 +4,8 @@ Subcommands expose the library's experiments as seeded, reproducible runs
 producing CSV/JSON plot data (no rendered images). ``_save_run`` writes every
 run's files and a manifest.json recording the subcommand, the argument
 snapshot, the seed, the library and numpy versions, the BLAS that ran
-(``blas_environment``), the thread variables and the process's resource use
-so far (peak RSS, CPU seconds, minor page faults); rerunning with identical
+(``blas_environment``), the BLAS thread variables and the process's resource
+use so far (peak RSS, CPU seconds, minor page faults); rerunning with identical
 arguments and thread settings reproduces the outputs byte for byte
 (timestamps and resource use live only in the manifest, and the CPU-time
 measurements in bench.csv are not derived data). ``main`` creates --out before any
@@ -13,9 +13,7 @@ computation, so an unusable path is one error line.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 scientific check
 failure (bound violation, equivalence failure, failed gradcheck, training
-divergence). The environment variable DISPERSION_LAB_THREADS caps sweep
-parallelism (an integer >= 1, default 1; cells derive their RNG from (seed,
-variant, n, trial), so results are schedule-independent).
+divergence).
 """
 
 from __future__ import annotations
@@ -205,8 +203,7 @@ def _save_run(args, seed: int, files: dict[str, str], written=()) -> None:
         "numpy_version": np.__version__,
         "blas": blas_environment(),
         "threads": {name: os.environ.get(name) for name in
-                    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-                     "DISPERSION_LAB_THREADS")},
+                    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
         "resources": _resource_usage(),
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "outputs": sorted([*files, *(os.path.basename(path) for path in written)]),

@@ -44,9 +44,11 @@ corner right after its product, and the stem bias add, the stem norm and the
 whole block, norm1 and v included, run on the b * c * c corner rows, on a
 c x c grid. On that grid the corner is the whole grid, so the attention
 sublayer sees the same windows, LePE padding and readout rows, and the
-logits are bitwise those of the stem on all rows. The stem product stays on
-all rows, so its weight gradient sums the same rows; wv's now sums the
-corner rows, with the same caveat.
+logits are bitwise those of the stem on all rows. On a recording tape the
+stem product stays on all rows, so its weight gradient sums the same rows;
+wv's now sums the corner rows, with the same caveat. A tape that keeps no
+history forms no gradient, so there the stem gathers the corners from its
+table and multiplies only those rows.
 """
 
 from __future__ import annotations
@@ -427,9 +429,10 @@ def _forward_traced(tape, tp, cfg: ModelConfig, inputs: np.ndarray):
     tail on the readout rows only (see the module docstring and
     _attention_sublayer); the gap head averages all rows, and every block
     runs on all of them. With averaging off and the readout block the only
-    block, the corners are gathered from the stem product: its bias add, its
-    norm and the block run on the b * c * c corner rows, the stem product on
-    all b * g * g.
+    block, its bias add, its norm and the block run on the b * c * c corner
+    rows. A recording tape gathers them from the stem product on all
+    b * g * g rows, so that stem.w's gradient sums the same rows; a tape that
+    keeps no history gathers them from the table and multiplies only those.
     """
     p, grids = cfg.patch_size, stage_grids(cfg)
     n0 = grids[0] ** 2
@@ -439,12 +442,16 @@ def _forward_traced(tape, tp, cfg: ModelConfig, inputs: np.ndarray):
             f"input must be (b, H, W, 3) images or patch rows of shape (b * {n0}, "
             f"{p * p * 3}) with b >= 1, got {inputs.shape}")
     x = ag.constant(tape, patch_rows(cfg, inputs) if inputs.ndim == 4 else inputs)
-    x = ag.matmul(x, tp["stem.w"])
+    corner = None
     if cfg.head_mode == "first_token" and not cfg.averaging_enabled and cfg.stage_depths == (1,):
         # the readout block is the only one, and no op before it mixes tokens
         _, c, corner = _corner(cfg, grids[0], x.value.shape[0])
-        if corner is not None:
-            x, grids = ag.gather_rows(x, corner), [c]
+        grids = [c]
+    if corner is not None and not tape.record:  # no stem.w gradient: gather the table
+        x, corner = ag.gather_rows(x, corner), None
+    x = ag.matmul(x, tp["stem.w"])
+    if corner is not None:
+        x = ag.gather_rows(x, corner)
     x = ag.add(x, tp["stem.b"])
     x = ag.layer_norm(x, tp["stem.norm.g"], tp["stem.norm.b"])
 

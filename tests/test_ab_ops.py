@@ -47,6 +47,7 @@ _STUB_ATTENTION = """
 import numpy as np
 
 TREE = {tree!r}
+DIFFER = {differ!r}
 
 
 class WindowSpec:
@@ -56,6 +57,10 @@ class WindowSpec:
 
 def softmax_attention(q, k, v):
     return q[:2, :2] + k[:2, :2]
+
+
+def sema_attention(q, k, v, win):
+    return q[:2, :2] + v[:2, :2] + (1.0 if DIFFER == "sema" else 0.0)
 """
 
 
@@ -92,7 +97,7 @@ ADJOINTS = {{"layer_norm": _adjoint}}
 
 # train_toy returns a dataclass whose params dict holds arrays, as the real
 # TrainToyResult does; averaging off moves its params when DIFFER says so, and
-# forward moves its logits
+# forward moves its logits, on images and on a patch_rows table
 _STUB_MODEL = """
 import dataclasses
 
@@ -104,6 +109,7 @@ DIFFER = {differ!r}
 @dataclasses.dataclass(frozen=True)
 class ModelConfig:
     averaging_enabled: bool = True
+    image_size: int = 2
 
     @classmethod
     def ablation(cls, **overrides):
@@ -134,9 +140,37 @@ def init_params(cfg):
     return {{"w": np.ones((3, 2))}}
 
 
+def patch_rows(cfg, images):
+    return images.reshape(-1, 12)
+
+
 def forward(cfg, params, images):
     logits = images.reshape(len(images), -1)[:, :3] @ params["w"]
     return logits + (1.0 if DIFFER == "forward" else 0.0)
+"""
+
+# SsmParams is a dataclass, as the real one is; the change's forms_max_diff
+# moves its float when DIFFER says so
+_STUB_SSM = """
+import dataclasses
+
+import numpy as np
+
+DIFFER = {differ!r}
+
+
+@dataclasses.dataclass
+class SsmParams:
+    A_tilde: np.ndarray
+    h0: np.ndarray
+
+    @classmethod
+    def random(cls, rng, n, d_state, channels):
+        return cls(rng.random((n, d_state, channels)), rng.random((d_state, channels)))
+
+
+def forms_max_diff(p, x):
+    return float(p.A_tilde.sum() + x.sum()) + (1.0 if DIFFER == "forms_max_diff" else 0.0)
 """
 
 
@@ -146,9 +180,10 @@ def _stub_trees(tmp_path, differ=None):
         package.mkdir(parents=True)
         moved = differ if tree == "change" else None
         (package / "__init__.py").write_text(
-            "from . import analysis, attention, autograd, model\n")
+            "from . import analysis, attention, autograd, model, ssm\n")
         (package / "analysis.py").write_text(_STUB_ANALYSIS.format(work=work, differ=moved))
-        (package / "attention.py").write_text(_STUB_ATTENTION.format(tree=tree))
+        (package / "attention.py").write_text(_STUB_ATTENTION.format(tree=tree, differ=moved))
+        (package / "ssm.py").write_text(_STUB_SSM.format(differ=moved))
         (package / "autograd.py").write_text(_STUB_AUTOGRAD.format(differ=moved))
         (package / "model.py").write_text(_STUB_MODEL.format(differ=moved))
     return [str(tmp_path / "parent"), str(tmp_path / "change")]
@@ -167,7 +202,10 @@ def test_pairs_time_and_compare_every_call(ab_ops, tmp_path, monkeypatch, capsys
     cells = [f"_variant_cell {v} n={n}" for n in (1024, 4096) for v in ab_ops.VARIANTS]
     assert list(lines) == cells + ["softmax_attention n=4096", "layer_norm+adjoint n=4096 d=8",
                                    "layer_norm+adjoint n=16384 d=8", "train_toy averaging=on",
-                                   "train_toy averaging=off", "forward tiny_224 batch=1 images"]
+                                   "train_toy averaging=off", "forward tiny_224 batch=1 images",
+                                   "forward ablation off b=256 table",
+                                   "forms_max_diff n=256 d=8 c=8",
+                                   "sema_attention n=65536 d=64 w=8"]
     assert all(fields[-2:] == ["bitwise", "equal"] for fields in lines.values())
     ratios = [float(lines[cell][lines[cell].index("ratio") + 1]) for cell in cells]
     assert np.median(ratios) < 1.0  # the change's cells spin half as long
@@ -181,7 +219,9 @@ def test_pairs_time_and_compare_every_call(ab_ops, tmp_path, monkeypatch, capsys
     ("mila", ["_variant_cell mila n=1024", "_variant_cell mila n=4096"]),
     ("layer_norm", ["layer_norm+adjoint n=4096 d=8", "layer_norm+adjoint n=16384 d=8"]),
     ("train_toy", ["train_toy averaging=off"]),
-    ("forward", ["forward tiny_224 batch=1 images"]),
+    ("forward", ["forward tiny_224 batch=1 images", "forward ablation off b=256 table"]),
+    ("forms_max_diff", ["forms_max_diff n=256 d=8 c=8"]),
+    ("sema", ["sema_attention n=65536 d=64 w=8"]),
 ])
 def test_differing_outputs_are_named_and_fail(ab_ops, tmp_path, monkeypatch, capsys, moved,
                                               named):

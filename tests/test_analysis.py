@@ -150,14 +150,6 @@ class TestMeasureDispersion:
         med = report.max_coeff_median
         assert all(a >= b for a, b in zip(med, med[1:]))
 
-    def test_schedule_independence(self, monkeypatch):
-        sampler = BoundedSampler(d=4)
-        monkeypatch.setenv("DISPERSION_LAB_THREADS", "1")
-        a = measure_dispersion("softmax", None, sampler, [8, 16, 32], 4, seed=5)
-        monkeypatch.setenv("DISPERSION_LAB_THREADS", "4")
-        b = measure_dispersion("softmax", None, sampler, [8, 16, 32], 4, seed=5)
-        assert a.max_coeff == b.max_coeff and a.min_coeff == b.min_coeff
-
     def test_report_serialization(self):
         sampler = BoundedSampler(d=4)
         report = measure_dispersion("linear", None, sampler, [8, 16, 32], 2, seed=6)
@@ -230,24 +222,11 @@ class TestMeasureDispersion:
     def test_max_coeff_median_is_a_median(self, monkeypatch):
         # one outlying trial moves the mean of these maxima to 0.26, not the median
         maxima = iter([0.1, 0.1, 0.1, 0.1, 0.9] * 3)
-        monkeypatch.setenv("DISPERSION_LAB_THREADS", "1")
         monkeypatch.setattr(analysis, "_variant_cell", lambda *args: (
             analysis.CellExtrema(0.05, next(maxima), 1), (0.01, 1.0)))
         report = measure_dispersion("softmax", None, BoundedSampler(d=4), [8, 16, 32], 5,
                                     seed=0)
         assert report.max_coeff_median == [0.1, 0.1, 0.1]
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", ""])
-    def test_bad_thread_variable_rejected(self, value, monkeypatch):
-        monkeypatch.setenv("DISPERSION_LAB_THREADS", value)
-        with pytest.raises(ConfigurationError, match="DISPERSION_LAB_THREADS"):
-            measure_dispersion("softmax", None, BoundedSampler(d=4), [8, 16, 32], 2, seed=0)
-
-    def test_thread_variable_sets_the_worker_count(self, monkeypatch):
-        sampler = BoundedSampler(d=4)
-        serial = measure_dispersion("softmax", None, sampler, [8, 16, 32], 3, seed=5)
-        monkeypatch.setenv("DISPERSION_LAB_THREADS", "3")
-        assert measure_dispersion("softmax", None, sampler, [8, 16, 32], 3, seed=5) == serial
 
 
 _OTHER_KERNELS = {

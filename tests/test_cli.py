@@ -123,16 +123,16 @@ class TestExitCodes:
         # zero instances would pass the equivalence check vacuously
         self.assert_usage_error(["ssm-check", "--instances", "0"], capsys, "--instances")
 
-    @pytest.mark.parametrize("value", ["abc", "0"])
-    def test_bad_thread_variable_is_configuration_error(self, value, monkeypatch, tmp_path,
-                                                        capsys):
-        # "abc" used to end in a ValueError traceback; "0" ran serially unnoticed
-        monkeypatch.setenv("DISPERSION_LAB_THREADS", value)
-        assert main(["disperse", "--variant", "softmax", "--n", "8,16,32",
-                     "--out", str(tmp_path)]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: DISPERSION_LAB_THREADS")
-        assert repr(value) in err[0]
+    def test_disperse_ignores_the_old_thread_variable(self, monkeypatch, tmp_path, capsys):
+        # the sweep has one schedule, so a value the removed worker count refused is inert
+        argv = ["disperse", "--variant", "softmax", "--n", "8,16,32", "--trials", "3"]
+        monkeypatch.delenv("DISPERSION_LAB_THREADS", raising=False)
+        assert main([*argv, "--out", str(tmp_path / "unset")]) == 0
+        monkeypatch.setenv("DISPERSION_LAB_THREADS", "abc")
+        assert main([*argv, "--out", str(tmp_path / "abc")]) == 0
+        assert capsys.readouterr().err == ""
+        for name in ("report.csv", "report.json", "summary.json"):
+            assert read(tmp_path / "abc" / name) == read(tmp_path / "unset" / name)
 
     @pytest.mark.parametrize("bound", ["-1", "0"])
     def test_disperse_non_positive_logit_bound_is_usage_error(self, bound, tmp_path, capsys):
@@ -320,7 +320,7 @@ class TestDisperse:
         manifest = json.loads(read(os.path.join(out, "manifest.json")))
         assert manifest["numpy_version"] == np.__version__
         assert manifest["threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None,
-                                       "MKL_NUM_THREADS": None, "DISPERSION_LAB_THREADS": "2"}
+                                       "MKL_NUM_THREADS": None}
         # read when the manifest was written: positive, and no more than now
         after = resource.getrusage(resource.RUSAGE_SELF)
         usage = manifest["resources"]

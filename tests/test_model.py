@@ -446,6 +446,33 @@ class TestReadoutRows:
             for name, g in ref.items():
                 assert early[name].tobytes() == g.tobytes(), (batch, name)
 
+    @pytest.mark.parametrize("window,image_size,c", [(1, 32, 2), (2, 32, 2), (3, 36, 3),
+                                                     (4, 32, 4)])
+    @pytest.mark.parametrize("table", [False, True], ids=["images", "table"])
+    def test_without_averaging_inference_multiplies_the_corner_rows_only(
+            self, window, image_size, c, table, monkeypatch):
+        # forward keeps no history, so the stem gathers the corners from its table
+        # before the product; the logits stay those of the stem on all rows
+        cfg = ModelConfig.ablation(averaging_enabled=False, window=window,
+                                   image_size=image_size)
+        params = init_params(cfg, rng_for(37, "early-corner-params"))
+        matmul, stem_rows = ag.matmul, []
+
+        def record_matmul(a, b):
+            if b.value is params["stem.w"]:
+                stem_rows.append(a.value.shape[0])
+            return matmul(a, b)
+
+        for batch in (1, 2, 3, 64):
+            images = rng_for(37, "early-corner-images", batch).random(
+                (batch, image_size, image_size, 3))
+            inputs = patch_rows(cfg, images) if table else images
+            ref = _logits(_stem_on_all_rows_forward, cfg, params, inputs)
+            with monkeypatch.context() as patch:
+                patch.setattr(ag, "matmul", record_matmul)
+                assert forward(cfg, params, inputs).array.tobytes() == ref.tobytes(), batch
+            assert stem_rows.pop() == batch * c * c and not stem_rows, batch
+
     @pytest.mark.parametrize("averaging", [True, False])
     @pytest.mark.parametrize("table", [False, True], ids=["images", "table"])
     def test_without_averaging_the_stem_and_block_hold_corner_rows(self, averaging, table):

@@ -15,12 +15,15 @@ default kernels and perfbench's samplers, d = 16, window 8) at n = 1,024 and
 forward on a recording tape plus its adjoint at the toy model's two shapes,
 (4,096, 8) for a training batch and (16,384, 8) for an evaluation pass;
 ``model.train_toy`` for 3 epochs on the ablation model with averaging on and
-off (seed 13); and ``model.forward`` of ``tiny_224`` on one 224 x 224 image,
-perfbench's ``backbone_inference`` call, with parameters drawn once. Per
-call, both trees run once to warm up and to set the batch size, about
-BATCH_S of process CPU time. Then N pairs of batches run, the parent first in
-even pairs and the change first in odd ones, each batch timed in process CPU
-time after a gc.collect().
+off (seed 13); ``model.forward`` of ``tiny_224`` on one 224 x 224 image,
+perfbench's ``backbone_inference`` call, and of the ablation model with
+averaging off on a 256-sample patch_rows table, one evaluation pass of
+``train_toy``, with parameters drawn once; ``ssm.forms_max_diff`` on
+``sequence_kernels``' n = 256 instance (8 states, 8 channels); and
+``sema_attention`` at n = 65,536 (d = 64, w = 8). Per call, both trees run
+once to warm up and to set the batch size, about BATCH_S of process CPU time.
+Then N pairs of batches run, the parent first in even pairs and the change
+first in odd ones, each batch timed in process CPU time after a gc.collect().
 
 Prints one line per call: the median per-call milliseconds of each tree, the
 median of the pairs' change / parent ratios with bench_summary's
@@ -132,6 +135,31 @@ def catalogue(parent) -> list[tuple[str, object]]:
         return tree.forward(tree.ModelConfig.tiny_224(), params, image)
 
     calls.append(("forward tiny_224 batch=1 images", backbone))
+    off = model.ModelConfig.ablation(averaging_enabled=False)
+    off_params = model.init_params(off)
+    table = model.patch_rows(off, rng.random((256, off.image_size, off.image_size, 3)))
+
+    def evaluation(pkg):
+        tree = sub(pkg, "model")
+        return tree.forward(tree.ModelConfig.ablation(averaging_enabled=False), off_params, table)
+
+    calls.append(("forward ablation off b=256 table", evaluation))
+    instance = sub(parent, "ssm").SsmParams.random(rng, 256, 8, 8)  # n, states, channels
+    arrays = {f.name: getattr(instance, f.name) for f in dataclasses.fields(instance)}
+    x = rng.standard_normal((256, 8))
+
+    def forms(pkg):
+        ssm = sub(pkg, "ssm")
+        return ssm.forms_max_diff(ssm.SsmParams(**arrays), x)
+
+    calls.append(("forms_max_diff n=256 d=8 c=8", forms))
+    local = rng.standard_normal((3, 65536, 64))  # softmax_attention's q, k, v stay n = 4,096
+
+    def sema(pkg):
+        attention = sub(pkg, "attention")
+        return attention.sema_attention(*local, attention.WindowSpec(8))
+
+    calls.append(("sema_attention n=65536 d=64 w=8", sema))
     return calls
 
 
