@@ -6,8 +6,8 @@ block (window, SEMA). Each op has a ``*_coefficients`` companion returning
 the raw weight matrix: the tests' oracle and perfbench's reference. The
 dispersion analysis streams its own cells through ``_row_blocks`` and
 ``_phi_rows`` (phi and its domain checks, without the division that
-``_normalize`` adds) and never builds that matrix. ``_blocked_values`` is the
-one windowed forward of window_attention, sema_attention and the tape's blocked ops.
+``_normalize`` adds) and never builds that matrix. ``_blocked_values`` is the one forward
+of every phi-normalized output (global is block = n) and of the tape's blocked ops.
 ``homogeneous_mix`` is the value mean as a broadcast view; the tape's is one row per block.
 
 ``elu_plus_one`` returns fresh C-ordered float64 for any input layout, so linear
@@ -347,20 +347,22 @@ def phi_values(kernel: KernelSpec, x: np.ndarray) -> np.ndarray:
 def phi_normalize(logits, kernel: KernelSpec) -> Tensor:
     """Normalize a logit vector to the probability simplex via phi."""
     x = as_array(logits)
-    if x.ndim != 1:
-        raise DimensionError(f"phi_normalize expects a rank-1 tensor, got {x.shape}")
+    if x.ndim != 1 or not x.size:
+        raise DimensionError(f"phi_normalize expects a non-empty rank-1 tensor, got {x.shape}")
     return Tensor._own(_normalize(kernel, x[None, :].copy())[0])
 
 
 def _qkv(q, k, v=None) -> tuple[np.ndarray, ...]:
     """(q, k, v) as arrays, or (q, k) without v: rank 2, q and k of one shape,
-    one value row per query."""
+    one value row per query, none of them empty."""
     q, k = as_array(q), as_array(k)
     vals = q if v is None else as_array(v)
     if q.ndim != 2 or k.ndim != 2 or vals.ndim != 2:
         raise DimensionError("q, k, v must be rank 2")
     if q.shape != k.shape or q.shape[0] != vals.shape[0]:
         raise DimensionError(f"q/k/v shapes disagree: {q.shape}, {k.shape}, {vals.shape}")
+    if not (q.size and vals.size):
+        raise DimensionError(f"q/k/v must be non-empty, got {q.shape}, {k.shape}, {vals.shape}")
     return (q, k) if v is None else (q, k, vals)
 
 
@@ -380,25 +382,12 @@ def _unblock(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(blocks * block, heads * d)
 
 
-def _block_coefficients(qb: np.ndarray, kb: np.ndarray, kernel: KernelSpec,
-                        featured: bool = False) -> np.ndarray:
-    """Phi-normalized weights of each row over the keys of its own block.
-
-    qb and kb hold rows grouped into blocks, shape (..., block, d); the
-    result has shape (..., block, block). One block of all n rows is global
-    attention. With featured=True the rows already carry their psi maps.
-    """
-    if not featured:
-        qb = _apply_psi(qb, kernel.psi_q, kernel.psi_p)
-        kb = _apply_psi(kb, kernel.psi_k, kernel.psi_p)
+def _block_coefficients(qb: np.ndarray, kb: np.ndarray, kernel: KernelSpec) -> np.ndarray:
+    """The coefficient oracles' phi-normalized weights of each row over its own block's keys:
+    rows (..., block, d) give (..., block, block); one block of all n rows is global attention."""
+    qb = _apply_psi(qb, kernel.psi_q, kernel.psi_p)
+    kb = _apply_psi(kb, kernel.psi_k, kernel.psi_p)
     return _normalize(kernel, qb @ np.swapaxes(kb, -1, -2))
-
-
-def _blocked_values(q, k, v, kernel: KernelSpec, block: int, heads: int = 1, featured=False):
-    """Attention inside row blocks, per head: (a fresh (n, heads * d) output, its weights)."""
-    coeff = _block_coefficients(_blocks(q, block, heads), _blocks(k, block, heads), kernel,
-                                featured)
-    return _unblock(coeff @ _blocks(v, block, heads)), coeff
 
 
 def generalized_attention_coefficients(q, k, kernel: KernelSpec) -> Tensor:
@@ -411,54 +400,63 @@ def softmax_attention_coefficients(q, k) -> Tensor:
     return generalized_attention_coefficients(q, k, _SOFTMAX)
 
 
-_CHUNK_BUDGET = 1 << 19  # entries per _global_attention logit block (4 MB in float64)
+_CHUNK_BUDGET = 1 << 19  # logits in one global run of _blocked_values (4 MB in float64)
 # A multiple of every common BLAS register-tile height (2, 3, 4, 6, 8, 12, 16)
 _ROW_TILE = 48
 
 
 def _row_blocks(a: np.ndarray, b: np.ndarray, step: int):
-    """Yield (rows, a[rows] @ b.T) for consecutive blocks of step of a's rows.
+    """Yield (rows, a[..., rows, :] @ b^T) for consecutive runs of step rows along axis -2.
 
-    The blocks share one scratch array of step + 1 rows, which a caller may
-    overwrite in place before asking for the next block; a lone last row
-    (numpy's gemv path) joins the block before it. The dispersion cells pass
-    posenc._run_rows(n, _ROW_TILE), cache-sized whole multiples of _ROW_TILE:
-    blocks then start on BLAS register-tile boundaries, so with one BLAS
-    thread each row is bitwise that of the whole a @ b.T. _global_attention
-    passes its own heights of about _CHUNK_BUDGET entries, the ones its value
-    product has always been rounded with.
+    Leading axes batch, and b^T is taken once. One run is the product itself; more
+    share one scratch array of step + 1 rows, which a caller may overwrite in place
+    before asking for the next run, and a lone last row (numpy's gemv path) joins the
+    run before it. The dispersion cells pass posenc._run_rows(n, _ROW_TILE), cache-sized
+    whole multiples of _ROW_TILE: runs then start on BLAS register-tile boundaries, so
+    with one BLAS thread each row is bitwise that of the whole a @ b^T. _blocked_values
+    passes max(64, _CHUNK_BUDGET // block), the heights the global value product has
+    always been rounded with, or the whole block to keep the weights.
     """
-    n, m = a.shape[0], b.shape[0]
-    scratch = np.empty((min(step + 1, n), m))
+    n, m, bt = a.shape[-2], b.shape[-2], b.swapaxes(-1, -2)
+    if n <= step + 1:
+        yield slice(0, n), a @ bt
+        return
+    scratch = np.empty((*a.shape[:-2], step + 1, m))
     lo = 0
     while lo < n:
         hi = n if n - lo <= step + 1 else lo + step
-        block = scratch[: hi - lo]
-        np.matmul(a[lo:hi], b.T, out=block)
+        block = scratch[..., : hi - lo, :]
+        np.matmul(a[..., lo:hi, :], bt, out=block)
         yield slice(lo, hi), block
         lo = hi
 
 
-def _global_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
-                      kernel: KernelSpec) -> np.ndarray:
-    """Phi-normalized attention over every key, one streamed row block at a time.
+def _blocked_values(q, k, v, kernel: KernelSpec, block: int, heads: int = 1,
+                    featured: bool = False, keep: bool = False):
+    """Attention inside row blocks, per head: (a fresh (n, heads * d) output, its weights).
 
-    Query rows pass through one scratch block of about _CHUNK_BUDGET entries,
-    so the n x n weight matrix is never materialized whole and large runs avoid
-    allocating (and page-faulting) O(n^2) temporaries.
+    The one forward of every phi-normalized output; block = n is global attention. The
+    query rows of every block stream through _row_blocks in runs of
+    max(64, _CHUNK_BUDGET // block) rows, each normalized in place and multiplied into
+    the output, so a global output never forms its n x n weights. keep asks for one run,
+    whose (n / block, heads, block, block) weights the tape's adjoint reads; otherwise
+    the weights are None. With featured=True the rows already carry their psi maps.
     """
-    fq = _apply_psi(q, kernel.psi_q, kernel.psi_p)
-    fk = _apply_psi(k, kernel.psi_k, kernel.psi_p)
+    qb, kb, vb = (_blocks(x, block, heads) for x in (q, k, v))
+    if not featured:
+        qb = _apply_psi(qb, kernel.psi_q, kernel.psi_p)
+        kb = _apply_psi(kb, kernel.psi_k, kernel.psi_p)
     out = np.empty((q.shape[0], v.shape[1]))
-    for rows, block in _row_blocks(fq, fk, max(64, _CHUNK_BUDGET // max(k.shape[0], 1))):
-        np.matmul(_normalize(kernel, block), v, out=out[rows])
-    return out
+    outb = _blocks(out, block, heads)
+    for rows, weights in _row_blocks(qb, kb, block if keep else max(64, _CHUNK_BUDGET // block)):
+        np.matmul(_normalize(kernel, weights), vb, out=outb[..., rows, :])
+    return out, weights if keep else None
 
 
 def generalized_attention(q, k, v, kernel: KernelSpec) -> Tensor:
     """Phi-normalized attention: row i mixes values by phi-normalized weights."""
     q, k, v = _qkv(q, k, v)
-    return Tensor._own(_global_attention(q, k, v, kernel))
+    return Tensor._own(_blocked_values(q, k, v, kernel, q.shape[0])[0])
 
 
 def softmax_attention(q, k, v) -> Tensor:
@@ -511,8 +509,7 @@ def focused_attention(q, k, v) -> Tensor:
     FLatten adds a depthwise convolution of the values to restore the rank
     lost to the separable form; that term is posenc.lepe(v, kernel, grid).
     """
-    q, k, v = _qkv(q, k, v)
-    return Tensor._own(_global_attention(q, k, v, _FOCUSED))
+    return generalized_attention(q, k, v, _FOCUSED)
 
 
 def window_attention_coefficients(q, k, win: WindowSpec,
@@ -537,8 +534,8 @@ def window_attention(q, k, v, win: WindowSpec, kernel: KernelSpec | None = None)
 def homogeneous_mix(v) -> Tensor:
     """Arithmetic mean of the value rows, a read-only view broadcast to every token."""
     v = as_array(v)
-    if v.ndim != 2:
-        raise DimensionError(f"homogeneous_mix expects n x d input, got {v.shape}")
+    if v.ndim != 2 or not v.size:
+        raise DimensionError(f"homogeneous_mix expects non-empty n x d input, got {v.shape}")
     return Tensor._own(np.broadcast_to(v.mean(axis=0, keepdims=True), v.shape))
 
 

@@ -12,9 +12,9 @@ operand's gradient product.
 
 Each attention variant is one op over its feature maps (SEMA adds the mixing
 op, one mean row per block, to the window op; add is the one broadcast) whose
-forward is attention.py's: the blocked ops run window_attention's
-_blocked_values and mila_attention its _mila_forward; cli.GRADCHECK_VARIANTS
-composes them.
+forward is attention.py's: the blocked ops run _blocked_values (one run that keeps
+the weights on a recording tape, the numpy kernels' runs otherwise) and mila_attention
+its _mila_forward; cli.GRADCHECK_VARIANTS composes them.
 
 gradcheck() compares a traced scalar function's backward gradients against
 central finite differences coordinate by coordinate; directional_check()
@@ -314,9 +314,10 @@ def layer_norm(x, gamma, beta):
 
 
 def _blocked_attention(op: str, kernel: KernelSpec, q, k, v, block: int, heads: int):
-    out, coeff = _blocked_values(q.value, k.value, v.value, kernel, block, heads, featured=True)
-    return _pair(q, k).push(op, (q.idx, k.idx, v.idx), out,
-                            {"coeff": coeff, "block": block, "heads": heads})
+    out, coeff = _blocked_values(q.value, k.value, v.value, kernel, block, heads, featured=True,
+                                 keep=_pair(q, k).record)
+    return q.tape.push(op, (q.idx, k.idx, v.idx), out,
+                       {"coeff": coeff, "block": block, "heads": heads})
 
 
 def blocked_softmax_attention(q, k, v, block: int, heads: int = 1):

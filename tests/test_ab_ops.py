@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import struct
 from pathlib import Path
@@ -229,6 +230,21 @@ def test_differing_outputs_are_named_and_fail(ab_ops, tmp_path, monkeypatch, cap
     assert ab_ops.main(_stub_trees(tmp_path, differ=moved) + ["--pairs", "1"]) == 1
     differ = [label for label, fields in _lines(capsys, 1).items() if "DIFFER" in fields]
     assert differ == named
+
+
+@pytest.mark.parametrize("differ,status", [(None, 0), ("sema", 1)])
+def test_only_reruns_the_call_of_one_label(ab_ops, tmp_path, monkeypatch, capsys, differ, status):
+    monkeypatch.setattr(ab_ops, "BATCH_S", 0.001)
+    label = "sema_attention n=65536 d=64 w=8"
+    assert ab_ops.main(_stub_trees(tmp_path, differ) + ["--pairs", "2", "--only", label]) == status
+    assert list(_lines(capsys, 2)) == [label]
+    assert gc.get_freeze_count() == 0  # the heap frozen for the pairs is handed back
+
+
+def test_only_an_unknown_label_is_one_error_line(ab_ops, tmp_path, capsys):
+    assert ab_ops.main(_stub_trees(tmp_path) + ["--only", "softmax_attention"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and "'softmax_attention'" in err
 
 
 def test_each_tree_loads_its_own_package(ab_ops, tmp_path):

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dispersionlab import analysis, attention, posenc
+from dispersionlab import autograd as ag
 from dispersionlab.analysis import (
     TIMED_KERNELS,
     VARIANTS,
@@ -324,7 +325,7 @@ class TestStreamedCells:
 
         def record(*args):
             for rows, block in row_blocks(*args):
-                blocks.append((rows.start, block.shape[0]))
+                blocks.append((rows.start, block.shape[-2]))
                 yield rows, block
 
         monkeypatch.setattr(module, "_row_blocks", record)
@@ -352,16 +353,45 @@ class TestStreamedCells:
         # posenc._run_rows(n, 48): 1.5 MB of logits at n = 1,024 and 4,096
         assert self.linear_cell_heights(monkeypatch, n) == heights
 
+    @pytest.mark.parametrize("form", ["softmax_attention", "window_attention", "tape"])
     @pytest.mark.parametrize("n,heights", [(250, [64] * 3 + [58]), (129, [64, 65]),
                                            (64, [64]), (1, [1])])
-    def test_global_attention_keeps_its_tile_one_blocks(self, n, heights, monkeypatch):
-        # _CHUNK_BUDGET, not posenc._RUN, sets these heights: at least 64 rows
+    def test_global_attention_keeps_its_tile_one_blocks(self, n, heights, form, monkeypatch):
+        # _CHUNK_BUDGET, not posenc._RUN, sets these heights: at least 64 rows of every
+        # block, also in windows wider than a run and on a tape that keeps no weights
         monkeypatch.setattr(attention, "_CHUNK_BUDGET", 1)
         monkeypatch.setattr(posenc, "_RUN", 1)
         blocks = self.record_blocks(monkeypatch, attention)
         q = np.ones((n, 2))
-        attention.softmax_attention(q, q, q)
+        if form == "softmax_attention":
+            attention.softmax_attention(q, q, q)
+        elif form == "window_attention":  # two windows of n rows, streamed side by side
+            q2 = np.ones((2 * n, 2))
+            attention.window_attention(q2, q2, q2, WindowSpec(n))
+        else:
+            tape = ag.Tape(record=False)
+            ag.blocked_softmax_attention(*(ag.leaf(tape, q) for _ in range(3)), n)
         assert [height for _, height in blocks] == heights
+
+    @pytest.mark.parametrize("kernel", [attention.window_attention, attention.sema_attention])
+    def test_narrow_windows_are_one_run(self, kernel, monkeypatch):
+        # 8-row windows at n = 65,536: every block's logits in one product, as before streaming
+        blocks = self.record_blocks(monkeypatch, attention)
+        x = np.ones((65536, 2))
+        kernel(x, x, x, WindowSpec(8))
+        assert blocks == [(0, 8)]
+
+    def test_recording_tape_keeps_every_weight_in_one_run(self, monkeypatch):
+        # the adjoint reads the whole (n / block, heads, block, block) weights, whatever the budget
+        monkeypatch.setattr(attention, "_CHUNK_BUDGET", 1)
+        blocks = self.record_blocks(monkeypatch, attention)
+        x = rng_for(0, "kept-weights").standard_normal((4 * 130, 2 * 3))
+        tape = ag.Tape()
+        out = ag.blocked_softmax_attention(*(ag.leaf(tape, x) for _ in range(3)), 130, heads=2)
+        coeff = out.node.ctx["coeff"]
+        assert blocks == [(0, 130)] and coeff.shape == (4, 2, 130, 130)
+        xb = attention._blocks(x, 130, 2)
+        assert np.array_equal(coeff, attention._block_coefficients(xb, xb, KernelSpec.softmax()))
 
     @pytest.mark.parametrize("variant,kernel", [
         ("softmax", KernelSpec.softmax_temperature(1e-300)),

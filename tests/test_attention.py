@@ -8,6 +8,7 @@ from dispersionlab.attention import (
     WindowSpec,
     elu_plus_one,
     focused_attention,
+    focused_attention_coefficients,
     focused_map,
     generalized_attention,
     generalized_attention_coefficients,
@@ -24,7 +25,7 @@ from dispersionlab.attention import (
     window_attention,
     window_attention_coefficients,
 )
-from dispersionlab.errors import KernelDomainError, WindowPartitionError
+from dispersionlab.errors import DimensionError, KernelDomainError, WindowPartitionError
 from dispersionlab.posenc import GridSpec
 
 FOCUSED_P2 = KernelSpec(phi="identity", psi_q="focused", psi_k="focused", psi_p=2)
@@ -532,3 +533,38 @@ class TestMilaAttention:
         out = mila_attention(q, k, v, grid, positions=pos).array
         want = mila_coefficients(q, k, grid, gated=True, positions=pos).array @ v
         assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
+
+
+_WIN = WindowSpec(1)  # a window of one row divides every n
+_ON_EMPTY = {
+    "softmax_attention": lambda x: softmax_attention(x, x, x),
+    "linear_attention": lambda x: linear_attention(x, x, x),
+    "linear_attention_fast": lambda x: linear_attention_fast(x, x, x),
+    "focused_attention": lambda x: focused_attention(x, x, x),
+    "generalized_attention": lambda x: generalized_attention(x, x, x, KernelSpec.softmax()),
+    "window_attention": lambda x: window_attention(x, x, x, _WIN),
+    "sema_attention": lambda x: sema_attention(x, x, x, _WIN),
+    "mila_attention": lambda x: mila_attention(x, x, x),
+    "homogeneous_mix": homogeneous_mix,
+    "generalized_attention_coefficients": lambda x: generalized_attention_coefficients(
+        x, x, KernelSpec.softmax()),
+    "softmax_attention_coefficients": lambda x: softmax_attention_coefficients(x, x),
+    "linear_attention_coefficients": lambda x: linear_attention_coefficients(x, x),
+    "focused_attention_coefficients": lambda x: focused_attention_coefficients(x, x),
+    "window_attention_coefficients": lambda x: window_attention_coefficients(x, x, _WIN),
+    "mila_coefficients": lambda x: mila_coefficients(x, x),
+    "phi_normalize": lambda x: phi_normalize(x, KernelSpec.softmax()),
+}
+
+
+@pytest.mark.filterwarnings("error")  # no arithmetic runs before the refusal
+@pytest.mark.parametrize("name,shape", [
+    *((name, shape) for name in _ON_EMPTY if name != "phi_normalize"
+      for shape in ((0, 4), (4, 0))),
+    ("phi_normalize", (0,)),
+], ids=lambda p: p if isinstance(p, str) else "x".join(map(str, p)))
+def test_empty_input_is_one_dimension_error_naming_its_shape(name, shape):
+    with pytest.raises(DimensionError) as caught:
+        _ON_EMPTY[name](np.zeros(shape))
+    message = str(caught.value)
+    assert "\n" not in message and "non-empty" in message and str(shape) in message

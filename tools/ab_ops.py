@@ -1,6 +1,6 @@
 """Time library calls of two source trees in one process, in alternating paired batches.
 
-    python3 tools/ab_ops.py PARENT_SRC CHANGE_SRC [--pairs N]
+    python3 tools/ab_ops.py PARENT_SRC CHANGE_SRC [--pairs N] [--only LABEL]
 
 PARENT_SRC and CHANGE_SRC are two checkouts, each with its own
 ``src/dispersionlab`` package. Both packages are loaded into this one process
@@ -24,14 +24,18 @@ averaging off on a 256-sample patch_rows table, one evaluation pass of
 once to warm up and to set the batch size, about BATCH_S of process CPU time.
 Then N pairs of batches run, the parent first in even pairs and the change
 first in odd ones, each batch timed in process CPU time after a gc.collect().
+The objects that exist once both trees and the inputs are loaded are frozen
+out of the collector (gc.freeze), so that collect walks only what the calls
+left behind, however large the heap of the process that calls main. --only
+LABEL runs the one call of that label.
 
 Prints one line per call: the median per-call milliseconds of each tree, the
 median of the pairs' change / parent ratios with bench_summary's
 order-statistic interval for it, the wins (pairs where the change took less
 time) and whether the two trees' outputs are bitwise equal (arrays byte for
 byte, floats by their bits, dicts key by key; a NaN's payload counts). Exit
-code: 2 when a tree has no package, 1 when some call's outputs differ, 0
-otherwise.
+code: 2 when a tree has no package or --only names no call, 1 when some call's
+outputs differ, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -216,6 +220,7 @@ def main(argv: list[str]) -> int:
     p.add_argument("parent", type=Path, help="the parent checkout")
     p.add_argument("change", type=Path, help="the change's checkout")
     p.add_argument("--pairs", type=int, default=20)
+    p.add_argument("--only", metavar="LABEL", help="run only the call of this label")
     args = p.parse_args(argv)
     for tree in (args.parent, args.change):
         if not (tree / PACKAGE / "__init__.py").is_file():
@@ -226,17 +231,28 @@ def main(argv: list[str]) -> int:
         return 2
     trees = {"parent": load("parent_dispersionlab", args.parent.resolve()),
              "change": load("change_dispersionlab", args.change.resolve())}
+    calls = catalogue(trees["parent"])
+    if args.only is not None:
+        calls = [(label, call) for label, call in calls if label == args.only]
+        if not calls:
+            print(f"ab_ops: --only {args.only!r} names no call of the catalogue", file=sys.stderr)
+            return 2
     threads = {var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     print(f"numpy {np.__version__}, {threads}, {args.pairs} pairs")
     differ = 0
-    for label, call in catalogue(trees["parent"]):
-        with np.errstate(all="ignore"):
-            r = compare(call, trees, args.pairs)
-        differ += not r["equal"]
-        print(f"{label:32} parent {r['ms']['parent']:9.3f} ms  change {r['ms']['change']:9.3f} ms"
-              f"  ratio {r['ratio']:.3f} [{r['interval']['low']:.3f}, {r['interval']['high']:.3f}]"
-              f"  wins {r['wins']}/{args.pairs}"
-              f"  {'bitwise equal' if r['equal'] else 'OUTPUTS DIFFER'}")
+    gc.freeze()
+    try:
+        for label, call in calls:
+            with np.errstate(all="ignore"):
+                r = compare(call, trees, args.pairs)
+            differ += not r["equal"]
+            print(f"{label:32} parent {r['ms']['parent']:9.3f} ms"
+                  f"  change {r['ms']['change']:9.3f} ms  ratio {r['ratio']:.3f}"
+                  f" [{r['interval']['low']:.3f}, {r['interval']['high']:.3f}]"
+                  f"  wins {r['wins']}/{args.pairs}"
+                  f"  {'bitwise equal' if r['equal'] else 'OUTPUTS DIFFER'}")
+    finally:
+        gc.unfreeze()
     return 1 if differ else 0
 
 
