@@ -375,7 +375,7 @@ class TestStreamedCells:
 
     @pytest.mark.parametrize("kernel", [attention.window_attention, attention.sema_attention])
     def test_narrow_windows_are_one_run(self, kernel, monkeypatch):
-        # 8-row windows at n = 65,536: every block's logits in one product, as before streaming
+        # 8-row windows at n = 65,536: one product over every block, whose bits the digest pins
         blocks = self.record_blocks(monkeypatch, attention)
         x = np.ones((65536, 2))
         kernel(x, x, x, WindowSpec(8))
