@@ -7,10 +7,10 @@ windowed attention with fixed window content), the heavy-tailed-logit
 counterexample where a query keeps attending to the first key, and
 multiply-add cost models for the complexity claims.
 
-A sweep cell streams query rows through one scratch block, applies phi in
-place without dividing, and keeps only the coefficient and logit extrema, the
-former from per-row extrema and row sums; perfbench's tracer binds
-_variant_cell by name.
+A sweep cell, window or global, streams the query rows of its key blocks
+through one scratch run, applies phi in place without dividing, and keeps only
+the coefficient and logit extrema, the former from per-row extrema and row
+sums; perfbench's tracer binds _variant_cell by name.
 """
 
 from __future__ import annotations
@@ -179,36 +179,27 @@ def _variant_cell(variant: str, kernel: KernelSpec, q: np.ndarray, k: np.ndarray
                   win: WindowSpec | None):
     """Coefficient extrema plus their sample-specific rigorous bounds for one draw.
 
-    Global variants stream query rows through attention._row_blocks in
-    cache-sized blocks of posenc._run_rows(n, _ROW_TILE) rows. Each block of
-    logits gives its row minima and maxima (the logit extrema; the window
-    cell's 8-wide rows fold through attention._row_fold), has phi applied in
-    place by attention._phi_rows (every row passes the kernel's domain
-    checks, identity and power ones answered by the row minima) and gives its
-    row sums s, but is never divided. Division by a positive s is correctly
-    rounded, hence monotone, so min_j fl(w_j / s) == fl(min_j w_j / s) and
-    likewise for the max: the coefficient extrema come from n row extrema of
-    the weights w (_weight_extrema). No n x n array is built and, with one
-    BLAS thread, the extrema are bitwise those of the whole normalized
-    matrix. The bound comes from the global logit extrema.
-    perfbench wraps this function by name, labels a call by args[0], meters
-    it by args[2].shape[0] and counts result[0].size coefficients: the name,
-    signature and CellExtrema.size are an interface.
+    Each query row is normalized over one block of keys: all n, or its window of win.w.
+    The psi-mapped rows, as attention._blocks views of that block, stream through
+    attention._row_blocks in runs of posenc._run_rows(block, _ROW_TILE) rows; a window
+    cell is one run. Each run of logits gives its row minima and maxima (the logit
+    extrema, by attention._row_fold), has phi applied in place by attention._phi_rows
+    (every row passes the kernel's domain checks, identity and power ones answered by
+    the row minima) and gives its row sums s, but is never divided. Division by a
+    positive s is correctly rounded, hence monotone, so min_j fl(w_j / s) ==
+    fl(min_j w_j / s) and likewise for the max: the coefficient extrema come from the
+    row extrema of the weights w (_weight_extrema). No n x n array is built and, with
+    one BLAS thread, the extrema are bitwise those of the whole normalized matrix. The
+    bound comes from the cell's logit extrema. perfbench wraps this function by name,
+    labels a call by args[0], meters it by args[2].shape[0] and counts result[0].size
+    coefficients: the name, signature and CellExtrema.size are an interface.
     """
-    n = q.shape[0]
-    fq = _apply_psi(q, kernel.psi_q, kernel.psi_p)
-    fk = _apply_psi(k, kernel.psi_k, kernel.psi_p)
-    if variant == "window":
-        if win is None:
-            raise ValueError("window variant requires a WindowSpec")
-        block = win.w
-        chunks = [(None, _blocks(fq, block) @ np.swapaxes(_blocks(fk, block), -1, -2))]
-    else:
-        block = n
-        chunks = _row_blocks(fq, fk, _run_rows(n, _ROW_TILE))
+    block = win.w if variant == "window" else len(q)
+    qb = _blocks(_apply_psi(q, kernel.psi_q, kernel.psi_p), block)
+    kb = _blocks(_apply_psi(k, kernel.psi_k, kernel.psi_p), block)
     # numpy extrema propagate a NaN, as a min over the whole matrix would
     lo_logit, hi_logit, cmin, cmax = np.inf, -np.inf, np.inf, -np.inf
-    for _, logits in chunks:
+    for _, logits in _row_blocks(qb, kb, _run_rows(block, _ROW_TILE)):
         lo, hi = _row_fold(np.minimum, logits), _row_fold(np.maximum, logits)
         lo_logit = np.minimum(lo_logit, lo.min())
         hi_logit = np.maximum(hi_logit, hi.max())
@@ -223,7 +214,16 @@ def _variant_cell(variant: str, kernel: KernelSpec, q: np.ndarray, k: np.ndarray
         cmax = np.maximum(cmax, (hi / sums).max())
     bounds = coefficient_bounds(kernel, float(lo_logit), float(hi_logit), block,
                                 _EPSILON if variant == "mila" else 0.0)
-    return CellExtrema(float(cmin), float(cmax), n * block), bounds
+    return CellExtrema(float(cmin), float(cmax), len(q) * block), bounds
+
+
+def _check_window_sweep(variant: str, n_values, win: WindowSpec | None) -> None:
+    """A window sweep needs a WindowSpec whose w divides every n: ConfigurationError."""
+    if variant == "window" and win is None:
+        raise ConfigurationError("a window sweep needs a WindowSpec")
+    misfit = [n for n in n_values if n % win.w] if variant == "window" else []
+    if misfit:
+        raise ConfigurationError(f"window {win.w} does not divide n={misfit[0]}")
 
 
 def measure_dispersion(variant: str, kernel: KernelSpec | None, sampler: BoundedSampler,
@@ -257,6 +257,7 @@ def measure_dispersion(variant: str, kernel: KernelSpec | None, sampler: Bounded
         raise ValueError(f"n_values must be >= 1, got {min(n_values)}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_window_sweep(variant, n_values, win)
 
     def run_cell(n: int, trial: int):
         # fixed window content must not depend on n, or it would not be fixed

@@ -4,7 +4,7 @@ Every variant normalizes kernel weights phi(psi_q(Q)_i psi_k(K)_j^T) over a
 key set: the full set (softmax, linear, focused, MILA) or a disjoint window
 block (window, SEMA). Each op has a ``*_coefficients`` companion returning
 the raw weight matrix: the tests' oracle and perfbench's reference. The
-dispersion analysis streams its own cells through ``_row_blocks`` and
+dispersion analysis streams its own cells, window and global, through ``_row_blocks`` and
 ``_phi_rows`` (phi and its domain checks, without the division that
 ``_normalize`` adds) and never builds that matrix. ``_blocked_values`` is the one forward
 of every phi-normalized output (global is block = n) and of the tape's blocked ops.
@@ -368,11 +368,11 @@ def _qkv(q, k, v=None) -> tuple[np.ndarray, ...]:
 
 def _blocks(x: np.ndarray, block: int, heads: int = 1) -> np.ndarray:
     """View (n, heads * d) rows as (n / block, heads, block, d): consecutive row
-    blocks, one column slice per head. The one check that such a split divides."""
+    blocks, one column slice per head. The one check that such a split is >= 1 and divides."""
     n, width = x.shape
-    if n % block or width % heads:
-        raise WindowPartitionError(f"block size {block} and {heads} head(s) do not divide "
-                                   f"an array of shape {x.shape} (no implicit padding)")
+    if not block >= 1 <= heads or n % block or width % heads:
+        raise WindowPartitionError(f"block size {block} and {heads} head(s) must be >= 1 and "
+                                   f"divide an array of shape {x.shape} (no implicit padding)")
     return x.reshape(n // block, block, heads, width // heads).transpose(0, 2, 1, 3)
 
 
@@ -408,14 +408,14 @@ _ROW_TILE = 48
 def _row_blocks(a: np.ndarray, b: np.ndarray, step: int):
     """Yield (rows, a[..., rows, :] @ b^T) for consecutive runs of step rows along axis -2.
 
-    Leading axes batch, and b^T is taken once. One run is the product itself; more
-    share one scratch array of step + 1 rows, which a caller may overwrite in place
-    before asking for the next run, and a lone last row (numpy's gemv path) joins the
-    run before it. The dispersion cells pass posenc._run_rows(n, _ROW_TILE), cache-sized
-    whole multiples of _ROW_TILE: runs then start on BLAS register-tile boundaries, so
-    with one BLAS thread each row is bitwise that of the whole a @ b^T. _blocked_values
-    passes max(64, _CHUNK_BUDGET // block), the heights the global value product has
-    always been rounded with, or the whole block to keep the weights.
+    Leading axes batch, and b^T is taken once. One run is the product itself; more share
+    one scratch array of step + 1 rows, which a caller may overwrite in place before
+    asking for the next run, and a lone last row (numpy's gemv path) joins the run before
+    it. The dispersion cells pass _blocks views and posenc._run_rows(block, _ROW_TILE),
+    cache-sized whole multiples of _ROW_TILE: runs then start on BLAS register-tile
+    boundaries, so with one BLAS thread each row is bitwise that of the whole a @ b^T.
+    _blocked_values passes max(64, _CHUNK_BUDGET // block), the heights the global value
+    product has always been rounded with, or the whole block to keep the weights.
     """
     n, m, bt = a.shape[-2], b.shape[-2], b.swapaxes(-1, -2)
     if n <= step + 1:

@@ -32,7 +32,7 @@ import numpy as np
 from . import attention
 from .attention import (KernelSpec, _blocked_values, _blocks, _fold, _foldable, _LINEAR,
                         _row_fold, _SOFTMAX, _unblock)
-from .errors import DifferentiationError, DimensionError
+from .errors import DifferentiationError, DimensionError, WindowPartitionError
 from .posenc import _depthwise_taps_grad, _run_rows, depthwise_conv_grid, rotate_pairs
 from .rng import rng_for
 
@@ -229,8 +229,8 @@ def _tiles(x: np.ndarray, grid: int, tile: int, inverse: bool) -> np.ndarray:
 def tile_grid(a, grid: int, tile: int, inverse: bool = False):
     """Rows of grid x grid samples to tile-major order (or back, with inverse)."""
     n = a.value.shape[0]
-    if n % (grid * grid) != 0 or grid % tile != 0:
-        raise DimensionError(f"tile_grid: tile {tile} and grid {grid} do not fit {n} rows")
+    if not grid >= 1 <= tile or n % (grid * grid) or grid % tile:
+        raise WindowPartitionError(f"tile_grid: tile {tile} and grid {grid} do not fit {n} rows")
     return a.tape.push("tile_grid", (a.idx,), _tiles(a.value, grid, tile, inverse),
                        {"grid": grid, "tile": tile, "inverse": inverse})
 

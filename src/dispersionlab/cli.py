@@ -39,6 +39,7 @@ from .analysis import (
     complexity_estimate,
     measure_dispersion,
     scaling_fit,
+    _check_window_sweep,
 )
 from .attention import KernelSpec, WindowSpec
 from .errors import BoundViolationError, ConfigurationError, DispersionLabError, TrainingError
@@ -236,9 +237,7 @@ def cmd_disperse(args) -> int:
         raise _UsageError(f"bad --kernel: {exc}")
     n_values = _parse_n_list(args.n)
     win = WindowSpec(args.w) if args.variant == "window" else None
-    misfit = [n for n in n_values if n % args.w] if win else []
-    if misfit:
-        raise ConfigurationError(f"window {args.w} does not divide n={misfit[0]}")
+    _check_window_sweep(args.variant, n_values, win)
     sampler = BoundedSampler(
         d=args.d,
         logit_bound=args.logit_bound,

@@ -138,6 +138,20 @@ class TestMeasureDispersion:
         assert message.count("(not ") == len(changes)
         assert all(f"{name} {value!r} (not " in message for name, value in changes.items())
 
+    @pytest.mark.parametrize("n_values,win,message", [
+        ([8, 12, 16], WindowSpec(8), "window 8 does not divide n=12"),
+        ([6, 12, 24], WindowSpec(4), "window 4 does not divide n=6"),
+        ([8, 16, 32], None, "a window sweep needs a WindowSpec"),
+    ], ids=["misfit-after-a-fit", "misfit-first", "no-windowspec"])
+    def test_window_sweeps_are_checked_before_any_cell(self, n_values, win, message,
+                                                       monkeypatch):
+        # both failed from inside a cell, the misfit only after the cells of every n before it
+        cells = []
+        monkeypatch.setattr(analysis, "_variant_cell", lambda *args: cells.append(args))
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            measure_dispersion("window", None, BoundedSampler(4), n_values, 1, seed=0, win=win)
+        assert cells == []
+
     def test_window_fixed_content_bitwise_constant(self):
         sampler = BoundedSampler(d=4, tile_rows=4)
         report = measure_dispersion("window", None, sampler, [8, 16, 32], 2, seed=3,
@@ -293,13 +307,13 @@ def check_streamed_cells(variant, seed, n, d, w, phi):
     assert extrema.cmin == whole.min() and extrema.cmax == whole.max()
     assert extrema.size == whole.size
     assert bounds == analysis._variant_cell(variant, kernel, q, k, win)[1]
-    if variant != "window":  # one batched n x w array, not streamed
-        assert len(streamed) == max(1, -(-(n - 1) // attention._ROW_TILE))
-        weights = np.concatenate(streamed)
-        sums = weights.sum(axis=-1, keepdims=True)
-        if variant == "mila":
-            sums += attention._EPSILON
-        assert np.array_equal(weights / sums, whole)
+    block = w if win else n  # a window cell's rows are all one run
+    assert len(streamed) == max(1, -(-(block - 1) // attention._ROW_TILE))
+    weights = np.concatenate(streamed, axis=-2)
+    sums = weights.sum(axis=-1, keepdims=True)
+    if variant == "mila":
+        sums += attention._EPSILON
+    assert np.array_equal((weights / sums).reshape(whole.shape), whole)
 
 
 class TestStreamedCells:
@@ -373,6 +387,13 @@ class TestStreamedCells:
             ag.blocked_softmax_attention(*(ag.leaf(tape, q) for _ in range(3)), n)
         assert [height for _, height in blocks] == heights
 
+    def test_window_cell_is_one_run(self, monkeypatch):
+        # all 512 windows of 8 rows at n = 4,096 are one batched product, as in window_attention
+        blocks = self.record_blocks(monkeypatch, analysis)
+        q, k = BoundedSampler(16, tile_rows=8).draw(rng_for(0, "window-cell"), 4096)
+        analysis._variant_cell("window", KernelSpec.softmax(), q, k, WindowSpec(8))
+        assert blocks == [(0, 8)]
+
     @pytest.mark.parametrize("kernel", [attention.window_attention, attention.sema_attention])
     def test_narrow_windows_are_one_run(self, kernel, monkeypatch):
         # 8-row windows at n = 65,536: one product over every block, whose bits the digest pins
@@ -438,7 +459,7 @@ class TestStreamedCells:
         heights, phi_rows = [], analysis._phi_rows
 
         def record(kernel, logits, *rows):
-            heights.append(logits.shape[0])
+            heights.append(logits.shape[-2])
             return phi_rows(kernel, logits, *rows)
 
         monkeypatch.setattr(analysis, "_phi_rows", record)
@@ -481,7 +502,7 @@ def _check_weight_extrema(monkeypatch):
         out = weight_extrema(kernel, logits, lo, hi)
         real = _real_row_extrema(logits)  # logits now hold the weights
         assert attention._same_bits(out[0], real[0]) and attention._same_bits(out[1], real[1])
-        checked.append(logits.shape[0])
+        checked.append(logits.size // logits.shape[-1])  # rows over all blocks
         return out
 
     monkeypatch.setattr(analysis, "_weight_extrema", check)
@@ -510,7 +531,7 @@ class TestExpRowMax:
         win = WindowSpec(8) if variant == "window" else None
         q, k = BoundedSampler(6).draw(rng_for(0, "exp-row-max"), 248)
         analysis._variant_cell(variant, kernel, q, k, win)
-        assert checked == ([248 // 8] if win else [48] * 5 + [8])
+        assert checked == ([248] if win else [48] * 5 + [8])
 
     @pytest.mark.parametrize("case", ["nan row", "inf row", "all -inf row", "overflow"])
     def test_streamed_special_rows_check_every_block(self, case, monkeypatch):

@@ -1,5 +1,6 @@
 """The one row partition: attention._blocks splits rows into blocks and columns
-into heads, holds the only check that the split divides, and _unblock inverts it."""
+into heads, holds the only check that the split is positive and divides, and
+_unblock inverts it."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dispersionlab import autograd as ag
-from dispersionlab.analysis import BoundedSampler, measure_dispersion
 from dispersionlab.attention import (
     WindowSpec,
     _blocks,
@@ -42,8 +42,6 @@ MISFITS = {
     "blocked_mean_broadcast": lambda: ag.blocked_mean_broadcast(*_traced(_X), 4),
     "group_rows": lambda: ag.group_rows(*_traced(_X), 4),
     "depthwise_conv": lambda: ag.depthwise_conv(*_traced(_X, np.ones((4, 1, 1))), 2, 2),
-    "measure_dispersion/window": lambda: measure_dispersion(
-        "window", None, BoundedSampler(4), [6, 12, 24], 1, 0, win=WindowSpec(4)),
 }
 
 
@@ -53,6 +51,32 @@ def test_every_split_that_does_not_divide_raises_one_error(call):
         call()
     assert isinstance(info.value, DimensionError)
     assert "(6, 4)" in str(info.value)  # the message names the array's shape
+
+
+_X16 = np.ones((16, 4))  # every size >= 1 below fits it
+
+BELOW_ONE = {
+    "blocked_softmax_attention/rows": lambda size: ag.blocked_softmax_attention(
+        *_traced(_X16, _X16, _X16), size),
+    "blocked_softmax_attention/heads": lambda size: ag.blocked_softmax_attention(
+        *_traced(_X16, _X16, _X16), 4, heads=size),
+    "blocked_linear_attention": lambda size: ag.blocked_linear_attention(
+        *_traced(_X16, _X16, _X16), size),
+    "blocked_mean_broadcast": lambda size: ag.blocked_mean_broadcast(*_traced(_X16), size),
+    "group_rows": lambda size: ag.group_rows(*_traced(_X16), size),
+    "depthwise_conv": lambda size: ag.depthwise_conv(*_traced(_X16, np.ones((4, 1, 1))),
+                                                     size, 4),
+    "tile_grid/tile": lambda size: ag.tile_grid(*_traced(_X16), 4, size),
+    "tile_grid/grid": lambda size: ag.tile_grid(*_traced(_X16), size, 1),
+}
+
+
+@pytest.mark.parametrize("size", [0, -4])
+@pytest.mark.parametrize("call", BELOW_ONE.values(), ids=BELOW_ONE.keys())
+def test_every_size_below_one_raises_one_error(call, size):
+    # 0 raised ZeroDivisionError and -4 numpy's "can only specify one unknown dimension"
+    with pytest.raises(WindowPartitionError, match=r"\(16, 4\)|16 rows"):  # names the shape
+        call(size)
 
 
 @settings(max_examples=50, deadline=None)
