@@ -217,13 +217,14 @@ def _variant_cell(variant: str, kernel: KernelSpec, q: np.ndarray, k: np.ndarray
     return CellExtrema(float(cmin), float(cmax), len(q) * block), bounds
 
 
-def _check_window_sweep(variant: str, n_values, win: WindowSpec | None) -> None:
-    """A window sweep needs a WindowSpec whose w divides every n: ConfigurationError."""
+def _check_sweep(variant: str, n_values, win: WindowSpec | None, tile_rows: int | None = None):
+    """A window sweep needs a WindowSpec, and its w and any tile_rows must divide every n."""
     if variant == "window" and win is None:
         raise ConfigurationError("a window sweep needs a WindowSpec")
-    misfit = [n for n in n_values if n % win.w] if variant == "window" else []
-    if misfit:
-        raise ConfigurationError(f"window {win.w} does not divide n={misfit[0]}")
+    for name, size in (("window", variant == "window" and win.w), ("tile_rows", tile_rows)):
+        misfit = [n for n in n_values if n % size] if size else []
+        if misfit:
+            raise ConfigurationError(f"{name} {size} does not divide n={misfit[0]}")
 
 
 def measure_dispersion(variant: str, kernel: KernelSpec | None, sampler: BoundedSampler,
@@ -257,7 +258,7 @@ def measure_dispersion(variant: str, kernel: KernelSpec | None, sampler: Bounded
         raise ValueError(f"n_values must be >= 1, got {min(n_values)}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    _check_window_sweep(variant, n_values, win)
+    _check_sweep(variant, n_values, win, sampler.tile_rows)
 
     def run_cell(n: int, trial: int):
         # fixed window content must not depend on n, or it would not be fixed

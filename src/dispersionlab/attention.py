@@ -367,12 +367,12 @@ def _qkv(q, k, v=None) -> tuple[np.ndarray, ...]:
 
 
 def _blocks(x: np.ndarray, block: int, heads: int = 1) -> np.ndarray:
-    """View (n, heads * d) rows as (n / block, heads, block, d): consecutive row
-    blocks, one column slice per head. The one check that such a split is >= 1 and divides."""
+    """View (n, heads * d) rows as consecutive row blocks (n / block, heads, block, d), a
+    column slice per head. The one check that such a split is an integer >= 1 and divides."""
     n, width = x.shape
-    if not block >= 1 <= heads or n % block or width % heads:
-        raise WindowPartitionError(f"block size {block} and {heads} head(s) must be >= 1 and "
-                                   f"divide an array of shape {x.shape} (no implicit padding)")
+    if not (is_int(block) and is_int(heads) and block >= 1 <= heads) or n % block or width % heads:
+        raise WindowPartitionError(f"block size {block} and {heads} head(s) must be integers >= 1 "
+                                   f"that divide an array of shape {x.shape} (no implicit padding)")
     return x.reshape(n // block, block, heads, width // heads).transpose(0, 2, 1, 3)
 
 

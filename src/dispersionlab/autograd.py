@@ -19,7 +19,7 @@ its _mila_forward; cli.GRADCHECK_VARIANTS composes them.
 gradcheck() compares a traced scalar function's backward gradients against
 central finite differences coordinate by coordinate; directional_check()
 compares them along one seeded direction per input, which suits a loss whose
-gradient has entries near zero.
+gradient has entries near zero; both take f's differences from one _central.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 from . import attention
 from .attention import (KernelSpec, _blocked_values, _blocks, _fold, _foldable, _LINEAR,
                         _row_fold, _SOFTMAX, _unblock)
-from .errors import DifferentiationError, DimensionError, WindowPartitionError
+from .errors import DifferentiationError, DimensionError, WindowPartitionError, is_int
 from .posenc import _depthwise_taps_grad, _run_rows, depthwise_conv_grid, rotate_pairs
 from .rng import rng_for
 
@@ -229,7 +229,8 @@ def _tiles(x: np.ndarray, grid: int, tile: int, inverse: bool) -> np.ndarray:
 def tile_grid(a, grid: int, tile: int, inverse: bool = False):
     """Rows of grid x grid samples to tile-major order (or back, with inverse)."""
     n = a.value.shape[0]
-    if not grid >= 1 <= tile or n % (grid * grid) or grid % tile:
+    if (not (is_int(grid) and is_int(tile) and grid >= 1 <= tile)
+            or n % (grid * grid) or grid % tile):
         raise WindowPartitionError(f"tile_grid: tile {tile} and grid {grid} do not fit {n} rows")
     return a.tape.push("tile_grid", (a.idx,), _tiles(a.value, grid, tile, inverse),
                        {"grid": grid, "tile": tile, "inverse": inverse})
@@ -490,7 +491,6 @@ def focused_map_rows(a, p: int):
 
 
 ADJOINTS = {
-    "leaf": None,
     # a same-shape operand gets g itself, signs of zero kept; a repeated one
     # gets the sum over its blocks, which numpy starts from +0
     "add": lambda node, g, vals: (
@@ -565,16 +565,13 @@ def backward(loss: TracedValue) -> dict[int, np.ndarray]:
     grads: dict[int, np.ndarray] = {} if loss.idx in constants else {loss.idx: np.ones((1, 1))}
     for idx in range(loss.idx, -1, -1):
         node = nodes[idx]
-        g = grads.pop(idx, None)
-        if g is None or node.op == "leaf":
-            if g is not None and node.op == "leaf":
-                grads[idx] = g
+        if node.op == "leaf" or idx not in grads:  # a leaf keeps its gradient
             continue
         adj = ADJOINTS.get(node.op)
         if adj is None:
             raise DifferentiationError(f"no adjoint registered for op {node.op!r}")
         vals = tuple(nodes[p].value for p in node.parents)
-        parent_grads = adj(node, g, vals)
+        parent_grads = adj(node, grads.pop(idx), vals)
         for p, pg in zip(node.parents, parent_grads):
             if p in constants:
                 continue
@@ -582,7 +579,7 @@ def backward(loss: TracedValue) -> dict[int, np.ndarray]:
                 grads[p] = grads[p] + pg
             else:
                 grads[p] = np.asarray(pg, dtype=np.float64)
-    return {i: g for i, g in grads.items() if nodes[i].op == "leaf"}
+    return grads
 
 
 @dataclass
@@ -610,6 +607,19 @@ def _relative_error(analytic: float, numeric: float, floor: float) -> float:
     return err if math.isfinite(err) else math.inf
 
 
+def _central(f, arrays, which, plus, minus):
+    """f(plus) - f(minus): f with input `which` replaced by plus, then by minus,
+    every other input passed as it is, uncopied."""
+    f_plus, f_minus = (_evaluate(f, arrays[:which] + [moved] + arrays[which + 1:])[0].value[0, 0]
+                       for moved in (plus, minus))
+    return f_plus - f_minus
+
+
+def _report(per_input: list, tol: float) -> GradcheckReport:
+    max_err = max(per_input) if per_input else 0.0
+    return GradcheckReport(max_rel_err=max_err, passed=bool(max_err < tol), per_input=per_input)
+
+
 # step h and pass bound of gradcheck and of directional_check
 GRADCHECK_STEP = GRADCHECK_TOL = 1e-5
 DIRECTIONAL_STEP = 1e-3
@@ -622,11 +632,12 @@ def gradcheck(f, inputs) -> GradcheckReport:
 
     f takes traced leaves (one per input array) and returns a traced 1x1
     scalar. Inputs with more than 512 entries are checked on 64 random
-    coordinates drawn from seed 0, the same on every run. Relative error uses
-    max(|analytic|, |numeric|, 1e-8) as the denominator; a non-finite
-    derivative counts as an infinite error, so it fails the check. The check
-    passes when every relative error is below GRADCHECK_TOL. Failures are
-    reported, never raised.
+    coordinates drawn from seed 0, the same on every run. Each difference
+    moves one coordinate of a copy of its input, so a -0.0 elsewhere keeps
+    its sign. Relative error uses max(|analytic|, |numeric|, 1e-8) as the
+    denominator; a non-finite derivative counts as an infinite error, so it
+    fails the check. The check passes when every relative error is below
+    GRADCHECK_TOL. Failures are reported, never raised.
     """
     arrays = [np.asarray(x, dtype=np.float64) for x in inputs]
     analytic = _analytic(f, arrays)
@@ -642,18 +653,13 @@ def gradcheck(f, inputs) -> GradcheckReport:
         worst = 0.0
         for flat_idx in coords:
             idx = np.unravel_index(int(flat_idx), base.shape)
-            plus = [a.copy() for a in arrays]
-            minus = [a.copy() for a in arrays]
-            plus[which][idx] += GRADCHECK_STEP
-            minus[which][idx] -= GRADCHECK_STEP
-            f_plus = _evaluate(f, plus)[0].value[0, 0]
-            f_minus = _evaluate(f, minus)[0].value[0, 0]
-            numeric = (f_plus - f_minus) / (2.0 * GRADCHECK_STEP)
+            plus, minus = base.copy(), base.copy()
+            plus[idx] += GRADCHECK_STEP
+            minus[idx] -= GRADCHECK_STEP
+            numeric = _central(f, arrays, which, plus, minus) / (2.0 * GRADCHECK_STEP)
             worst = max(worst, _relative_error(analytic[which][idx], numeric, 1e-8))
         per_input.append(float(worst))
-    max_err = max(per_input) if per_input else 0.0
-    return GradcheckReport(max_rel_err=max_err, passed=bool(max_err < GRADCHECK_TOL),
-                           per_input=per_input)
+    return _report(per_input, GRADCHECK_TOL)
 
 
 def directional_check(f, inputs) -> GradcheckReport:
@@ -676,21 +682,12 @@ def directional_check(f, inputs) -> GradcheckReport:
     arrays = [np.asarray(x, dtype=np.float64) for x in inputs]
     analytic = _analytic(f, arrays)
 
-    def central(which, u, h):
-        values = []
-        for sign in (1.0, -1.0):
-            moved = list(arrays)
-            moved[which] = arrays[which] + sign * h * u
-            values.append(_evaluate(f, moved)[0].value[0, 0])
-        return (values[0] - values[1]) / (2.0 * h)
-
     per_input = []
     for which, base in enumerate(arrays):
         u = rng_for(0, "directional", which).standard_normal(base.shape)
         u /= np.linalg.norm(u)
-        h = DIRECTIONAL_STEP
-        numeric = (4.0 * central(which, u, h / 2) - central(which, u, h)) / 3.0
+        d_half, d_full = (_central(f, arrays, which, base + s * u, base - s * u) / (2.0 * s)
+                          for s in (DIRECTIONAL_STEP / 2, DIRECTIONAL_STEP))
+        numeric = (4.0 * d_half - d_full) / 3.0
         per_input.append(_relative_error(float(np.sum(analytic[which] * u)), numeric, 1e-12))
-    max_err = max(per_input) if per_input else 0.0
-    return GradcheckReport(max_rel_err=max_err, passed=bool(max_err < DIRECTIONAL_TOL),
-                           per_input=per_input)
+    return _report(per_input, DIRECTIONAL_TOL)

@@ -39,7 +39,7 @@ from .analysis import (
     complexity_estimate,
     measure_dispersion,
     scaling_fit,
-    _check_window_sweep,
+    _check_sweep,
 )
 from .attention import KernelSpec, WindowSpec
 from .errors import BoundViolationError, ConfigurationError, DispersionLabError, TrainingError
@@ -237,7 +237,7 @@ def cmd_disperse(args) -> int:
         raise _UsageError(f"bad --kernel: {exc}")
     n_values = _parse_n_list(args.n)
     win = WindowSpec(args.w) if args.variant == "window" else None
-    _check_window_sweep(args.variant, n_values, win)
+    _check_sweep(args.variant, n_values, win)
     sampler = BoundedSampler(
         d=args.d,
         logit_bound=args.logit_bound,

@@ -5,7 +5,8 @@ import numbers
 
 def is_int(x) -> bool:
     """An integer, numpy's included, but not a bool: JSON true must not run as 1."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+    # a plain int answers first: every block split asks, and the abstract-class test is slower
+    return type(x) is int or (isinstance(x, numbers.Integral) and not isinstance(x, bool))
 
 
 class DispersionLabError(Exception):

@@ -88,10 +88,9 @@ class SsmParams:
 
     @classmethod
     def random(cls, rng: np.random.Generator, n: int, d_state: int, channels: int,
-               zero_h0: bool = False, decay_range: tuple[float, float] = (0.05, 1.0)) -> "SsmParams":
-        lo, hi = decay_range
+               zero_h0: bool = False) -> "SsmParams":
         return cls(
-            A_tilde=rng.uniform(lo, hi, (n, d_state, channels)),
+            A_tilde=rng.uniform(0.05, 1.0, (n, d_state, channels)),
             B=rng.standard_normal((n, d_state, 1)),
             C_out=rng.standard_normal((n, 1, d_state)),
             D=rng.standard_normal((1, channels)),

@@ -206,7 +206,8 @@ def test_pairs_time_and_compare_every_call(ab_ops, tmp_path, monkeypatch, capsys
                                    "train_toy averaging=off", "forward tiny_224 batch=1 images",
                                    "forward ablation off b=256 table",
                                    "forms_max_diff n=256 d=8 c=8",
-                                   "sema_attention n=65536 d=64 w=8"]
+                                   "sema_attention n=65536 d=64 w=8",
+                                   "sema_attention n=8 d=64 w=8"]
     assert all(fields[-2:] == ["bitwise", "equal"] for fields in lines.values())
     ratios = [float(lines[cell][lines[cell].index("ratio") + 1]) for cell in cells]
     assert np.median(ratios) < 1.0  # the change's cells spin half as long
@@ -222,7 +223,7 @@ def test_pairs_time_and_compare_every_call(ab_ops, tmp_path, monkeypatch, capsys
     ("train_toy", ["train_toy averaging=off"]),
     ("forward", ["forward tiny_224 batch=1 images", "forward ablation off b=256 table"]),
     ("forms_max_diff", ["forms_max_diff n=256 d=8 c=8"]),
-    ("sema", ["sema_attention n=65536 d=64 w=8"]),
+    ("sema", ["sema_attention n=65536 d=64 w=8", "sema_attention n=8 d=64 w=8"]),
 ])
 def test_differing_outputs_are_named_and_fail(ab_ops, tmp_path, monkeypatch, capsys, moved,
                                               named):

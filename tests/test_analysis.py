@@ -152,6 +152,20 @@ class TestMeasureDispersion:
             measure_dispersion("window", None, BoundedSampler(4), n_values, 1, seed=0, win=win)
         assert cells == []
 
+    @pytest.mark.parametrize("variant,n_values,win", [
+        ("window", [8, 12, 16], WindowSpec(4)),
+        ("window", [12, 16], WindowSpec(4)),
+        ("softmax", [8, 12, 16], None),
+    ], ids=["misfit-after-a-fit", "misfit-first", "not-window"])
+    def test_tile_rows_are_checked_before_any_cell(self, variant, n_values, win, monkeypatch):
+        # the sampler's draw raised DimensionError, after the cells of every n before it
+        cells = []
+        monkeypatch.setattr(analysis, "_variant_cell", lambda *args: cells.append(args))
+        sampler = BoundedSampler(d=4, tile_rows=8)
+        with pytest.raises(ConfigurationError, match="^tile_rows 8 does not divide n=12$"):
+            measure_dispersion(variant, None, sampler, n_values, 2, seed=0, win=win)
+        assert cells == []
+
     def test_window_fixed_content_bitwise_constant(self):
         sampler = BoundedSampler(d=4, tile_rows=4)
         report = measure_dispersion("window", None, sampler, [8, 16, 32], 2, seed=3,

@@ -671,6 +671,40 @@ class TestGradcheckHarness:
                                           [[[np.inf, 2.0]]])
         assert not report.passed and report.max_rel_err == math.inf
 
+    @pytest.mark.parametrize("check,moves", [(ag.gradcheck, (24, 16)),
+                                             (ag.directional_check, (4, 4))])
+    def test_unmoved_inputs_pass_uncopied(self, check, moves):
+        # gradcheck copied every input twice per coordinate; now only the one it moves
+        rng = rng_for(8, "uncopied")
+        x, w = rng.standard_normal((3, 4)), rng.standard_normal((4, 2))
+        shared = []
+
+        def f(a, b):
+            shared.append([np.shares_memory(a.value, x), np.shares_memory(b.value, w)])
+            return ag.sum_all(ag.gelu(ag.matmul(a, b)))
+
+        assert check(f, [x, w]).passed
+        # the backward pass, then x moved (w passed as it is), then w moved
+        assert shared == [[True, True]] + [[False, True]] * moves[0] + [[True, False]] * moves[1]
+
+    def test_signed_zeros_keep_their_sign_and_reports_their_bits(self):
+        rng = rng_for(11, "gradcheck-zeros")
+        x, w = with_zeros(rng, (40, 20)), with_zeros(rng, (20, 3))  # 800 entries: 64 sampled
+        signs_kept = []
+
+        def f(a, b):
+            kept = a.value == x  # all but the coordinate that gradcheck moves
+            signs_kept.append(np.array_equal(np.signbit(a.value[kept]), np.signbit(x[kept])))
+            return ag.sum_all(_square(ag.gelu(ag.matmul(a, b))))
+
+        reports = [check(f, [x, w]) for check in (ag.gradcheck, ag.directional_check)]
+        # a one-hot step added to the whole input would turn every other -0.0 into +0.0
+        assert all(signs_kept[:1 + 2 * 64])
+        assert [[e.hex() for e in r.per_input] for r in reports] == [  # the values before
+            ["0x1.6294dc3e6782dp-23", "0x1.229cc120dac2cp-29"],
+            ["0x1.af5082fb7236bp-36", "0x1.df5e1ec699ea4p-41"]]
+        assert all(r.passed and r.max_rel_err == max(r.per_input) for r in reports)
+
     def test_homogeneous_mix_gradient_of_sum_is_all_ones(self):
         rng = rng_for(9, "mix")
         v = rng.standard_normal((6, 3))

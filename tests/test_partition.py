@@ -1,6 +1,6 @@
 """The one row partition: attention._blocks splits rows into blocks and columns
-into heads, holds the only check that the split is positive and divides, and
-_unblock inverts it."""
+into heads, holds the only check that the split is an integer >= 1 and divides,
+and _unblock inverts it."""
 
 import numpy as np
 import pytest
@@ -76,6 +76,14 @@ BELOW_ONE = {
 def test_every_size_below_one_raises_one_error(call, size):
     # 0 raised ZeroDivisionError and -4 numpy's "can only specify one unknown dimension"
     with pytest.raises(WindowPartitionError, match=r"\(16, 4\)|16 rows"):  # names the shape
+        call(size)
+
+
+@pytest.mark.parametrize("size", [2.0, np.float64(4.0)], ids=["float", "np.float64"])
+@pytest.mark.parametrize("call", BELOW_ONE.values(), ids=BELOW_ONE.keys())
+def test_every_non_integer_size_raises_one_error(call, size):
+    # a float that divides passed the check, and numpy's reshape raised TypeError
+    with pytest.raises(WindowPartitionError, match=r"\(16, 4\)|16 rows"):
         call(size)
 
 

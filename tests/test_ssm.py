@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -24,8 +25,12 @@ from dispersionlab.ssm import (
 from dispersionlab.tensor import Tensor
 
 
-def make_params(rng, n=5, d_state=3, channels=2, **kw):
-    return SsmParams.random(rng, n, d_state, channels, **kw)
+def make_params(rng, n=5, d_state=3, channels=2, zero_h0=False, decay_range=None):
+    """SsmParams.random's draws; a decay_range then redraws A_tilde from that range."""
+    p = SsmParams.random(rng, n, d_state, channels, zero_h0)
+    if decay_range is None:
+        return p
+    return dataclasses.replace(p, A_tilde=rng.uniform(*decay_range, p.A_tilde.shape))
 
 
 class TestScanAndClosedForm:

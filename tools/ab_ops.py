@@ -20,9 +20,9 @@ perfbench's ``backbone_inference`` call, and of the ablation model with
 averaging off on a 256-sample patch_rows table, one evaluation pass of
 ``train_toy``, with parameters drawn once; ``ssm.forms_max_diff`` on
 ``sequence_kernels``' n = 256 instance (8 states, 8 channels); and
-``sema_attention`` at n = 65,536 (d = 64, w = 8). Per call, both trees run
-once to warm up and to set the batch size, about BATCH_S of process CPU time.
-Then N pairs of batches run, the parent first in even pairs and the change
+``sema_attention`` at n = 65,536 and at n = 8 (d = 64, w = 8). Per call, both
+trees run once to warm up and to set the batch size, about BATCH_S of process
+CPU time. Then N pairs of batches run, the parent first in even pairs and the change
 first in odd ones, each batch timed in process CPU time after a gc.collect().
 The objects that exist once both trees and the inputs are loaded are frozen
 out of the collector (gc.freeze), so that collect walks only what the calls
@@ -164,6 +164,13 @@ def catalogue(parent) -> list[tuple[str, object]]:
         return attention.sema_attention(*local, attention.WindowSpec(8))
 
     calls.append(("sema_attention n=65536 d=64 w=8", sema))
+    small = rng.standard_normal((3, 8, 64))  # drawn last, so no earlier call's inputs move
+
+    def sema_small(pkg):
+        attention = sub(pkg, "attention")
+        return attention.sema_attention(*small, attention.WindowSpec(8))
+
+    calls.append(("sema_attention n=8 d=64 w=8", sema_small))
     return calls
 
 
